@@ -6,9 +6,9 @@
 // One process drives the real stack over loopback sockets: a
 // gateway::Gateway in front of a server::TouchServer, loaded by a seeded
 // generator of at most four threads with one connection each (many
-// sessions share a connection). Every layer is measured from outside:
-// calls into public functions are timed, public stats are read; nothing
-// under src/ is instrumented for the benchmark.
+// sessions share a connection), pinned to one or two CPUs. Every layer is
+// measured from outside: calls into public functions are timed, public
+// stats are read; nothing under src/ is instrumented for the benchmark.
 //
 // --trace 0 prints the end-to-end metrics; --trace 1 runs the workload
 // once untraced and once with TouchServerConfig::enable_tracing, records
@@ -20,6 +20,7 @@
 // The exit code is non-zero when a check fails. See README.md.
 
 #include <fcntl.h>
+#include <sched.h>
 #include <sys/resource.h>
 #include <sys/stat.h>
 #include <sys/types.h>
@@ -69,9 +70,14 @@ namespace cache = dbtouch::cache;
 
 /// Generator threads; each owns one connection.
 constexpr int kConnections = 4;
-constexpr int kGatewayLoops = 2;
+/// Gateway event loops, server workers and cold-tier fetcher threads. The
+/// threads share one or two CPUs (CpuPlan), where a second thread of a
+/// kind adds no capacity, only context switches.
+constexpr int kGatewayLoops = 1;
+constexpr int kWorkers = 1;
+constexpr int kFetchers = 1;
 /// setup_s is the median of this many full set-ups per run.
-constexpr int kSetupRepeats = 5;
+constexpr int kSetupRepeats = 9;
 constexpr Micros kFrameIntervalUs = 66'667;  // 15 Hz display frames.
 constexpr int kTailResults = 16;
 /// Every wait for the server to go idle gives up after this long; what is
@@ -83,18 +89,15 @@ struct Workload {
   std::string name;
   std::string why;
   int sessions = 0;
-  /// Closed-loop bursts of unpaced frames instead of paced 15 Hz frames.
+  /// Closed-loop bursts of unpaced frames, one per session per burst,
+  /// instead of paced 15 Hz frames.
   bool burst = false;
-  int burst_frames = 0;   // Frames per session per burst.
+  /// Run the server's workers on CpuPlan::side instead of CpuPlan::main.
+  bool worker_own_cpu = false;
   int burst_touches = 0;  // Touches per frame.
   std::int64_t table_rows = 0;
   std::int64_t pool_bytes = 0;
   std::int64_t rows_per_block = 16'384;
-  /// Server workers and cold-tier fetcher threads. Few threads keep the
-  /// stack (with gateway loops and generator) within a 4-core host, where
-  /// oversubscription turns into run-to-run noise.
-  int workers = 2;
-  int fetchers = 2;
   /// Spill the table to disk and free its raw copy, so faults go to
   /// cache::FileBlockProvider.
   bool spill = false;
@@ -118,11 +121,8 @@ std::vector<Workload> Workloads() {
     w.why = "closed loop, 16 sessions flooding wide summaries";
     w.sessions = 16;
     w.burst = true;
-    w.burst_frames = 2;
+    w.worker_own_cpu = true;
     w.burst_touches = 64;
-    // One worker: the burst rate is then the cost of dispatch plus kernel
-    // per touch, not how the host happens to place two busy workers.
-    w.workers = 1;
     w.shape.speed_min_cm_s = 10.0;
     w.shape.speed_max_cm_s = 10.0;
     w.table_rows = 1'000'000;
@@ -137,10 +137,6 @@ std::vector<Workload> Workloads() {
     w.table_rows = 9'000'000;
     w.pool_bytes = 8ll << 20;
     w.rows_per_block = 4'096;
-    // One worker and one fetcher: extra fetcher threads (busy with
-    // warm-up reads) compete with the worker for the host's cores.
-    w.workers = 1;
-    w.fetchers = 1;
     w.spill = true;
     w.shape.region_frac = 0.25;
     w.shape.think_min_s = 0.05;
@@ -173,7 +169,7 @@ core::KernelConfig SessionKernelConfig(const Workload& w) {
   core::KernelConfig config;
   config.buffer.budget_bytes = w.pool_bytes;
   config.buffer.rows_per_block = w.rows_per_block;
-  config.buffer.fetch.num_fetchers = w.fetchers;
+  config.buffer.fetch.num_fetchers = kFetchers;
   return config;
 }
 
@@ -234,6 +230,46 @@ double PeakRssMb() {
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB -> MiB.
+}
+
+/// Where the process's threads run. Left to the kernel across four CPUs,
+/// touch_p50_us and the burst rate flipped between levels from run to
+/// run: a hand-off between threads had to wake another, possibly halted,
+/// virtual CPU, whose latency follows the host's load, and the gateway
+/// loop did or did not land on the worker's CPU. So every thread is
+/// pinned: on one CPU a hand-off is a context switch on a running CPU. A
+/// closed loop's worker gets a CPU of its own, so that admitting a burst
+/// does not share time slices with draining it.
+struct CpuPlan {
+  int main = -1;  // Generator, gateway loop, fetcher; workers by default.
+  int side = -1;  // Workers of a workload with Workload::worker_own_cpu.
+};
+
+/// The two highest-numbered CPUs the process may use (the same one twice
+/// on a one-CPU host).
+CpuPlan PlanCpus() {
+  CpuPlan plan;
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return plan;
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &allowed)) {
+      plan.side = plan.main;
+      plan.main = c;
+    }
+  }
+  if (plan.side < 0) plan.side = plan.main;
+  return plan;
+}
+
+/// Pins the calling thread to `cpu`; threads it starts afterwards inherit
+/// the mask.
+void PinTo(int cpu) {
+  if (cpu < 0) return;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  (void)sched_setaffinity(0, sizeof(one), &one);
 }
 
 // ---- The timed block-provider decorator ------------------------------------
@@ -332,6 +368,7 @@ struct RunOptions {
   const Workload* workload = nullptr;
   std::uint64_t seed = 0;
   std::string out_dir;
+  CpuPlan cpus;
   bool traced = false;
   Ledger* ledger = nullptr;
 };
@@ -344,7 +381,7 @@ Result<std::unique_ptr<Stack>> SetUp(const RunOptions& opt) {
   DBTOUCH_ASSIGN_OR_RETURN(st.table, MakeTable(w, opt.seed));
 
   server::TouchServerConfig config;
-  config.num_workers = w.workers;
+  config.num_workers = kWorkers;
   config.session_defaults = SessionKernelConfig(w);
   config.enable_tracing = opt.traced;
   config.trace.capacity = 1u << 18;
@@ -384,7 +421,11 @@ Result<std::unique_ptr<Stack>> SetUp(const RunOptions& opt) {
         st.server->shared().SetColumnProvider(w.name, 0, st.provider));
   }
 
-  DBTOUCH_RETURN_IF_ERROR(st.server->Start());
+  // Workers inherit the CPU of the thread that starts them.
+  PinTo(w.worker_own_cpu ? opt.cpus.side : opt.cpus.main);
+  const Status started = st.server->Start();
+  PinTo(opt.cpus.main);
+  DBTOUCH_RETURN_IF_ERROR(started);
 
   gw::GatewayConfig gconfig;
   gconfig.num_loops = kGatewayLoops;
@@ -433,6 +474,9 @@ SessionScript ScriptFor(const RunOptions& opt, const SessionRef& s) {
 struct Window {
   std::int64_t start_ns = 0;
   std::int64_t end_ns = 0;
+  /// The part of the window the server had work: all of it in a paced
+  /// run, the bursts without the idle gaps between them in a closed loop.
+  std::int64_t busy_ns = 0;
   /// End-to-end latency of the touches completed in the window.
   obs::HistogramSnapshot e2e;
 };
@@ -461,7 +505,8 @@ class WindowCutter {
   void Cut(std::vector<Window>& out) {
     obs::HistogramSnapshot now = server_.stats().stages.e2e;
     const std::int64_t now_ns = NowNs();
-    out.push_back(Window{last_ns_, now_ns, Delta(now, last_)});
+    out.push_back(
+        Window{last_ns_, now_ns, now_ns - last_ns_, Delta(now, last_)});
     last_ = std::move(now);
     last_ns_ = now_ns;
   }
@@ -489,12 +534,13 @@ struct LoadResult {
   std::vector<double> lag_us;  // Lateness of each send vs its schedule.
   std::vector<double> rtt_us;  // SubmitBatch round trip.
   std::vector<double> ack_us;  // Scheduled send -> SubmitBatchResp.
-  std::vector<std::int64_t> due_ns;  // Scheduled send time, per ack_us.
   /// The run cut into windows (paced: fixed spans of the replay; closed
-  /// loop: one per burst). Timed end-to-end metrics are medians over
-  /// windows, so a passing hiccup on a shared host moves one window, not
-  /// the run's figure.
+  /// loop: kBurstsPerWindow bursts each). Timed end-to-end metrics are
+  /// medians over windows, so a passing hiccup on a shared host moves one
+  /// window, not the run's figure.
   std::vector<Window> windows;
+  /// Windows that start earlier are warm-up and left out of the medians.
+  std::int64_t timed_from_ns = 0;
   /// Frames sampled for the standalone codec / admit measurements.
   std::vector<std::pair<std::int64_t, api::SubmitBatchReq>> sample;
 };
@@ -503,7 +549,6 @@ struct LoadResult {
 struct ThreadTally {
   std::int64_t attempted = 0, rejected = 0, errors = 0;
   std::vector<double> lag_us, rtt_us, ack_us;
-  std::vector<std::int64_t> due_ns;
   SpanBuffer* spans = nullptr;
 
   void Merge(LoadResult& r) const {
@@ -513,7 +558,6 @@ struct ThreadTally {
     r.lag_us.insert(r.lag_us.end(), lag_us.begin(), lag_us.end());
     r.rtt_us.insert(r.rtt_us.end(), rtt_us.begin(), rtt_us.end());
     r.ack_us.insert(r.ack_us.end(), ack_us.begin(), ack_us.end());
-    r.due_ns.insert(r.due_ns.end(), due_ns.begin(), due_ns.end());
   }
 };
 
@@ -532,7 +576,6 @@ void NoteFrame(const api::SubmitBatchReq& req,
   t.lag_us.push_back(static_cast<double>(before - due_ns) / 1e3);
   t.rtt_us.push_back(static_cast<double>(after - before) / 1e3);
   t.ack_us.push_back(static_cast<double>(after - due_ns) / 1e3);
-  t.due_ns.push_back(due_ns);
   if (t.spans != nullptr) {
     const std::int32_t root = t.spans->Add("gen.frame", frame_id, due_ns, after);
     t.spans->Add("gateway.client_submit", frame_id, before, after, root);
@@ -603,12 +646,18 @@ std::int64_t Unaccounted(const api::StatsResp& s) {
 /// Frames of each run kept for the standalone codec and admit timings.
 constexpr std::size_t kSampleFrames = 512;
 /// Window length of paced runs.
-constexpr std::int64_t kWindowNs = 2'000'000'000;
+constexpr std::int64_t kWindowNs = 500'000'000;
+/// The first stretch of every run warms the stack up (caches, allocator,
+/// result streams) and is not timed.
+constexpr std::int64_t kWarmupNs = 2'000'000'000;
 /// Closed loop: one burst starts every period (or as soon as the previous
 /// one drained, if it ran longer), so a run sends a fixed number of
 /// touches whatever the speed — and the server's per-session result
 /// streams, which grow with every touch, stay a fixed size.
 constexpr std::int64_t kBurstPeriodNs = 100'000'000;
+/// Closed loop: bursts per window, so each window holds enough touches
+/// (4 x 1024) for its p99 to rest on some forty of them.
+constexpr int kBurstsPerWindow = 4;
 
 LoadResult RunPaced(const RunOptions& opt, Stack& st, double seconds) {
   const Micros horizon = static_cast<Micros>(seconds * 1e6);
@@ -644,6 +693,7 @@ LoadResult RunPaced(const RunOptions& opt, Stack& st, double seconds) {
   }
   // Start a little in the future so every thread is ready at t = 0.
   const std::int64_t epoch_ns = NowNs() + 20'000'000;
+  result.timed_from_ns = epoch_ns + kWarmupNs;
   WindowCutter cutter(*st.server);
   ForEachConnection([&](int c) {
     struct Slot {
@@ -714,8 +764,10 @@ LoadResult RunBursts(const RunOptions& opt, Stack& st, double seconds) {
   }
   std::vector<std::int64_t> frames_sent(st.sessions.size(), 0);
   const std::int64_t begin_ns = NowNs();
+  result.timed_from_ns = begin_ns + kWarmupNs;
   const auto bursts = static_cast<std::int64_t>(seconds * 1e9) / kBurstPeriodNs;
   std::int64_t busy_ns = 0;
+  std::int64_t window_busy_ns = 0;
   WindowCutter cutter(*st.server);
   for (std::int64_t b = 0; b < bursts; ++b) {
     const std::int64_t due = begin_ns + b * kBurstPeriodNs;
@@ -729,22 +781,22 @@ LoadResult RunBursts(const RunOptions& opt, Stack& st, double seconds) {
     std::vector<std::vector<std::pair<std::int64_t, api::SubmitBatchReq>>>
         frames(kConnections);
     std::vector<std::string> wire(kConnections);
-    for (int f = 0; f < w.burst_frames; ++f) {
-      for (SessionRef& s : st.sessions) {
-        api::SubmitBatchReq req =
-            NextBurstFrame(scripts[s.index], w.burst_touches);
-        req.session = s.id;
-        s.touches_sent += w.burst_touches;
-        const std::int64_t frame_id =
-            static_cast<std::int64_t>(s.index) * 1'000'000 +
-            frames_sent[s.index]++;
-        wire[s.conn] += gw::EncodeRequestFrame(
-            gw::MessageType::kSubmitBatch,
-            static_cast<std::uint32_t>(frame_id), req);
-        frames[s.conn].emplace_back(frame_id, std::move(req));
-      }
+    for (SessionRef& s : st.sessions) {
+      api::SubmitBatchReq req =
+          NextBurstFrame(scripts[s.index], w.burst_touches);
+      req.session = s.id;
+      s.touches_sent += w.burst_touches;
+      const std::int64_t frame_id =
+          static_cast<std::int64_t>(s.index) * 1'000'000 +
+          frames_sent[s.index]++;
+      wire[s.conn] += gw::EncodeRequestFrame(
+          gw::MessageType::kSubmitBatch,
+          static_cast<std::uint32_t>(frame_id), req);
+      frames[s.conn].emplace_back(frame_id, std::move(req));
     }
-    cutter.Skip();  // The idle gap before the burst is no window.
+    // A window spans kBurstsPerWindow bursts; the idle gap before its first
+    // burst is left out of it.
+    if (b % kBurstsPerWindow == 0) cutter.Skip();
     const std::int64_t start = NowNs();
     ForEachConnection([&](int c) {
       ThreadTally& t = tallies[static_cast<std::size_t>(c)];
@@ -761,8 +813,14 @@ LoadResult RunBursts(const RunOptions& opt, Stack& st, double seconds) {
     });
     bool idle = false;
     const api::StatsResp last = WaitIdleBounded(*st.clients[0], 50, &idle);
-    busy_ns += NowNs() - start;
-    cutter.Cut(result.windows);
+    const std::int64_t burst_ns = NowNs() - start;
+    busy_ns += burst_ns;
+    window_busy_ns += burst_ns;
+    if (!idle || (b + 1) % kBurstsPerWindow == 0 || b + 1 == bursts) {
+      cutter.Cut(result.windows);
+      result.windows.back().busy_ns = window_busy_ns;
+      window_busy_ns = 0;
+    }
     if (!idle) {
       result.unaccounted = Unaccounted(last);
       break;
@@ -1265,13 +1323,15 @@ std::int64_t FailedTouches(const Phase& ph) {
   return ph.load.errors + ph.stats.dropped_quanta + ph.load.unaccounted;
 }
 
-/// Median over the run's windows of fn(window); windows too small to
-/// carry a p99 are left out unless no window is large enough.
+/// Median over the run's timed windows of fn(window); warm-up windows and
+/// windows too small to carry a p99 are left out unless no window is left.
 template <typename Fn>
 double WindowMedian(const LoadResult& load, Fn&& fn) {
   std::vector<double> values;
   for (const Window& w : load.windows) {
-    if (w.e2e.count >= 1000) values.push_back(fn(w));
+    if (w.start_ns >= load.timed_from_ns && w.e2e.count >= 1000) {
+      values.push_back(fn(w));
+    }
   }
   if (values.empty()) {
     for (const Window& w : load.windows) {
@@ -1281,27 +1341,16 @@ double WindowMedian(const LoadResult& load, Fn&& fn) {
   return Median(std::move(values));
 }
 
-/// Median scheduled-send -> ack time of the frames due in `w`.
-double AckMedian(const LoadResult& load, const Window& w) {
-  std::vector<double> acks;
-  for (std::size_t i = 0; i < load.ack_us.size(); ++i) {
-    if (load.due_ns[i] >= w.start_ns && load.due_ns[i] < w.end_ns) {
-      acks.push_back(load.ack_us[i]);
-    }
-  }
-  return Median(std::move(acks));
-}
-
 std::vector<Metric> EndToEnd(const Phase& ph, bool burst) {
   const LoadResult& load = ph.load;
   const double attempted = static_cast<double>(load.attempted);
   const double executed = static_cast<double>(ph.stats.executed);
-  // Closed loop: the rate of each burst; open loop: the served rate.
+  // Closed loop: the rate while bursts drain; open loop: the served rate.
   const double rate =
       burst ? WindowMedian(load,
                            [](const Window& w) {
                              return static_cast<double>(w.e2e.count) /
-                                    Seconds(w.end_ns - w.start_ns);
+                                    Seconds(w.busy_ns);
                            })
             : Ratio(executed, load.wall_s);
   return {
@@ -1312,9 +1361,6 @@ std::vector<Metric> EndToEnd(const Phase& ph, bool burst) {
       {"touch_p99_us",
        WindowMedian(load,
                     [](const Window& w) { return HistPercentile(w.e2e, 0.99); }),
-       "us"},
-      {"ack_p50_us",
-       WindowMedian(load, [&](const Window& w) { return AckMedian(load, w); }),
        "us"},
       {"deadline_hit_rate",
        Ratio(executed - static_cast<double>(ph.stats.deadline_misses),
@@ -1330,8 +1376,7 @@ std::vector<Metric> EndToEnd(const Phase& ph, bool burst) {
   };
 }
 
-std::vector<Metric> PerLayer(const Workload& w, const Phase& ph,
-                             const Phase& untraced) {
+std::vector<Metric> PerLayer(const Phase& ph, const Phase& untraced) {
   const server::ServerStatsSnapshot& s = ph.stats;
   const double executed = static_cast<double>(s.executed);
   const double touches = static_cast<double>(ph.touch_events);
@@ -1344,6 +1389,7 @@ std::vector<Metric> PerLayer(const Workload& w, const Phase& ph,
   const double p50_traced = HistPercentile(s.stages.e2e, 0.5);
   return {
       {"gateway.rtt_p50_us", Percentile(ph.load.rtt_us, 0.50), "us"},
+      {"gateway.ack_p50_us", Percentile(ph.load.ack_us, 0.50), "us"},
       {"gateway.ack_p99_us", Percentile(ph.load.ack_us, 0.99), "us"},
       {"gateway.codec_ns_per_frame", ph.codec_ns_per_frame, "ns"},
       {"gateway.bytes_per_touch",
@@ -1358,7 +1404,7 @@ std::vector<Metric> PerLayer(const Workload& w, const Phase& ph,
       // Worker-seconds of the measured wall (idle included) per touch,
       // minus the part spent executing it: dispatch and idle capacity.
       {"server.worker_us_per_touch",
-       Ratio(w.workers * ph.load.wall_s * 1e6, executed) -
+       Ratio(kWorkers * ph.load.wall_s * 1e6, executed) -
            s.stages.exec.Mean(),
        "us"},
       {"server.dropped", static_cast<double>(s.dropped_quanta), "count"},
@@ -1471,6 +1517,9 @@ void PrintPhaseSummary(const char* label, const Phase& ph) {
               "unaccounted touches / attempted)\n",
               Ratio(static_cast<double>(FailedTouches(ph)),
                     static_cast<double>(ph.load.attempted)));
+  std::printf("  ack_p50_us %.4f us (scheduled send -> SubmitBatchResp; "
+              "reported as gateway.ack_p50_us)\n",
+              Percentile(ph.load.ack_us, 0.5));
   for (const std::string& p : ph.problems) {
     std::printf("  CHECK FAILED: %s\n", p.c_str());
   }
@@ -1559,6 +1608,8 @@ int Main(int argc, char** argv) {
       return Usage();
     }
   }
+  const CpuPlan cpus = PlanCpus();
+  PinTo(cpus.main);
   const std::vector<Workload> workloads = Workloads();
   const auto it =
       std::find_if(workloads.begin(), workloads.end(),
@@ -1570,6 +1621,7 @@ int Main(int argc, char** argv) {
   opt.workload = &*it;
   opt.seed = seed;
   opt.out_dir = out_dir;
+  opt.cpus = cpus;
   std::printf("workload %s (%s), seed %llu, %g s, trace %d\n",
               it->name.c_str(), it->why.c_str(),
               static_cast<unsigned long long>(seed), seconds, traced ? 1 : 0);
@@ -1592,7 +1644,7 @@ int Main(int argc, char** argv) {
   topt.ledger = &ledger;
   Phase ph = RunPhase(topt, seconds / 2, 1);
   PrintPhaseSummary("traced half", ph);
-  const std::vector<Metric> metrics = PerLayer(*it, ph, base);
+  const std::vector<Metric> metrics = PerLayer(ph, base);
   PrintMetrics("per-layer metrics (traced run)", metrics);
   PrintSelfTimes(ledger, ph);
   const std::string path = out_dir + "/" + it->name + "-seed" +
