@@ -35,7 +35,7 @@ double RunningAggregate::value() const {
     case AggKind::kSum:
       return sum_;
     case AggKind::kAvg:
-      return mean_;
+      return sum_ / static_cast<double>(count_);
     case AggKind::kMin:
       return min_;
     case AggKind::kMax:

@@ -33,27 +33,99 @@ enum class AggKind : std::uint8_t {
 
 std::string_view AggKindName(AggKind kind);
 
-/// Numerically stable (Welford) streaming accumulator.
+/// Streaming accumulator that keeps, per row, only the state its kind's
+/// value() reads: every kind counts rows; sum and avg keep one sequential
+/// sum (avg = sum / count); min and max compare only; variance and stddev
+/// keep the numerically stable Welford mean and M2.
 class RunningAggregate {
  public:
   explicit RunningAggregate(AggKind kind) : kind_(kind) {}
 
-  // Inline (and kept in one canonical spot): the span kernels replay this
-  // exact operation order over whole blocks, and bit-identical results
-  // across the scalar and vectorized paths depend on every caller
-  // compiling the same sequence of double ops.
+  // Add and AddSpan are inline and kept side by side: they are the one
+  // canonical per-kind op sequence. The span kernels feed whole blocks
+  // through AddSpan, the cursor paths feed rows through Add, and results
+  // stay bit-identical across them (and across any block split) because
+  // both compile the same double ops in ascending row order.
   void Add(double v) {
     ++count_;
-    sum_ += v;
-    const double delta = v - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (v - mean_);
-    if (v < min_) {
-      min_ = v;
+    switch (kind_) {
+      case AggKind::kCount:
+        break;
+      case AggKind::kSum:
+      case AggKind::kAvg:
+        sum_ += v;
+        break;
+      case AggKind::kMin:
+        if (v < min_) {
+          min_ = v;
+        }
+        break;
+      case AggKind::kMax:
+        if (v > max_) {
+          max_ = v;
+        }
+        break;
+      case AggKind::kVariance:
+      case AggKind::kStdDev:
+        WelfordStep(v, count_, &mean_, &m2_);
+        break;
     }
-    if (v > max_) {
-      max_ = v;
+  }
+
+  /// Adds p[0], ..., p[n - 1] converted to double: the same ops as n
+  /// calls to Add in that order, with the kind switch hoisted out of the
+  /// row loop and the state held in locals (a double span may alias the
+  /// members, which would otherwise force a store per row).
+  template <typename T>
+  void AddSpan(const T* p, std::int64_t n) {
+    switch (kind_) {
+      case AggKind::kCount:
+        break;
+      case AggKind::kSum:
+      case AggKind::kAvg: {
+        double sum = sum_;
+        for (std::int64_t i = 0; i < n; ++i) {
+          sum += static_cast<double>(p[i]);
+        }
+        sum_ = sum;
+        break;
+      }
+      case AggKind::kMin: {
+        double min = min_;
+        for (std::int64_t i = 0; i < n; ++i) {
+          const double v = static_cast<double>(p[i]);
+          if (v < min) {
+            min = v;
+          }
+        }
+        min_ = min;
+        break;
+      }
+      case AggKind::kMax: {
+        double max = max_;
+        for (std::int64_t i = 0; i < n; ++i) {
+          const double v = static_cast<double>(p[i]);
+          if (v > max) {
+            max = v;
+          }
+        }
+        max_ = max;
+        break;
+      }
+      case AggKind::kVariance:
+      case AggKind::kStdDev: {
+        const std::int64_t seen = count_;
+        double mean = mean_;
+        double m2 = m2_;
+        for (std::int64_t i = 0; i < n; ++i) {
+          WelfordStep(static_cast<double>(p[i]), seen + i + 1, &mean, &m2);
+        }
+        mean_ = mean;
+        m2_ = m2;
+        break;
+      }
     }
+    count_ += n;
   }
 
   /// Current aggregate value; NaN when empty (except count, which is 0).
@@ -65,6 +137,14 @@ class RunningAggregate {
   void Reset();
 
  private:
+  /// Welford update for the `count`-th value (1-based).
+  static void WelfordStep(double v, std::int64_t count, double* mean,
+                          double* m2) {
+    const double delta = v - *mean;
+    *mean += delta / static_cast<double>(count);
+    *m2 += delta * (v - *mean);
+  }
+
   AggKind kind_;
   std::int64_t count_ = 0;
   double sum_ = 0.0;

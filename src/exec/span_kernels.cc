@@ -230,8 +230,8 @@ bool MinMaxTyped(const storage::ColumnView& view, MinMaxState* acc) {
 }
 
 // ---------------------------------------------------------------------------
-// Order-dependent aggregation: one tight loop per type, same inlined
-// RunningAggregate::Add sequence as the cursor path.
+// Aggregation: RunningAggregate::AddSpan runs one tight loop per kind,
+// instantiated here once per type — the per-kind op sequence of Add.
 
 template <typename T>
 bool AggregateTyped(const storage::ColumnView& view, RunningAggregate* agg) {
@@ -239,10 +239,7 @@ bool AggregateTyped(const storage::ColumnView& view, RunningAggregate* agg) {
   if (p == nullptr) {
     return false;
   }
-  const std::int64_t n = view.row_count();
-  for (std::int64_t i = 0; i < n; ++i) {
-    agg->Add(static_cast<double>(p[i]));
-  }
+  agg->AddSpan(p, view.row_count());
   return true;
 }
 

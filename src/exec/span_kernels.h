@@ -13,9 +13,15 @@
 //      bit. Predicate compares happen in the double domain with the exact
 //      conversions GetAsDouble performs, so the pass set is identical.
 //   2. Order-dependent ops (sum/avg and Welford variance) stay sequential:
-//      AggregateSpan runs a tight per-type loop that feeds the SAME inlined
-//      RunningAggregate::Add as the cursor path — the win is hoisting the
-//      per-row residency check and type switch out of the loop, not
+//      AggregateSpan runs RunningAggregate::AddSpan, one tight loop per
+//      kind and type that performs exactly the ops the inlined per-row
+//      RunningAggregate::Add performs for that kind (count only; one
+//      sequential sum for sum and avg; compares only for min and max;
+//      Welford mean and M2 for variance and stddev), in ascending row
+//      order, with no reassociation. Any block split therefore gives the
+//      same bits. The win is hoisting the residency check and the type
+//      and kind switches out of the row loop and keeping only the state
+//      the kind reads (a kAvg band costs one add per row), not
 //      reassociating floating-point math.
 //
 // String/dictionary columns and strided (row-major) views are NOT handled:
@@ -76,10 +82,13 @@ struct MinMaxState {
 /// one with the other); the numeric value is identical either way.
 bool MinMaxSpan(const storage::ColumnView& view, MinMaxState* acc);
 
-/// Feeds every value of `view` (ascending row order) into `agg` through
-/// the same inlined Add the cursor path uses: bit-identical for every
-/// AggKind, including the order-dependent sum/avg/variance. Returns
-/// false — `agg` untouched — for non-contiguous/string views.
+/// Feeds every value of `view` (ascending row order) into `agg` with the
+/// kind switch hoisted out of the row loop (RunningAggregate::AddSpan):
+/// the same per-kind ops as per-row Add, so the result is bit-identical
+/// to feeding the rows one by one, and to feeding the view split into
+/// any pieces, for every AggKind including the order-dependent
+/// sum/avg/variance. Returns false — `agg` untouched — for
+/// non-contiguous/string views.
 bool AggregateSpan(const storage::ColumnView& view, RunningAggregate* agg);
 
 /// Filters `view` against `predicate` with the exact double-domain

@@ -33,11 +33,12 @@ SummaryResult InteractiveSummaryOp::ComputeAt(storage::RowId center) const {
   // Block-at-a-time over the window, span-vectorized where the block is a
   // contiguous numeric span. min/max/count are order-independent, so they
   // run through the SIMD MinMaxSpan kernel; every other kind is
-  // order-dependent (sum/avg/Welford) and runs the sequential
-  // AggregateSpan loop. Both replay RunningAggregate's exact update
-  // semantics, so the paged, unpaged, and vectorized paths all produce
-  // bit-identical results; string/strided blocks fall back to the per-row
-  // loop below.
+  // order-dependent (sum/avg/Welford) and runs AggregateSpan's sequential
+  // per-kind loop, which does the same ops per row as RunningAggregate's
+  // Add for that kind (one add per row for avg), in ascending row order.
+  // The paged, unpaged, and vectorized paths, under any block split, all
+  // produce bit-identical results; string/strided blocks fall back to the
+  // per-row loop below.
   if (kind_ == AggKind::kCount || kind_ == AggKind::kMin ||
       kind_ == AggKind::kMax) {
     MinMaxState state;

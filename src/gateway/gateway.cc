@@ -222,13 +222,14 @@ void Gateway::AcceptReady() {
       // Over capacity: best-effort backpressure notice, then close. The
       // frame may not fit the socket buffer of a just-accepted socket
       // only in pathological cases; a lost notice still ends in a close
-      // the client can observe.
+      // the client can observe. Count the rejection first: a client that
+      // has read the notice and the close may read the stats right away.
+      connections_rejected_.fetch_add(1, std::memory_order_relaxed);
       std::string frame =
           EncodeErrorFrame(MessageType::kError, 0, api::WireCode::kBackpressure,
                            "gateway: connection limit reached");
       (void)::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
       ::close(fd);
-      connections_rejected_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     int one = 1;

@@ -76,8 +76,11 @@ std::optional<TouchTask> FrameScheduler::PopRunnable() {
       return task;
     }
     if (have_next_release) {
-      cv_.wait_for(lock,
-                   std::chrono::microseconds(next_release - now + 50));
+      // Wake at the earliest head's exact release: release_us is on the
+      // steady clock's own epoch (SteadyNowUs), so this deadline is the
+      // release itself, with no slack added on top.
+      cv_.wait_until(lock, std::chrono::steady_clock::time_point(
+                               std::chrono::microseconds(next_release)));
     } else {
       cv_.wait(lock);
     }

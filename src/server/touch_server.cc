@@ -4,6 +4,10 @@
 #include <cmath>
 #include <mutex>
 
+#if defined(__linux__)
+#include <sys/prctl.h>
+#endif
+
 #include "common/logging.h"
 #include "common/macros.h"
 #include "storage/memory_tracker.h"
@@ -496,12 +500,23 @@ Status TouchServer::Drain() {
 }
 
 void TouchServer::WorkerLoop() {
+#if defined(__linux__)
+  // The scheduler sleeps until a future quantum's exact release; the
+  // kernel's default 50 us timer slack would otherwise defer that wake.
+  (void)::prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+#endif
   while (auto task = scheduler_.PopRunnable()) {
     const auto session = sessions_.Get(task->session_id);
     if (!session.ok()) {
       // Session closed while its tasks were in flight: purge whatever a
-      // racing submit re-queued and release the busy mark.
-      scheduler_.DropSession(task->session_id);
+      // racing submit re-queued and release the busy mark. Every purged
+      // quantum, and the popped one unless it is a refinement (those live
+      // outside the accounting), counts as dropped so idle() still
+      // converges.
+      const std::size_t purged = scheduler_.DropSession(task->session_id);
+      total_dropped_.fetch_add(
+          static_cast<std::int64_t>(purged) + (task->refine ? 0 : 1),
+          std::memory_order_relaxed);
       scheduler_.OnTaskDone(task->session_id);
       continue;
     }

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -35,6 +37,24 @@ TEST(RunningAggregateTest, CountSumAvg) {
   EXPECT_DOUBLE_EQ(count.value(), 4.0);
   EXPECT_DOUBLE_EQ(sum.value(), 10.0);
   EXPECT_DOUBLE_EQ(avg.value(), 2.5);
+}
+
+TEST(RunningAggregateTest, AvgRoundsAsSumOverCount) {
+  // avg keeps one sequential sum and divides at read time; it is not a
+  // running mean, so its bits are exactly sum / count at every prefix.
+  Rng rng(11);
+  RunningAggregate count(AggKind::kCount);
+  RunningAggregate sum(AggKind::kSum);
+  RunningAggregate avg(AggKind::kAvg);
+  for (int i = 0; i < 2000; ++i) {
+    const double v = rng.NextGaussian() * 3.0 + 10.0;
+    count.Add(v);
+    sum.Add(v);
+    avg.Add(v);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(avg.value()),
+              std::bit_cast<std::uint64_t>(sum.value() / count.value()))
+        << "after " << i + 1 << " values";
+  }
 }
 
 TEST(RunningAggregateTest, MinMax) {

@@ -19,6 +19,7 @@
 #include "core/kernel.h"
 #include "remote/remote_store.h"
 #include "sampling/level_policy.h"
+#include "server/api.h"
 #include "server/frame_scheduler.h"
 #include "server/session_manager.h"
 #include "server/server_stats.h"
@@ -576,6 +577,57 @@ TEST(TouchServerTest, CloseSessionDropsPendingWork) {
   const ServerStatsSnapshot stats = server.stats();
   EXPECT_EQ(stats.sessions_active, 0);
   EXPECT_EQ(stats.executed + stats.dropped_quanta, stats.submitted);
+  ASSERT_TRUE(server.Stop().ok());
+}
+
+TEST(TouchServerTest, CloseRacingSubmitLeavesServerIdle) {
+  // A submit racing a close can queue quanta after the close purged the
+  // session's queue, and a worker then pops them for a session that no
+  // longer exists. Those quanta must still count as dropped, or
+  // StatsResp::idle() never turns true and a wire client polling for it
+  // spins forever.
+  constexpr int kRounds = 300;
+  constexpr std::size_t kTouches = 64;
+  TouchServer server(RelaxedConfig(2));
+  ASSERT_TRUE(server.RegisterTable(SequenceTable("t", 0)).ok());
+  ASSERT_TRUE(server.Start().ok());
+  Kernel reference;
+  const sim::GestureTrace trace = SlideOver(server, reference, 5.0);
+  ASSERT_GE(trace.events.size(), kTouches);
+  api::SubmitBatchReq submit;
+  submit.paced = false;
+  for (std::size_t i = 0; i < kTouches; ++i) {
+    submit.events.push_back(api::ToWire(trace.events[i]));
+  }
+
+  for (int round = 0; round < kRounds; ++round) {
+    const auto session = server.OpenSession();
+    ASSERT_TRUE(session.ok());
+    submit.session = *session;
+    // Either side may win; a submit that loses fails with NotFound.
+    std::thread submitter([&server, &submit] { (void)server.Call(submit); });
+    api::CloseSessionReq close;
+    close.session = *session;
+    (void)server.Call(close);
+    submitter.join();
+  }
+
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  api::StatsResp stats;
+  for (;;) {
+    const auto resp = server.Call(api::StatsReq{});
+    ASSERT_TRUE(resp.ok());
+    stats = *resp;
+    if (stats.idle() || std::chrono::steady_clock::now() > give_up) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(stats.idle()) << "submitted " << stats.submitted
+                            << ", executed " << stats.executed
+                            << ", dropped " << stats.dropped_quanta;
+  EXPECT_EQ(stats.sessions_active, 0);
   ASSERT_TRUE(server.Stop().ok());
 }
 

@@ -8,6 +8,7 @@
 // every vector-tail combination, with NaN/infinity/extreme payloads, and
 // at forced-scalar vs hardware dispatch for bitwise cross-checks.
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstddef>
@@ -124,6 +125,33 @@ std::vector<T> FillFloats(Rng& rng, std::int64_t n, bool with_nans) {
   return values;
 }
 
+// Finite values over ~18 decades with random signs, so sums round at
+// almost every add and any reordering would show in the low bits.
+template <typename T>
+std::vector<T> FillSpread(Rng& rng, std::int64_t n) {
+  std::vector<T> values(static_cast<std::size_t>(n));
+  for (auto& v : values) {
+    const int exponent = static_cast<int>(rng.NextBounded(60)) - 30;
+    v = static_cast<T>(std::ldexp(rng.NextDouble(-1.0, 1.0), exponent));
+  }
+  return values;
+}
+
+// Cuts [0, n) into consecutive piece lengths: all 1 when `unit`, else
+// seeded lengths in [0, 40] (empty pieces included).
+std::vector<std::int64_t> SplitLengths(Rng& rng, std::int64_t n, bool unit) {
+  std::vector<std::int64_t> lengths;
+  for (std::int64_t left = n; left > 0;) {
+    const std::int64_t len =
+        unit ? 1
+             : std::min<std::int64_t>(
+                   left, static_cast<std::int64_t>(rng.NextBounded(41)));
+    lengths.push_back(len);
+    left -= len;
+  }
+  return lengths;
+}
+
 void ExpectMinMaxEq(const MinMaxState& got, const MinMaxState& want) {
   EXPECT_EQ(got.count, want.count);
   EXPECT_EQ(Bits(got.min), Bits(want.min));
@@ -228,6 +256,55 @@ TEST_F(SpanKernelsTest, AggregateSpanBitIdenticalToCursorFeed) {
         ASSERT_TRUE(exec::AggregateSpan(view, &got));
         EXPECT_EQ(got.count(), want.count());
         EXPECT_EQ(Bits(got.value()), Bits(want.value()));
+      }
+    }
+  }
+}
+
+TEST_F(SpanKernelsTest, AggregateSpanBitIdenticalUnderAnySplit) {
+  // A summary window reaches AggregateSpan cut at block edges that depend
+  // on the tier and on where the window sits. Every kind, the
+  // order-dependent sum/avg/variance included, must give the same bits
+  // whether the span arrives whole, cut anywhere (down to single rows),
+  // or row by row through Add.
+  Rng rng(0x5b117);
+  constexpr std::int64_t kRows = 517;
+  const auto i32 = FillInts<std::int32_t>(rng, kRows);
+  const auto i64 = FillInts<std::int64_t>(rng, kRows);
+  const auto f32 = FillSpread<float>(rng, kRows);
+  const auto f64 = FillSpread<double>(rng, kRows);
+  const ColumnView views[] = {
+      ViewOf(i32, DataType::kInt32), ViewOf(i64, DataType::kInt64),
+      ViewOf(f32, DataType::kFloat), ViewOf(f64, DataType::kDouble)};
+  const AggKind kinds[] = {AggKind::kCount,    AggKind::kSum,
+                           AggKind::kAvg,      AggKind::kMin,
+                           AggKind::kMax,      AggKind::kVariance,
+                           AggKind::kStdDev};
+  for (const ColumnView& view : views) {
+    for (const AggKind kind : kinds) {
+      SCOPED_TRACE(testing::Message()
+                   << "type=" << static_cast<int>(view.type())
+                   << " kind=" << exec::AggKindName(kind));
+      RunningAggregate want(kind);
+      for (RowId row = 0; row < view.row_count(); ++row) {
+        want.Add(view.GetAsDouble(row));
+      }
+      RunningAggregate whole(kind);
+      ASSERT_TRUE(exec::AggregateSpan(view, &whole));
+      EXPECT_EQ(whole.count(), want.count());
+      EXPECT_EQ(Bits(whole.value()), Bits(want.value()));
+      for (int trial = 0; trial < 4; ++trial) {
+        const bool unit = trial == 0;
+        RunningAggregate split(kind);
+        RowId first = 0;
+        for (const std::int64_t len :
+             SplitLengths(rng, view.row_count(), unit)) {
+          ASSERT_TRUE(exec::AggregateSpan(view.Slice(first, len), &split));
+          first += len;
+        }
+        EXPECT_EQ(split.count(), want.count()) << "trial " << trial;
+        EXPECT_EQ(Bits(split.value()), Bits(want.value()))
+            << "trial " << trial;
       }
     }
   }
