@@ -253,8 +253,8 @@ void FileTierReport(const std::shared_ptr<dbtouch::storage::Table>& table,
       "ABL-CACHE-DISK", "file-backed spill tier + ranged reads",
       "The column spilled to a block file and read back through the pool\n"
       "at a 10% budget. Cold 8-block summary bands are faulted either\n"
-      "block-by-block (N preads per band) or via Preload's coalesced\n"
-      "ranged reads (1 pread per band).");
+      "block-by-block (N preads per band) or as one ranged fetch-queue\n"
+      "ticket per band (1 pread per band).");
 
   std::string tmpl = (std::filesystem::temp_directory_path() /
                       "dbtouch_bench_spill_XXXXXX")
@@ -278,7 +278,7 @@ void FileTierReport(const std::shared_ptr<dbtouch::storage::Table>& table,
     BufferManagerConfig config;
     config.rows_per_block = kRowsPerBlock;
     config.budget_bytes = g_report_rows * 8 / 10;
-    // The staging pad must hold a whole band, or Preload's coalesced
+    // The staging pad must hold a whole band, or the ranged read's
     // blocks evict each other before the pins claim them.
     config.staged_cap_bytes = 2 * kBandBlocks * kRowsPerBlock * 8;
     BufferManager manager(config);
@@ -291,11 +291,11 @@ void FileTierReport(const std::shared_ptr<dbtouch::storage::Table>& table,
     for (std::int64_t first = 0; first + kBandBlocks <= num_blocks;
          first += 2 * kBandBlocks, ++bands) {
       if (ranged) {
-        // The kernel's blocking probe path: batch the band's misses into
-        // ranged reads, then pin (all hits).
-        if (!source->Preload(first, first + kBandBlocks - 1).ok()) {
-          break;
-        }
+        // The band's misses as one ranged ticket on the fetch queue;
+        // once it lands, the pins below all hit.
+        source->RequestPrefetchRange(first, first + kBandBlocks - 1,
+                                     kBandBlocks);
+        manager.WaitForFetches();
       }
       for (std::int64_t b = first; b < first + kBandBlocks; ++b) {
         auto pin = source->PinBlock(b, -1);

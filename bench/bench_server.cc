@@ -163,7 +163,7 @@ void PrintRegime(const char* name, const std::vector<int>& sweep,
   }
 }
 
-// ---- Cold tier: synchronous faults vs the async fetch pipeline -------------
+// ---- Cold tier: suspend on the fetch queue ---------------------------------
 
 /// A slow backing store: in-memory blocks served with an injected
 /// per-fetch latency, advertised async() so the server may suspend on it.
@@ -193,11 +193,9 @@ class SlowTierProvider final : public dbtouch::cache::BlockProvider {
   double latency_;
 };
 
-RunResult RunColdTier(int sessions, bool async_fetch, double latency_ms,
-                      bool tracing = false) {
+RunResult RunColdTier(int sessions, double latency_ms, bool tracing = false) {
   TouchServerConfig config;
-  config.num_workers = 2;  // Few workers: a blocking fault hurts.
-  config.async_fetch = async_fetch;
+  config.num_workers = 2;  // Few workers: a cold fault must not hold one.
   config.enable_tracing = tracing;
   config.session_defaults.buffer.rows_per_block = 8'192;
   config.session_defaults.buffer.fetch.num_fetchers = 4;
@@ -240,8 +238,7 @@ RunResult RunColdTier(int sessions, bool async_fetch, double latency_ms,
     ids.push_back(*session);
   }
   // Paced replay: latency measures what a live user would wait for each
-  // touch, so a worker stuck under a synchronous fault shows up as tail
-  // latency for every session it was supposed to serve.
+  // touch, so a cold fault shows up as tail latency.
   const auto start_us = SteadyNowUs();
   const auto trace =
       builder.Slide("slide", PointCm{3.0, 1.0}, PointCm{3.0, 11.0},
@@ -269,31 +266,26 @@ void PrintColdTier(const std::vector<int>& sweep, double latency_ms) {
   std::printf("\n[cold tier: %.1f ms/block backing store, 2 workers]\n",
               latency_ms);
   dbtouch::bench::Table table(
-      {"sessions", "mode", "touches/s", "p99_ms", "suspended", "demand",
+      {"sessions", "touches/s", "p99_ms", "suspended", "demand",
        "prefetch", "retries", "errors", "shed"});
   for (const int sessions : sweep) {
-    for (const bool async_fetch : {false, true}) {
-      const RunResult r = RunColdTier(sessions, async_fetch, latency_ms);
-      table.Row(
-          {dbtouch::bench::Fmt(static_cast<std::int64_t>(sessions)),
-           async_fetch ? "async" : "sync",
-           dbtouch::bench::Fmt(r.touches_per_s, 1),
-           dbtouch::bench::Fmt(
-               static_cast<double>(r.stats.p99_latency_us) / 1e3, 2),
-           dbtouch::bench::Fmt(r.stats.fetch.suspended_quanta),
-           dbtouch::bench::Fmt(r.stats.fetch.demand_fetches),
-           dbtouch::bench::Fmt(r.stats.fetch.prefetch_fetches),
-           dbtouch::bench::Fmt(r.stats.fetch.retries),
-           dbtouch::bench::Fmt(r.stats.fetch.fetch_errors),
-           dbtouch::bench::Fmt(r.stats.fetch.shed_on_fetch_error)});
-    }
+    const RunResult r = RunColdTier(sessions, latency_ms);
+    table.Row(
+        {dbtouch::bench::Fmt(static_cast<std::int64_t>(sessions)),
+         dbtouch::bench::Fmt(r.touches_per_s, 1),
+         dbtouch::bench::Fmt(
+             static_cast<double>(r.stats.p99_latency_us) / 1e3, 2),
+         dbtouch::bench::Fmt(r.stats.fetch.suspended_quanta),
+         dbtouch::bench::Fmt(r.stats.fetch.demand_fetches),
+         dbtouch::bench::Fmt(r.stats.fetch.prefetch_fetches),
+         dbtouch::bench::Fmt(r.stats.fetch.retries),
+         dbtouch::bench::Fmt(r.stats.fetch.fetch_errors),
+         dbtouch::bench::Fmt(r.stats.fetch.shed_on_fetch_error)});
   }
   std::printf(
-      "\nsync mode faults block the worker under the fetch; async mode\n"
-      "parks the session on the FetchQueue (suspended column) and the\n"
-      "worker serves other sessions, so p99 under cold faults drops and\n"
-      "prefetch warms the extrapolated slide path before the finger\n"
-      "arrives.\n\n");
+      "\nA cold fault parks the session on the FetchQueue (suspended\n"
+      "column) and the worker serves other sessions; prefetch warms the\n"
+      "extrapolated slide path before the finger arrives.\n\n");
 }
 
 // ---- ABL-DEADLINE: deadline-sacred partial answers under cold faults -------
@@ -321,7 +313,6 @@ AblResult RunAblDeadline(int sessions, bool partial_answers,
                          double latency_ms, dbtouch::sim::Micros budget_us) {
   TouchServerConfig config;
   config.num_workers = 2;
-  config.async_fetch = true;
   config.partial_answers = partial_answers;
   config.base_frame_budget_us = budget_us;
   config.min_frame_budget_us = budget_us;
@@ -537,8 +528,7 @@ void PerfTrajectory(bool smoke) {
   // Cold tier exercises suspend/park/fetch/resume, so fetch_stall is a
   // real (non-zero) stage in this run.
   const RunResult cold =
-      RunColdTier(2, /*async_fetch=*/true, smoke ? 1.0 : 5.0,
-                  /*tracing=*/true);
+      RunColdTier(2, smoke ? 1.0 : 5.0, /*tracing=*/true);
 
   const auto p = [](const dbtouch::obs::HistogramSnapshot& h, double q) {
     return static_cast<double>(h.Percentile(q)) / 1e3;

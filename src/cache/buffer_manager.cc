@@ -75,9 +75,9 @@ class BufferManager::Source : public storage::PagedColumnSource {
     DBTOUCH_ASSIGN_OR_RETURN(
         const BlockCache::Pinned pinned,
         manager_->cache_.Pin(key, row_hint, [&] {
-          // Inline fill under the shard lock; shares the queue's bounded
-          // retry policy so transient backing-store errors stay transient
-          // on the blocking path too.
+          // Inline fill under the shard lock (reads no residency probe
+          // fronts); shares the queue's bounded retry policy so transient
+          // backing-store errors stay transient here too.
           std::int64_t retries = 0;
           auto payload = FetchBlockWithRetry(*provider_, block,
                                              manager_->config_.fetch,
@@ -110,9 +110,7 @@ class BufferManager::Source : public storage::PagedColumnSource {
     return std::optional<storage::BlockPin>(MakePin(block, *pinned));
   }
 
-  bool may_block() const override {
-    return provider_->async() && manager_->async_enabled();
-  }
+  bool may_block() const override { return provider_->async(); }
 
   Status StartFetch(std::int64_t block, FetchCompletion done,
                     std::uint64_t tag = 0) override {
@@ -129,27 +127,6 @@ class BufferManager::Source : public storage::PagedColumnSource {
     queue->Enqueue(BlockKey{owner_, block}, provider_, block,
                    FetchPriority::kDemand, std::move(done), tag);
     return Status::OK();
-  }
-
-  /// Batched demand fetch for the blocking read path: materialise the
-  /// band's missing stretches with one ranged provider read each,
-  /// staging the blocks in the cache so the per-block pins that follow
-  /// all hit. Only slow tiers benefit — an in-memory provider's Fetch is
-  /// a memcpy with no per-call round trip to amortise.
-  Status Preload(std::int64_t first_block,
-                 std::int64_t last_block) override {
-    if (!provider_->async()) {
-      return Status::OK();
-    }
-    Status status = Status::OK();
-    ForEachMissingRun(first_block, last_block,
-                      [&](std::int64_t run_start, std::int64_t count) {
-                        if (status.ok()) {
-                          status = FetchRun(run_start, count);
-                        }
-                        return status.ok();
-                      });
-    return status;
   }
 
   bool RequestPrefetch(std::int64_t block) override {
@@ -180,16 +157,29 @@ class BufferManager::Source : public storage::PagedColumnSource {
     }
     FetchQueue* queue = manager_->fetch_queue();
     DBTOUCH_CHECK(queue != nullptr);
+    first_block = std::max<std::int64_t>(first_block, 0);
+    last_block = std::min<std::int64_t>(last_block, num_blocks() - 1);
     std::int64_t issued = 0;
-    ForEachMissingRun(
-        first_block, last_block,
-        [&](std::int64_t run_start, std::int64_t count) {
-          const std::int64_t len =
-              std::min<std::int64_t>(count, max_new_blocks - issued);
-          issued += static_cast<std::int64_t>(
-              queue->EnqueueRange(owner_, provider_, run_start, len));
-          return issued < max_new_blocks;
-        });
+    std::int64_t run_start = -1;  // First block of the current cold run.
+    for (std::int64_t block = first_block;
+         block <= last_block + 1 && issued < max_new_blocks; ++block) {
+      const bool missing =
+          block <= last_block &&
+          !manager_->cache_.Contains(BlockKey{owner_, block});
+      if (missing) {
+        if (run_start < 0) {
+          run_start = block;
+        }
+        continue;
+      }
+      if (run_start >= 0) {
+        const std::int64_t len =
+            std::min<std::int64_t>(block - run_start, max_new_blocks - issued);
+        issued += static_cast<std::int64_t>(
+            queue->EnqueueRange(owner_, provider_, run_start, len));
+        run_start = -1;
+      }
+    }
     return issued;
   }
 
@@ -211,74 +201,6 @@ class BufferManager::Source : public storage::PagedColumnSource {
   BufferManager* manager_;  // Not owned; outlives the source.
   std::uint64_t owner_;
   std::shared_ptr<BlockProvider> provider_;
-
- private:
-  /// Walks [first_block, last_block] (clamped) and invokes `fn(start,
-  /// count)` for each maximal run of blocks not resident in the cache —
-  /// the shared skeleton of the blocking Preload and the ranged warm-up
-  /// path. `fn` returns false to stop early (budget exhausted, error).
-  void ForEachMissingRun(
-      std::int64_t first_block, std::int64_t last_block,
-      const std::function<bool(std::int64_t, std::int64_t)>& fn) {
-    first_block = std::max<std::int64_t>(first_block, 0);
-    last_block = std::min<std::int64_t>(last_block, num_blocks() - 1);
-    std::int64_t run_start = -1;
-    for (std::int64_t block = first_block; block <= last_block + 1;
-         ++block) {
-      const bool missing =
-          block <= last_block &&
-          !manager_->cache_.Contains(BlockKey{owner_, block});
-      if (missing) {
-        if (run_start < 0) {
-          run_start = block;
-        }
-        continue;
-      }
-      if (run_start >= 0) {
-        const std::int64_t start = run_start;
-        run_start = -1;
-        if (!fn(start, block - start)) {
-          return;
-        }
-      }
-    }
-  }
-
-  /// One ranged read (with the shared retry policy) for a missing run,
-  /// split and staged per block. Demand-staged: a gesture is about to pin
-  /// every one of these.
-  Status FetchRun(std::int64_t first_block, std::int64_t count) {
-    std::int64_t retries = 0;
-    Result<std::vector<std::byte>> payload =
-        count == 1 ? FetchBlockWithRetry(*provider_, first_block,
-                                         manager_->config_.fetch, &retries)
-                   : FetchRangeWithRetry(*provider_, first_block, count,
-                                         manager_->config_.fetch, &retries);
-    manager_->sync_retries_.fetch_add(retries, std::memory_order_relaxed);
-    DBTOUCH_RETURN_IF_ERROR(payload.status());
-    if (count > 1) {
-      manager_->sync_ranged_reads_.fetch_add(1, std::memory_order_relaxed);
-      manager_->sync_ranged_blocks_.fetch_add(count,
-                                              std::memory_order_relaxed);
-    }
-    const BlockGeometry& geometry = provider_->geometry();
-    std::size_t offset = 0;
-    for (std::int64_t block = first_block; block < first_block + count;
-         ++block) {
-      const std::size_t bytes =
-          static_cast<std::size_t>(geometry.BlockRowCount(block)) *
-          geometry.width();
-      DBTOUCH_CHECK(offset + bytes <= payload->size());
-      manager_->cache_.Insert(
-          BlockKey{owner_, block},
-          std::vector<std::byte>(payload->begin() + offset,
-                                 payload->begin() + offset + bytes),
-          /*demand=*/true);
-      offset += bytes;
-    }
-    return Status::OK();
-  }
-
 };
 
 /// One schema column of a PAX binding: pins the shared multi-column block
@@ -380,7 +302,7 @@ BufferManager::Binding BufferManager::BindOwner(
     binding.owner = next_owner_++;
     binding.provider = make_provider();
   }
-  if (config_.async_fetch && binding.provider->async()) {
+  if (binding.provider->async()) {
     // First slow tier bound: spin up the fetchers. In-memory-only
     // managers (every private kernel SharedState) never reach here.
     EnsureFetchQueue();

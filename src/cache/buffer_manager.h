@@ -48,11 +48,9 @@ struct BufferManagerConfig {
   /// BlockCache shards; the touch server raises this so workers pinning
   /// different blocks do not contend.
   int shards = 1;
-  /// Async fetch pipeline for slow (async()) providers: misses probed via
+  /// Fetch pipeline for slow (async()) providers: misses probed via
   /// TryPinBlock go to a FetchQueue instead of blocking the pinning
-  /// thread. Off = every fault fills synchronously under the shard lock
-  /// (the pre-PR-3 behaviour, kept for A/B benchmarking).
-  bool async_fetch = true;
+  /// thread.
   FetchQueueConfig fetch;
   /// Cap on unclaimed async completions (see BlockCache::Config).
   std::int64_t staged_cap_bytes = 0;
@@ -104,26 +102,16 @@ class BufferManager {
   bool in_scan_mode() const { return cache_.in_scan_mode(); }
   const BufferManagerConfig& config() const { return config_; }
 
-  bool async_enabled() const { return config_.async_fetch; }
-  /// Stats of the async fetch pipeline (zeros when async_fetch is off or
-  /// no async provider was ever bound).
+  /// Stats of the fetch pipeline (zeros while no async provider was ever
+  /// bound).
   FetchQueueStats fetch_stats() const;
-  /// Retries spent by synchronous (inline) fills — the blocking fallback
-  /// path shares the queue's retry policy.
+  /// Retries spent by inline fills (PinBlock on a slow tier, for reads no
+  /// residency probe fronts) — they share the queue's retry policy.
   std::int64_t sync_fetch_retries() const {
     return sync_retries_.load(std::memory_order_relaxed);
   }
-  /// Ranged reads issued by the blocking Preload path (and the blocks
-  /// they covered); the async queue's coalescing is counted in
-  /// fetch_stats().ranged_reads.
-  std::int64_t sync_ranged_reads() const {
-    return sync_ranged_reads_.load(std::memory_order_relaxed);
-  }
-  std::int64_t sync_ranged_blocks() const {
-    return sync_ranged_blocks_.load(std::memory_order_relaxed);
-  }
-  /// Smoothed per-block cold-fetch wall (us) from the async pipeline; 0
-  /// until a fetch settles (or when async_fetch is off). Lock-free — the
+  /// Smoothed per-block cold-fetch wall (us) from the fetch pipeline; 0
+  /// until a fetch settles. Lock-free — the
   /// touch server reads it per quantum to extend refinement deadlines by
   /// *measured* tier latency.
   std::int64_t ewma_block_fetch_us() const {
@@ -194,8 +182,6 @@ class BufferManager {
   /// Recorder to hand the queue at (lazy) creation; see SetTraceRecorder.
   std::atomic<obs::TraceRecorder*> trace_recorder_{nullptr};
   std::atomic<std::int64_t> sync_retries_{0};
-  std::atomic<std::int64_t> sync_ranged_reads_{0};
-  std::atomic<std::int64_t> sync_ranged_blocks_{0};
   mutable std::mutex mu_;
   std::map<std::pair<std::string, std::size_t>, Binding> bindings_;
   std::uint64_t next_owner_ = 1;

@@ -1,13 +1,13 @@
 #include "cache/file_block_provider.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "common/macros.h"
 
@@ -408,15 +408,42 @@ Result<std::shared_ptr<FileBlockProvider>> FileBlockProvider::Open(
   const bool is_pax = (header.flags & BlockFileHeader::kFlagPax) != 0;
   const bool aligned =
       (header.flags & BlockFileHeader::kFlagAlignedExtents) != 0;
+  if (header.type > static_cast<std::uint32_t>(storage::DataType::kString)) {
+    return fail(Status::InvalidArgument(
+        "'" + path + "' has unknown type code " +
+        std::to_string(header.type)));
+  }
   if (header.rows_per_block <= 0 || header.row_count < 0 ||
+      header.num_blocks < 0 || header.width == 0 ||
       (is_pax ? header.num_columns == 0 : header.num_columns != 0)) {
     return fail(Status::InvalidArgument("'" + path +
                                         "' has an inconsistent header"));
   }
-  const std::int64_t extent_bytes =
-      header.num_blocks * static_cast<std::int64_t>(sizeof(BlockExtent));
-  const std::int64_t dir_bytes = static_cast<std::int64_t>(
-      header.num_columns * sizeof(std::uint32_t));
+  // Every size below derives from header counts: bound each by the file's
+  // real size before it is multiplied or allocated, so a hostile header
+  // fails validation instead of overflowing or exhausting memory. The
+  // extent table and column directory must fit behind the header, and
+  // every row needs `width` payload bytes.
+  const std::int64_t file_bytes = static_cast<std::int64_t>(st.st_size);
+  const std::int64_t room =
+      file_bytes - static_cast<std::int64_t>(sizeof(BlockFileHeader));
+  constexpr auto kExtentBytes =
+      static_cast<std::int64_t>(sizeof(BlockExtent));
+  constexpr auto kDirEntryBytes =
+      static_cast<std::int64_t>(sizeof(std::uint32_t));
+  if (header.num_blocks > room / kExtentBytes ||
+      static_cast<std::int64_t>(header.num_columns) >
+          (room - header.num_blocks * kExtentBytes) / kDirEntryBytes ||
+      header.row_count > file_bytes / header.width ||
+      header.rows_per_block >
+          std::numeric_limits<std::int64_t>::max() - header.row_count) {
+    return fail(Status::InvalidArgument("'" + path +
+                                        "' has a header its size cannot "
+                                        "hold"));
+  }
+  const std::int64_t extent_bytes = header.num_blocks * kExtentBytes;
+  const std::int64_t dir_bytes =
+      static_cast<std::int64_t>(header.num_columns) * kDirEntryBytes;
 
   BlockGeometry geometry;
   geometry.type = static_cast<storage::DataType>(header.type);
@@ -485,7 +512,6 @@ Result<std::shared_ptr<FileBlockProvider>> FileBlockProvider::Open(
   provider->pax_layout_ = std::move(pax_layout);
   provider->geometry_ = geometry;
   provider->aligned_extents_ = aligned;
-  provider->file_size_ = static_cast<std::int64_t>(st.st_size);
   provider->extents_.resize(static_cast<std::size_t>(header.num_blocks));
   const Result<std::int64_t> extents_read =
       PreadFully(fd, reinterpret_cast<std::byte*>(provider->extents_.data()),
@@ -521,20 +547,7 @@ Result<std::shared_ptr<FileBlockProvider>> FileBlockProvider::Open(
     expected_offset = extent.offset + extent.bytes;
   }
 
-  if (options.use_mmap) {
-    if (static_cast<off_t>(expected_offset) > st.st_size) {
-      return fail(Status::InvalidArgument("'" + path +
-                                          "' is shorter than its extent "
-                                          "table claims"));
-    }
-    void* map = ::mmap(nullptr, static_cast<std::size_t>(st.st_size),
-                       PROT_READ, MAP_PRIVATE, fd, 0);
-    if (map == MAP_FAILED) {
-      return fail(ErrnoStatus("mmap", path, errno));
-    }
-    provider->map_ = map;
-  }
-  if (options.reopen_per_fetch || options.use_mmap) {
+  if (options.reopen_per_fetch) {
     ::close(fd);
     return provider;
   }
@@ -556,9 +569,6 @@ Result<std::shared_ptr<FileBlockProvider>> FileBlockProvider::Open(
 }
 
 FileBlockProvider::~FileBlockProvider() {
-  if (map_ != nullptr) {
-    ::munmap(map_, static_cast<std::size_t>(file_size_));
-  }
   if (fd_ >= 0) {
     ::close(fd_);
   }
@@ -582,13 +592,6 @@ Status FileBlockProvider::ReadAt(std::int64_t offset, std::byte* dst,
         return Status::Internal("injected permission error reading " +
                                 what + " from '" + path_ + "'");
     }
-  }
-  if (map_ != nullptr) {
-    // Bounds were validated against the mapping at Open; the mapping's
-    // length is fixed, so this cannot fault on a well-formed file.
-    std::memcpy(dst, static_cast<const std::byte*>(map_) + offset,
-                static_cast<std::size_t>(size));
-    return Status::OK();
   }
   if (direct_active_) {
     // O_DIRECT needs aligned offset, length and buffer: widen the read to

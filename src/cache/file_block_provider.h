@@ -15,10 +15,9 @@
 //
 // BlockFileWriter streams a column out one block at a time (the spill
 // itself never materialises the whole column), FileBlockProvider faults
-// blocks back in: pread per block by default, a single pread spanning the
-// extents for ranged reads (ReadRange — the batched demand fetch path),
-// or zero-syscall memcpy reads from an optional read-only mmap of the
-// file. The provider is async(): reads suspend quanta instead of blocking
+// blocks back in: pread per block, and a single pread spanning the
+// extents for ranged reads (ReadRange — the batched demand fetch path).
+// The provider is async(): reads suspend quanta instead of blocking
 // workers, exactly like the remote tier.
 //
 // Failure contract (mirrors RemoteBlockProvider): a short pread is a
@@ -232,9 +231,6 @@ class AlignedBufferPool {
 };
 
 struct FileProviderOptions {
-  /// Map the file read-only and serve blocks by memcpy from the mapping
-  /// instead of pread (saves the syscall; the page cache backs both).
-  bool use_mmap = false;
   /// Open the file anew on every fetch instead of holding one descriptor.
   /// Slower, but makes file-system state observable: a file deleted or
   /// chmodded mid-session fails the next fetch instead of being masked by
@@ -244,19 +240,20 @@ struct FileProviderOptions {
   /// Read payloads with O_DIRECT (page-cache bypass): reads are widened
   /// to 4 KiB-aligned spans into pooled aligned buffers and sliced out.
   /// When the filesystem rejects O_DIRECT (tmpfs/CI) the provider falls
-  /// back to plain pread — check direct_active(). Ignored under use_mmap
-  /// or reopen_per_fetch (both want the page cache / per-fetch fd).
+  /// back to plain pread — check direct_active(). Ignored under
+  /// reopen_per_fetch (it wants a per-fetch descriptor).
   bool use_direct = false;
 };
 
 /// Cold tier over one spilled column (or PAX table) file.
 class FileBlockProvider final : public BlockProvider {
  public:
-  /// Opens and validates `path` (magic, version, type width, extent table
-  /// coverage). `dictionary` is attached to views over fetched blocks
-  /// (string columns); the provider keeps it alive. For PAX files,
-  /// `pax_dictionaries[c]` (when provided) is the dictionary of schema
-  /// column c; `dictionary` is ignored.
+  /// Opens and validates `path` (magic, version, type width, every header
+  /// count bounded by the file size, extent table coverage). `dictionary`
+  /// is attached to views over fetched blocks (string columns); the
+  /// provider keeps it alive. For PAX files, `pax_dictionaries[c]` (when
+  /// provided) is the dictionary of schema column c; `dictionary` is
+  /// ignored.
   static Result<std::shared_ptr<FileBlockProvider>> Open(
       const std::string& path, const FileProviderOptions& options = {},
       std::shared_ptr<storage::Dictionary> dictionary = nullptr,
@@ -273,8 +270,8 @@ class FileBlockProvider final : public BlockProvider {
     return dictionary_.get();
   }
   Result<std::vector<std::byte>> Fetch(std::int64_t block) override;
-  /// One pread (or mmap memcpy) spanning the adjacent blocks' extents —
-  /// the coalesced cold-band read.
+  /// One pread spanning the adjacent blocks' extents — the coalesced
+  /// cold-band read.
   Result<std::vector<std::byte>> ReadRange(std::int64_t first_block,
                                            std::int64_t count) override;
   bool async() const override { return true; }
@@ -321,8 +318,8 @@ class FileBlockProvider final : public BlockProvider {
   FileBlockProvider() = default;
 
   /// Reads [offset, offset + size) into `dst`: pread on the held (or
-  /// per-fetch reopened) descriptor, or memcpy from the mapping. Applies
-  /// the fault injector. `what` labels errors ("block 3" / "blocks 3..7").
+  /// per-fetch reopened) descriptor. Applies the fault injector. `what`
+  /// labels errors ("block 3" / "blocks 3..7").
   Status ReadAt(std::int64_t offset, std::byte* dst, std::int64_t size,
                 const std::string& what);
 
@@ -333,9 +330,7 @@ class FileBlockProvider final : public BlockProvider {
   std::vector<BlockExtent> extents_;
   std::optional<storage::PaxLayout> pax_layout_;
   std::vector<std::shared_ptr<storage::Dictionary>> pax_dictionaries_;
-  std::int64_t file_size_ = 0;
   int fd_ = -1;  // -1 in reopen_per_fetch mode.
-  void* map_ = nullptr;  // Non-null iff use_mmap.
   bool aligned_extents_ = false;
   bool direct_active_ = false;
   AlignedBufferPool buffer_pool_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
 
 #include "common/logging.h"
 #include "common/macros.h"
@@ -28,6 +30,41 @@ std::int64_t NowWallNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+/// Starts every block of `stall` on its source's fetch queue and blocks
+/// the calling thread until all of them settle. False = at least one
+/// fetch failed past its bounded retries (the stalled gesture must be
+/// shed: its blocks will never arrive).
+bool FetchAndWait(const TouchStall& stall) {
+  // Owned jointly with the completions, like the server's fetch ticket:
+  // the queue may still hold copies of `settle` after this returns.
+  struct Latch {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::int64_t remaining = 0;
+    bool failed = false;
+  };
+  auto latch = std::make_shared<Latch>();
+  latch->remaining = stall.total_blocks();
+  const auto settle = [latch](const Status& status) {
+    const std::lock_guard<std::mutex> lock(latch->mu);
+    latch->failed = latch->failed || !status.ok();
+    if (--latch->remaining == 0) {
+      latch->cv.notify_one();
+    }
+  };
+  for (const TouchStall::Entry& entry : stall.entries) {
+    for (const std::int64_t block : entry.blocks) {
+      const Status started = entry.source->StartFetch(block, settle);
+      if (!started.ok()) {
+        settle(started);
+      }
+    }
+  }
+  std::unique_lock<std::mutex> lock(latch->mu);
+  latch->cv.wait(lock, [&] { return latch->remaining == 0; });
+  return !latch->failed;
 }
 
 }  // namespace
@@ -333,13 +370,16 @@ Status Kernel::EnableJoin(ObjectId left, ObjectId right) {
 }
 
 void Kernel::OnTouch(const sim::TouchEvent& event) {
-  clock_.AdvanceTo(event.timestamp_us);
-  ++stats_.touch_events;
-  for (const GestureEvent& g : recognizer_.OnTouch(event)) {
-    pending_gestures_.push_back(g);
+  // The touch server's suspend/fetch/resume cycle, run inline: every cold
+  // block comes through the fetch queue, and this thread waits on it.
+  TouchStall stall;
+  TouchOutcome outcome = OnTouchAsync(event, &stall);
+  while (outcome == TouchOutcome::kSuspended) {
+    if (!FetchAndWait(stall)) {
+      AbandonPending();  // The blocks will never arrive.
+    }
+    outcome = ResumePending(&stall);
   }
-  // Blocking drain: probes fault synchronously, so this always completes.
-  (void)DrainPending(/*non_blocking=*/false, nullptr);
 }
 
 TouchOutcome Kernel::OnTouchAsync(const sim::TouchEvent& event,
@@ -349,11 +389,11 @@ TouchOutcome Kernel::OnTouchAsync(const sim::TouchEvent& event,
   for (const GestureEvent& g : recognizer_.OnTouch(event)) {
     pending_gestures_.push_back(g);
   }
-  return DrainPending(config_.non_blocking_faults, stall);
+  return DrainPending(stall);
 }
 
 TouchOutcome Kernel::ResumePending(TouchStall* stall) {
-  return DrainPending(config_.non_blocking_faults, stall);
+  return DrainPending(stall);
 }
 
 void Kernel::AbandonPending() {
@@ -504,11 +544,8 @@ RefineOutcome Kernel::RefineNext(TouchStall* stall) {
       }
     }
     if (first >= 0 && obj->paged != nullptr && obj->paged->may_block()) {
-      if (stall != nullptr) {
-        stall->entries.clear();
-      }
-      const Result<bool> ready =
-          ProbeBlocks(obj->paged, first, last, /*non_blocking=*/true, stall);
+      stall->entries.clear();
+      const Result<bool> ready = ProbeBlocks(obj->paged, first, last, stall);
       if (!ready.ok()) {
         ++stats_.fetch_errors;
         probe_pins_.clear();
@@ -552,10 +589,10 @@ void Kernel::AbandonRefinement() {
   probe_pins_.clear();
 }
 
-TouchOutcome Kernel::DrainPending(bool non_blocking, TouchStall* stall) {
+TouchOutcome Kernel::DrainPending(TouchStall* stall) {
   while (!pending_gestures_.empty()) {
     const GestureEvent g = pending_gestures_.front();
-    const Result<bool> ready = ProbeGesture(g, non_blocking, stall);
+    const Result<bool> ready = ProbeGesture(g, stall);
     if (!ready.ok()) {
       // The backing read failed past its bounded retries: shed this
       // gesture's execution — one lost answer, not a lost session.
@@ -568,14 +605,11 @@ TouchOutcome Kernel::DrainPending(bool non_blocking, TouchStall* stall) {
       ++stats_.suspensions;
       if (trace_ != nullptr) {
         const std::int64_t first =
-            stall != nullptr && !stall->entries.empty() &&
-                    !stall->entries.front().blocks.empty()
+            !stall->entries.empty() && !stall->entries.front().blocks.empty()
                 ? stall->entries.front().blocks.front()
                 : -1;
-        const std::int64_t blocks =
-            stall != nullptr ? stall->total_blocks() : 0;
         trace_->Record(obs::SpanStage::kSuspended, trace_quantum_,
-                       trace_session_, first, blocks);
+                       trace_session_, first, stall->total_blocks());
       }
       return TouchOutcome::kSuspended;
     }
@@ -587,12 +621,10 @@ TouchOutcome Kernel::DrainPending(bool non_blocking, TouchStall* stall) {
 }
 
 Result<bool> Kernel::ProbeGesture(const GestureEvent& event,
-                                  bool non_blocking, TouchStall* stall) {
-  if (stall != nullptr) {
-    // Each probe attempt reports its own misses; entries from a previous
-    // attempt of this (or another) gesture are stale.
-    stall->entries.clear();
-  }
+                                  TouchStall* stall) {
+  // Each probe attempt reports its own misses; entries from a previous
+  // attempt of this (or another) gesture are stale.
+  stall->entries.clear();
   // Mirror OnGesture's targeting without mutating it. Events queued
   // behind an unexecuted kBegan are never probed before it runs (FIFO),
   // so gesture_target_ is current whenever it is consulted here.
@@ -610,7 +642,7 @@ Result<bool> Kernel::ProbeGesture(const GestureEvent& event,
     if (!obj->table->raw_released()) {
       return true;
     }
-    return ProbeTableGesture(*obj, event, non_blocking, stall);
+    return ProbeTableGesture(*obj, event, stall);
   }
   if (obj->paged == nullptr || !obj->paged->may_block()) {
     return true;  // No slow-tier reads possible.
@@ -651,12 +683,11 @@ Result<bool> Kernel::ProbeGesture(const GestureEvent& event,
   if (first < 0) {
     return true;
   }
-  return ProbeBlocks(obj->paged, first, last, non_blocking, stall);
+  return ProbeBlocks(obj->paged, first, last, stall);
 }
 
 Result<bool> Kernel::ProbeTableGesture(const ObjectState& obj,
                                        const GestureEvent& event,
-                                       bool non_blocking,
                                        TouchStall* stall) {
   // Which attributes this gesture's execution will read, at which rows.
   RowId row = -1;
@@ -716,8 +747,7 @@ Result<bool> Kernel::ProbeTableGesture(const ObjectState& obj,
     const RowId last = band_last >= 0 ? band_last : row;
     DBTOUCH_ASSIGN_OR_RETURN(
         const bool attr_ready,
-        ProbeBlocks(obj.AttributeSource(attribute), first, last,
-                    non_blocking, stall));
+        ProbeBlocks(obj.AttributeSource(attribute), first, last, stall));
     ready = ready && attr_ready;
   }
   return ready;
@@ -725,20 +755,12 @@ Result<bool> Kernel::ProbeTableGesture(const ObjectState& obj,
 
 Result<bool> Kernel::ProbeBlocks(
     const std::shared_ptr<storage::PagedColumnSource>& source, RowId first,
-    RowId last, bool non_blocking, TouchStall* stall) {
+    RowId last, TouchStall* stall) {
   if (source == nullptr || !source->may_block()) {
     return true;
   }
   const std::int64_t first_block = source->BlockFor(first);
   const std::int64_t last_block = source->BlockFor(last);
-  if (!non_blocking && last_block > first_block) {
-    // Blocking path over a slow tier: batch the band's cold stretches
-    // into ranged reads up front, so the per-block pins below hit instead
-    // of paying one backing-store round trip each. (The non-blocking path
-    // gets the same batching from the FetchQueue, which coalesces the
-    // stall's adjacent demand enqueues at pop time.)
-    DBTOUCH_RETURN_IF_ERROR(source->Preload(first_block, last_block));
-  }
   const std::uintptr_t token = source->share_token();
   std::vector<std::int64_t> missing;
   for (std::int64_t block = first_block; block <= last_block; ++block) {
@@ -756,48 +778,40 @@ Result<bool> Kernel::ProbeBlocks(
     if (held) {
       continue;
     }
-    if (non_blocking) {
-      // row_hint -1: the probe must not feed the gesture detector (the
-      // execution it fronts will, with the real touched rows).
-      DBTOUCH_ASSIGN_OR_RETURN(std::optional<storage::BlockPin> pin,
-                               source->TryPinBlock(block, -1));
-      if (pin.has_value()) {
-        probe_pins_.push_back(std::move(*pin));
-      } else {
-        missing.push_back(block);
-      }
+    // row_hint -1: the probe must not feed the gesture detector (the
+    // execution it fronts will, with the real touched rows).
+    DBTOUCH_ASSIGN_OR_RETURN(std::optional<storage::BlockPin> pin,
+                             source->TryPinBlock(block, -1));
+    if (pin.has_value()) {
+      probe_pins_.push_back(std::move(*pin));
     } else {
-      DBTOUCH_ASSIGN_OR_RETURN(storage::BlockPin pin,
-                               source->PinBlock(block, -1));
-      probe_pins_.push_back(std::move(pin));
+      missing.push_back(block);
     }
   }
-  if (!missing.empty()) {
-    if (stall != nullptr) {
-      // Merge into the stall under the share token: two PAX column
-      // sources waiting on the same payload become one entry, and a
-      // block never gets fetched twice for one suspend.
-      TouchStall::Entry* entry = nullptr;
-      for (TouchStall::Entry& e : stall->entries) {
-        if (e.source->share_token() == token) {
-          entry = &e;
-          break;
-        }
-      }
-      if (entry == nullptr) {
-        stall->entries.push_back(TouchStall::Entry{source, {}});
-        entry = &stall->entries.back();
-      }
-      for (const std::int64_t block : missing) {
-        if (std::find(entry->blocks.begin(), entry->blocks.end(), block) ==
-            entry->blocks.end()) {
-          entry->blocks.push_back(block);
-        }
-      }
-    }
-    return false;
+  if (missing.empty()) {
+    return true;
   }
-  return true;
+  // Merge into the stall under the share token: two PAX column sources
+  // waiting on the same payload become one entry, and a block never gets
+  // fetched twice for one suspend.
+  TouchStall::Entry* entry = nullptr;
+  for (TouchStall::Entry& e : stall->entries) {
+    if (e.source->share_token() == token) {
+      entry = &e;
+      break;
+    }
+  }
+  if (entry == nullptr) {
+    stall->entries.push_back(TouchStall::Entry{source, {}});
+    entry = &stall->entries.back();
+  }
+  for (const std::int64_t block : missing) {
+    if (std::find(entry->blocks.begin(), entry->blocks.end(), block) ==
+        entry->blocks.end()) {
+      entry->blocks.push_back(block);
+    }
+  }
+  return false;
 }
 
 std::int64_t Kernel::SummaryBandK(const ObjectState& obj) const {

@@ -92,13 +92,6 @@ struct KernelConfig {
   /// gesture-aware admission. Off = the paper's raw whole-column
   /// pointers (unbounded residency).
   bool use_buffer_manager = true;
-  /// Suspend instead of stall: when a touch needs blocks a slow tier has
-  /// not delivered yet, OnTouchAsync returns kSuspended (with the blocks
-  /// to fetch) rather than blocking inside the fault. Off = cold faults
-  /// fill synchronously on the calling thread. Only sources that may_block
-  /// (async providers) are affected either way; the touch server sets
-  /// this from its async_fetch config.
-  bool non_blocking_faults = false;
   /// Prefetch along the extrapolated slide path (Section 2.6): slide
   /// steps over a slow-tier column enqueue low-priority warm-up fetches
   /// for the blocks the finger is predicted to reach within the horizon.
@@ -130,10 +123,10 @@ struct KernelStats {
   /// any single touch — the interactivity headline number.
   std::int64_t exec_wall_ns = 0;
   std::int64_t max_touch_wall_ns = 0;
-  /// Async read path: quanta suspended on cold slow-tier blocks, gesture
-  /// executions shed because a backing-store read failed past its bounded
-  /// retries, and warm-up fetches requested along the extrapolated slide
-  /// path.
+  /// Cold-fault path: suspensions on blocks a slow tier had not delivered
+  /// (under OnTouch, one per wait round), gesture executions shed because
+  /// a backing-store read failed past its bounded retries, and warm-up
+  /// fetches requested along the extrapolated slide path.
   std::int64_t suspensions = 0;
   std::int64_t fetch_errors = 0;
   std::int64_t prefetch_requests = 0;
@@ -152,7 +145,7 @@ struct ObjectStats {
   int last_level_used = 0;
 };
 
-/// Outcome of feeding one touch quantum through an async-mode kernel.
+/// Outcome of feeding one touch quantum through OnTouchAsync.
 enum class TouchOutcome {
   kCompleted,  // All gesture work for the touch executed.
   kSuspended,  // Waiting on cold blocks; see the TouchStall.
@@ -246,18 +239,26 @@ class Kernel {
   // ---- The OS feed -------------------------------------------------------
 
   /// The per-touch pipeline. Advances the virtual clock to the event's
-  /// timestamp, recognises gestures, maps and executes. Cold slow-tier
-  /// blocks are faulted synchronously (the classic single-user path).
+  /// timestamp, recognises gestures, maps and executes; returns once every
+  /// gesture the touch completed has executed or been shed. It is
+  /// OnTouchAsync plus the touch server's fetch cycle run inline: while
+  /// the touch is suspended, the stalled blocks are started on the fetch
+  /// queue (StartFetch) and this thread waits for their completions; a
+  /// fetch that failed past its retries sheds the stalled gesture
+  /// (AbandonPending, counted in stats().fetch_errors); then
+  /// ResumePending. Each wait round counts one stats().suspensions.
+  /// Sources that cannot block (in-memory tiers) never suspend, so over
+  /// them this is a straight execution.
   void OnTouch(const sim::TouchEvent& event);
 
-  /// Suspendable variant of OnTouch for the touch server's async read
-  /// path. The recognizer consumes the event either way; gesture work
-  /// that needs cold slow-tier blocks parks in the kernel's pending queue
-  /// and kSuspended is returned with the blocks to fetch in `stall`. The
-  /// caller starts the fetches and, when they complete, re-enters via
-  /// ResumePending — which may suspend again (the next gesture misses on
-  /// other blocks) or complete. With non_blocking_faults off this never
-  /// suspends; `stall` may then be null.
+  /// Suspendable variant of OnTouch for callers that run the fetch cycle
+  /// themselves (the touch server). The recognizer consumes the event
+  /// either way; gesture work that needs blocks a slow tier has not
+  /// delivered parks in the kernel's pending queue, and kSuspended is
+  /// returned with the blocks to fetch in `stall` (which must not be
+  /// null). The caller starts the fetches and, when they complete,
+  /// re-enters via ResumePending — which may suspend again (the next
+  /// gesture misses on other blocks) or complete.
   TouchOutcome OnTouchAsync(const sim::TouchEvent& event, TouchStall* stall);
 
   /// Re-attempts gesture work parked by a previous kSuspended outcome.
@@ -348,15 +349,13 @@ class Kernel {
   void OnGesture(const gesture::GestureEvent& event);
   /// Executes queued gesture events in order. Before each one, probes that
   /// the blocks its execution reads are resident (pinning them so they
-  /// stay put): in non-blocking mode a miss suspends the drain; in
-  /// blocking mode the probe faults synchronously. A probe whose
-  /// backing-store read fails past its retries sheds that gesture and
-  /// counts a fetch error.
-  TouchOutcome DrainPending(bool non_blocking, TouchStall* stall);
+  /// stay put); a miss suspends the drain. A probe whose pin fails sheds
+  /// that gesture and counts a fetch error.
+  TouchOutcome DrainPending(TouchStall* stall);
   /// True = ready (needed blocks pinned in probe_pins_); false = `stall`
-  /// filled with the missing blocks. Error = the backing read failed.
+  /// filled with the missing blocks. Error = the pin failed.
   Result<bool> ProbeGesture(const gesture::GestureEvent& event,
-                            bool non_blocking, TouchStall* stall);
+                            TouchStall* stall);
   /// Probe for gestures on fat-table objects whose matrix was reclaimed:
   /// taps pin every attribute's covering block, scans / group-bys /
   /// summaries pin the attributes their execution reads. Every attribute
@@ -366,14 +365,13 @@ class Kernel {
   /// attributes stay pinned across the resume.
   Result<bool> ProbeTableGesture(const ObjectState& obj,
                                  const gesture::GestureEvent& event,
-                                 bool non_blocking, TouchStall* stall);
-  /// Pins `source`'s blocks covering base rows [first, last] into
-  /// probe_pins_ (blocking or try-pin per `non_blocking`); shared tail of
-  /// both probes above.
+                                 TouchStall* stall);
+  /// Try-pins `source`'s blocks covering base rows [first, last] into
+  /// probe_pins_, reporting the misses in `stall`; shared tail of both
+  /// probes above.
   Result<bool> ProbeBlocks(
       const std::shared_ptr<storage::PagedColumnSource>& source,
-      storage::RowId first, storage::RowId last, bool non_blocking,
-      TouchStall* stall);
+      storage::RowId first, storage::RowId last, TouchStall* stall);
   /// Half-width (base rows) of the summary band at level 0 — shared by
   /// execution and the residency probe so they can never diverge.
   std::int64_t SummaryBandK(const ObjectState& obj) const;

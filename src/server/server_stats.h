@@ -80,7 +80,7 @@ struct FetchStatsSnapshot {
   std::int64_t demand_fetches = 0;
   std::int64_t prefetch_fetches = 0;
   /// Transient-error retries: async fetcher retries plus retries spent by
-  /// synchronous (blocking-path) fills.
+  /// inline PinBlock fills (reads no residency probe fronts).
   std::int64_t retries = 0;
   /// Fetches that failed past their bounded retries.
   std::int64_t fetch_errors = 0;
@@ -99,9 +99,9 @@ struct FetchStatsSnapshot {
   /// each such suspend adds N - 1 here.
   std::int64_t batched_stall_attrs = 0;
   /// Batched demand fetches: adjacent cold misses coalesced into single
-  /// provider range reads (async queue + blocking Preload combined), the
-  /// blocks those ranged reads covered, and the payload bytes faulted in
-  /// from the cold tier (disk or remote) by the async pipeline.
+  /// provider range reads by the fetch queue, the blocks those ranged
+  /// reads covered, and the payload bytes faulted in from the cold tier
+  /// (disk or remote) by the fetch queue.
   std::int64_t ranged_reads = 0;
   std::int64_t ranged_blocks = 0;
   std::int64_t bytes_fetched = 0;
@@ -171,7 +171,7 @@ struct ServerStatsSnapshot {
   double fairness = 1.0;
   /// The shared BufferManager all sessions read base data through.
   BufferStatsSnapshot buffer;
-  /// The async block-fetch pipeline (zeros when async_fetch is off).
+  /// The async block-fetch pipeline (zeros while no slow tier is bound).
   FetchStatsSnapshot fetch;
   std::map<SessionId, SessionStatsSnapshot> per_session;
 

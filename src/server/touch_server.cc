@@ -32,9 +32,6 @@ cache::BufferManagerConfig ServerBufferConfig(
   cache::BufferManagerConfig buffer = config.session_defaults.buffer;
   const auto hw = static_cast<int>(std::thread::hardware_concurrency());
   buffer.shards = std::max(buffer.shards, std::max(hw, 8));
-  // One switch governs the whole pipeline: the pool's fetch queue and the
-  // kernels' suspend-on-miss behaviour (set per session in OpenSession).
-  buffer.async_fetch = config.async_fetch;
   return buffer;
 }
 
@@ -102,12 +99,10 @@ Status TouchServer::Stop() {
 
 Result<api::OpenSessionResp> TouchServer::Call(const api::OpenSessionReq&) {
   core::KernelConfig config = config_.session_defaults;
-  if (!config_.allow_layout_rotation) {
-    // Rotation rewrites the shared table's physical layout; an effectively
-    // unreachable trigger angle disables it without a special kernel mode.
-    config.rotation_trigger_rad = 1e9;
-  }
-  config.non_blocking_faults = config_.async_fetch;
+  // Rotation rewrites the shared table's physical layout, so it is
+  // single-user only; an effectively unreachable trigger angle disables
+  // it without a special kernel mode.
+  config.rotation_trigger_rad = 1e9;
   DBTOUCH_ASSIGN_OR_RETURN(const SessionId id, sessions_.Open(config));
   if (trace_ != nullptr) {
     const auto s = sessions_.Get(id);
@@ -953,12 +948,8 @@ ServerStatsSnapshot TouchServer::stats() const {
     snapshot.fetch.prefetch_ranges = fetch.prefetch_ranges;
     snapshot.fetch.batched_stall_attrs =
         total_batched_stall_attrs_.load(std::memory_order_relaxed);
-    snapshot.fetch.ranged_reads =
-        fetch.ranged_reads +
-        shared_->buffer_manager().sync_ranged_reads();
-    snapshot.fetch.ranged_blocks =
-        fetch.ranged_blocks +
-        shared_->buffer_manager().sync_ranged_blocks();
+    snapshot.fetch.ranged_reads = fetch.ranged_reads;
+    snapshot.fetch.ranged_blocks = fetch.ranged_blocks;
     snapshot.fetch.bytes_fetched = fetch.bytes_fetched;
     snapshot.fetch.fetch_wall_us = fetch.fetch_wall_us;
     snapshot.fetch.max_fetch_wall_us = fetch.max_fetch_wall_us;

@@ -80,9 +80,6 @@ struct TouchServerConfig {
   /// Per-session queue bound; droppable quanta beyond it are rejected at
   /// admission (overload protection for a client flooding the server).
   std::size_t max_session_queue = 4'096;
-  /// Layout rotation physically rewrites the (shared) table, so it is
-  /// disabled in server sessions unless explicitly allowed.
-  bool allow_layout_rotation = false;
   /// Per-quantum lifecycle tracing (obs::TraceRecorder): every quantum's
   /// submit/dispatch/execute/suspend/fetch/resume/complete transitions
   /// land in a fixed ring, slow-quantum exemplars are retained, and
@@ -90,11 +87,6 @@ struct TouchServerConfig {
   /// ring is never allocated and every hook is one null-pointer branch.
   bool enable_tracing = false;
   obs::TraceRecorderConfig trace;
-  /// Async block fetch: a quantum that faults on a cold slow-tier block
-  /// suspends (the EDF scheduler parks the session on the fetch and the
-  /// worker serves other sessions) instead of blocking inside the fault.
-  /// Off = the synchronous pre-PR-3 path, kept for A/B benchmarking.
-  bool async_fetch = true;
   /// Deadline-sacred partial answers (paper Section 4): a quantum whose
   /// cold fetch is predicted — by the measured per-block fetch EWMA — to
   /// blow its deadline answers immediately from the resident sample level

@@ -187,19 +187,6 @@ class PagedColumnSource {
     return Status::OK();
   }
 
-  /// Hints that a contiguous block run [first_block, last_block] is about
-  /// to be read (a cold summary band): a caching source materialises the
-  /// missing stretches with ranged backing reads — one round trip per
-  /// stretch instead of one per block — before the per-block pins run.
-  /// Default: no-op (immediate sources have no round trips to batch).
-  /// Non-OK mirrors PinBlock's contract: the backing read failed past its
-  /// bounded retries.
-  virtual Status Preload(std::int64_t first_block, std::int64_t last_block) {
-    (void)first_block;
-    (void)last_block;
-    return Status::OK();
-  }
-
   /// Hints that `block` will likely be touched soon (the prefetcher's
   /// extrapolated slide path). Low priority: demand fetches preempt.
   /// Returns true iff a warm-up fetch was actually enqueued (false when

@@ -50,7 +50,6 @@ Result<std::shared_ptr<cache::FileBlockProvider>> TableSpiller::SpillColumn(
   DBTOUCH_RETURN_IF_ERROR(writer.Finish());
 
   cache::FileProviderOptions provider_options;
-  provider_options.use_mmap = options_.use_mmap;
   provider_options.reopen_per_fetch = options_.reopen_per_fetch;
   provider_options.use_direct = options_.use_direct;
   DBTOUCH_ASSIGN_OR_RETURN(
@@ -118,7 +117,6 @@ TableSpiller::SpillTablePax(const std::shared_ptr<const Table>& table) {
   DBTOUCH_RETURN_IF_ERROR(writer.Finish());
 
   cache::FileProviderOptions provider_options;
-  provider_options.use_mmap = options_.use_mmap;
   provider_options.reopen_per_fetch = options_.reopen_per_fetch;
   provider_options.use_direct = options_.use_direct;
   std::vector<std::shared_ptr<Dictionary>> dictionaries;

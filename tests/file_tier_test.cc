@@ -9,8 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -79,16 +83,25 @@ std::shared_ptr<Table> SequenceTable(const std::string& name,
   return *Table::FromColumns(name, std::move(cols));
 }
 
+/// Applies `edit` to the header of the block file at `path`, in place.
+void RewriteHeader(const std::string& path,
+                   const std::function<void(cache::BlockFileHeader*)>& edit) {
+  FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  cache::BlockFileHeader header;
+  ASSERT_EQ(std::fread(&header, sizeof(header), 1, f), 1u);
+  edit(&header);
+  std::rewind(f);
+  ASSERT_EQ(std::fwrite(&header, sizeof(header), 1, f), 1u);
+  std::fclose(f);
+}
+
 // ---- Format round trips -----------------------------------------------------
 
-class FileProviderModes : public testing::TestWithParam<bool> {};
-
-TEST_P(FileProviderModes, SpilledBlocksAreByteIdenticalToTableProvider) {
-  const bool use_mmap = GetParam();
+TEST(FileBlockProviderTest, SpilledBlocksAreByteIdenticalToTableProvider) {
   ScratchDir dir;
   SpillOptions options;
   options.rows_per_block = 96;  // 1000 % 96 != 0: a ragged tail block.
-  options.use_mmap = use_mmap;
   TableSpiller spiller(dir.path(), options);
   auto table = SequenceTable("t", 1'000);
   const auto provider = spiller.SpillColumn(table, 0);
@@ -108,12 +121,10 @@ TEST_P(FileProviderModes, SpilledBlocksAreByteIdenticalToTableProvider) {
   }
 }
 
-TEST_P(FileProviderModes, ReadRangeMatchesConcatenatedFetches) {
-  const bool use_mmap = GetParam();
+TEST(FileBlockProviderTest, ReadRangeMatchesConcatenatedFetches) {
   ScratchDir dir;
   SpillOptions options;
   options.rows_per_block = 64;
-  options.use_mmap = use_mmap;
   TableSpiller spiller(dir.path(), options);
   const auto provider = spiller.SpillColumn(SequenceTable("t", 1'000), 0);
   ASSERT_TRUE(provider.ok()) << provider.status();
@@ -130,12 +141,6 @@ TEST_P(FileProviderModes, ReadRangeMatchesConcatenatedFetches) {
   EXPECT_EQ((*provider)->ranged_reads(), 1);
   EXPECT_GE((*provider)->blocks_read(), 6);
 }
-
-INSTANTIATE_TEST_SUITE_P(PreadAndMmap, FileProviderModes,
-                         testing::Values(false, true),
-                         [](const testing::TestParamInfo<bool>& info) {
-                           return info.param ? "mmap" : "pread";
-                         });
 
 TEST(FileBlockProviderTest, OpenRejectsMissingCorruptAndUnfinishedFiles) {
   ScratchDir dir;
@@ -169,6 +174,57 @@ TEST(FileBlockProviderTest, OpenRejectsMissingCorruptAndUnfinishedFiles) {
     // No Finish.
   }
   EXPECT_EQ(FileBlockProvider::Open(unfinished).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // Hostile headers over real spills: every count is bounded by the file
+  // size before anything is allocated, and unknown type codes fail.
+  TableSpiller spiller(dir.path(), SpillOptions{.rows_per_block = 128});
+  const auto plain = spiller.SpillColumn(table, 0);
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  const auto pax = spiller.SpillTablePax(table);
+  ASSERT_TRUE(pax.ok()) << pax.status();
+
+  // A 16 TiB extent table claimed by a file of a few KiB.
+  const std::string huge = dir.path() + "/huge.dbb";
+  std::filesystem::copy_file((*plain)->path(), huge);
+  RewriteHeader(huge, [](cache::BlockFileHeader* header) {
+    header->row_count = std::int64_t{1} << 40;
+    header->rows_per_block = 1;
+    header->num_blocks = std::int64_t{1} << 40;
+    header->payload_offset = 64 + (std::int64_t{1} << 44);
+  });
+  EXPECT_EQ(FileBlockProvider::Open(huge).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // A PAX column directory of 2^32 - 1 entries (16 GiB).
+  RewriteHeader((*pax)->path(), [](cache::BlockFileHeader* header) {
+    header->num_columns = 0xFFFFFFFFu;
+  });
+  EXPECT_EQ(FileBlockProvider::Open((*pax)->path()).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // An unknown type code of width 0 whose zero-length extents tile.
+  const std::string typeless = dir.path() + "/typeless.dbb";
+  std::filesystem::copy_file((*plain)->path(), typeless);
+  std::int64_t payload_offset = 0;
+  std::int64_t num_blocks = 0;
+  RewriteHeader(typeless, [&](cache::BlockFileHeader* header) {
+    header->type = 99;
+    header->width = 0;
+    payload_offset = header->payload_offset;
+    num_blocks = header->num_blocks;
+  });
+  const std::vector<cache::BlockExtent> empty(
+      static_cast<std::size_t>(num_blocks),
+      cache::BlockExtent{payload_offset, 0});
+  {
+    FILE* f = std::fopen(typeless.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    std::fseek(f, sizeof(cache::BlockFileHeader), SEEK_SET);
+    std::fwrite(empty.data(), sizeof(cache::BlockExtent), empty.size(), f);
+    std::fclose(f);
+  }
+  EXPECT_EQ(FileBlockProvider::Open(typeless).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -232,7 +288,7 @@ TEST(FileTierAcceptanceTest, BeyondBudgetTableServesSlideSummaryWithinBudget) {
   cache::BufferManagerConfig buffer;
   buffer.rows_per_block = rows_per_block;
   buffer.budget_bytes = table_bytes / 4;  // Table is 4x the budget.
-  // Staging pad sized to one summary band, so Preload's coalesced blocks
+  // Staging pad sized to one summary band, so a band's coalesced blocks
   // survive until the probe pins claim them (staged bytes live outside
   // the resident budget; the residency assertion below is untouched).
   buffer.staged_cap_bytes = buffer.budget_bytes;
@@ -299,11 +355,82 @@ TEST(FileTierAcceptanceTest, BeyondBudgetTableServesSlideSummaryWithinBudget) {
   EXPECT_EQ(table->resident_raw_bytes(), 0);
 
   // Batched demand fetches: adjacent cold-band misses coalesced into
-  // ranged reads (the blocking probe path's Preload) — strictly fewer
-  // provider round trips than blocks covered.
-  EXPECT_GT(shared->buffer_manager().sync_ranged_reads(), 0);
-  EXPECT_LT(shared->buffer_manager().sync_ranged_reads(),
-            shared->buffer_manager().sync_ranged_blocks());
+  // ranged reads by the fetch queue — strictly fewer provider round
+  // trips than blocks covered.
+  EXPECT_GT(shared->buffer_manager().fetch_stats().ranged_reads, 0);
+  EXPECT_LT(shared->buffer_manager().fetch_stats().ranged_reads,
+            shared->buffer_manager().fetch_stats().ranged_blocks);
+}
+
+/// A staging pad of one block under summary bands of ~8 blocks: each wait
+/// round leaves few fetched blocks claimable, yet every touch completes
+/// and answers bit for bit as the in-memory kernel does.
+TEST(FileTierAcceptanceTest, OneBlockStagingPadStillAnswersEveryTouch) {
+  constexpr std::int64_t kRows = 1 << 15;
+  constexpr std::int64_t kRowsPerBlock = 1'024;
+  KernelConfig config;
+  config.use_sampling = false;  // Every summary reads a base band.
+  config.buffer.rows_per_block = kRowsPerBlock;
+  config.buffer.budget_bytes = kRows * 8 / 2;
+  config.buffer.staged_cap_bytes = kRowsPerBlock * 8;  // One block.
+  const auto make_table = [] {
+    std::vector<Column> cols;
+    cols.push_back(storage::GenGaussianDouble("v", kRows, 0.0, 1.0, 17));
+    return *Table::FromColumns("pad", std::move(cols));
+  };
+  // Half-width 66 positions x 62 rows per position: ~8-block bands.
+  const auto run = [](Kernel& kernel) {
+    const auto object = kernel.CreateColumnObject(
+        "pad", "v", RectCm{2.0, 1.0, 2.0, 10.0});
+    EXPECT_TRUE(object.ok());
+    EXPECT_TRUE(kernel.SetAction(*object, ActionConfig::Summary(66)).ok());
+    TraceBuilder builder(kernel.device());
+    kernel.Replay(builder.Slide("down", PointCm{3.0, 1.0},
+                                PointCm{3.0, 11.0},
+                                MotionProfile::Constant(1.0)));
+    kernel.Replay(builder.Slide("up", PointCm{3.0, 11.0}, PointCm{3.0, 1.0},
+                                MotionProfile::Constant(0.5),
+                                /*start_time_us=*/2'000'000));
+    kernel.Replay(builder.Tap("tap", PointCm{3.0, 6.0}, 0.05,
+                              /*start_time_us=*/4'000'000));
+  };
+
+  ScratchDir dir;
+  auto shared = std::make_shared<core::SharedState>(
+      config.sampling, /*force_eager=*/false, config.buffer);
+  ASSERT_TRUE(shared->RegisterTable(make_table()).ok());
+  TableSpiller spiller(dir.path(),
+                       SpillOptions{.rows_per_block = kRowsPerBlock});
+  ASSERT_TRUE(shared->SpillTable("pad", spiller, /*reclaim_raw=*/true).ok());
+  Kernel spilled(config, shared);
+  run(spilled);
+
+  Kernel reference(config);
+  ASSERT_TRUE(reference.RegisterTable(make_table()).ok());
+  run(reference);
+
+  EXPECT_GT(spilled.stats().suspensions, 0);
+  EXPECT_EQ(spilled.stats().fetch_errors, 0);
+  EXPECT_FALSE(spilled.has_pending_gestures());
+  EXPECT_EQ(reference.stats().suspensions, 0);
+  const auto& got = spilled.results().items();
+  const auto& want = reference.results().items();
+  ASSERT_EQ(got.size(), want.size());
+  ASSERT_GT(got.size(), 10u);
+  std::int64_t widest_band = 0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].kind, want[i].kind) << i;
+    EXPECT_EQ(got[i].row, want[i].row) << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].value.ToDouble()),
+              std::bit_cast<std::uint64_t>(want[i].value.ToDouble()))
+        << i;
+    EXPECT_EQ(got[i].band_first, want[i].band_first) << i;
+    EXPECT_EQ(got[i].band_last, want[i].band_last) << i;
+    EXPECT_EQ(got[i].rows_aggregated, want[i].rows_aggregated) << i;
+    widest_band = std::max(widest_band,
+                           got[i].band_last - got[i].band_first + 1);
+  }
+  EXPECT_GE(widest_band, 7 * kRowsPerBlock);
 }
 
 // ---- Fault battery ----------------------------------------------------------
@@ -404,6 +531,47 @@ TEST(FileTierFaultTest, FileDeletedMidSessionFailsPermanently) {
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
   EXPECT_FALSE(cache::IsTransientFetchError(result.status()));
   EXPECT_EQ(retries, 0);
+}
+
+/// The single-user twin of the server battery below: a kernel over a
+/// spilled column waits on the fetch queue inline, and a permanent read
+/// fault sheds exactly the stalled gesture.
+TEST(FileTierFaultTest, KernelShedsOnlyStalledGestureOnPermanentFault) {
+  ScratchDir dir;
+  cache::BufferManagerConfig buffer;
+  buffer.rows_per_block = 1'024;
+  buffer.fetch.retry_backoff_us = 100;
+  buffer.fetch.max_retries = 1;
+  auto shared = std::make_shared<core::SharedState>(
+      sampling::SampleHierarchyConfig{}, /*force_eager=*/true, buffer);
+  auto table = SequenceTable("t", 1 << 14);
+  ASSERT_TRUE(shared->RegisterTable(table).ok());
+  TableSpiller spiller(dir.path(), SpillOptions{.rows_per_block = 1'024});
+  const auto provider = spiller.SpillColumn(table, 0);
+  ASSERT_TRUE(provider.ok());
+  FileFaultInjector injector;
+  (*provider)->set_fault_injector(&injector);
+  ASSERT_TRUE(shared->SetColumnProvider("t", 0, *provider).ok());
+
+  Kernel kernel(KernelConfig{}, shared);
+  ASSERT_TRUE(
+      kernel.CreateColumnObject("t", "v", RectCm{2.0, 1.0, 2.0, 10.0}).ok());
+  TraceBuilder builder(kernel.device());
+
+  // The tap's fetch dies at once: the tap returns with that gesture shed.
+  injector.FailNextReads(1, FileFaultInjector::Fault::kPermissionDenied);
+  kernel.Replay(builder.Tap("tap", PointCm{3.0, 6.0}));
+  EXPECT_EQ(kernel.stats().fetch_errors, 1);
+  EXPECT_EQ(kernel.results().size(), 0u);
+  EXPECT_FALSE(kernel.has_pending_gestures());
+
+  // The tier heals; the next tap answers.
+  kernel.Replay(builder.Tap("tap2", PointCm{3.0, 3.0}, 0.05,
+                            /*start_time_us=*/1'000'000));
+  EXPECT_EQ(kernel.stats().fetch_errors, 1);
+  ASSERT_EQ(kernel.results().size(), 1u);
+  const auto& item = kernel.results().items().front();
+  EXPECT_EQ(item.value.AsInt(), item.row);
 }
 
 /// Server-level battery: the file tier's failures shed only the stalled

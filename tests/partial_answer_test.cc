@@ -277,7 +277,6 @@ std::shared_ptr<Table> SequenceTable(const std::string& name) {
 TouchServerConfig PartialAnswerConfig(bool partial_answers) {
   TouchServerConfig config;
   config.num_workers = 2;
-  config.async_fetch = true;
   config.partial_answers = partial_answers;
   config.base_frame_budget_us = kBudgetUs;
   config.min_frame_budget_us = kBudgetUs;
