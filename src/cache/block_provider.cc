@@ -1,7 +1,6 @@
 #include "cache/block_provider.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #include "common/macros.h"
@@ -87,14 +86,13 @@ Result<std::vector<std::byte>> TableBlockProvider::Fetch(std::int64_t block) {
   return payload;
 }
 
-RemoteBlockProvider::RemoteBlockProvider(
-    remote::RemoteServer* server, storage::DataType type,
-    std::int64_t rows_per_block, const storage::Dictionary* dictionary)
-    : server_(server), dictionary_(dictionary) {
+RemoteBlockProvider::RemoteBlockProvider(remote::RemoteServer* server,
+                                         std::int64_t rows_per_block)
+    : server_(server) {
   DBTOUCH_CHECK(server_ != nullptr);
   DBTOUCH_CHECK(rows_per_block > 0);
-  geometry_.type = type;
-  geometry_.row_count = server_->hierarchy().LevelView(0).row_count();
+  geometry_.type = server_->base().type();
+  geometry_.row_count = server_->base().row_count();
   geometry_.rows_per_block = rows_per_block;
 }
 
@@ -129,51 +127,25 @@ Result<std::vector<std::byte>> RemoteBlockProvider::ReadRange(
 
 Result<std::vector<std::byte>> RemoteBlockProvider::FetchRows(
     storage::RowId first, std::int64_t count, const std::string& what) {
-  std::int64_t response_bytes = 0;
-  std::vector<double> values;
+  std::vector<std::byte> payload;
   {
     const std::lock_guard<std::mutex> lock(server_mu_);
-    values = server_->ReadRange(0, first, count, &response_bytes);
+    payload = server_->ReadRange(first, count);
   }
   // A short read is a transport failure (lost or truncated response), not
   // an invariant violation: surface it as a transient status so the fetch
   // path — FetchBlockWithRetry inline, or the FetchQueue's fetchers — can
   // retry with backoff instead of aborting the process.
-  if (static_cast<std::int64_t>(values.size()) != count) {
-    return Status::Aborted(
-        "remote short read: got " + std::to_string(values.size()) +
-        " of " + std::to_string(count) + " entries for " + what);
+  const std::size_t expected =
+      static_cast<std::size_t>(count) * geometry_.width();
+  if (payload.size() != expected) {
+    return Status::Aborted("remote short read: got " +
+                           std::to_string(payload.size()) + " of " +
+                           std::to_string(expected) + " bytes for " + what);
   }
   requests_.fetch_add(1, std::memory_order_relaxed);
-  bytes_fetched_.fetch_add(response_bytes, std::memory_order_relaxed);
-
-  const std::size_t width = geometry_.width();
-  std::vector<std::byte> payload(static_cast<std::size_t>(count) * width);
-  std::byte* dst = payload.data();
-  for (std::int64_t r = 0; r < count; ++r, dst += width) {
-    const double v = values[static_cast<std::size_t>(r)];
-    switch (geometry_.type) {
-      case storage::DataType::kInt32:
-      case storage::DataType::kString: {
-        const auto x = static_cast<std::int32_t>(std::llround(v));
-        std::memcpy(dst, &x, sizeof(x));
-        break;
-      }
-      case storage::DataType::kInt64: {
-        const std::int64_t x = std::llround(v);
-        std::memcpy(dst, &x, sizeof(x));
-        break;
-      }
-      case storage::DataType::kFloat: {
-        const auto x = static_cast<float>(v);
-        std::memcpy(dst, &x, sizeof(x));
-        break;
-      }
-      case storage::DataType::kDouble:
-        std::memcpy(dst, &v, sizeof(v));
-        break;
-    }
-  }
+  bytes_fetched_.fetch_add(static_cast<std::int64_t>(payload.size()),
+                           std::memory_order_relaxed);
   return payload;
 }
 

@@ -1,17 +1,16 @@
 // BlockProvider: the backing-store seam behind the BufferManager. A
 // provider materialises one fixed-size block of a column as densely packed
 // native-width fields; the BufferManager decides which blocks stay
-// resident. Two tiers ship today:
+// resident. Three tiers ship today:
 //
 //   - TableBlockProvider: copies blocks out of an in-memory base table
 //     (the fast tier — a fault costs one memcpy).
 //   - RemoteBlockProvider: faults blocks in from a remote::RemoteServer
-//     via level-0 range reads (paper Section 4's slow tier: "the server
-//     may store the base data ... while the touch device may store only
-//     small samples").
-//
-// Later tiers (async fetch, spill-to-disk, NUMA-partitioned replicas) plug
-// in behind the same interface without touching the read path.
+//     via range reads of the base column's field bytes (paper Section 4's
+//     slow tier: "the server may store the base data ... while the touch
+//     device may store only small samples").
+//   - FileBlockProvider (cache/file_block_provider.h): the disk spill tier
+//     over a block file, single-column or PAX.
 
 #ifndef DBTOUCH_CACHE_BLOCK_PROVIDER_H_
 #define DBTOUCH_CACHE_BLOCK_PROVIDER_H_
@@ -129,20 +128,19 @@ class TableBlockProvider final : public BlockProvider {
   BlockGeometry geometry_;
 };
 
-/// Slow tier: blocks faulted in from a RemoteServer's base level through
-/// ranged reads. The wire format is doubles (the server's numeric view),
-/// re-encoded into the declared type on arrival — exact for int32/float/
-/// double and for int64 magnitudes below 2^53; string columns round-trip
-/// their dictionary codes.
+/// Slow tier: blocks faulted in from a RemoteServer's base column through
+/// ranged reads. The wire carries the fields' own bytes at the column's
+/// width, so every type round-trips exactly; string columns ship their
+/// codes and decode through the served column's dictionary.
 class RemoteBlockProvider final : public BlockProvider {
  public:
-  RemoteBlockProvider(remote::RemoteServer* server, storage::DataType type,
-                      std::int64_t rows_per_block,
-                      const storage::Dictionary* dictionary = nullptr);
+  /// Serves `server->base()`; `server` must outlive the provider.
+  RemoteBlockProvider(remote::RemoteServer* server,
+                      std::int64_t rows_per_block);
 
   const BlockGeometry& geometry() const override { return geometry_; }
   const storage::Dictionary* dictionary() const override {
-    return dictionary_;
+    return server_->base().dictionary();
   }
   Result<std::vector<std::byte>> Fetch(std::int64_t block) override;
   /// One ranged read against the server spanning the blocks' rows — N
@@ -163,7 +161,7 @@ class RemoteBlockProvider final : public BlockProvider {
 
  private:
   /// Shared fetch core: reads `count` rows from `first` as one server
-  /// range read and re-encodes the doubles into the declared type.
+  /// range read.
   Result<std::vector<std::byte>> FetchRows(storage::RowId first,
                                            std::int64_t count,
                                            const std::string& what);
@@ -171,7 +169,6 @@ class RemoteBlockProvider final : public BlockProvider {
   /// RemoteServer models one synchronous endpoint and is not itself
   /// thread-safe; faults from concurrent cache shards serialise here.
   std::mutex server_mu_;
-  const storage::Dictionary* dictionary_;
   BlockGeometry geometry_;
   std::atomic<std::int64_t> requests_{0};
   std::atomic<std::int64_t> ranged_requests_{0};

@@ -129,22 +129,6 @@ class BufferManager::Source : public storage::PagedColumnSource {
     return Status::OK();
   }
 
-  bool RequestPrefetch(std::int64_t block) override {
-    if (!may_block() || block < 0 || block >= num_blocks()) {
-      return false;
-    }
-    const BlockKey key{owner_, block};
-    if (manager_->cache_.Contains(key)) {
-      return false;  // Already resident; nothing to warm.
-    }
-    FetchQueue* queue = manager_->fetch_queue();
-    DBTOUCH_CHECK(queue != nullptr);
-    // A coalesced join (the block is already queued/in flight) is a
-    // no-op for the caller's budget, same as an already-resident block.
-    return queue->Enqueue(key, provider_, block, FetchPriority::kPrefetch,
-                          nullptr);
-  }
-
   /// Ranged warm-up: each non-resident stretch of the predicted path goes
   /// to the queue as ONE pre-formed ranged ticket (one ReadRange when it
   /// pops), so the extrapolation horizon — not pop-time re-merging or its

@@ -6,8 +6,8 @@
 // otherwise serve. The FetchQueue moves those reads onto a small fetcher
 // thread pool:
 //
-//   TryPinBlock (miss) --> Enqueue(demand) ---+
-//   Prefetcher slide path --> Enqueue(prefetch)+--> fetcher threads
+//   TryPinBlock (miss) --> Enqueue(demand) ----+
+//   slide path --> EnqueueRange(prefetch) -----+--> fetcher threads
 //                                              |      provider->Fetch
 //                                              |      (bounded retries,
 //                                              |       exponential backoff)
@@ -180,8 +180,8 @@ class FetchQueue {
   /// max_coalesce_blocks cap). Blocks already queued or in flight are
   /// skipped (counted as coalesced). A later demand Enqueue for a block
   /// inside a still-queued ticket splits the ticket around it, so demand
-  /// never waits on (or inflates) a warm-up range. Fire-and-forget like
-  /// RequestPrefetch; returns the number of blocks actually enqueued.
+  /// never waits on (or inflates) a warm-up range. Fire-and-forget;
+  /// returns the number of blocks actually enqueued.
   std::size_t EnqueueRange(std::uint64_t owner,
                            std::shared_ptr<BlockProvider> provider,
                            std::int64_t first_block, std::int64_t count);

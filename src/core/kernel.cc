@@ -26,6 +26,14 @@ using touch::TouchMapping;
 
 namespace {
 
+/// Prefetch look-ahead (s) along the extrapolated slide path. The retired
+/// ABL-PREFETCH horizon sweep (recorded in src/cache/README.md) stalled on
+/// every touch at 0.05 s and reached its floor from 0.25 s on.
+constexpr double kPrefetchHorizonS = 0.25;
+/// Warm-up fetches issued per slide step at most (bounds queue growth
+/// when the extrapolator predicts a long reach).
+constexpr std::int64_t kMaxPrefetchBlocksPerTouch = 8;
+
 std::int64_t NowWallNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -845,7 +853,7 @@ void Kernel::MaybePrefetch(ObjectState* obj, RowId row,
       shared_->buffer_manager().prefetch_claim_rate());
   const prefetch::RowRange range = obj->extrapolator.PredictRange(
       event.timestamp_us,
-      config_.prefetch_horizon_s * obj->extrapolator.horizon_scale(),
+      kPrefetchHorizonS * obj->extrapolator.horizon_scale(),
       source->row_count());
   if (range.empty()) {
     return;
@@ -858,7 +866,7 @@ void Kernel::MaybePrefetch(ObjectState* obj, RowId row,
   // tail is exactly what needs warming.
   const std::int64_t issued = source->RequestPrefetchRange(
       source->BlockFor(range.first), source->BlockFor(range.last),
-      config_.max_prefetch_blocks_per_touch);
+      kMaxPrefetchBlocksPerTouch);
   stats_.prefetch_requests += issued;
 }
 

@@ -96,10 +96,6 @@ struct KernelConfig {
   /// steps over a slow-tier column enqueue low-priority warm-up fetches
   /// for the blocks the finger is predicted to reach within the horizon.
   bool prefetch_enabled = true;
-  double prefetch_horizon_s = 0.25;
-  /// Warm-up fetches issued per slide step at most (bounds queue growth
-  /// when the extrapolator predicts a long reach).
-  int max_prefetch_blocks_per_touch = 8;
 };
 
 struct KernelStats {

@@ -5,8 +5,18 @@
 
 namespace dbtouch::prefetch {
 
-GestureExtrapolator::GestureExtrapolator(const ExtrapolatorConfig& config)
-    : config_(config) {}
+namespace {
+
+// Fixed since the retired ABL-PREFETCH ablation (results recorded in
+// src/cache/README.md), which ran these values and swept only the horizon.
+
+/// EWMA weight of the newest velocity (and claim-rate) sample.
+constexpr double kSmoothing = 0.3;
+/// Gap (s) after which the gesture is considered paused; velocity decays
+/// rather than projecting stale movement forward.
+constexpr double kPauseAfterS = 0.25;
+
+}  // namespace
 
 void GestureExtrapolator::Observe(sim::Micros now, storage::RowId row) {
   if (!has_observation_) {
@@ -20,8 +30,7 @@ void GestureExtrapolator::Observe(sim::Micros now, storage::RowId row) {
   if (dt > 0) {
     const double inst = static_cast<double>(row - last_row_) /
                         sim::MicrosToSeconds(dt);
-    velocity_ = config_.smoothing * inst +
-                (1.0 - config_.smoothing) * velocity_;
+    velocity_ = kSmoothing * inst + (1.0 - kSmoothing) * velocity_;
   }
   last_time_ = now;
   last_row_ = row;
@@ -34,8 +43,7 @@ void GestureExtrapolator::ObserveClaimRate(double rate) {
     claim_rate_ = rate;
     return;
   }
-  claim_rate_ = config_.smoothing * rate +
-                (1.0 - config_.smoothing) * claim_rate_;
+  claim_rate_ = kSmoothing * rate + (1.0 - kSmoothing) * claim_rate_;
 }
 
 double GestureExtrapolator::horizon_scale() const {
@@ -51,7 +59,7 @@ bool GestureExtrapolator::IsPaused(sim::Micros now) const {
   if (!has_observation_) {
     return true;
   }
-  return sim::MicrosToSeconds(now - last_time_) > config_.pause_after_s;
+  return sim::MicrosToSeconds(now - last_time_) > kPauseAfterS;
 }
 
 RowRange GestureExtrapolator::PredictRange(sim::Micros now, double horizon_s,

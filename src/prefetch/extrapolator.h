@@ -16,14 +16,6 @@
 
 namespace dbtouch::prefetch {
 
-struct ExtrapolatorConfig {
-  /// EWMA weight of the newest velocity sample.
-  double smoothing = 0.3;
-  /// Gap (s) after which the gesture is considered paused; velocity decays
-  /// rather than projecting stale movement forward.
-  double pause_after_s = 0.25;
-};
-
 struct RowRange {
   storage::RowId first = 0;  // inclusive
   storage::RowId last = 0;   // inclusive
@@ -34,8 +26,6 @@ struct RowRange {
 
 class GestureExtrapolator {
  public:
-  explicit GestureExtrapolator(const ExtrapolatorConfig& config = {});
-
   /// Feeds the row just touched at `now`.
   void Observe(sim::Micros now, storage::RowId row);
 
@@ -54,7 +44,7 @@ class GestureExtrapolator {
   /// smaller row ids).
   double velocity_rows_per_s() const { return velocity_; }
 
-  /// True when no movement has been observed for pause_after_s.
+  /// True when no movement has been observed for the pause gap (0.25 s).
   bool IsPaused(sim::Micros now) const;
 
   /// Predicted touch range over the next `horizon_s` seconds from the last
@@ -67,7 +57,6 @@ class GestureExtrapolator {
   void Reset();
 
  private:
-  ExtrapolatorConfig config_;
   bool has_observation_ = false;
   sim::Micros last_time_ = 0;
   storage::RowId last_row_ = 0;

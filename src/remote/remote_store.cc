@@ -1,171 +1,40 @@
 #include "remote/remote_store.h"
 
 #include <algorithm>
-
-#include "common/macros.h"
+#include <cstring>
 
 namespace dbtouch::remote {
 
-RemoteServer::RemoteServer(storage::ColumnView base) : hierarchy_(base) {}
+RemoteServer::RemoteServer(storage::ColumnView base) : base_(base) {}
 
-std::vector<double> RemoteServer::ReadRange(int level, storage::RowId first,
-                                            std::int64_t count,
-                                            std::int64_t* response_bytes) {
+std::vector<std::byte> RemoteServer::ReadRange(storage::RowId first,
+                                               std::int64_t count) {
   ++requests_served_;
-  ++range_reads_;
   if (fail_next_reads_ > 0 ||
-      (fail_every_ > 0 && range_reads_ % fail_every_ == 0)) {
+      (fail_every_ > 0 && requests_served_ % fail_every_ == 0)) {
     // Injected transport failure: the response never arrives.
     if (fail_next_reads_ > 0) {
       --fail_next_reads_;
     }
-    if (response_bytes != nullptr) {
-      *response_bytes = 0;
-    }
     return {};
   }
-  std::vector<double> out;
-  const storage::ColumnView view = hierarchy_.LevelView(level);
+  const storage::RowId begin = std::max<storage::RowId>(first, 0);
   const storage::RowId end =
-      std::min<storage::RowId>(first + count, view.row_count());
-  for (storage::RowId r = std::max<storage::RowId>(first, 0); r < end; ++r) {
-    out.push_back(view.GetAsDouble(r));
+      std::min<storage::RowId>(first + count, base_.row_count());
+  if (end <= begin) {
+    return {};
   }
-  if (response_bytes != nullptr) {
-    *response_bytes = static_cast<std::int64_t>(out.size() * sizeof(double));
-  }
-  return out;
-}
-
-std::vector<double> RemoteServer::ReadRows(
-    int level, const std::vector<storage::RowId>& rows,
-    std::int64_t* response_bytes) {
-  ++requests_served_;
-  std::vector<double> out;
-  out.reserve(rows.size());
-  const storage::ColumnView view = hierarchy_.LevelView(level);
-  for (const storage::RowId r : rows) {
-    if (r >= 0 && r < view.row_count()) {
-      out.push_back(view.GetAsDouble(r));
-    }
-  }
-  if (response_bytes != nullptr) {
-    *response_bytes = static_cast<std::int64_t>(out.size() * sizeof(double));
+  // Gather: the base may be a row-major view, whose fields sit `stride`
+  // bytes apart; the wire carries them packed.
+  const std::size_t width = storage::TypeWidth(base_.type());
+  std::vector<std::byte> out(static_cast<std::size_t>(end - begin) * width);
+  const std::byte* src =
+      base_.data() + static_cast<std::size_t>(begin) * base_.stride();
+  for (std::byte* dst = out.data(); dst != out.data() + out.size();
+       dst += width, src += base_.stride()) {
+    std::memcpy(dst, src, width);
   }
   return out;
-}
-
-const char* RemoteStrategyName(RemoteStrategy s) {
-  switch (s) {
-    case RemoteStrategy::kLocalOnly:
-      return "local-only";
-    case RemoteStrategy::kPerTouchRpc:
-      return "per-touch-rpc";
-    case RemoteStrategy::kBatchedHybrid:
-      return "batched-hybrid";
-  }
-  return "?";
-}
-
-RemoteClient::RemoteClient(RemoteServer* server, SimulatedNetwork* network,
-                           const Config& config)
-    : server_(server), network_(network), config_(config) {
-  DBTOUCH_CHECK(server != nullptr);
-  DBTOUCH_CHECK(network != nullptr);
-  DBTOUCH_CHECK(config.local_levels >= 1);
-  const int num_levels = server_->hierarchy().num_levels();
-  local_level_ = std::max(0, num_levels - config.local_levels);
-}
-
-double RemoteClient::OnTouch(sim::Micros now, storage::RowId row) {
-  ++stats_.touches;
-  const auto& hierarchy = server_->hierarchy();
-
-  switch (config_.strategy) {
-    case RemoteStrategy::kLocalOnly: {
-      // Answer from the coarse local sample: free and instant.
-      ++stats_.local_answers;
-      auto& h = server_->hierarchy();
-      const storage::RowId s = h.FromBaseRow(local_level_, row);
-      // First-answer latency is 0 in virtual time.
-      return h.LevelView(local_level_).GetAsDouble(s);
-    }
-    case RemoteStrategy::kPerTouchRpc: {
-      // Synchronous full-fidelity read: user waits the round trip.
-      std::int64_t resp_bytes = 0;
-      const storage::RowId s =
-          hierarchy.FromBaseRow(config_.target_level, row);
-      const auto values =
-          server_->ReadRange(config_.target_level, s, 1, &resp_bytes);
-      constexpr std::int64_t kRequestBytes = 32;
-      network_->Account(kRequestBytes, resp_bytes);
-      const sim::Micros done =
-          network_->RoundTripDone(now, kRequestBytes, resp_bytes);
-      stats_.total_first_answer_latency_us += done - now;
-      ++stats_.remote_requests;
-      ++stats_.refined_answers;
-      stats_.total_refined_latency_us += done - now;
-      return values.empty() ? 0.0 : values[0];
-    }
-    case RemoteStrategy::kBatchedHybrid: {
-      // Instant local answer...
-      ++stats_.local_answers;
-      auto& h = server_->hierarchy();
-      const storage::RowId s = h.FromBaseRow(local_level_, row);
-      const double local_value =
-          h.LevelView(local_level_).GetAsDouble(s);
-      // ...and fold the touch into the refinement batch.
-      if (!batch_open_) {
-        batch_open_ = true;
-        batch_started_ = now;
-        batch_rows_.clear();
-      }
-      batch_rows_.push_back(row);
-      if (now - batch_started_ >= config_.batch_window_us) {
-        IssueBatch(now);
-      }
-      return local_value;
-    }
-  }
-  return 0.0;
-}
-
-void RemoteClient::IssueBatch(sim::Micros now) {
-  if (!batch_open_ || batch_rows_.empty()) {
-    batch_open_ = false;
-    return;
-  }
-  batch_open_ = false;
-  const auto& hierarchy = server_->hierarchy();
-  // One request carrying every touched position, refined at the target
-  // level (deduplicated: several touches can share a sample row).
-  std::vector<storage::RowId> sample_rows;
-  sample_rows.reserve(batch_rows_.size());
-  for (const storage::RowId base_row : batch_rows_) {
-    sample_rows.push_back(
-        hierarchy.FromBaseRow(config_.target_level, base_row));
-  }
-  std::sort(sample_rows.begin(), sample_rows.end());
-  sample_rows.erase(std::unique(sample_rows.begin(), sample_rows.end()),
-                    sample_rows.end());
-  std::int64_t resp_bytes = 0;
-  server_->ReadRows(config_.target_level, sample_rows, &resp_bytes);
-  const std::int64_t request_bytes =
-      32 + static_cast<std::int64_t>(sample_rows.size() * sizeof(std::int64_t));
-  network_->Account(request_bytes, resp_bytes);
-  const sim::Micros done =
-      network_->RoundTripDone(now, request_bytes, resp_bytes);
-  ++stats_.remote_requests;
-  // Every touch in the batch refines when the response lands.
-  const auto batch_touches =
-      static_cast<std::int64_t>(batch_rows_.size());
-  stats_.refined_answers += batch_touches;
-  stats_.total_refined_latency_us += (done - now) * batch_touches;
-  batch_rows_.clear();
-}
-
-void RemoteClient::Flush(sim::Micros now) {
-  IssueBatch(now);
 }
 
 }  // namespace dbtouch::remote

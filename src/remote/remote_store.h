@@ -5,46 +5,39 @@
 // mean time more fine-grained answers are produced and delivered by the
 // server."
 //
-// RemoteServer owns the base column and its full sample hierarchy.
-// RemoteClient owns only the hierarchy's coarse top levels; every touch is
-// answered immediately from local data, and refinement requests flow to
-// the server under one of three strategies the ABL-REMOTE benchmark
-// compares (local-only, per-touch RPC, batched hybrid).
+// RemoteServer is the server side of that split: it holds the base column
+// and answers range reads with the rows' field bytes. The device side is
+// cache::RemoteBlockProvider, which faults blocks through these reads into
+// the buffer pool; the touch server's partial answers (answer from the
+// resident sample level now, refine when the block lands) implement the
+// local-coarse / remote-refine behaviour on top of it.
 
 #ifndef DBTOUCH_REMOTE_REMOTE_STORE_H_
 #define DBTOUCH_REMOTE_REMOTE_STORE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "remote/network.h"
-#include "sampling/sample_hierarchy.h"
-#include "sim/virtual_clock.h"
 #include "storage/column.h"
 #include "storage/types.h"
 
 namespace dbtouch::remote {
 
-/// The cloud side: base data plus all sample levels, and the handler for
-/// range-read requests.
+/// The cloud side: the base column and the handler for range-read
+/// requests. Not thread-safe; callers serialise requests.
 class RemoteServer {
  public:
+  /// Serves `base`, which must outlive the server.
   explicit RemoteServer(storage::ColumnView base);
 
-  /// Serves `count` entries of `level` starting at `first`. Returns the
-  /// values; `response_bytes` gets the payload size.
-  std::vector<double> ReadRange(int level, storage::RowId first,
-                                std::int64_t count,
-                                std::int64_t* response_bytes);
+  /// Serves rows [first, first + count), clipped to the column, as their
+  /// fields packed back to back at the column's width (string columns
+  /// ship their dictionary codes).
+  std::vector<std::byte> ReadRange(storage::RowId first, std::int64_t count);
 
-  /// Serves the `level` entries at the given sample rows (one batched
-  /// request for many point reads — what the hybrid client sends).
-  std::vector<double> ReadRows(int level,
-                               const std::vector<storage::RowId>& rows,
-                               std::int64_t* response_bytes);
-
-  sampling::SampleHierarchy& hierarchy() { return hierarchy_; }
+  /// The served column.
+  const storage::ColumnView& base() const { return base_; }
   std::int64_t requests_served() const { return requests_served_; }
 
   /// Failure injection for transport-error testing: the next `n` ReadRange
@@ -56,93 +49,10 @@ class RemoteServer {
   void set_fail_every(int n) { fail_every_ = n; }
 
  private:
-  sampling::SampleHierarchy hierarchy_;
+  storage::ColumnView base_;
   std::int64_t requests_served_ = 0;
   int fail_next_reads_ = 0;
   int fail_every_ = 0;
-  std::int64_t range_reads_ = 0;
-};
-
-enum class RemoteStrategy : std::uint8_t {
-  /// Only the local coarse sample is ever consulted. Zero network cost,
-  /// lowest fidelity.
-  kLocalOnly = 0,
-  /// Every touch issues a synchronous server read at the requested
-  /// fidelity (the naive per-touch RPC the paper warns about).
-  kPerTouchRpc = 1,
-  /// Touches answer locally at once; refinements are batched into ranged
-  /// requests issued when the batch window closes (the paper's hybrid).
-  kBatchedHybrid = 2,
-};
-
-const char* RemoteStrategyName(RemoteStrategy s);
-
-struct RemoteClientStats {
-  std::int64_t touches = 0;
-  std::int64_t local_answers = 0;
-  std::int64_t remote_requests = 0;
-  std::int64_t refined_answers = 0;
-  sim::Micros total_first_answer_latency_us = 0;
-  sim::Micros total_refined_latency_us = 0;
-
-  double avg_first_answer_ms() const {
-    return touches == 0 ? 0.0
-                        : sim::MicrosToMillis(total_first_answer_latency_us) /
-                              static_cast<double>(touches);
-  }
-  double avg_refined_ms() const {
-    return refined_answers == 0
-               ? 0.0
-               : sim::MicrosToMillis(total_refined_latency_us) /
-                     static_cast<double>(refined_answers);
-  }
-};
-
-/// The tablet side.
-class RemoteClient {
- public:
-  struct Config {
-    RemoteStrategy strategy = RemoteStrategy::kBatchedHybrid;
-    /// Levels the client stores locally: the top `local_levels` coarsest
-    /// levels of the hierarchy.
-    int local_levels = 2;
-    /// Fidelity (level) the user ultimately wants answers at.
-    int target_level = 0;
-    /// Batch window for kBatchedHybrid: touches within this window share
-    /// one ranged request.
-    sim::Micros batch_window_us = 200'000;
-  };
-
-  RemoteClient(RemoteServer* server, SimulatedNetwork* network,
-               const Config& config);
-
-  /// One touch at base row `row`, at virtual time `now`. Returns the value
-  /// shown to the user immediately (local fidelity for hybrid/local-only;
-  /// full fidelity for per-touch RPC, after its round trip).
-  double OnTouch(sim::Micros now, storage::RowId row);
-
-  /// Closes any open batch (end of gesture): issues the pending ranged
-  /// refinement request.
-  void Flush(sim::Micros now);
-
-  const RemoteClientStats& stats() const { return stats_; }
-
-  /// The level the client can answer locally (coarsest stored locally).
-  int local_level() const { return local_level_; }
-
- private:
-  void IssueBatch(sim::Micros now);
-
-  RemoteServer* server_;        // Not owned.
-  SimulatedNetwork* network_;   // Not owned.
-  Config config_;
-  int local_level_;
-  RemoteClientStats stats_;
-  // Open batch (kBatchedHybrid): the touched base rows awaiting
-  // refinement.
-  bool batch_open_ = false;
-  sim::Micros batch_started_ = 0;
-  std::vector<storage::RowId> batch_rows_;
 };
 
 }  // namespace dbtouch::remote

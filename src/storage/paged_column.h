@@ -187,35 +187,21 @@ class PagedColumnSource {
     return Status::OK();
   }
 
-  /// Hints that `block` will likely be touched soon (the prefetcher's
-  /// extrapolated slide path). Low priority: demand fetches preempt.
-  /// Returns true iff a warm-up fetch was actually enqueued (false when
-  /// the block is already resident or the source is immediate), so
-  /// callers budget against real fetches, not no-op hints.
-  virtual bool RequestPrefetch(std::int64_t block) {
-    (void)block;
-    return false;
-  }
-
-  /// Ranged sibling of RequestPrefetch: the extrapolator predicted the
-  /// whole slide path [first_block, last_block], so the horizon should
-  /// express itself in the read size — a caching source turns each missing
-  /// stretch into ONE ranged warm-up ticket (one backing read) instead of
-  /// block-by-block enqueues re-merged at pop time. At most
-  /// `max_new_blocks` blocks are actually enqueued (already-resident or
-  /// already-queued blocks are free); returns how many were. Default:
-  /// per-block loop, same budget semantics.
+  /// Hints that blocks [first_block, last_block] will likely be touched
+  /// soon (the extrapolated slide path, Section 2.6). Low priority: demand
+  /// fetches preempt. A caching source turns each missing stretch into ONE
+  /// ranged warm-up ticket (one backing read) instead of block-by-block
+  /// enqueues re-merged at pop time. At most `max_new_blocks` blocks are
+  /// actually enqueued (already-resident or already-queued blocks are
+  /// free); returns how many were, so callers budget against real fetches,
+  /// not no-op hints. Default: nothing to warm (immediate sources).
   virtual std::int64_t RequestPrefetchRange(std::int64_t first_block,
                                             std::int64_t last_block,
                                             std::int64_t max_new_blocks) {
-    std::int64_t issued = 0;
-    for (std::int64_t block = first_block;
-         block <= last_block && issued < max_new_blocks; ++block) {
-      if (RequestPrefetch(block)) {
-        ++issued;
-      }
-    }
-    return issued;
+    (void)first_block;
+    (void)last_block;
+    (void)max_new_blocks;
+    return 0;
   }
 
   /// The gesture driving reads of this column paused — a caching source

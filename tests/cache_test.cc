@@ -7,8 +7,10 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "cache/block_cache.h"
@@ -627,8 +629,8 @@ TEST(BufferManagerTest, RemoteProviderFaultsColdBlocksOnce) {
   BufferManagerConfig config;
   config.rows_per_block = 256;
   BufferManager manager(config);
-  auto provider = std::make_shared<RemoteBlockProvider>(
-      &server, storage::DataType::kInt64, config.rows_per_block);
+  auto provider =
+      std::make_shared<RemoteBlockProvider>(&server, config.rows_per_block);
   auto source = manager.SourceFor("cold.v", 0, provider);
   storage::PagedColumnCursor cursor(source);
 
@@ -643,6 +645,88 @@ TEST(BufferManagerTest, RemoteProviderFaultsColdBlocksOnce) {
   }
   EXPECT_EQ(provider->requests(), 2);
   EXPECT_GT(provider->bytes_fetched(), 0);
+}
+
+TEST(RemoteBlockProviderTest, EveryTypeRoundTripsExactly) {
+  // Values a numeric (double) wire would round: int64 past 2^53 and at
+  // the type's limits, float/double signed zeros, infinities and
+  // subnormals. Row-major storage makes the server gather strided fields.
+  constexpr std::int64_t kPast53 = (std::int64_t{1} << 53) + 1;
+  const std::vector<std::string> strings = {"alpha", "beta", "alpha",
+                                            "gamma", "delta"};
+  std::vector<Column> cols;
+  cols.push_back(Column::FromInt64(
+      "i64", {kPast53, -kPast53, std::numeric_limits<std::int64_t>::max(),
+              std::numeric_limits<std::int64_t>::min(), 0}));
+  cols.push_back(Column::FromInt32(
+      "i32", {std::numeric_limits<std::int32_t>::max(),
+              std::numeric_limits<std::int32_t>::min(), -7, 0, 1}));
+  cols.push_back(Column::FromFloat(
+      "f32", {1.1F, -0.0F, std::numeric_limits<float>::infinity(),
+              std::numeric_limits<float>::denorm_min(),
+              std::numeric_limits<float>::max()}));
+  cols.push_back(Column::FromDouble(
+      "f64", {0.1, -0.0, -std::numeric_limits<double>::infinity(),
+              std::numeric_limits<double>::denorm_min(),
+              std::numeric_limits<double>::max()}));
+  cols.push_back(Column::FromStrings("s", strings));
+  const auto table = storage::Table::FromColumns(
+      "types", std::move(cols), storage::MajorOrder::kRowMajor);
+  ASSERT_TRUE(table.ok());
+
+  for (std::size_t c = 0; c < (*table)->schema().num_fields(); ++c) {
+    const storage::ColumnView source = (*table)->ColumnViewAt(c);
+    remote::RemoteServer server(source);
+    RemoteBlockProvider provider(&server, /*rows_per_block=*/2);
+    ASSERT_EQ(provider.geometry().type, source.type());
+    ASSERT_EQ(provider.geometry().row_count, source.row_count());
+    const std::size_t width = provider.geometry().width();
+
+    // Every field of `payload`, read from `first_row` on, must equal the
+    // source bit for bit and box to the same value.
+    const auto expect_exact = [&](const std::vector<std::byte>& payload,
+                                  RowId first_row) {
+      const storage::ColumnView got(
+          provider.geometry().type, payload.data(), width,
+          static_cast<std::int64_t>(payload.size() / width),
+          provider.dictionary());
+      for (RowId r = 0; r < got.row_count(); ++r) {
+        const RowId row = first_row + r;
+        EXPECT_EQ(std::memcmp(payload.data() + r * width,
+                              source.data() + row * source.stride(), width),
+                  0)
+            << "column " << c << " row " << row;
+        EXPECT_TRUE(got.GetValue(r) == source.GetValue(row))
+            << "column " << c << " row " << row << ": got "
+            << got.GetValue(r).ToString() << ", want "
+            << source.GetValue(row).ToString();
+        if (source.type() == storage::DataType::kString) {
+          ASSERT_TRUE(got.GetValue(r).is_string());
+          EXPECT_EQ(got.GetValue(r).AsString(),
+                    strings[static_cast<std::size_t>(row)]);
+        }
+      }
+    };
+
+    RowId first_row = 0;
+    for (std::int64_t block = 0; block < provider.geometry().num_blocks();
+         ++block) {
+      const auto payload = provider.Fetch(block);
+      ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+      ASSERT_EQ(payload->size(),
+                static_cast<std::size_t>(
+                    provider.geometry().BlockRowCount(block)) *
+                    width);
+      expect_exact(*payload, first_row);
+      first_row += provider.geometry().BlockRowCount(block);
+    }
+    const auto range =
+        provider.ReadRange(0, provider.geometry().num_blocks());
+    ASSERT_TRUE(range.ok()) << range.status().ToString();
+    ASSERT_EQ(range->size(),
+              static_cast<std::size_t>(source.row_count()) * width);
+    expect_exact(*range, 0);
+  }
 }
 
 // ---- Ranged-read coalescing (batched demand fetches) ------------------------

@@ -1,6 +1,6 @@
 // Cross-module integration tests: full exploration sessions through the
 // kernel, trace persistence round trips, rotation under live gestures,
-// join resumption through the hash-table cache, and the remote split.
+// and join resumption through the hash-table cache.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "common/macros.h"
 #include "core/ascii_screen.h"
 #include "core/kernel.h"
-#include "remote/remote_store.h"
 #include "sim/motion_profile.h"
 #include "sim/trace_builder.h"
 #include "sim/trace_io.h"
@@ -196,35 +195,6 @@ TEST(IntegrationTest, JoinResumesThroughHashTableCache) {
         resumed->Feed(exec::JoinSide::kRight, r).size());
   }
   EXPECT_EQ(matches, 100);  // Every probe found its cached partner.
-}
-
-TEST(IntegrationTest, RemoteHybridMatchesServerAtLocalFidelity) {
-  Column base = storage::GenSequenceInt64("v", 1 << 18, 0, 1);
-  remote::RemoteServer server(base.View());
-  remote::SimulatedNetwork network;
-  remote::RemoteClient::Config config;
-  config.strategy = remote::RemoteStrategy::kBatchedHybrid;
-  remote::RemoteClient client(&server, &network, config);
-
-  // Touch rows derived from a recorded slide's mapped positions.
-  sim::TouchDevice device;
-  TraceBuilder builder(device);
-  const auto trace = builder.Slide("s", PointCm{3.0, 1.0}, PointCm{3.0, 11.0},
-                                   MotionProfile::Constant(2.0));
-  const std::int64_t n = base.row_count();
-  for (const auto& event : trace.events) {
-    const RowId row = touch::MapPositionToRow(event.position.y - 1.0, 10.0,
-                                              n);
-    const double answer = client.OnTouch(event.timestamp_us, row);
-    // The instant answer equals the value of the nearest local-level
-    // sample — a bounded-error approximation of the touched row.
-    const std::int64_t stride = std::int64_t{1} << client.local_level();
-    EXPECT_NEAR(answer, static_cast<double>(row),
-                static_cast<double>(stride));
-  }
-  client.Flush(trace.duration_us());
-  EXPECT_GT(network.requests_sent(), 0);
-  EXPECT_LT(network.requests_sent(), 8);  // Batched, not per touch.
 }
 
 TEST(IntegrationTest, AsciiScreenShowsObjectsAndResults) {

@@ -20,6 +20,7 @@
 #include "core/kernel.h"
 #include "core/result_stream.h"
 #include "gateway/wire.h"
+#include "remote/remote_store.h"
 #include "server/api.h"
 #include "server/frame_scheduler.h"
 #include "server/server_stats.h"
@@ -239,32 +240,36 @@ constexpr std::int64_t kRowsPerBlock = 1'024;
 constexpr double kFetchLatencyMs = 12.0;
 constexpr sim::Micros kBudgetUs = 5'000;
 
-/// Async provider with a fixed per-fetch latency: every cold block costs
-/// kFetchLatencyMs, far beyond the frame budget, so a classic park
-/// guarantees a deadline miss while a partial answer meets it.
+/// Async provider with a fixed per-fetch latency in front of `inner`:
+/// every cold block costs kFetchLatencyMs, far beyond the frame budget, so
+/// a classic park guarantees a deadline miss while a partial answer meets
+/// it.
 class SlowTierProvider final : public cache::BlockProvider {
  public:
-  SlowTierProvider(std::shared_ptr<const Table> table, std::size_t column,
-                   std::int64_t rows_per_block)
-      : inner_(std::move(table), column, rows_per_block) {}
+  explicit SlowTierProvider(std::shared_ptr<cache::BlockProvider> inner)
+      : inner_(std::move(inner)) {}
 
   const cache::BlockGeometry& geometry() const override {
-    return inner_.geometry();
+    return inner_->geometry();
   }
   const storage::Dictionary* dictionary() const override {
-    return inner_.dictionary();
+    return inner_->dictionary();
   }
   bool async() const override { return true; }
 
   Result<std::vector<std::byte>> Fetch(std::int64_t block) override {
     std::this_thread::sleep_for(
         std::chrono::duration<double, std::milli>(kFetchLatencyMs));
-    return inner_.Fetch(block);
+    return inner_->Fetch(block);
   }
 
  private:
-  cache::TableBlockProvider inner_;
+  std::shared_ptr<cache::BlockProvider> inner_;
 };
+
+/// The backing store behind SlowTierProvider: the in-memory table, or the
+/// same column served by a remote::RemoteServer (paper Section 4's tier).
+enum class ColdTier { kTable, kRemote };
 
 std::shared_ptr<Table> SequenceTable(const std::string& name) {
   std::vector<Column> cols;
@@ -304,12 +309,22 @@ struct ArmResult {
 /// against the session kernel after Drain.
 ArmResult RunColdSlide(
     bool partial_answers,
-    const std::function<void(TouchServer&, SessionId)>& inspect = {}) {
-  TouchServer server(PartialAnswerConfig(partial_answers));
+    const std::function<void(TouchServer&, SessionId)>& inspect = {},
+    ColdTier tier = ColdTier::kTable) {
   auto table = SequenceTable("cold");
+  // Declared before the server so it outlives every fetch the server runs.
+  remote::RemoteServer remote_server(table->ColumnViewAt(0));
+  TouchServer server(PartialAnswerConfig(partial_answers));
   EXPECT_TRUE(server.RegisterTable(table).ok());
-  auto provider =
-      std::make_shared<SlowTierProvider>(table, 0, kRowsPerBlock);
+  std::shared_ptr<cache::BlockProvider> inner;
+  if (tier == ColdTier::kRemote) {
+    inner = std::make_shared<cache::RemoteBlockProvider>(&remote_server,
+                                                         kRowsPerBlock);
+  } else {
+    inner = std::make_shared<cache::TableBlockProvider>(table, 0,
+                                                        kRowsPerBlock);
+  }
+  auto provider = std::make_shared<SlowTierProvider>(std::move(inner));
   EXPECT_TRUE(server.shared().SetColumnProvider("cold", 0, provider).ok());
   EXPECT_TRUE(server.Start().ok());
 
@@ -387,76 +402,82 @@ TEST(PartialAnswerServerTest, PartialDispatchPreservesDeadlinesAndConverges) {
   }
   ASSERT_FALSE(reference_values.empty());
 
-  const ArmResult partial = RunColdSlide(
-      /*partial_answers=*/true,
-      [&](TouchServer& server, SessionId session) {
-        // Every partial answer must have converged: a later full-fidelity
-        // item for the same object and row, bit-identical to the blocking
-        // reference kernel's value.
-        ASSERT_TRUE(
-            server
-                .WithSession(session,
-                             [&](Kernel& kernel) {
-                               const auto& items =
-                                   kernel.results().items();
-                               std::int64_t checked = 0;
-                               for (std::size_t i = 0; i < items.size();
-                                    ++i) {
-                                 if (!items[i].partial) {
-                                   continue;
-                                 }
-                                 bool refined = false;
-                                 for (std::size_t j = i + 1;
-                                      j < items.size(); ++j) {
-                                   if (items[j].partial ||
-                                       items[j].object !=
-                                           items[i].object ||
-                                       items[j].row != items[i].row) {
+  // The same slide over both backing stores: the in-memory table, and the
+  // column behind a RemoteServer (Section 4's remote tier, for real).
+  for (const ColdTier tier : {ColdTier::kTable, ColdTier::kRemote}) {
+    SCOPED_TRACE(tier == ColdTier::kRemote ? "remote tier" : "table tier");
+    const ArmResult partial = RunColdSlide(
+        /*partial_answers=*/true,
+        [&](TouchServer& server, SessionId session) {
+          // Every partial answer must have converged: a later full-fidelity
+          // item for the same object and row, bit-identical to the blocking
+          // reference kernel's value.
+          ASSERT_TRUE(
+              server
+                  .WithSession(session,
+                               [&](Kernel& kernel) {
+                                 const auto& items =
+                                     kernel.results().items();
+                                 std::int64_t checked = 0;
+                                 for (std::size_t i = 0; i < items.size();
+                                      ++i) {
+                                   if (!items[i].partial) {
                                      continue;
                                    }
-                                   refined = true;
-                                   ASSERT_TRUE(reference_values.count(
-                                       items[j].row));
-                                   EXPECT_EQ(
-                                       items[j].value.AsInt(),
-                                       reference_values[items[j].row]);
-                                   break;
+                                   bool refined = false;
+                                   for (std::size_t j = i + 1;
+                                        j < items.size(); ++j) {
+                                     if (items[j].partial ||
+                                         items[j].object !=
+                                             items[i].object ||
+                                         items[j].row != items[i].row) {
+                                       continue;
+                                     }
+                                     refined = true;
+                                     ASSERT_TRUE(reference_values.count(
+                                         items[j].row));
+                                     EXPECT_EQ(
+                                         items[j].value.AsInt(),
+                                         reference_values[items[j].row]);
+                                     break;
+                                   }
+                                   EXPECT_TRUE(refined)
+                                       << "partial answer at row "
+                                       << items[i].row << " never refined";
+                                   ++checked;
                                  }
-                                 EXPECT_TRUE(refined)
-                                     << "partial answer at row "
-                                     << items[i].row << " never refined";
-                                 ++checked;
-                               }
-                               EXPECT_GT(checked, 0);
-                             })
-                .ok());
-        // The api layer reports the same story: partial counters are up
-        // and the result tail carries partial-flagged entries.
-        api::SessionSnapshotReq req;
-        req.session = session;
-        req.max_results = 100'000;
-        const auto resp = server.Call(req);
-        ASSERT_TRUE(resp.ok());
-        EXPECT_GT(resp->partial_answers, 0);
-        EXPECT_GT(resp->refinements, 0);
-        bool saw_partial_flag = false;
-        for (const auto& info : resp->results) {
-          saw_partial_flag = saw_partial_flag || info.partial;
-        }
-        EXPECT_TRUE(saw_partial_flag);
-      });
+                                 EXPECT_GT(checked, 0);
+                               })
+                  .ok());
+          // The api layer reports the same story: partial counters are up
+          // and the result tail carries partial-flagged entries.
+          api::SessionSnapshotReq req;
+          req.session = session;
+          req.max_results = 100'000;
+          const auto resp = server.Call(req);
+          ASSERT_TRUE(resp.ok());
+          EXPECT_GT(resp->partial_answers, 0);
+          EXPECT_GT(resp->refinements, 0);
+          bool saw_partial_flag = false;
+          for (const auto& info : resp->results) {
+            saw_partial_flag = saw_partial_flag || info.partial;
+          }
+          EXPECT_TRUE(saw_partial_flag);
+        },
+        tier);
 
-  ASSERT_GT(partial.executed, 0);
-  // The deadline is sacred: coarse-from-resident answers keep the touch
-  // inside its frame budget. A small allowance absorbs scheduler jitter
-  // on loaded CI runners; the classic arm misses >= 25% structurally.
-  EXPECT_LE(partial.misses * 10, partial.executed);
-  EXPECT_GT(partial.partials, 0);
-  // Convergence: every partial answer was refined (none shed — the tier
-  // serves every fetch eventually).
-  EXPECT_EQ(partial.partials,
-            partial.refinements + partial.refinements_shed);
-  EXPECT_EQ(partial.refinements_shed, 0);
+    ASSERT_GT(partial.executed, 0);
+    // The deadline is sacred: coarse-from-resident answers keep the touch
+    // inside its frame budget. A small allowance absorbs scheduler jitter
+    // on loaded CI runners; the classic arm misses >= 25% structurally.
+    EXPECT_LE(partial.misses * 10, partial.executed);
+    EXPECT_GT(partial.partials, 0);
+    // Convergence: every partial answer was refined (none shed — the tier
+    // serves every fetch eventually).
+    EXPECT_EQ(partial.partials,
+              partial.refinements + partial.refinements_shed);
+    EXPECT_EQ(partial.refinements_shed, 0);
+  }
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
-// Unit tests for gesture extrapolation and the prefetcher.
+// Unit tests for gesture extrapolation.
 
 #include <gtest/gtest.h>
 
 #include "prefetch/extrapolator.h"
-#include "prefetch/prefetcher.h"
 #include "sim/virtual_clock.h"
 
 namespace dbtouch::prefetch {
@@ -90,146 +89,6 @@ TEST(ExtrapolatorTest, ResetForgets) {
   ex.Reset();
   EXPECT_DOUBLE_EQ(ex.velocity_rows_per_s(), 0.0);
   EXPECT_TRUE(ex.PredictRange(200'000, 1.0, 10'000).empty());
-}
-
-TEST(BlockStoreTest, FetchCompletesAfterLatency) {
-  SimulatedBlockStore store(1000, 50'000);
-  EXPECT_FALSE(store.IsResident(3, 0));
-  const Micros done = store.Fetch(3, 100);
-  EXPECT_EQ(done, 50'100);
-  EXPECT_FALSE(store.IsResident(3, 50'099));
-  EXPECT_TRUE(store.IsResident(3, 50'100));
-  EXPECT_EQ(store.fetches_issued(), 1);
-}
-
-TEST(BlockStoreTest, RefetchIsNoop) {
-  SimulatedBlockStore store(1000, 50'000);
-  store.Fetch(3, 0);
-  const Micros done = store.Fetch(3, 40'000);  // Already in flight.
-  EXPECT_EQ(done, 50'000);
-  EXPECT_EQ(store.fetches_issued(), 1);
-}
-
-TEST(BlockStoreTest, BlockOfMapsRows) {
-  SimulatedBlockStore store(1000, 1);
-  EXPECT_EQ(store.BlockOf(0), 0);
-  EXPECT_EQ(store.BlockOf(999), 0);
-  EXPECT_EQ(store.BlockOf(1000), 1);
-}
-
-TEST(PrefetcherTest, SteadySlideHitsAfterWarmup) {
-  // Slide at 10000 rows/s over blocks of 1000 rows with 50ms fetches: the
-  // 0.5s horizon keeps ~5 blocks in flight ahead; after the first block's
-  // stall everything is resident on arrival.
-  SimulatedBlockStore store(1000, 50'000);
-  Prefetcher::Config config;
-  config.horizon_s = 0.5;
-  Prefetcher prefetcher(&store, config);
-  Micros now = 0;
-  storage::RowId row = 0;
-  std::int64_t late_stalls = 0;
-  for (int i = 0; i < 100; ++i) {
-    const Micros stall = prefetcher.OnTouch(now, row, 1'000'000);
-    if (i > 10 && stall > 0) {
-      ++late_stalls;
-    }
-    now += 66'000;  // ~15Hz
-    row += 660;     // 10000 rows/s
-  }
-  EXPECT_EQ(late_stalls, 0);
-  EXPECT_GT(prefetcher.stats().hits, 80);
-  EXPECT_GT(prefetcher.stats().blocks_prefetched, 10);
-}
-
-TEST(PrefetcherTest, DisabledPrefetchStallsOnEveryBlock) {
-  SimulatedBlockStore store(1000, 50'000);
-  Prefetcher::Config config;
-  config.enabled = false;
-  Prefetcher prefetcher(&store, config);
-  Micros now = 0;
-  storage::RowId row = 0;
-  for (int i = 0; i < 100; ++i) {
-    prefetcher.OnTouch(now, row, 1'000'000);
-    now += 66'000;
-    row += 660;
-  }
-  // Every new block (roughly 2 touches per 1000-row block at 660 rows per
-  // touch) is a demand miss.
-  EXPECT_GT(prefetcher.stats().stalls, 30);
-  EXPECT_GT(prefetcher.stats().stall_us, 0);
-  EXPECT_EQ(prefetcher.stats().blocks_prefetched, 0);
-}
-
-TEST(PrefetcherTest, PrefetchBeatsNoPrefetchOnStallTime) {
-  const auto run = [](bool enabled) {
-    SimulatedBlockStore store(1000, 50'000);
-    Prefetcher::Config config;
-    config.enabled = enabled;
-    Prefetcher prefetcher(&store, config);
-    Micros now = 0;
-    storage::RowId row = 0;
-    for (int i = 0; i < 200; ++i) {
-      prefetcher.OnTouch(now, row, 10'000'000);
-      now += 66'000;
-      row += 660;
-    }
-    return prefetcher.stats().stall_us;
-  };
-  EXPECT_LT(run(true), run(false) / 5);
-}
-
-// Property sweep: across fetch latencies and gesture speeds, prefetching
-// never increases stall time, and with a horizon comfortably above the
-// fetch latency the steady-state stall count is O(1) (warmup only).
-class PrefetcherSweep
-    : public testing::TestWithParam<std::tuple<Micros, int>> {};
-
-TEST_P(PrefetcherSweep, PrefetchNeverHurtsAndWarmupBounds) {
-  const auto [fetch_latency, rows_per_touch] = GetParam();
-  const auto run = [&](bool enabled) {
-    SimulatedBlockStore store(1000, fetch_latency);
-    Prefetcher::Config config;
-    config.enabled = enabled;
-    config.horizon_s = 4.0 * sim::MicrosToSeconds(fetch_latency) + 0.2;
-    Prefetcher prefetcher(&store, config);
-    Micros now = 0;
-    storage::RowId row = 0;
-    for (int i = 0; i < 150; ++i) {
-      prefetcher.OnTouch(now, row, 10'000'000);
-      now += 66'000;
-      row += rows_per_touch;
-    }
-    return prefetcher.stats();
-  };
-  const auto with = run(true);
-  const auto without = run(false);
-  EXPECT_LE(with.stall_us, without.stall_us);
-  EXPECT_LE(with.stalls, 4) << "steady slides should only stall in warmup";
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    LatencySpeedGrid, PrefetcherSweep,
-    testing::Combine(testing::Values<Micros>(5'000, 30'000, 100'000),
-                     testing::Values(200, 660, 2'000)));
-
-TEST(PrefetcherTest, PauseResumeCoversResumption) {
-  SimulatedBlockStore store(1000, 50'000);
-  Prefetcher::Config config;
-  config.horizon_s = 0.5;
-  Prefetcher prefetcher(&store, config);
-  Micros now = 0;
-  storage::RowId row = 0;
-  // Slide...
-  for (int i = 0; i < 30; ++i) {
-    prefetcher.OnTouch(now, row, 1'000'000);
-    now += 66'000;
-    row += 660;
-  }
-  // ...pause 2 seconds (no touches)...
-  now += 2'000'000;
-  // ...resume: the symmetric pause prefetch covered the neighbourhood.
-  const Micros stall = prefetcher.OnTouch(now, row + 100, 1'000'000);
-  EXPECT_EQ(stall, 0);
 }
 
 }  // namespace

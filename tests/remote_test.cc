@@ -1,8 +1,9 @@
-// Unit tests for the simulated network and remote client/server split.
+// Unit tests for the remote server's range reads.
 
 #include <gtest/gtest.h>
 
-#include "remote/network.h"
+#include <cstring>
+
 #include "remote/remote_store.h"
 #include "storage/datagen.h"
 
@@ -11,143 +12,23 @@ namespace {
 
 using storage::Column;
 
-TEST(NetworkTest, RoundTripIncludesLatencyAndTransfer) {
-  NetworkConfig config;
-  config.one_way_latency_us = 10'000;
-  config.bytes_per_second = 1'000'000.0;  // 1 MB/s
-  config.server_overhead_us = 500;
-  const SimulatedNetwork net(config);
-  // 2*10ms + 0.5ms + (1000+1000)/1MBps = 20.5ms + 2ms.
-  EXPECT_EQ(net.RoundTripDone(0, 1000, 1000), 22'500);
-  // Issued later shifts linearly.
-  EXPECT_EQ(net.RoundTripDone(100, 1000, 1000), 22'600);
-}
-
-TEST(NetworkTest, AccountingAccumulates) {
-  SimulatedNetwork net;
-  net.Account(100, 2000);
-  net.Account(50, 1000);
-  EXPECT_EQ(net.requests_sent(), 2);
-  EXPECT_EQ(net.bytes_up(), 150);
-  EXPECT_EQ(net.bytes_down(), 3000);
-}
-
 TEST(ServerTest, ReadRangeServesLevelData) {
   const Column base = storage::GenSequenceInt64("v", 4096, 0, 1);
   RemoteServer server(base.View());
-  std::int64_t bytes = 0;
-  const auto values = server.ReadRange(0, 100, 5, &bytes);
-  ASSERT_EQ(values.size(), 5u);
-  EXPECT_DOUBLE_EQ(values[0], 100.0);
-  EXPECT_DOUBLE_EQ(values[4], 104.0);
-  EXPECT_EQ(bytes, 40);
+  const auto bytes = server.ReadRange(100, 5);
+  ASSERT_EQ(bytes.size(), 5 * sizeof(std::int64_t));
+  std::int64_t values[5];
+  std::memcpy(values, bytes.data(), bytes.size());
+  EXPECT_EQ(values[0], 100);
+  EXPECT_EQ(values[4], 104);
   EXPECT_EQ(server.requests_served(), 1);
 }
 
 TEST(ServerTest, ReadRangeClampsToLevel) {
   const Column base = storage::GenSequenceInt64("v", 1000, 0, 1);
   RemoteServer server(base.View());
-  std::int64_t bytes = 0;
-  const auto values = server.ReadRange(0, 995, 100, &bytes);
-  EXPECT_EQ(values.size(), 5u);
-}
-
-TEST(ClientTest, LocalOnlyAnswersInstantlyFromCoarseSample) {
-  const Column base = storage::GenSequenceInt64("v", 1 << 16, 0, 1);
-  RemoteServer server(base.View());
-  SimulatedNetwork net;
-  RemoteClient::Config config;
-  config.strategy = RemoteStrategy::kLocalOnly;
-  config.local_levels = 2;
-  RemoteClient client(&server, &net, config);
-  const double v = client.OnTouch(0, 32'768);
-  // Coarse answer: the nearest sample entry at the local level.
-  const std::int64_t stride = std::int64_t{1} << client.local_level();
-  EXPECT_NEAR(v, 32'768.0, static_cast<double>(stride));
-  EXPECT_EQ(net.requests_sent(), 0);
-  EXPECT_EQ(client.stats().local_answers, 1);
-  EXPECT_DOUBLE_EQ(client.stats().avg_first_answer_ms(), 0.0);
-}
-
-TEST(ClientTest, PerTouchRpcPaysRoundTripEveryTouch) {
-  const Column base = storage::GenSequenceInt64("v", 1 << 16, 0, 1);
-  RemoteServer server(base.View());
-  SimulatedNetwork net;
-  RemoteClient::Config config;
-  config.strategy = RemoteStrategy::kPerTouchRpc;
-  RemoteClient client(&server, &net, config);
-  for (int i = 0; i < 10; ++i) {
-    const double v = client.OnTouch(i * 66'000, i * 1000);
-    EXPECT_DOUBLE_EQ(v, i * 1000.0);  // Full fidelity.
-  }
-  EXPECT_EQ(net.requests_sent(), 10);
-  // Each touch waited at least the round trip (40ms default).
-  EXPECT_GT(client.stats().avg_first_answer_ms(), 40.0);
-}
-
-TEST(ClientTest, BatchedHybridAnswersLocallyAndBatchesRefinement) {
-  const Column base = storage::GenSequenceInt64("v", 1 << 16, 0, 1);
-  RemoteServer server(base.View());
-  SimulatedNetwork net;
-  RemoteClient::Config config;
-  config.strategy = RemoteStrategy::kBatchedHybrid;
-  config.batch_window_us = 500'000;
-  RemoteClient client(&server, &net, config);
-  for (int i = 0; i < 8; ++i) {  // 8 touches inside one window.
-    client.OnTouch(i * 60'000, i * 1000);
-  }
-  client.Flush(480'000);
-  EXPECT_EQ(client.stats().local_answers, 8);
-  EXPECT_EQ(net.requests_sent(), 1);  // One ranged request for all 8.
-  EXPECT_EQ(client.stats().refined_answers, 8);
-  // First answers were instant; refinement took a round trip.
-  EXPECT_DOUBLE_EQ(client.stats().avg_first_answer_ms(), 0.0);
-  EXPECT_GT(client.stats().avg_refined_ms(), 20.0);
-}
-
-TEST(ClientTest, BatchWindowClosesAutomatically) {
-  const Column base = storage::GenSequenceInt64("v", 1 << 16, 0, 1);
-  RemoteServer server(base.View());
-  SimulatedNetwork net;
-  RemoteClient::Config config;
-  config.strategy = RemoteStrategy::kBatchedHybrid;
-  config.batch_window_us = 100'000;
-  RemoteClient client(&server, &net, config);
-  client.OnTouch(0, 100);
-  client.OnTouch(50'000, 200);
-  client.OnTouch(150'000, 300);  // Window closed: batch issued here.
-  EXPECT_EQ(net.requests_sent(), 1);
-  client.OnTouch(160'000, 400);  // Opens a fresh batch.
-  client.Flush(200'000);
-  EXPECT_EQ(net.requests_sent(), 2);
-}
-
-TEST(ClientTest, HybridUsesFarFewerRequestsThanPerTouch) {
-  const Column base = storage::GenSequenceInt64("v", 1 << 20, 0, 1);
-  RemoteServer server(base.View());
-  const auto run = [&server](RemoteStrategy strategy) {
-    SimulatedNetwork net;
-    RemoteClient::Config config;
-    config.strategy = strategy;
-    RemoteClient client(&server, &net, config);
-    for (int i = 0; i < 60; ++i) {
-      client.OnTouch(i * 66'000, i * 5000);
-    }
-    client.Flush(60 * 66'000);
-    return net.requests_sent();
-  };
-  const auto per_touch = run(RemoteStrategy::kPerTouchRpc);
-  const auto hybrid = run(RemoteStrategy::kBatchedHybrid);
-  EXPECT_EQ(per_touch, 60);
-  EXPECT_LT(hybrid, per_touch / 3);
-}
-
-TEST(StrategyNameTest, AllNamed) {
-  EXPECT_STREQ(RemoteStrategyName(RemoteStrategy::kLocalOnly), "local-only");
-  EXPECT_STREQ(RemoteStrategyName(RemoteStrategy::kPerTouchRpc),
-               "per-touch-rpc");
-  EXPECT_STREQ(RemoteStrategyName(RemoteStrategy::kBatchedHybrid),
-               "batched-hybrid");
+  const auto bytes = server.ReadRange(995, 100);
+  EXPECT_EQ(bytes.size(), 5 * sizeof(std::int64_t));
 }
 
 }  // namespace

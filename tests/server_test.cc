@@ -926,8 +926,8 @@ TEST(TouchServerAsyncTest, RetriesTransientRemoteFailuresThenAnswers) {
   auto table = SequenceTable("t", 0);
   ASSERT_TRUE(server.RegisterTable(table).ok());
   remote::RemoteServer remote_server(table->ColumnViewAt(0));
-  auto provider = std::make_shared<cache::RemoteBlockProvider>(
-      &remote_server, storage::DataType::kInt64, 1'024);
+  auto provider =
+      std::make_shared<cache::RemoteBlockProvider>(&remote_server, 1'024);
   ASSERT_TRUE(server.shared().SetColumnProvider("t", 0, provider).ok());
   // The next two reads lose their response on the wire; the fetcher must
   // classify the short read as transient and retry with backoff.
@@ -972,8 +972,8 @@ TEST(TouchServerAsyncTest, PermanentFetchFailureShedsQuantumNotSession) {
   auto table = SequenceTable("t", 0);
   ASSERT_TRUE(server.RegisterTable(table).ok());
   remote::RemoteServer remote_server(table->ColumnViewAt(0));
-  auto provider = std::make_shared<cache::RemoteBlockProvider>(
-      &remote_server, storage::DataType::kInt64, 1'024);
+  auto provider =
+      std::make_shared<cache::RemoteBlockProvider>(&remote_server, 1'024);
   ASSERT_TRUE(server.shared().SetColumnProvider("t", 0, provider).ok());
   ASSERT_TRUE(server.Start().ok());
 
@@ -1101,8 +1101,8 @@ TEST(TouchServerAsyncTest, ManySessionsColdTierStress) {
   auto table = SequenceTable("t", 0);
   ASSERT_TRUE(server.RegisterTable(table).ok());
   remote::RemoteServer remote_server(table->ColumnViewAt(0));
-  auto provider = std::make_shared<cache::RemoteBlockProvider>(
-      &remote_server, storage::DataType::kInt64, 1'024);
+  auto provider =
+      std::make_shared<cache::RemoteBlockProvider>(&remote_server, 1'024);
   ASSERT_TRUE(server.shared().SetColumnProvider("t", 0, provider).ok());
   remote_server.set_fail_every(7);  // Steady transient flakiness.
   ASSERT_TRUE(server.Start().ok());
