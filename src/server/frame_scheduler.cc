@@ -1,6 +1,8 @@
 #include "server/frame_scheduler.h"
 
+#include <algorithm>
 #include <chrono>
+#include <limits>
 
 namespace dbtouch::server {
 
@@ -10,10 +12,82 @@ sim::Micros SteadyNowUs() {
       .count();
 }
 
+// ---- SessionRecord: one session's FIFO --------------------------------------
+
+void FrameScheduler::SessionRecord::SyncHead() {
+  head_release_us = tasks[head].release_us;
+  head_deadline_us = tasks[head].deadline_us;
+}
+
+void FrameScheduler::SessionRecord::PushBack(TouchTask task) {
+  if (head > 0 && tasks.size() == tasks.capacity() &&
+      2 * head >= tasks.size()) {
+    // Reclaim the popped prefix instead of growing. It is at least half
+    // the vector, so each reclaim moves no more tasks than were popped
+    // since the last one, and a session that never drains still holds at
+    // most four times its longest queue.
+    tasks.erase(tasks.begin(),
+                tasks.begin() + static_cast<std::ptrdiff_t>(head));
+    head = 0;
+  }
+  tasks.push_back(std::move(task));
+  if (size() == 1) {
+    SyncHead();
+  }
+}
+
+void FrameScheduler::SessionRecord::PushFront(TouchTask task) {
+  if (head > 0) {
+    tasks[--head] = std::move(task);
+  } else {
+    tasks.insert(tasks.begin(), std::move(task));
+  }
+  SyncHead();
+}
+
+TouchTask FrameScheduler::SessionRecord::PopFront() {
+  TouchTask task = std::move(tasks[head++]);
+  if (head == tasks.size()) {
+    tasks.clear();
+    head = 0;
+  } else {
+    SyncHead();
+  }
+  return task;
+}
+
+// ---- FrameScheduler ---------------------------------------------------------
+
+FrameScheduler::SessionRecord* FrameScheduler::FindLocked(
+    std::int64_t session_id) {
+  for (SessionRecord& record : records_) {
+    if (record.id == session_id) {
+      return &record;
+    }
+  }
+  return nullptr;
+}
+
+const FrameScheduler::SessionRecord* FrameScheduler::FindLocked(
+    std::int64_t session_id) const {
+  return const_cast<FrameScheduler*>(this)->FindLocked(session_id);
+}
+
+FrameScheduler::SessionRecord& FrameScheduler::RecordLocked(
+    std::int64_t session_id) {
+  if (SessionRecord* record = FindLocked(session_id)) {
+    return *record;
+  }
+  SessionRecord& record = records_.emplace_back();
+  record.id = session_id;
+  return record;
+}
+
 void FrameScheduler::Push(TouchTask task) {
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    queues_[task.session_id].push_back(std::move(task));
+    RecordLocked(task.session_id).PushBack(std::move(task));
+    ++queued_;
   }
   cv_.notify_all();
 }
@@ -21,61 +95,124 @@ void FrameScheduler::Push(TouchTask task) {
 void FrameScheduler::PushFront(TouchTask task) {
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    queues_[task.session_id].push_front(std::move(task));
+    RecordLocked(task.session_id).PushFront(std::move(task));
+    ++queued_;
+  }
+  cv_.notify_all();
+}
+
+void FrameScheduler::PushBatch(std::vector<TouchTask>* frame,
+                               std::size_t bound) {
+  if (frame->empty()) {
+    return;
+  }
+  const std::int64_t session_id = frame->front().session_id;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    SessionRecord& record = RecordLocked(session_id);
+    if (record.size() == 0 && frame->size() <= bound) {
+      // Nothing queued and nothing to reject: take the frame whole. The
+      // caller gets the record's drained storage back and frees it
+      // outside the lock.
+      queued_ += frame->size();
+      record.tasks.swap(*frame);
+      record.head = 0;
+      record.SyncHead();
+    } else {
+      // Same rule, quantum by quantum, as one-at-a-time admission would
+      // apply: rejected quanta are compacted to the front of `*frame`.
+      std::size_t rejected = 0;
+      for (std::size_t i = 0; i < frame->size(); ++i) {
+        TouchTask& task = (*frame)[i];
+        if (task.droppable && record.size() >= bound) {
+          if (rejected != i) {
+            (*frame)[rejected] = std::move(task);
+          }
+          ++rejected;
+        } else {
+          record.PushBack(std::move(task));
+          ++queued_;
+        }
+      }
+      frame->resize(rejected);
+    }
   }
   cv_.notify_all();
 }
 
 std::optional<TouchTask> FrameScheduler::PopRunnable() {
   std::unique_lock<std::mutex> lock(mu_);
+  return PopLocked(lock);
+}
+
+std::optional<TouchTask> FrameScheduler::PopRunnable(
+    std::int64_t done_session) {
+  std::unique_lock<std::mutex> lock(mu_);
+  MarkDoneLocked(done_session);
+  return PopLocked(lock);
+}
+
+std::optional<TouchTask> FrameScheduler::PopLocked(
+    std::unique_lock<std::mutex>& lock) {
+  constexpr sim::Micros kNoRelease = std::numeric_limits<sim::Micros>::max();
   for (;;) {
     if (shutdown_) {
       return std::nullopt;
     }
     const sim::Micros now = SteadyNowUs();
-    std::map<std::int64_t, std::deque<TouchTask>>::iterator best =
-        queues_.end();
-    sim::Micros next_release = 0;
-    bool have_next_release = false;
-    for (auto it = queues_.begin(); it != queues_.end();) {
-      // Garbage-collect drained queues (Push recreates them on demand) so
-      // session churn never grows this scan. Busy sessions keep theirs —
-      // their worker is about to call OnTaskDone anyway. Parked sessions
-      // always have a head task (the suspended quantum), so they are
-      // never collected here.
-      if (it->second.empty() && busy_.count(it->first) == 0 &&
-          parked_.count(it->first) == 0) {
-        it = queues_.erase(it);
+    SessionRecord* best = nullptr;
+    std::size_t runnable = 0;
+    sim::Micros next_release = kNoRelease;
+    for (std::size_t i = 0; i < records_.size();) {
+      SessionRecord& record = records_[i];
+      if (record.busy || record.parked) {
+        // Busy records are re-armed by their worker; parked ones always
+        // hold their suspended task, so neither is ever collected here.
+        ++i;
         continue;
       }
-      if (it->second.empty() || busy_.count(it->first) > 0 ||
-          parked_.count(it->first) > 0) {
-        ++it;
-        continue;
-      }
-      const TouchTask& head = it->second.front();
-      if (head.release_us > now) {
-        if (!have_next_release || head.release_us < next_release) {
-          next_release = head.release_us;
-          have_next_release = true;
+      if (record.size() == 0) {
+        // Collect drained records (the next push recreates them) so
+        // session churn never grows this scan. The back record moves into
+        // slot i; it is unscanned, so `best` (< i) stays valid.
+        if (i + 1 != records_.size()) {
+          record = std::move(records_.back());
         }
-      } else if (best == queues_.end() ||
-                 head.deadline_us < best->second.front().deadline_us) {
-        best = it;
+        records_.pop_back();
+        continue;
       }
-      ++it;
+      if (record.head_release_us > now) {
+        next_release = std::min(next_release, record.head_release_us);
+      } else {
+        ++runnable;
+        if (best == nullptr ||
+            record.head_deadline_us < best->head_deadline_us ||
+            (record.head_deadline_us == best->head_deadline_us &&
+             record.id < best->id)) {
+          best = &record;
+        }
+      }
+      ++i;
     }
-    if (best != queues_.end()) {
-      TouchTask task = std::move(best->second.front());
-      best->second.pop_front();
-      busy_.insert(task.session_id);
+    if (best != nullptr) {
+      TouchTask task = best->PopFront();
+      --queued_;
+      best->busy = true;
+      ++busy_;
       if (trace_ != nullptr) {
         trace_->Record(obs::SpanStage::kDispatched, task.quantum_id,
                        task.session_id, task.resume ? 1 : 0);
       }
+      lock.unlock();
+      if (runnable > 1 || next_release != kNoRelease) {
+        // Work remains, runnable now or at a later release, and a fused
+        // done may have made it eligible without a wake: waiting workers
+        // rescan and either pop it or sleep until the earliest release.
+        cv_.notify_all();
+      }
       return task;
     }
-    if (have_next_release) {
+    if (next_release != kNoRelease) {
       // Wake at the earliest head's exact release: release_us is on the
       // steady clock's own epoch (SteadyNowUs), so this deadline is the
       // release itself, with no slack added on top.
@@ -87,43 +224,57 @@ std::optional<TouchTask> FrameScheduler::PopRunnable() {
   }
 }
 
+void FrameScheduler::MarkDoneLocked(std::int64_t session_id) {
+  SessionRecord* record = FindLocked(session_id);
+  if (record == nullptr || !record->busy) {
+    return;
+  }
+  record->busy = false;
+  --busy_;
+  if (IdleLocked()) {
+    idle_cv_.notify_all();
+  }
+}
+
 void FrameScheduler::OnTaskDone(std::int64_t session_id) {
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    busy_.erase(session_id);
+    MarkDoneLocked(session_id);
   }
   cv_.notify_all();
 }
 
 void FrameScheduler::ParkForFetch(TouchTask task) {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    const std::int64_t session = task.session_id;
-    task.resume = true;
-    if (trace_ != nullptr) {
-      trace_->Record(obs::SpanStage::kParked, task.quantum_id, session);
-    }
-    queues_[session].push_front(std::move(task));
-    parked_.insert(session);
-    busy_.erase(session);
+  // No wake: parking makes nothing runnable, and the worker that parked
+  // goes straight back to PopRunnable for other sessions' work.
+  const std::lock_guard<std::mutex> lock(mu_);
+  const std::int64_t session = task.session_id;
+  task.resume = true;
+  if (trace_ != nullptr) {
+    trace_->Record(obs::SpanStage::kParked, task.quantum_id, session);
   }
-  // The freed worker should look for other sessions' work right away.
-  cv_.notify_all();
+  SessionRecord& record = RecordLocked(session);
+  record.PushFront(std::move(task));
+  ++queued_;
+  record.parked = true;
+  if (record.busy) {
+    record.busy = false;
+    --busy_;
+  }
 }
 
 void FrameScheduler::Unpark(std::int64_t session_id) {
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    if (parked_.erase(session_id) == 0) {
+    SessionRecord* record = FindLocked(session_id);
+    if (record == nullptr || !record->parked) {
       return;
     }
+    record->parked = false;
     if (trace_ != nullptr) {
       // The parked quantum sits at the head of its session queue.
-      const auto it = queues_.find(session_id);
       const std::int64_t quantum =
-          it != queues_.end() && !it->second.empty()
-              ? it->second.front().quantum_id
-              : 0;
+          record->size() > 0 ? record->tasks[record->head].quantum_id : 0;
       trace_->Record(obs::SpanStage::kUnparked, quantum, session_id);
     }
   }
@@ -132,54 +283,49 @@ void FrameScheduler::Unpark(std::int64_t session_id) {
 
 std::size_t FrameScheduler::parked() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return parked_.size();
+  return static_cast<std::size_t>(
+      std::count_if(records_.begin(), records_.end(),
+                    [](const SessionRecord& r) { return r.parked; }));
 }
 
 std::size_t FrameScheduler::DropSession(std::int64_t session_id) {
   std::size_t dropped = 0;
+  bool idle = false;
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    const auto it = queues_.find(session_id);
-    if (it != queues_.end()) {
-      dropped = it->second.size();
-      queues_.erase(it);
+    SessionRecord* record = FindLocked(session_id);
+    if (record == nullptr) {
+      return 0;
     }
-    parked_.erase(session_id);
+    dropped = record->size();
+    queued_ -= dropped;
+    record->tasks.clear();
+    record->head = 0;
+    record->parked = false;
+    // A busy record stays until its task is reported done; the scan
+    // collects it after that.
+    idle = IdleLocked();
   }
-  cv_.notify_all();
+  if (idle) {
+    idle_cv_.notify_all();
+  }
   return dropped;
 }
 
 std::size_t FrameScheduler::PendingOf(std::int64_t session_id) const {
   const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = queues_.find(session_id);
-  return it == queues_.end() ? 0 : it->second.size();
+  const SessionRecord* record = FindLocked(session_id);
+  return record == nullptr ? 0 : record->size();
 }
 
 std::size_t FrameScheduler::pending() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  std::size_t total = 0;
-  for (const auto& [id, queue] : queues_) {
-    total += queue.size();
-  }
-  return total;
-}
-
-bool FrameScheduler::IdleLocked() const {
-  if (!busy_.empty()) {
-    return false;
-  }
-  for (const auto& [id, queue] : queues_) {
-    if (!queue.empty()) {
-      return false;
-    }
-  }
-  return true;
+  return queued_;
 }
 
 void FrameScheduler::WaitIdle() {
   std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [this] { return shutdown_ || IdleLocked(); });
+  idle_cv_.wait(lock, [this] { return shutdown_ || IdleLocked(); });
 }
 
 void FrameScheduler::Shutdown() {
@@ -188,27 +334,15 @@ void FrameScheduler::Shutdown() {
     shutdown_ = true;
   }
   cv_.notify_all();
+  idle_cv_.notify_all();
 }
 
 void FrameScheduler::Restart() {
   const std::lock_guard<std::mutex> lock(mu_);
   shutdown_ = false;
-  queues_.clear();
-  busy_.clear();
-  parked_.clear();
-}
-
-bool FrameScheduler::PushIfUnder(TouchTask task, std::size_t bound) {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    std::deque<TouchTask>& queue = queues_[task.session_id];
-    if (queue.size() >= bound) {
-      return false;
-    }
-    queue.push_back(std::move(task));
-  }
-  cv_.notify_all();
-  return true;
+  records_.clear();
+  queued_ = 0;
+  busy_ = 0;
 }
 
 }  // namespace dbtouch::server

@@ -23,11 +23,9 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <mutex>
 #include <optional>
-#include <set>
+#include <vector>
 
 #include "obs/trace_recorder.h"
 #include "sim/touch_event.h"
@@ -96,10 +94,25 @@ class FrameScheduler {
   /// untouched. Ordinary touch quanta must use Push (gesture order).
   void PushFront(TouchTask task);
 
+  /// Admits one frame of ONE session's quanta, in order, under one lock
+  /// with one wake: the admission-control primitive. A droppable quantum
+  /// is rejected while the session already holds `bound` queued quanta;
+  /// every other quantum is admitted. When the session has nothing queued
+  /// and the whole frame fits under `bound`, the frame is taken by swap,
+  /// so the lock is held for O(1). On return `*frame` holds exactly the
+  /// rejected quanta, in order.
+  void PushBatch(std::vector<TouchTask>* frame, std::size_t bound);
+
   /// Blocks until a task is runnable (released, session not executing) and
-  /// returns the earliest-deadline one; nullopt once Shutdown() is called.
-  /// The session is marked busy until OnTaskDone(session_id).
+  /// returns the earliest-deadline one, ties to the lowest session id;
+  /// nullopt once Shutdown() is called. The session is marked busy until
+  /// it is reported done (OnTaskDone, or the next PopRunnable(session)).
   std::optional<TouchTask> PopRunnable();
+
+  /// OnTaskDone(done_session) and PopRunnable() under one lock: the
+  /// worker loop's path, which reports each finished quantum through its
+  /// next pop.
+  std::optional<TouchTask> PopRunnable(std::int64_t done_session);
 
   /// Re-arms `session_id` after a popped task was executed or shed.
   void OnTaskDone(std::int64_t session_id);
@@ -121,6 +134,8 @@ class FrameScheduler {
   std::size_t parked() const;
 
   /// Discards all queued tasks of a closing session. Returns how many.
+  /// A session with a task in flight stays busy until that task is
+  /// reported done.
   std::size_t DropSession(std::int64_t session_id);
 
   /// Queued tasks for one session (admission control input).
@@ -139,11 +154,6 @@ class FrameScheduler {
   /// stopped server can start again. Only call with no workers running.
   void Restart();
 
-  /// Enqueues only if the session's queue holds fewer than `bound` tasks
-  /// (check and push under one lock — the admission-control primitive).
-  /// Returns false if the task was rejected.
-  bool PushIfUnder(TouchTask task, std::size_t bound);
-
   /// Trace hook: dispatch / park / unpark transitions are recorded when
   /// set. Wire it before workers start (plain pointer, not re-settable
   /// while PopRunnable may run concurrently); null = tracing off, one
@@ -153,15 +163,55 @@ class FrameScheduler {
   }
 
  private:
-  bool IdleLocked() const;
+  /// One live session: its FIFO of queued tasks and the state the EDF
+  /// scan reads, cached beside each other so the scan never touches a
+  /// session's task storage.
+  struct SessionRecord {
+    std::int64_t id = 0;
+    /// The head task's release and deadline; meaningful while size() > 0.
+    sim::Micros head_release_us = 0;
+    sim::Micros head_deadline_us = 0;
+    /// A popped task is in flight, not yet reported done.
+    bool busy = false;
+    /// Waiting on a block fetch; not runnable until Unpark.
+    bool parked = false;
+    /// FIFO: tasks[head, tasks.size()) are queued, oldest first. Popping
+    /// only advances `head` (no allocation, no shifting); a push reclaims
+    /// the popped prefix before the vector would grow.
+    std::vector<TouchTask> tasks;
+    std::size_t head = 0;
+
+    std::size_t size() const { return tasks.size() - head; }
+    void PushBack(TouchTask task);
+    void PushFront(TouchTask task);
+    TouchTask PopFront();
+    /// Re-reads the head's release and deadline; requires size() > 0.
+    void SyncHead();
+  };
+
+  SessionRecord* FindLocked(std::int64_t session_id);
+  const SessionRecord* FindLocked(std::int64_t session_id) const;
+  /// The session's record, created on first use.
+  SessionRecord& RecordLocked(std::int64_t session_id);
+  /// Clears the busy mark; wakes idle waiters when that leaves no work.
+  void MarkDoneLocked(std::int64_t session_id);
+  /// The EDF pop: scans the records, collects drained ones, and sleeps
+  /// on `lock` until a task is runnable or the scheduler shuts down.
+  std::optional<TouchTask> PopLocked(std::unique_lock<std::mutex>& lock);
+  bool IdleLocked() const { return queued_ == 0 && busy_ == 0; }
 
   mutable std::mutex mu_;
+  /// Workers wait here for runnable work.
   std::condition_variable cv_;
-  std::map<std::int64_t, std::deque<TouchTask>> queues_;
-  /// Sessions with a popped task not yet reported done.
-  std::set<std::int64_t> busy_;
-  /// Sessions waiting on a block fetch; not runnable until Unpark.
-  std::set<std::int64_t> parked_;
+  /// WaitIdle callers wait here; notified only on the transition to idle
+  /// and on Shutdown, so dispatch never wakes them.
+  std::condition_variable idle_cv_;
+  /// Records of sessions with queued, in-flight or parked work, in no
+  /// particular order (EDF breaks deadline ties by session id).
+  std::vector<SessionRecord> records_;
+  /// Queued tasks across all records, and records marked busy.
+  std::size_t queued_ = 0;
+  std::size_t busy_ = 0;
   bool shutdown_ = false;
   obs::TraceRecorder* trace_ = nullptr;
 };

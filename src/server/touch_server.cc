@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <mutex>
+#include <vector>
 
 #if defined(__linux__)
 #include <sys/prctl.h>
@@ -197,34 +198,63 @@ Result<api::SubmitBatchResp> TouchServer::Call(
   if (req.events.empty()) {
     return resp;
   }
+  // One lookup and one lock per frame: every quantum is built outside the
+  // scheduler's lock, then the frame is admitted whole. A session closed
+  // after this lookup is purged by the worker that pops its first quantum.
+  DBTOUCH_ASSIGN_OR_RETURN(std::shared_ptr<ServerSession> s,
+                           sessions_.Get(req.session));
+  if (!running_.load(std::memory_order_acquire)) {
+    return Status::FailedPrecondition("server not running");
+  }
   const sim::Micros epoch = SteadyNowUs();
   const sim::Micros t0 = req.events.front().timestamp_us;
+  std::vector<TouchTask> frame(req.events.size());
   const api::WireTouchEvent* prev = nullptr;
-  for (const api::WireTouchEvent& wire : req.events) {
-    const sim::TouchEvent event = api::FromWire(wire);
+  for (std::size_t i = 0; i < req.events.size(); ++i) {
+    const api::WireTouchEvent& wire = req.events[i];
+    TouchTask& task = frame[i];
+    task.session_id = req.session;
+    task.event = api::FromWire(wire);
     // Gesture speed at this event, from the batch itself (the server sees
     // raw touches; it cannot wait for the recognizer's smoothed velocity).
     double speed_cm_s = 0.0;
     if (prev != nullptr && wire.timestamp_us > prev->timestamp_us &&
         wire.finger_id == prev->finger_id) {
       speed_cm_s =
-          sim::DistanceCm(event.position,
+          sim::DistanceCm(task.event.position,
                           sim::PointCm{prev->x_cm, prev->y_cm}) /
           sim::MicrosToSeconds(wire.timestamp_us - prev->timestamp_us);
     }
     prev = &wire;
-    const sim::Micros offset = wire.timestamp_us - t0;
-    const sim::Micros budget = BudgetForSpeed(speed_cm_s);
-    const sim::Micros arrival = epoch + offset;
-    const sim::Micros release = req.paced ? arrival : epoch;
-    DBTOUCH_ASSIGN_OR_RETURN(
-        const bool admitted,
-        Enqueue(req.session, event, release, arrival + budget, budget,
-                event.phase == sim::TouchPhase::kMoved));
-    if (admitted) {
-      ++resp.accepted;
-    } else {
-      ++resp.rejected;
+    const sim::Micros arrival = epoch + (wire.timestamp_us - t0);
+    task.budget_us = BudgetForSpeed(speed_cm_s);
+    task.release_us = req.paced ? arrival : epoch;
+    task.deadline_us = arrival + task.budget_us;
+    task.droppable = task.event.phase == sim::TouchPhase::kMoved;
+    if (trace_ != nullptr) {
+      task.quantum_id =
+          next_quantum_id_.fetch_add(1, std::memory_order_relaxed);
+      trace_->Record(obs::SpanStage::kSubmitted, task.quantum_id,
+                     req.session, task.budget_us, task.droppable ? 1 : 0);
+    }
+  }
+  const auto submitted = static_cast<std::int64_t>(frame.size());
+  s->submitted.fetch_add(submitted, std::memory_order_relaxed);
+  total_submitted_.fetch_add(submitted, std::memory_order_relaxed);
+  // Admission shed: the bound is applied under the scheduler's own lock,
+  // in frame order, so concurrent submitters cannot overshoot it.
+  scheduler_.PushBatch(&frame, config_.max_session_queue);
+  resp.rejected = static_cast<std::int64_t>(frame.size());
+  resp.accepted = submitted - resp.rejected;
+  if (resp.rejected > 0) {
+    s->dropped_quanta.fetch_add(resp.rejected, std::memory_order_relaxed);
+    total_dropped_.fetch_add(resp.rejected, std::memory_order_relaxed);
+    if (trace_ != nullptr) {
+      for (const TouchTask& task : frame) {
+        trace_->Record(
+            obs::SpanStage::kShed, task.quantum_id, req.session,
+            static_cast<std::int64_t>(obs::ShedReason::kAdmission));
+      }
     }
   }
   return resp;
@@ -406,52 +436,6 @@ sim::Micros TouchServer::BudgetForSpeed(double speed_cm_s) const {
   return static_cast<sim::Micros>(std::max(budget, cost_floor_us));
 }
 
-Result<bool> TouchServer::Enqueue(SessionId session,
-                                  const sim::TouchEvent& event,
-                                  sim::Micros release_us,
-                                  sim::Micros deadline_us,
-                                  sim::Micros budget_us, bool droppable) {
-  DBTOUCH_ASSIGN_OR_RETURN(std::shared_ptr<ServerSession> s,
-                           sessions_.Get(session));
-  if (!running_.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition("server not running");
-  }
-  s->submitted.fetch_add(1, std::memory_order_relaxed);
-  total_submitted_.fetch_add(1, std::memory_order_relaxed);
-  TouchTask task;
-  task.session_id = session;
-  task.event = event;
-  task.release_us = release_us;
-  task.deadline_us = deadline_us;
-  task.budget_us = budget_us;
-  task.droppable = droppable;
-  if (trace_ != nullptr) {
-    task.quantum_id =
-        next_quantum_id_.fetch_add(1, std::memory_order_relaxed);
-    trace_->Record(obs::SpanStage::kSubmitted, task.quantum_id, session,
-                   budget_us, droppable ? 1 : 0);
-  }
-  if (droppable) {
-    // Admission shed: bound checked and enforced under the scheduler's
-    // own lock so concurrent submitters cannot overshoot it.
-    const std::int64_t quantum_id = task.quantum_id;
-    if (!scheduler_.PushIfUnder(std::move(task),
-                                config_.max_session_queue)) {
-      s->dropped_quanta.fetch_add(1, std::memory_order_relaxed);
-      total_dropped_.fetch_add(1, std::memory_order_relaxed);
-      if (trace_ != nullptr) {
-        trace_->Record(
-            obs::SpanStage::kShed, quantum_id, session,
-            static_cast<std::int64_t>(obs::ShedReason::kAdmission));
-      }
-      return false;
-    }
-    return true;
-  }
-  scheduler_.Push(std::move(task));
-  return true;
-}
-
 Status TouchServer::Submit(SessionId session, const sim::TouchEvent& event) {
   api::SubmitBatchReq req;
   req.session = session;
@@ -500,19 +484,26 @@ void TouchServer::WorkerLoop() {
   // kernel's default 50 us timer slack would otherwise defer that wake.
   (void)::prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
 #endif
-  while (auto task = scheduler_.PopRunnable()) {
+  // The session of the quantum just served is reported done through the
+  // next pop, under the same lock — unless that quantum parked, which
+  // already released the session.
+  SessionId served = 0;
+  bool report_served = false;
+  while (auto task = report_served ? scheduler_.PopRunnable(served)
+                                   : scheduler_.PopRunnable()) {
+    served = task->session_id;
+    report_served = true;
     const auto session = sessions_.Get(task->session_id);
     if (!session.ok()) {
       // Session closed while its tasks were in flight: purge whatever a
-      // racing submit re-queued and release the busy mark. Every purged
-      // quantum, and the popped one unless it is a refinement (those live
-      // outside the accounting), counts as dropped so idle() still
-      // converges.
+      // racing submit re-queued; the next pop releases the busy mark.
+      // Every purged quantum, and the popped one unless it is a refinement
+      // (those live outside the accounting), counts as dropped so idle()
+      // still converges.
       const std::size_t purged = scheduler_.DropSession(task->session_id);
       total_dropped_.fetch_add(
           static_cast<std::int64_t>(purged) + (task->refine ? 0 : 1),
           std::memory_order_relaxed);
-      scheduler_.OnTaskDone(task->session_id);
       continue;
     }
     const std::shared_ptr<ServerSession>& s = *session;
@@ -523,7 +514,6 @@ void TouchServer::WorkerLoop() {
       // partial results) and was counted; this one only upgrades
       // fidelity, so it must not perturb idle()/miss/shed bookkeeping.
       ExecuteRefinement(&*task, s);
-      scheduler_.OnTaskDone(task->session_id);
       continue;
     }
 
@@ -554,7 +544,6 @@ void TouchServer::WorkerLoop() {
                        static_cast<std::int64_t>(obs::ShedReason::kLate),
                        popped - task->deadline_us);
       }
-      scheduler_.OnTaskDone(task->session_id);
       continue;
     }
     if (task->first_dispatch_us < 0) {
@@ -612,7 +601,8 @@ void TouchServer::WorkerLoop() {
       task->exec_accum_us += parked - popped;
       task->parked_at_us = parked;
       SuspendOnStall(*task, s, std::move(stall));
-      continue;  // ParkForFetch released the busy mark; serve others.
+      report_served = false;
+      continue;
     }
     const sim::Micros done = SteadyNowUs();
     task->exec_accum_us += done - popped;
@@ -648,7 +638,6 @@ void TouchServer::WorkerLoop() {
           shared_->buffer_manager().stats().resident_bytes * 10 >= budget * 9;
       buffer_shed_bias_.store(pressed ? 1 : 0, std::memory_order_relaxed);
     }
-    scheduler_.OnTaskDone(task->session_id);
   }
 }
 

@@ -262,12 +262,6 @@ class TouchServer {
   sim::Micros FetchEwmaUs() const;
   sim::Micros BaseBudgetUs() const;
   sim::Micros BudgetForSpeed(double speed_cm_s) const;
-  /// True = admitted to the session queue, false = rejected at admission
-  /// (the bound was hit); error = no such session / not running.
-  Result<bool> Enqueue(SessionId session, const sim::TouchEvent& event,
-                       sim::Micros release_us, sim::Micros deadline_us,
-                       sim::Micros budget_us, bool droppable);
-
   /// Folds a finished quantum into the stage histograms (queue wait,
   /// execution, fetch stall, end-to-end) and, when tracing, records the
   /// kCompleted span and offers a slow-quantum exemplar.

@@ -526,6 +526,61 @@ TEST(GatewayTest, AdmissionRejectionsSurfaceInBatchResponse) {
   ASSERT_TRUE(client.CloseSession(open->session).ok());
 }
 
+TEST(GatewayTest, AdmissionBoundAppliesInFrameOrder) {
+  // A parked session's queue can only grow, so each frame meets the bound
+  // (max_session_queue = 8) at a known depth: its began is admitted, then
+  // moves until the queue holds 8, then its ended past the bound.
+  TouchServerConfig config = RelaxedConfig(1);
+  config.session_defaults.buffer.rows_per_block = 1'024;
+  config.session_defaults.buffer.fetch.retry_backoff_us = 100;
+  config.max_session_queue = 8;
+  auto table = SequenceTable("t");
+  auto provider = std::make_shared<GatedSlowProvider>(table, 0, 1'024);
+  auto stack = Stack::Up(config, {}, table);
+  ASSERT_TRUE(stack->server->shared().SetColumnProvider("t", 0, provider).ok());
+
+  Client client = stack->Connect();
+  auto open = client.OpenSession();
+  ASSERT_TRUE(open.ok());
+  const api::SessionId session = open->session;
+  api::CreateObjectReq create;
+  create.session = session;
+  create.kind = 0;
+  create.table = "t";
+  create.column = "v";
+  create.frame = api::WireRect{2.0, 1.0, 2.0, 10.0};
+  ASSERT_TRUE(client.CreateObject(create).ok());
+
+  ASSERT_TRUE(client.SubmitBatch(FloodBatch(session, 1, 2.0, 2.1)).ok());
+  provider->AwaitFetchStarted(1);
+  // k quanta held: the parked one and whatever the first frame left
+  // behind it (its parked quantum's predecessors have completed).
+  const server::ServerStatsSnapshot parked = stack->server->stats();
+  const std::int64_t held =
+      parked.submitted - parked.executed - parked.dropped_quanta;
+  ASSERT_GE(held, 1);
+  ASSERT_LE(held, 3);
+
+  auto first = client.SubmitBatch(FloodBatch(session, 20));
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first->accepted, 1 + (8 - held - 1) + 1);
+  EXPECT_EQ(first->rejected, 20 - (8 - held - 1));
+  auto second = client.SubmitBatch(FloodBatch(session, 20));
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->accepted, 2);
+  EXPECT_EQ(second->rejected, 20);
+
+  provider->OpenGate();
+  ASSERT_TRUE(client.WaitIdle().ok());
+  const server::ServerStatsSnapshot done = stack->server->stats();
+  const server::SessionStatsSnapshot& per = done.per_session.at(session);
+  EXPECT_EQ(per.submitted, 3 + 22 + 22);
+  EXPECT_EQ(per.dropped_quanta, first->rejected + second->rejected);
+  EXPECT_EQ(per.submitted, per.executed + per.dropped_quanta);
+  EXPECT_EQ(done.submitted, done.executed + done.dropped_quanta);
+  ASSERT_TRUE(client.CloseSession(session).ok());
+}
+
 TEST(GatewayTest, ConnectionLimitAnsweredWithBackpressure) {
   GatewayConfig gateway_config;
   gateway_config.max_connections = 2;

@@ -181,6 +181,38 @@ TEST(FrameSchedulerTest, SessionOrderIsFifoEvenWithDeadlineInversion) {
   scheduler.OnTaskDone(1);
 }
 
+TEST(FrameSchedulerTest, SessionFifoHoldsAcrossInterleavedPushAndPop) {
+  // Three pushes per two pops keeps the queue growing while its popped
+  // prefix is reclaimed; every fifth pop parks and resumes, re-entering
+  // at the front. Order must stay strict throughout.
+  FrameScheduler scheduler;
+  const sim::Micros now = SteadyNowUs();
+  int pushed = 0;
+  int expected = 0;
+  for (int round = 0; round < 200; ++round) {
+    for (int i = 0; i < 3; ++i) {
+      TouchTask task = MakeTask(1, now + 1'000);
+      task.event.finger_id = pushed++;
+      scheduler.Push(task);
+    }
+    for (int i = 0; i < 2; ++i) {
+      auto popped = scheduler.PopRunnable();
+      ASSERT_TRUE(popped.has_value());
+      ASSERT_EQ(popped->event.finger_id, expected);
+      if (expected % 5 == 0 && !popped->resume) {
+        scheduler.ParkForFetch(std::move(*popped));
+        scheduler.Unpark(1);
+        --i;
+        continue;
+      }
+      ++expected;
+      scheduler.OnTaskDone(1);
+    }
+  }
+  EXPECT_EQ(scheduler.PendingOf(1),
+            static_cast<std::size_t>(pushed - expected));
+}
+
 TEST(FrameSchedulerTest, BusySessionIsSkipped) {
   FrameScheduler scheduler;
   const sim::Micros now = SteadyNowUs();
@@ -201,6 +233,89 @@ TEST(FrameSchedulerTest, BusySessionIsSkipped) {
   ASSERT_TRUE(third.has_value());
   EXPECT_EQ(third->session_id, 1);
   scheduler.OnTaskDone(1);
+}
+
+TEST(FrameSchedulerTest, EqualDeadlinesPopLowestSessionFirst) {
+  FrameScheduler scheduler;
+  const sim::Micros deadline = SteadyNowUs() + 1'000;
+  scheduler.Push(MakeTask(3, deadline));
+  scheduler.Push(MakeTask(1, deadline));
+  scheduler.Push(MakeTask(2, deadline));
+  for (const std::int64_t expected : {1, 2, 3}) {
+    const auto popped = scheduler.PopRunnable();
+    ASSERT_TRUE(popped.has_value());
+    EXPECT_EQ(popped->session_id, expected);
+    scheduler.OnTaskDone(expected);
+  }
+}
+
+TEST(FrameSchedulerTest, DropSessionKeepsInFlightSessionBusy) {
+  FrameScheduler scheduler;
+  const sim::Micros now = SteadyNowUs();
+  scheduler.Push(MakeTask(1, now + 10));
+  const auto in_flight = scheduler.PopRunnable();
+  ASSERT_TRUE(in_flight.has_value());
+  EXPECT_EQ(in_flight->session_id, 1);
+  EXPECT_EQ(scheduler.DropSession(1), 0u);
+  // Session 1's quantum is still executing: a quantum queued for it now
+  // must wait for that one to be reported done, whatever its deadline.
+  scheduler.Push(MakeTask(1, now + 20));
+  scheduler.Push(MakeTask(2, now + 500));
+  const auto second = scheduler.PopRunnable();
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->session_id, 2);
+  scheduler.OnTaskDone(2);
+  scheduler.Push(MakeTask(3, now + 900));
+  const auto third = scheduler.PopRunnable();
+  ASSERT_TRUE(third.has_value());
+  EXPECT_EQ(third->session_id, 3);
+  scheduler.OnTaskDone(3);
+  EXPECT_EQ(scheduler.PendingOf(1), 1u);
+  scheduler.OnTaskDone(1);
+  const auto fourth = scheduler.PopRunnable();
+  ASSERT_TRUE(fourth.has_value());
+  EXPECT_EQ(fourth->session_id, 1);
+  EXPECT_EQ(fourth->deadline_us, now + 20);
+  scheduler.OnTaskDone(1);
+}
+
+TEST(FrameSchedulerTest, PushBatchBoundsDroppableQuantaInFrameOrder) {
+  FrameScheduler scheduler;
+  const sim::Micros now = SteadyNowUs();
+  scheduler.Push(MakeTask(1, now + 10));
+  // began, five moves, ended; finger_id marks each quantum's position.
+  std::vector<TouchTask> frame;
+  for (int i = 0; i < 7; ++i) {
+    frame.push_back(MakeTask(1, now + 20 + i, 0, i > 0 && i < 6));
+    frame.back().event.finger_id = i;
+  }
+  scheduler.PushBatch(&frame, 4);
+  // One held + began + two moves reach the bound; the other three moves
+  // are handed back in order, and the end is admitted past the bound.
+  ASSERT_EQ(frame.size(), 3u);
+  EXPECT_EQ(frame[0].event.finger_id, 3);
+  EXPECT_EQ(frame[1].event.finger_id, 4);
+  EXPECT_EQ(frame[2].event.finger_id, 5);
+  EXPECT_EQ(scheduler.PendingOf(1), 5u);
+  // FIFO, each pop reporting the previous quantum done.
+  auto popped = scheduler.PopRunnable();
+  for (const int expected : {0, 0, 1, 2, 6}) {
+    ASSERT_TRUE(popped.has_value());
+    EXPECT_EQ(popped->event.finger_id, expected);
+    if (expected == 6) {
+      break;
+    }
+    popped = scheduler.PopRunnable(1);
+  }
+  // A session with nothing queued takes a frame that fits whole.
+  std::vector<TouchTask> whole;
+  for (int i = 0; i < 4; ++i) {
+    whole.push_back(MakeTask(2, now + 30, 0, true));
+  }
+  scheduler.PushBatch(&whole, 4);
+  EXPECT_TRUE(whole.empty());
+  EXPECT_EQ(scheduler.PendingOf(2), 4u);
+  EXPECT_EQ(scheduler.pending(), 4u);
 }
 
 TEST(FrameSchedulerTest, ReleaseTimeGatesRunnability) {
