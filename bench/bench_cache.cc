@@ -254,7 +254,7 @@ void FileTierReport(const std::shared_ptr<dbtouch::storage::Table>& table,
       "The column spilled to a block file and read back through the pool\n"
       "at a 10% budget. Cold 8-block summary bands are faulted either\n"
       "block-by-block (N preads per band) or as one ranged fetch-queue\n"
-      "ticket per band (1 pread per band).");
+      "run per band (1 pread per band).");
 
   std::string tmpl = (std::filesystem::temp_directory_path() /
                       "dbtouch_bench_spill_XXXXXX")
@@ -291,8 +291,8 @@ void FileTierReport(const std::shared_ptr<dbtouch::storage::Table>& table,
     for (std::int64_t first = 0; first + kBandBlocks <= num_blocks;
          first += 2 * kBandBlocks, ++bands) {
       if (ranged) {
-        // The band's misses as one ranged ticket on the fetch queue;
-        // once it lands, the pins below all hit.
+        // The band's misses as one run on the fetch queue, read with
+        // one pread; once it lands, the pins below all hit.
         source->RequestPrefetchRange(first, first + kBandBlocks - 1,
                                      kBandBlocks);
         manager.WaitForFetches();
@@ -792,15 +792,17 @@ int main(int argc, char** argv) {
   PaxReport(perf);
   // Policy/residency metrics are deterministic load shapes (tight 20%
   // gates); rows/s metrics vary with the host and stay informational.
+  // disk_reads_per_block and faults_per_tuple count provider reads and
+  // pool faults under a fixed, seeded script (seeded taps, LRU): the same
+  // code gives the same count on any host, so they gate at tolerance 0.
   perf.Gate("restudy_hit_aware", "higher", 0.2);
   perf.Gate("warm_scan_hit_rate", "higher", 0.2);
-  perf.Gate("disk_reads_per_block", "lower", 0.2);
+  perf.Gate("disk_reads_per_block", "lower", 0.0);
   perf.Gate("reclaim_peak_over_budget", "lower", 0.2);
-  // faults_per_tuple is a deterministic load shape (seeded taps, LRU).
   // simd_speedup is a same-host ratio — both sides scale with the
   // machine, so it gates with a looser band; the hard >= 2x floor lives
   // in SimdReport itself.
-  perf.Gate("faults_per_tuple", "lower", 0.2);
+  perf.Gate("faults_per_tuple", "lower", 0.0);
   perf.Gate("simd_speedup", "higher", 0.5);
   // avg_span_cost_ratio is a same-host ratio too: a kAvg band back on a
   // divide per row (~10x) fails it, timing noise (well under 2x) does not.

@@ -27,6 +27,7 @@
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -221,7 +222,17 @@ int main(int argc, char** argv) {
     }
     churn_conns_per_s = RunChurn(*stack, 8, smoke ? 64 : 512);
     std::printf("churn: %.0f conns/s (8 threads)\n", churn_conns_per_s);
+    // The clients have closed their sockets, but the gateway loop may not
+    // have seen every hang-up yet: let it settle (up to 2 s) before the
+    // leak check reads the count.
     GatewayStatsSnapshot gw = stack->gateway->stats();
+    const auto settle_deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (gw.connections_active != 0 &&
+           std::chrono::steady_clock::now() < settle_deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      gw = stack->gateway->stats();
+    }
     Check(gw.protocol_errors == 0, "churn: no protocol errors");
     Check(gw.connections_active == 0, "churn: no leaked connections");
     Check(stack->server->session_count() == 0, "churn: no leaked sessions");

@@ -130,9 +130,9 @@ class BufferManager::Source : public storage::PagedColumnSource {
   }
 
   /// Ranged warm-up: each non-resident stretch of the predicted path goes
-  /// to the queue as ONE pre-formed ranged ticket (one ReadRange when it
-  /// pops), so the extrapolation horizon — not pop-time re-merging or its
-  /// max_coalesce_blocks cap — decides the read size.
+  /// to the queue as one EnqueueRange run, which the fetcher that pops it
+  /// reads as one ReadRange (pop-time coalescing, up to
+  /// max_coalesce_blocks blocks).
   std::int64_t RequestPrefetchRange(std::int64_t first_block,
                                     std::int64_t last_block,
                                     std::int64_t max_new_blocks) override {

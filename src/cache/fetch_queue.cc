@@ -120,14 +120,12 @@ bool FetchQueue::Enqueue(const BlockKey& key,
             request.priority == FetchPriority::kPrefetch) {
           // A session is now parked on a block that was only a warm-up:
           // raise the priority in place. Still queued → move it to the
-          // demand lane (carving it out of any pre-formed warm-up range
-          // first, so the demand read stays block-sized and the range's
-          // other blocks keep warming); already in flight → the raised
-          // priority is what the delivery reads (it is re-read after the
-          // fetch), so the completion is staged with demand protection
-          // either way.
+          // demand lane (its warm-up neighbours stay queued, and the
+          // pop-time walk never joins them to a demand read); already in
+          // flight → the raised priority is what the delivery reads (it
+          // is re-read after the fetch), so the completion is staged with
+          // demand protection either way.
           if (!request.in_flight) {
-            DetachFromRangeLocked(key);
             request.priority = FetchPriority::kDemand;
             std::erase(prefetch_queue_, key);
             demand_queue_.push_back(key);
@@ -156,100 +154,46 @@ std::size_t FetchQueue::EnqueueRange(std::uint64_t owner,
                                      std::int64_t count) {
   DBTOUCH_CHECK(provider != nullptr);
   std::size_t created = 0;
-  std::size_t tickets = 0;
+  std::size_t runs = 0;
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    if (shutdown_ || count <= 0) {
+    if (shutdown_) {
       return 0;
     }
-    // Each maximal run of blocks with no existing request becomes one
-    // ticket; blocks with requests split the range (they are already on
-    // their way however they got there).
-    const auto commit = [&](std::int64_t start, std::int64_t end) {
-      for (std::int64_t block = start; block < end; ++block) {
-        auto [it, inserted] = requests_.try_emplace(BlockKey{owner, block});
-        DBTOUCH_CHECK(inserted);
-        Request& request = it->second;
-        request.provider = provider;
-        request.block = block;
-        request.priority = FetchPriority::kPrefetch;
-        if (block == start) {
-          request.range_count = end - start;
-        } else {
-          request.range_member = true;
-          request.head_block = start;
-        }
-        ++stats_.prefetch_enqueued;
-      }
-      if (end - start > 1) {
-        ++stats_.prefetch_ranges;
-      }
-      prefetch_queue_.push_back(BlockKey{owner, start});
-      created += static_cast<std::size_t>(end - start);
-      ++tickets;
-    };
-    std::int64_t run_start = -1;
-    for (std::int64_t block = first_block; block <= first_block + count;
+    // Every fresh block becomes an ordinary prefetch request, pushed in
+    // ascending order under this one lock: a fetcher that pops the first
+    // block of a run finds the rest queued beside it and gathers them
+    // into one ReadRange. Blocks with requests already on their way split
+    // the range into runs.
+    bool in_run = false;
+    for (std::int64_t block = first_block; block < first_block + count;
          ++block) {
-      const bool fresh = block < first_block + count &&
-                         !requests_.contains(BlockKey{owner, block});
-      if (fresh) {
-        if (run_start < 0) {
-          run_start = block;
-        }
+      const BlockKey key{owner, block};
+      auto [it, inserted] = requests_.try_emplace(key);
+      if (!inserted) {
+        ++stats_.coalesced;  // Absorbed by whatever already covers it.
+        in_run = false;
         continue;
       }
-      if (block < first_block + count) {
-        ++stats_.coalesced;  // Absorbed by whatever already covers it.
-      }
-      if (run_start >= 0) {
-        commit(run_start, block);
-        run_start = -1;
+      it->second.provider = provider;
+      it->second.block = block;
+      it->second.priority = FetchPriority::kPrefetch;
+      prefetch_queue_.push_back(key);
+      ++stats_.prefetch_enqueued;
+      ++created;
+      if (!in_run) {
+        ++runs;
+        in_run = true;
       }
     }
   }
-  if (tickets > 1) {
+  // One wake per run, so separate runs can be read in parallel.
+  if (runs > 1) {
     work_cv_.notify_all();
-  } else if (tickets == 1) {
+  } else if (runs == 1) {
     work_cv_.notify_one();
   }
   return created;
-}
-
-void FetchQueue::DetachFromRangeLocked(const BlockKey& key) {
-  Request& request = requests_.find(key)->second;
-  std::int64_t head_block = 0;
-  if (request.range_member) {
-    head_block = request.head_block;
-  } else if (request.range_count > 1) {
-    head_block = request.block;
-  } else {
-    return;  // Ordinary request, nothing to carve.
-  }
-  Request& head = requests_.find(BlockKey{key.owner, head_block})->second;
-  const std::int64_t end = head_block + head.range_count;  // One past.
-  // Right remainder (key.block, end) re-heads and re-queues; the head's
-  // lane position is unchanged for the left part.
-  if (key.block + 1 < end) {
-    const BlockKey new_head_key{key.owner, key.block + 1};
-    Request& new_head = requests_.find(new_head_key)->second;
-    new_head.range_member = false;
-    new_head.range_count = end - (key.block + 1);
-    for (std::int64_t block = key.block + 2; block < end; ++block) {
-      requests_.find(BlockKey{key.owner, block})->second.head_block =
-          new_head_key.block;
-    }
-    prefetch_queue_.push_back(new_head_key);
-  }
-  if (key.block == head_block) {
-    // Carving the head: its lane entry now denotes just itself; the left
-    // part is empty.
-    head.range_count = 1;
-  } else {
-    head.range_count = key.block - head_block;
-  }
-  request.range_member = false;
-  request.range_count = 1;
 }
 
 bool FetchQueue::PopLocked(BlockKey* key) {
@@ -271,18 +215,6 @@ std::vector<BlockKey> FetchQueue::GatherRangeLocked(const BlockKey& key) {
   const auto head = requests_.find(key);
   DBTOUCH_CHECK(head != requests_.end());
   head->second.in_flight = true;
-  if (head->second.range_count > 1) {
-    // A pre-formed ranged ticket: the horizon sized it when it was
-    // enqueued, so it is taken whole — no neighbour walk, no
-    // max_coalesce_blocks cap, exactly one ReadRange.
-    for (std::int64_t block = key.block + 1;
-         block < key.block + head->second.range_count; ++block) {
-      const BlockKey member{key.owner, block};
-      requests_.find(member)->second.in_flight = true;
-      keys.push_back(member);
-    }
-    return keys;
-  }
   if (config_.max_coalesce_blocks <= 1) {
     return keys;
   }
@@ -297,11 +229,7 @@ std::vector<BlockKey> FetchQueue::GatherRangeLocked(const BlockKey& key) {
   // demand pops must drain before prefetch work starts).
   const auto joinable = [&](std::int64_t block) -> bool {
     const auto it = requests_.find(BlockKey{key.owner, block});
-    // Blocks of a pre-formed ranged ticket never join a walk: their
-    // ticket fetches them as its own unit (absorbing a member here would
-    // double-deliver it when the ticket pops).
     return it != requests_.end() && !it->second.in_flight &&
-           !it->second.range_member && it->second.range_count == 1 &&
            it->second.priority == priority &&
            it->second.provider.get() == provider;
   };

@@ -8,7 +8,9 @@
 //
 //   TryPinBlock (miss) --> Enqueue(demand) ----+
 //   slide path --> EnqueueRange(prefetch) -----+--> fetcher threads
-//                                              |      provider->Fetch
+//                                              |      pop + gather queued
+//                                              |      adjacent blocks,
+//                                              |      provider->ReadRange
 //                                              |      (bounded retries,
 //                                              |       exponential backoff)
 //                                              v
@@ -21,7 +23,9 @@
 // pop before prefetch warm-ups (the extrapolated slide path); enqueueing a
 // demand request for a block already queued at prefetch priority upgrades
 // it in place. Requests for one block coalesce into a single fetch no
-// matter how many waiters pile on.
+// matter how many waiters pile on. Reads are batched at pop time: a
+// fetcher gathers the queued same-priority neighbours of the block it
+// popped into one provider ReadRange.
 //
 // Failure contract: a fetch error is data, not an invariant violation.
 // Transient errors (see IsTransientFetchError) are retried up to
@@ -68,11 +72,11 @@ struct FetchQueueConfig {
   int max_retries = 3;
   /// Backoff before retry k is backoff_us << k (exponential).
   std::int64_t retry_backoff_us = 200;
-  /// Batched demand fetches: when the popped request has queued
-  /// neighbours (same owner, adjacent block indices, not yet in flight),
-  /// up to this many blocks are merged into one provider ReadRange — a
-  /// cold summary band costs one round trip instead of N. <= 1 disables
-  /// coalescing.
+  /// Batched fetches: when the popped request has queued neighbours (same
+  /// owner and priority, adjacent block indices, not yet in flight), up to
+  /// this many blocks are merged into one provider ReadRange — a cold
+  /// summary band or a warm-up run costs one round trip instead of N.
+  /// <= 1 disables coalescing.
   int max_coalesce_blocks = 16;
 };
 
@@ -94,10 +98,6 @@ struct FetchQueueStats {
   /// session parked on them closed, so the read was capped at the attempt
   /// already running instead of a full retry budget.
   std::int64_t aborted = 0;
-  /// Pre-formed ranged warm-up tickets (EnqueueRange runs of >= 2 blocks):
-  /// the extrapolator's horizon expressed as single ReadRange fetches, no
-  /// pop-time re-merging involved.
-  std::int64_t prefetch_ranges = 0;
   /// Coalesced provider calls: ReadRange invocations spanning >= 2
   /// adjacent blocks, and the blocks they covered. completed counts every
   /// block, so (completed - ranged_blocks + ranged_reads) is the number
@@ -173,14 +173,14 @@ class FetchQueue {
                std::uint64_t tag = 0);
 
   /// Enqueues blocks [first_block, first_block + count) of `owner` as
-  /// pre-formed ranged warm-up tickets: each run of blocks with no
-  /// existing request becomes ONE prefetch ticket whose fetch is a single
-  /// provider ReadRange — the predicted slide path rides one backing read
-  /// sized by the horizon, with no pop-time re-merging (and no
-  /// max_coalesce_blocks cap). Blocks already queued or in flight are
-  /// skipped (counted as coalesced). A later demand Enqueue for a block
-  /// inside a still-queued ticket splits the ticket around it, so demand
-  /// never waits on (or inflates) a warm-up range. Fire-and-forget;
+  /// prefetch warm-ups: every block with no existing request becomes an
+  /// ordinary prefetch request, all under one lock, so a fetcher pops a
+  /// run of them whole (pop-time coalescing reads it as one ReadRange of
+  /// up to max_coalesce_blocks) or not at all. Blocks already queued or in
+  /// flight are skipped (counted as coalesced). A later demand Enqueue for
+  /// a still-queued block moves just that block to the demand lane, and
+  /// the pop-time walk never joins neighbours of another priority, so
+  /// demand never waits on (or inflates) a warm-up read. Fire-and-forget;
   /// returns the number of blocks actually enqueued.
   std::size_t EnqueueRange(std::uint64_t owner,
                            std::shared_ptr<BlockProvider> provider,
@@ -235,15 +235,6 @@ class FetchQueue {
     std::int64_t block = 0;
     FetchPriority priority = FetchPriority::kPrefetch;
     bool in_flight = false;
-    /// Pre-formed ranged ticket (EnqueueRange): on the head request, how
-    /// many consecutive blocks [block, block + range_count) one ReadRange
-    /// serves. 1 = an ordinary single-block request.
-    std::int64_t range_count = 1;
-    /// Non-head blocks of a pre-formed ticket: only the head sits in the
-    /// prefetch lane; members are findable here (so demand enqueues can
-    /// coalesce or split) but never popped directly.
-    bool range_member = false;
-    std::int64_t head_block = 0;
     /// Cancellation latch shared by every request of one in-flight fetch;
     /// set by CancelTagged, read between retry attempts.
     std::shared_ptr<std::atomic<bool>> abort;
@@ -254,18 +245,11 @@ class FetchQueue {
   /// Pops the next runnable key (demand first) or returns false.
   bool PopLocked(BlockKey* key);
   /// Extends the popped `key` with queued adjacent same-owner requests
-  /// (same provider, consecutive block indices, not in flight), removing
-  /// them from their lanes and marking every gathered request in flight.
-  /// A pre-formed ranged ticket is taken whole instead (its size was set
-  /// by the prefetch horizon, not max_coalesce_blocks) and never extended.
-  /// Returns the keys in ascending block order; size 1 = no coalescing.
+  /// (same provider and priority, consecutive block indices, not in
+  /// flight), up to max_coalesce_blocks, removing them from their lanes
+  /// and marking every gathered request in flight. Returns the keys in
+  /// ascending block order; size 1 = no coalescing.
   std::vector<BlockKey> GatherRangeLocked(const BlockKey& key);
-  /// Carves `key` out of the pre-formed ranged ticket covering it (no-op
-  /// for ordinary requests): the ticket splits into up to two shorter
-  /// tickets around `key`, which becomes a standalone queued-nowhere
-  /// request the caller may re-lane. Only valid while nothing is in
-  /// flight for the ticket.
-  void DetachFromRangeLocked(const BlockKey& key);
   /// Completes `keys` (all in flight, ascending adjacent blocks) with the
   /// outcome of one fetch: on success `payload` is split per block and
   /// delivered through the sink before any waiter runs. Reacquires `lock`

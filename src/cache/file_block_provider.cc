@@ -504,7 +504,6 @@ Result<std::shared_ptr<FileBlockProvider>> FileBlockProvider::Open(
   auto provider =
       std::shared_ptr<FileBlockProvider>(new FileBlockProvider());
   provider->path_ = path;
-  provider->options_ = options;
   provider->dictionary_ = is_pax ? nullptr : std::move(dictionary);
   provider->pax_dictionaries_ =
       is_pax ? std::move(pax_dictionaries)
@@ -547,10 +546,6 @@ Result<std::shared_ptr<FileBlockProvider>> FileBlockProvider::Open(
     expected_offset = extent.offset + extent.bytes;
   }
 
-  if (options.reopen_per_fetch) {
-    ::close(fd);
-    return provider;
-  }
   provider->fd_ = fd;
 #ifdef O_DIRECT
   if (options.use_direct) {
@@ -620,19 +615,7 @@ Status FileBlockProvider::ReadAt(std::int64_t offset, std::byte* dst,
     buffer_pool_.Release(buffer);
     return Status::OK();
   }
-  int fd = fd_;
-  if (fd < 0) {
-    // reopen_per_fetch: surface the file's *current* state — a deleted or
-    // chmodded file fails here instead of being masked by a held fd.
-    fd = ::open(path_.c_str(), O_RDONLY);
-    if (fd < 0) {
-      return ErrnoStatus("open", path_, errno);
-    }
-  }
-  const Result<std::int64_t> read = PreadFully(fd, dst, size, offset, path_);
-  if (fd != fd_) {
-    ::close(fd);
-  }
+  const Result<std::int64_t> read = PreadFully(fd_, dst, size, offset, path_);
   DBTOUCH_RETURN_IF_ERROR(read.status());
   if (*read != size) {
     // The file ended before the extent did (e.g. truncated underneath

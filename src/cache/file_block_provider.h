@@ -231,17 +231,10 @@ class AlignedBufferPool {
 };
 
 struct FileProviderOptions {
-  /// Open the file anew on every fetch instead of holding one descriptor.
-  /// Slower, but makes file-system state observable: a file deleted or
-  /// chmodded mid-session fails the next fetch instead of being masked by
-  /// the long-lived descriptor. The validation-time geometry still
-  /// applies.
-  bool reopen_per_fetch = false;
   /// Read payloads with O_DIRECT (page-cache bypass): reads are widened
   /// to 4 KiB-aligned spans into pooled aligned buffers and sliced out.
   /// When the filesystem rejects O_DIRECT (tmpfs/CI) the provider falls
-  /// back to plain pread — check direct_active(). Ignored under
-  /// reopen_per_fetch (it wants a per-fetch descriptor).
+  /// back to plain pread — check direct_active().
   bool use_direct = false;
 };
 
@@ -317,20 +310,19 @@ class FileBlockProvider final : public BlockProvider {
  private:
   FileBlockProvider() = default;
 
-  /// Reads [offset, offset + size) into `dst`: pread on the held (or
-  /// per-fetch reopened) descriptor. Applies the fault injector. `what`
-  /// labels errors ("block 3" / "blocks 3..7").
+  /// Reads [offset, offset + size) into `dst`: pread on the held
+  /// descriptor. Applies the fault injector. `what` labels errors
+  /// ("block 3" / "blocks 3..7").
   Status ReadAt(std::int64_t offset, std::byte* dst, std::int64_t size,
                 const std::string& what);
 
   std::string path_;
-  FileProviderOptions options_;
   std::shared_ptr<storage::Dictionary> dictionary_;
   BlockGeometry geometry_;
   std::vector<BlockExtent> extents_;
   std::optional<storage::PaxLayout> pax_layout_;
   std::vector<std::shared_ptr<storage::Dictionary>> pax_dictionaries_;
-  int fd_ = -1;  // -1 in reopen_per_fetch mode.
+  int fd_ = -1;
   bool aligned_extents_ = false;
   bool direct_active_ = false;
   AlignedBufferPool buffer_pool_;

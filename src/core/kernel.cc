@@ -115,8 +115,7 @@ struct Kernel::ObjectState {
   /// The aliasing shared_ptr pins the owning index set.
   std::shared_ptr<const index::ZoneMap> base_zone_map;
   /// Paged source over the bound column through the SharedState's shared
-  /// BufferManager (column objects, use_buffer_manager on). Null = legacy
-  /// raw whole-column reads.
+  /// BufferManager. Set for every column object; null for table objects.
   std::shared_ptr<storage::PagedColumnSource> paged;
   /// Working cursor for per-touch point reads; holds the block under the
   /// finger pinned, so a slide inside one block re-pins nothing.
@@ -129,7 +128,7 @@ struct Kernel::ObjectState {
   prefetch::GestureExtrapolator extrapolator;
 
   /// The paged source execution reads the bound column through: the
-  /// buffer-pool source for paged column objects; otherwise the table's
+  /// buffer-pool source for column objects; for table objects the table's
   /// own source — the release-gated zero-copy form on a resident table,
   /// the rebind source once its matrix was reclaimed. Never a bare raw
   /// view: every operator the kernel builds survives (or cleanly
@@ -145,16 +144,17 @@ struct Kernel::ObjectState {
   /// fat-table read paths: taps, scans, group-bys).
   std::shared_ptr<storage::PagedColumnSource> AttributeSource(
       std::size_t attribute) const {
-    if (column.has_value() && *column == attribute && paged != nullptr) {
+    if (paged != nullptr && *column == attribute) {
       return paged;
     }
     return table->PagedColumnAt(attribute);
   }
 
-  /// Point read of the bound column: pinned through the buffer pool when
-  /// paged; otherwise through Table::GetValue, whose release gate makes
-  /// the read safe against a concurrent spill reclamation (and which is
-  /// rotation-safe, reading the current matrix each call).
+  /// Point read of the bound column: pinned through the buffer pool for
+  /// column objects; for table objects (a filtered scan reads attribute
+  /// 0) through Table::GetValue, whose release gate makes the read safe
+  /// against a concurrent spill reclamation (and which is rotation-safe,
+  /// reading the current matrix each call).
   storage::Value ReadBoundValue(storage::RowId row) {
     if (cursor.valid()) {
       return cursor.GetValue(row);
@@ -204,11 +204,9 @@ Result<ObjectId> Kernel::CreateColumnObject(const std::string& table,
 
   DBTOUCH_ASSIGN_OR_RETURN(state->hierarchy,
                            shared_->GetOrBuildHierarchy(table, col));
-  if (config_.use_buffer_manager) {
-    DBTOUCH_ASSIGN_OR_RETURN(state->paged,
-                             shared_->GetColumnSource(table, col));
-    state->cursor = storage::PagedColumnCursor(state->paged);
-  }
+  DBTOUCH_ASSIGN_OR_RETURN(state->paged,
+                           shared_->GetColumnSource(table, col));
+  state->cursor = storage::PagedColumnCursor(state->paged);
 
   const ObjectId id = state->id;
   objects_.emplace(id, std::move(state));
@@ -551,7 +549,7 @@ RefineOutcome Kernel::RefineNext(TouchStall* stall) {
         last = std::min<RowId>(base_row + k, obj->table->row_count() - 1);
       }
     }
-    if (first >= 0 && obj->paged != nullptr && obj->paged->may_block()) {
+    if (first >= 0 && obj->paged->may_block()) {
       stall->entries.clear();
       const Result<bool> ready = ProbeBlocks(obj->paged, first, last, stall);
       if (!ready.ok()) {
@@ -652,7 +650,7 @@ Result<bool> Kernel::ProbeGesture(const GestureEvent& event,
     }
     return ProbeTableGesture(*obj, event, stall);
   }
-  if (obj->paged == nullptr || !obj->paged->may_block()) {
+  if (!obj->paged->may_block()) {
     return true;  // No slow-tier reads possible.
   }
 
@@ -858,12 +856,11 @@ void Kernel::MaybePrefetch(ObjectState* obj, RowId row,
   if (range.empty()) {
     return;
   }
-  // The whole predicted path goes down as ranged warm-up tickets: the
-  // horizon expresses itself in the read size (one backing read per cold
-  // stretch) instead of block-by-block enqueues re-merged at pop time.
-  // Only real enqueues spend the per-touch budget: during a steady slide
-  // the head of the predicted range is already resident, and the cold
-  // tail is exactly what needs warming.
+  // The whole predicted path goes down in one call: each cold stretch is
+  // enqueued as one run, which the fetch queue reads with one backing
+  // read. Only real enqueues spend the per-touch budget: during a steady
+  // slide the head of the predicted range is already resident, and the
+  // cold tail is exactly what needs warming.
   const std::int64_t issued = source->RequestPrefetchRange(
       source->BlockFor(range.first), source->BlockFor(range.last),
       kMaxPrefetchBlocksPerTouch);
@@ -1031,6 +1028,9 @@ void Kernel::HandleTap(const GestureEvent& event, ObjectState* obj) {
   item.screen_position = ResultPosition(*obj, event.position);
   item.row = mapping.row;
   item.value = obj->ReadBoundValue(mapping.row);
+  // A tap is a whole gesture: drop the cursor's pin now, as a slide's end
+  // does, so an idle session holds no buffer-pool block pinned.
+  obj->cursor.ReleasePin();
   results_.Append(std::move(item));
   ++stats_.entries_returned;
   ++stats_.rows_scanned;

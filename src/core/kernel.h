@@ -83,15 +83,12 @@ struct KernelConfig {
   double rotation_trigger_rad = 0.8;
   /// Idle gap that splits query sessions.
   sim::Micros session_idle_gap_us = 3'000'000;
-  /// Buffer pool for paged base-data reads. Applies to this kernel's
-  /// private SharedState; when a SharedState is passed in (the touch
-  /// server), that state's pool — and its budget — win.
-  cache::BufferManagerConfig buffer;
-  /// Route column-object reads through the SharedState's BufferManager:
+  /// Buffer pool that column objects read base data through:
   /// block-at-a-time pinned reads under the pool's byte budget, with
-  /// gesture-aware admission. Off = the paper's raw whole-column
-  /// pointers (unbounded residency).
-  bool use_buffer_manager = true;
+  /// gesture-aware admission. Applies to this kernel's private
+  /// SharedState; when a SharedState is passed in (the touch server),
+  /// that state's pool — and its budget — win.
+  cache::BufferManagerConfig buffer;
   /// Prefetch along the extrapolated slide path (Section 2.6): slide
   /// steps over a slow-tier column enqueue low-priority warm-up fetches
   /// for the blocks the finger is predicted to reach within the horizon.

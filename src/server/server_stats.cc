@@ -67,7 +67,6 @@ std::string ServerStatsSnapshot::ToJson(bool include_buckets) const {
   writer.Field("shed_on_fetch_error", fetch.shed_on_fetch_error);
   writer.Field("cancelled_fetches", fetch.cancelled_fetches);
   writer.Field("aborted_fetches", fetch.aborted_fetches);
-  writer.Field("prefetch_ranges", fetch.prefetch_ranges);
   writer.Field("batched_stall_attrs", fetch.batched_stall_attrs);
   writer.Field("ranged_reads", fetch.ranged_reads);
   writer.Field("ranged_blocks", fetch.ranged_blocks);

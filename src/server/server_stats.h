@@ -91,9 +91,6 @@ struct FetchStatsSnapshot {
   /// In-flight fetches whose retry loop a session close cut short (capped
   /// at one attempt instead of a full retry budget).
   std::int64_t aborted_fetches = 0;
-  /// Pre-formed ranged warm-up tickets issued along extrapolated slide
-  /// paths (>= 2 blocks riding one ReadRange each).
-  std::int64_t prefetch_ranges = 0;
   /// Suspend round trips saved by multi-attribute stalls: a fat-table
   /// quantum whose probe missed on N sources suspends once, not N times;
   /// each such suspend adds N - 1 here.

@@ -934,7 +934,6 @@ ServerStatsSnapshot TouchServer::stats() const {
         total_shed_on_fetch_error_.load(std::memory_order_relaxed);
     snapshot.fetch.cancelled_fetches = fetch.cancelled;
     snapshot.fetch.aborted_fetches = fetch.aborted;
-    snapshot.fetch.prefetch_ranges = fetch.prefetch_ranges;
     snapshot.fetch.batched_stall_attrs =
         total_batched_stall_attrs_.load(std::memory_order_relaxed);
     snapshot.fetch.ranged_reads = fetch.ranged_reads;

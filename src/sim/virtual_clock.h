@@ -1,6 +1,6 @@
-// Virtual time. All dbTouch components take timestamps from a VirtualClock
-// so traces, benchmarks and the simulated network are deterministic and
-// independent of wall-clock noise.
+// Virtual time. Gesture traces carry virtual timestamps, and the kernel's
+// VirtualClock follows them, so trace replays and the benchmarks built on
+// them are deterministic and independent of wall-clock noise.
 
 #ifndef DBTOUCH_SIM_VIRTUAL_CLOCK_H_
 #define DBTOUCH_SIM_VIRTUAL_CLOCK_H_
@@ -29,9 +29,8 @@ constexpr double MicrosToMillis(Micros us) {
 
 /// A monotonically advancing simulated clock.
 ///
-/// Trace replay drives the clock forward to each event's timestamp; modules
-/// that model costs (the simulated network, the prefetcher) schedule
-/// completions at future instants and compare against now().
+/// Trace replay drives the clock forward to each event's timestamp; the
+/// kernel reads now() to decide which results are still on screen.
 class VirtualClock {
  public:
   VirtualClock() = default;

@@ -189,12 +189,12 @@ class PagedColumnSource {
 
   /// Hints that blocks [first_block, last_block] will likely be touched
   /// soon (the extrapolated slide path, Section 2.6). Low priority: demand
-  /// fetches preempt. A caching source turns each missing stretch into ONE
-  /// ranged warm-up ticket (one backing read) instead of block-by-block
-  /// enqueues re-merged at pop time. At most `max_new_blocks` blocks are
-  /// actually enqueued (already-resident or already-queued blocks are
-  /// free); returns how many were, so callers budget against real fetches,
-  /// not no-op hints. Default: nothing to warm (immediate sources).
+  /// fetches preempt. A caching source enqueues each missing stretch as
+  /// one run that the fetch queue reads with one backing read. At most
+  /// `max_new_blocks` blocks are actually enqueued (already-resident or
+  /// already-queued blocks are free); returns how many were, so callers
+  /// budget against real fetches, not no-op hints. Default: nothing to
+  /// warm (immediate sources).
   virtual std::int64_t RequestPrefetchRange(std::int64_t first_block,
                                             std::int64_t last_block,
                                             std::int64_t max_new_blocks) {

@@ -49,13 +49,11 @@ Result<std::shared_ptr<cache::FileBlockProvider>> TableSpiller::SpillColumn(
   }
   DBTOUCH_RETURN_IF_ERROR(writer.Finish());
 
-  cache::FileProviderOptions provider_options;
-  provider_options.reopen_per_fetch = options_.reopen_per_fetch;
-  provider_options.use_direct = options_.use_direct;
   DBTOUCH_ASSIGN_OR_RETURN(
       std::shared_ptr<cache::FileBlockProvider> provider,
-      cache::FileBlockProvider::Open(path, provider_options,
-                                     table->dictionary(column)));
+      cache::FileBlockProvider::Open(
+          path, cache::FileProviderOptions{.use_direct = options_.use_direct},
+          table->dictionary(column)));
   ++columns_spilled_;
   bytes_written_ += writer.bytes_written();
   return provider;
@@ -116,9 +114,6 @@ TableSpiller::SpillTablePax(const std::shared_ptr<const Table>& table) {
   }
   DBTOUCH_RETURN_IF_ERROR(writer.Finish());
 
-  cache::FileProviderOptions provider_options;
-  provider_options.reopen_per_fetch = options_.reopen_per_fetch;
-  provider_options.use_direct = options_.use_direct;
   std::vector<std::shared_ptr<Dictionary>> dictionaries;
   dictionaries.reserve(num_columns);
   for (std::size_t c = 0; c < num_columns; ++c) {
@@ -126,8 +121,9 @@ TableSpiller::SpillTablePax(const std::shared_ptr<const Table>& table) {
   }
   DBTOUCH_ASSIGN_OR_RETURN(
       std::shared_ptr<cache::FileBlockProvider> provider,
-      cache::FileBlockProvider::Open(path, provider_options, nullptr,
-                                     std::move(dictionaries)));
+      cache::FileBlockProvider::Open(
+          path, cache::FileProviderOptions{.use_direct = options_.use_direct},
+          nullptr, std::move(dictionaries)));
   ++columns_spilled_;
   bytes_written_ += writer.bytes_written();
   return provider;

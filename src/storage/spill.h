@@ -32,15 +32,11 @@ struct SpillOptions {
   /// Rows per on-disk block. Callers that rebind into a BufferManager
   /// should match its rows_per_block so cache keys and file blocks agree.
   std::int64_t rows_per_block = 16'384;
-  /// Reopen the file on every fetch (observability of deletion /
-  /// permission changes; see FileProviderOptions).
-  bool reopen_per_fetch = false;
   /// Start every block payload on a 4 KiB boundary (see
   /// cache::BlockFileWriterOptions::aligned_extents).
   bool aligned_extents = false;
   /// Spill and fault through O_DIRECT (implies aligned extents; falls
   /// back to buffered I/O where the filesystem refuses — tmpfs/CI).
-  /// Ignored on the read side under reopen_per_fetch.
   bool use_direct = false;
 };
 

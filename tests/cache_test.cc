@@ -1155,18 +1155,15 @@ TEST(FetchQueueTest, EnqueueRangePopsAsOnePreFormedRangedRead) {
   BlockCache cache(cache_config);
   FetchQueueConfig config;
   config.num_fetchers = 1;
-  // Coalescing OFF: a pre-formed ranged ticket needs no pop-time
-  // re-merging — the horizon sized it at enqueue time.
-  config.max_coalesce_blocks = 1;
   FetchQueue queue(config, InsertSink(cache));
   auto provider = std::make_shared<RangedGatedProvider>();
 
-  // Hold the fetcher on an unrelated block so the ticket is popped whole.
+  // Hold the fetcher on an unrelated block so the run is popped whole.
   queue.Enqueue(BlockKey{1, 100}, provider, 100, FetchPriority::kDemand,
                 nullptr);
   provider->AwaitCallEntered(1);
   EXPECT_EQ(queue.EnqueueRange(1, provider, 3, 5), 5u);
-  // Re-requesting overlapping blocks coalesces into the queued ticket.
+  // Re-requesting overlapping blocks coalesces into the queued run.
   EXPECT_EQ(queue.EnqueueRange(1, provider, 4, 2), 0u);
   provider->OpenGate();
   queue.WaitIdle();
@@ -1174,13 +1171,12 @@ TEST(FetchQueueTest, EnqueueRangePopsAsOnePreFormedRangedRead) {
   const std::vector<RangedGatedProvider::Call> calls = provider->calls();
   ASSERT_EQ(calls.size(), 2u);
   EXPECT_EQ(calls[1].first, 3);
-  EXPECT_EQ(calls[1].count, 5);  // ONE ReadRange despite the merge cap.
+  EXPECT_EQ(calls[1].count, 5);  // ONE ReadRange for the whole run.
   for (std::int64_t b = 3; b <= 7; ++b) {
     EXPECT_TRUE(cache.Contains(BlockKey{1, b})) << "block " << b;
   }
   const FetchQueueStats stats = queue.stats();
   EXPECT_EQ(stats.prefetch_enqueued, 5);
-  EXPECT_EQ(stats.prefetch_ranges, 1);
   EXPECT_EQ(stats.ranged_reads, 1);
   EXPECT_EQ(stats.ranged_blocks, 5);
   EXPECT_EQ(stats.coalesced, 2);
@@ -1192,7 +1188,6 @@ TEST(FetchQueueTest, DemandEnqueueSplitsQueuedPrefetchRange) {
   BlockCache cache(cache_config);
   FetchQueueConfig config;
   config.num_fetchers = 1;
-  config.max_coalesce_blocks = 1;
   FetchQueue queue(config, InsertSink(cache));
   auto provider = std::make_shared<RangedGatedProvider>();
 
@@ -1201,7 +1196,7 @@ TEST(FetchQueueTest, DemandEnqueueSplitsQueuedPrefetchRange) {
   provider->AwaitCallEntered(1);
   EXPECT_EQ(queue.EnqueueRange(1, provider, 0, 4), 4u);  // Blocks 0..3.
   // A session faults on block 2: it must pop block-sized in the demand
-  // lane, ahead of — and carved out of — the warm-up ticket.
+  // lane, ahead of the warm-up run, and no warm-up neighbour may join it.
   Status demand_status = Status::Internal("never fired");
   queue.Enqueue(BlockKey{1, 2}, provider, 2, FetchPriority::kDemand,
                 [&demand_status](const Status& s) { demand_status = s; });
@@ -1213,9 +1208,9 @@ TEST(FetchQueueTest, DemandEnqueueSplitsQueuedPrefetchRange) {
   ASSERT_EQ(calls.size(), 4u);
   EXPECT_EQ(calls[1].first, 2);  // Demand first, alone.
   EXPECT_EQ(calls[1].count, 1);
-  EXPECT_EQ(calls[2].first, 0);  // Left remainder of the ticket.
+  EXPECT_EQ(calls[2].first, 0);  // Warm-ups left of the demand block.
   EXPECT_EQ(calls[2].count, 2);
-  EXPECT_EQ(calls[3].first, 3);  // Right remainder, re-headed.
+  EXPECT_EQ(calls[3].first, 3);  // And the one right of it.
   EXPECT_EQ(calls[3].count, 1);
   for (std::int64_t b = 0; b <= 3; ++b) {
     EXPECT_TRUE(cache.Contains(BlockKey{1, b})) << "block " << b;

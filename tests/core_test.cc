@@ -68,6 +68,15 @@ TEST_F(KernelFixture, TapRevealsSingleValue) {
   EXPECT_EQ(kernel_->stats().taps, 1);
 }
 
+TEST_F(KernelFixture, TapLeavesNoPoolBlockPinned) {
+  // A tap is a whole gesture: once its value is read, an idle session
+  // must not hold the block under the finger pinned in the shared pool.
+  kernel_->Replay(builder().Tap("tap", PointCm{3.0, 6.0}));
+  ASSERT_EQ(kernel_->results().size(), 1);
+  EXPECT_EQ(kernel_->shared_state()->buffer_manager().stats().pinned_blocks,
+            0);
+}
+
 TEST_F(KernelFixture, TapOutsideObjectsDoesNothing) {
   kernel_->Replay(builder().Tap("tap", PointCm{15.0, 13.0}));
   EXPECT_EQ(kernel_->results().size(), 0);
@@ -501,6 +510,26 @@ TEST_F(TableKernelFixture, HorizontalSlideWalksAttributes) {
   EXPECT_EQ(items.back().attribute, 2u);
   for (std::size_t i = 1; i < items.size(); ++i) {
     EXPECT_EQ(items[i].row, items[0].row);  // Same tuple throughout.
+  }
+}
+
+TEST_F(TableKernelFixture, FilteredScanSlideReturnsMatches) {
+  // A table object has no pool cursor: its filtered scan reads the
+  // table's first attribute (id = 0..9999) through the table itself.
+  ASSERT_TRUE(kernel_
+                  ->SetAction(object_,
+                              ActionConfig::Filter(exec::Predicate(
+                                  exec::CompareOp::kGt, 5'000.0)))
+                  .ok());
+  kernel_->Replay(builder().Slide("slide", PointCm{7.0, 1.0},
+                                  PointCm{7.0, 11.0},
+                                  MotionProfile::Constant(2.0)));
+  const auto& items = kernel_->results().items();
+  ASSERT_FALSE(items.empty());
+  for (const ResultItem& item : items) {
+    EXPECT_EQ(item.kind, ResultKind::kFilterMatch);
+    EXPECT_EQ(item.value.AsInt(), item.row);
+    EXPECT_GT(item.value.AsInt(), 5'000);
   }
 }
 

@@ -13,6 +13,7 @@
 #include "common/macros.h"
 #include "core/ascii_screen.h"
 #include "core/kernel.h"
+#include "exec/aggregate.h"
 #include "sim/motion_profile.h"
 #include "sim/trace_builder.h"
 #include "sim/trace_io.h"
@@ -272,62 +273,63 @@ TEST(IntegrationTest, MultiObjectSessionKeepsStatsSeparate) {
 
 TEST(IntegrationTest, PagedSlideMatchesUnpagedBeyondBudget) {
   // A column larger than the buffer budget, explored with base-data
-  // summaries (sampling off) plus a back-and-forth slide: the paged path
-  // must return byte-identical results to raw whole-column reads while
+  // summaries (sampling off) plus a back-and-forth slide: every answer
+  // must be bit-identical to an average computed straight from the raw
+  // column — a reference that shares no code with the pool — while
   // resident bytes never exceed the budget.
   const std::int64_t rows = 262'144;  // 2 MiB of doubles.
-  const auto make_kernel = [&](bool paged) {
-    KernelConfig config;
-    config.use_sampling = false;  // Every summary reads base data.
-    config.use_buffer_manager = paged;
-    config.buffer.budget_bytes = 128 << 10;  // 6% of the column.
-    config.buffer.rows_per_block = 4'096;
-    auto kernel = std::make_unique<Kernel>(config);
-    std::vector<Column> cols;
-    cols.push_back(storage::GenSegmentedDouble(
-        "v", rows, {5.0, -3.0, 12.0, 0.5}, 1.0, 42));
-    DBTOUCH_CHECK_OK(
-        kernel->RegisterTable(*Table::FromColumns("big", std::move(cols))));
-    auto obj = kernel->CreateColumnObject("big", "v",
-                                          RectCm{2.0, 1.0, 2.0, 10.0});
-    DBTOUCH_CHECK_OK(obj.status());
-    DBTOUCH_CHECK_OK(kernel->SetAction(*obj, ActionConfig::Summary(3'000)));
-    return kernel;
+  const auto make_column = [&] {
+    return storage::GenSegmentedDouble("v", rows, {5.0, -3.0, 12.0, 0.5},
+                                       1.0, 42);
   };
-  const auto make_trace = [](const Kernel& kernel) {
-    TraceBuilder builder(kernel.device());
-    sim::GestureTrace trace =
-        builder.Slide("down", PointCm{3.0, 1.0}, PointCm{3.0, 11.0},
-                      MotionProfile::Constant(4.0));
-    trace.Append(builder.Slide("back", PointCm{3.0, 11.0}, PointCm{3.0, 4.0},
-                               MotionProfile::Constant(2.0)),
-                 150'000);
-    return trace;
-  };
+  KernelConfig config;
+  config.use_sampling = false;  // Every summary reads base data.
+  config.buffer.budget_bytes = 128 << 10;  // 6% of the column.
+  config.buffer.rows_per_block = 4'096;
+  Kernel kernel(config);
+  std::vector<Column> cols;
+  cols.push_back(make_column());
+  ASSERT_TRUE(
+      kernel.RegisterTable(*Table::FromColumns("big", std::move(cols)))
+          .ok());
+  const auto obj =
+      kernel.CreateColumnObject("big", "v", RectCm{2.0, 1.0, 2.0, 10.0});
+  ASSERT_TRUE(obj.ok());
+  ASSERT_TRUE(kernel.SetAction(*obj, ActionConfig::Summary(3'000)).ok());
+  TraceBuilder builder(kernel.device());
+  sim::GestureTrace trace =
+      builder.Slide("down", PointCm{3.0, 1.0}, PointCm{3.0, 11.0},
+                    MotionProfile::Constant(4.0));
+  trace.Append(builder.Slide("back", PointCm{3.0, 11.0}, PointCm{3.0, 4.0},
+                             MotionProfile::Constant(2.0)),
+               150'000);
+  kernel.Replay(trace);
 
-  auto unpaged = make_kernel(false);
-  auto paged = make_kernel(true);
-  unpaged->Replay(make_trace(*unpaged));
-  paged->Replay(make_trace(*paged));
-
-  const auto& expect = unpaged->results().items();
-  const auto& got = paged->results().items();
-  ASSERT_GT(expect.size(), 20u);
-  ASSERT_EQ(got.size(), expect.size());
-  for (std::size_t i = 0; i < expect.size(); ++i) {
-    EXPECT_EQ(got[i].kind, expect[i].kind);
-    EXPECT_EQ(got[i].row, expect[i].row);
-    EXPECT_EQ(got[i].band_first, expect[i].band_first);
-    EXPECT_EQ(got[i].band_last, expect[i].band_last);
-    EXPECT_EQ(got[i].rows_aggregated, expect[i].rows_aggregated);
-    // Bit-identical: both paths feed the aggregate in ascending row order.
-    EXPECT_EQ(got[i].value.AsDouble(), expect[i].value.AsDouble())
+  const Column raw_column = make_column();
+  const storage::ColumnView raw = raw_column.View();
+  const auto& got = kernel.results().items();
+  ASSERT_GT(got.size(), 20u);
+  std::int64_t rows_aggregated = 0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].kind, ResultKind::kSummary);
+    ASSERT_LE(got[i].band_first, got[i].row);
+    ASSERT_GE(got[i].band_last, got[i].row);
+    ASSERT_LT(got[i].band_last, rows);
+    EXPECT_EQ(got[i].rows_aggregated,
+              got[i].band_last - got[i].band_first + 1)
         << "result " << i;
+    // Bit-identical: the reference feeds the band in ascending row order,
+    // as every kernel read path does.
+    exec::RunningAggregate expect(exec::AggKind::kAvg);
+    for (RowId r = got[i].band_first; r <= got[i].band_last; ++r) {
+      expect.Add(raw.GetDouble(r));
+    }
+    EXPECT_EQ(got[i].value.AsDouble(), expect.value()) << "result " << i;
+    rows_aggregated += got[i].rows_aggregated;
   }
-  EXPECT_EQ(paged->stats().rows_scanned, unpaged->stats().rows_scanned);
+  EXPECT_EQ(kernel.stats().rows_scanned, rows_aggregated);
 
-  const cache::BufferManager& pool =
-      paged->shared_state()->buffer_manager();
+  const cache::BufferManager& pool = kernel.shared_state()->buffer_manager();
   const cache::BlockCacheStats stats = pool.stats();
   EXPECT_GT(stats.faults, 0);
   EXPECT_GT(rows * 8, pool.config().budget_bytes);  // Data exceeds budget.

@@ -289,19 +289,20 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AggregateOrderProperty,
 // ---- Storage-tier parity: identical gestures, bit-identical answers --------
 //
 // The same gesture script — column summaries and taps PLUS fat-table taps
-// and a group-by slide — runs against every backend: raw in-memory
-// reads, the paged buffer pool over the in-memory table (both with the
-// span kernels' default dispatch and with the scalar tier forced), the
-// pool over file-spilled columns, the spilled table with its matrix
-// actually reclaimed (SpillTable reclaim_raw: every read must come off
-// disk), the table PAX-spilled into one multi-column file, and the spill
-// written and faulted through O_DIRECT with aligned extents — at
-// 10/50/100% buffer budgets. The storage tier, the SIMD tier and the
-// budget are performance knobs; every answer must be bit-identical
-// across all.
+// and a group-by slide — runs against every backend: the paged buffer
+// pool over the in-memory table (both with the span kernels' default
+// dispatch and with the scalar tier forced), the pool over file-spilled
+// columns, the spilled table with its matrix actually reclaimed
+// (SpillTable reclaim_raw: every read must come off disk), the table
+// PAX-spilled into one multi-column file, and the spill written and
+// faulted through O_DIRECT with aligned extents — at 10/50/100% buffer
+// budgets. The reference is the pool over the in-memory table at a 200%
+// budget, which holds the whole table. The storage tier, the SIMD tier
+// and the budget are performance knobs; every answer must be
+// bit-identical across all. Every run must also keep two pool promises:
+// it ends with no block pinned, and residency never exceeded the budget.
 
 enum class Backend {
-  kInMemory,
   kPagedRam,
   kFileSpilled,
   kFileReclaimed,
@@ -333,7 +334,6 @@ std::vector<AnswerFingerprint> RunTierScript(Backend backend,
   constexpr std::int64_t kRows = 1 << 15;
   constexpr std::int64_t kRowsPerBlock = 1'024;
   KernelConfig config;
-  config.use_buffer_manager = backend != Backend::kInMemory;
   config.buffer.rows_per_block = kRowsPerBlock;
   config.buffer.budget_bytes = kRows * 8 * budget_pct / 100;
 
@@ -431,6 +431,14 @@ std::vector<AnswerFingerprint> RunTierScript(Backend backend,
                                     item.rows_aggregated,
                                     item.approximate});
   }
+  const cache::BufferManager& pool = kernel.shared_state()->buffer_manager();
+  const cache::BlockCacheStats pool_stats = pool.stats();
+  const std::string run = "backend " +
+                          std::to_string(static_cast<int>(backend)) +
+                          " at " + std::to_string(budget_pct) + "%";
+  EXPECT_EQ(pool_stats.pinned_blocks, 0) << run;
+  EXPECT_LE(pool_stats.peak_resident_bytes, pool.config().budget_bytes)
+      << run;
   if (!spill_dir.empty()) {
     std::error_code ec;
     std::filesystem::remove_all(spill_dir, ec);
@@ -443,7 +451,7 @@ class TierParityProperty : public testing::TestWithParam<int> {};
 TEST_P(TierParityProperty, PagedAndSpilledTiersMatchInMemoryBitForBit) {
   const int budget_pct = GetParam();
   const std::vector<AnswerFingerprint> reference =
-      RunTierScript(Backend::kInMemory, 100);
+      RunTierScript(Backend::kPagedRam, 200);
   ASSERT_GT(reference.size(), 10u);
   const std::vector<AnswerFingerprint> paged =
       RunTierScript(Backend::kPagedRam, budget_pct);

@@ -306,7 +306,7 @@ TEST(ReclaimTest, TapScanAndGroupByServeFromReclaimedTable) {
   ScratchDir dir;
   const std::int64_t rows = 1 << 14;
 
-  // Reference run: everything in memory, no buffer manager.
+  // Reference run: the table stays in memory, nothing spilled.
   const auto run = [&](bool reclaim) {
     std::shared_ptr<core::SharedState> shared;
     KernelConfig config;
