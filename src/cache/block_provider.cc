@@ -59,10 +59,12 @@ Result<std::vector<std::byte>> TableBlockProvider::Fetch(std::int64_t block) {
   const std::int64_t count = geometry_.BlockRowCount(block);
   std::vector<std::byte> payload(static_cast<std::size_t>(count) * width);
   // The copy runs under the table's release gate: a concurrent spill
-  // reclamation waits for it, and once the matrix is gone this fetch
-  // fails permanently (FailedPrecondition is not a transient fetch
-  // error) instead of reading freed memory — a stale binding sheds its
-  // gesture cleanly while rebound sources serve from disk.
+  // reclamation or layout swap waits for it, and the pool keeps only the
+  // copy, never a pointer into the matrix. Once the matrix is gone this
+  // fetch fails permanently (FailedPrecondition is not a transient fetch
+  // error) instead of reading freed memory; kernel objects rebind to the
+  // spill files before their next gesture, so only a read racing the
+  // reclaim still meets this failure.
   DBTOUCH_RETURN_IF_ERROR(table_->WithRawColumn(
       column_, [&](const storage::ColumnView& view) -> Status {
         if (view.stride() == width) {

@@ -104,9 +104,11 @@ struct Kernel::ObjectState {
   /// by the SharedState; possibly shared with other sessions' kernels.
   std::shared_ptr<sampling::SampleHierarchy> hierarchy;
   ActionConfig action;
-  /// Per-action operator state (reset on SetAction).
-  std::unique_ptr<exec::TouchedAggregateOp> agg_op;
-  std::unique_ptr<exec::FilteredScanOp> filter_op;
+  /// Per-action operator state (reset on SetAction). Aggregates and
+  /// filtered scans keep one operator per source: a slide feeds the one
+  /// of the attribute under the finger.
+  std::vector<exec::TouchedAggregateOp> agg_ops;
+  std::vector<exec::FilteredScanOp> filter_ops;
   std::unique_ptr<exec::IncrementalGroupBy> groupby_op;
   /// In-flight incremental layout rotation.
   std::unique_ptr<layout::IncrementalRotator> rotator;
@@ -114,53 +116,35 @@ struct Kernel::ObjectState {
   /// filtered scan asks for index support; immutable and lock-free after.
   /// The aliasing shared_ptr pins the owning index set.
   std::shared_ptr<const index::ZoneMap> base_zone_map;
-  /// Paged source over the bound column through the SharedState's shared
-  /// BufferManager. Set for every column object; null for table objects.
-  std::shared_ptr<storage::PagedColumnSource> paged;
-  /// Working cursor for per-touch point reads; holds the block under the
-  /// finger pinned, so a slide inside one block re-pins nothing.
-  storage::PagedColumnCursor cursor;
+  /// One buffer-pool source per attribute the object shows, from
+  /// SharedState::GetColumnSource: a column object's bound column at
+  /// index 0, a table object's schema attributes at their schema index.
+  /// A TouchMapping's attribute indexes them. Every base read of every
+  /// action goes through these (see BindSources).
+  std::vector<std::shared_ptr<storage::PagedColumnSource>> sources;
+  /// One working cursor per source for per-touch point reads; holds the
+  /// block under the finger pinned, so a slide inside one block re-pins
+  /// nothing.
+  std::vector<storage::PagedColumnCursor> cursors;
+  /// Some source may fault from a slow tier (fixed at bind time).
+  bool may_block = false;
+  /// The sources were bound while the table was resident. Once the table
+  /// is reclaimed their fills fail, so the next probe rebinds them.
+  bool bound_resident = false;
   ObjectStats stats;
   /// Rotation gesture latch: fire once per gesture.
   bool rotation_fired_this_gesture = false;
   /// Slide extrapolator driving warm-up prefetches over slow-tier
   /// sources (Section 2.6 "Prefetching Data").
   prefetch::GestureExtrapolator extrapolator;
+};
 
-  /// The paged source execution reads the bound column through: the
-  /// buffer-pool source for column objects; for table objects the table's
-  /// own source — the release-gated zero-copy form on a resident table,
-  /// the rebind source once its matrix was reclaimed. Never a bare raw
-  /// view: every operator the kernel builds survives (or cleanly
-  /// refuses) a later spill reclamation.
-  std::shared_ptr<storage::PagedColumnSource> BoundSource() const {
-    if (paged != nullptr) {
-      return paged;
-    }
-    return table->PagedColumnAt(column.value_or(0));
-  }
-
-  /// Paged source for an arbitrary attribute of the backing table (the
-  /// fat-table read paths: taps, scans, group-bys).
-  std::shared_ptr<storage::PagedColumnSource> AttributeSource(
-      std::size_t attribute) const {
-    if (paged != nullptr && *column == attribute) {
-      return paged;
-    }
-    return table->PagedColumnAt(attribute);
-  }
-
-  /// Point read of the bound column: pinned through the buffer pool for
-  /// column objects; for table objects (a filtered scan reads attribute
-  /// 0) through Table::GetValue, whose release gate makes the read safe
-  /// against a concurrent spill reclamation (and which is rotation-safe,
-  /// reading the current matrix each call).
-  storage::Value ReadBoundValue(storage::RowId row) {
-    if (cursor.valid()) {
-      return cursor.GetValue(row);
-    }
-    return table->GetValue(row, column.value_or(0));
-  }
+/// The base reads of one gesture's execution: rows [first, last] of every
+/// listed attribute. No attributes = the gesture reads no base data.
+struct Kernel::GestureReads {
+  RowId first = 0;
+  RowId last = -1;
+  std::vector<std::size_t> attributes;
 };
 
 Kernel::Kernel(const KernelConfig& config, std::shared_ptr<SharedState> shared)
@@ -204,9 +188,7 @@ Result<ObjectId> Kernel::CreateColumnObject(const std::string& table,
 
   DBTOUCH_ASSIGN_OR_RETURN(state->hierarchy,
                            shared_->GetOrBuildHierarchy(table, col));
-  DBTOUCH_ASSIGN_OR_RETURN(state->paged,
-                           shared_->GetColumnSource(table, col));
-  state->cursor = storage::PagedColumnCursor(state->paged);
+  DBTOUCH_RETURN_IF_ERROR(BindSources(state.get()));
 
   const ObjectId id = state->id;
   objects_.emplace(id, std::move(state));
@@ -227,10 +209,56 @@ Result<ObjectId> Kernel::CreateTableObject(const std::string& table,
   view->BindTable(table);
   state->view =
       static_cast<DataObjectView*>(root_view_.AddChild(std::move(view)));
+  DBTOUCH_RETURN_IF_ERROR(BindSources(state.get()));
 
   const ObjectId id = state->id;
   objects_.emplace(id, std::move(state));
   return id;
+}
+
+Status Kernel::BindSources(ObjectState* obj) {
+  // Read before resolving: a reclaim landing in between leaves the flag
+  // set, and the next probe binds again.
+  const bool resident = !obj->table->raw_released();
+  const std::size_t n =
+      obj->column.has_value() ? 1 : obj->table->schema().num_fields();
+  std::vector<std::shared_ptr<storage::PagedColumnSource>> sources;
+  sources.reserve(n);
+  for (std::size_t a = 0; a < n; ++a) {
+    DBTOUCH_ASSIGN_OR_RETURN(
+        std::shared_ptr<storage::PagedColumnSource> source,
+        shared_->GetColumnSource(obj->table->name(), obj->column.value_or(a)));
+    sources.push_back(std::move(source));
+  }
+  // Every cursor drops its pin before the old sources go (Rebind's
+  // order); the operators keep what they accumulated.
+  obj->cursors.resize(n);
+  obj->may_block = false;
+  for (std::size_t a = 0; a < n; ++a) {
+    obj->cursors[a].Rebind(sources[a]);
+    obj->may_block = obj->may_block || sources[a]->may_block();
+  }
+  for (std::size_t a = 0; a < obj->agg_ops.size(); ++a) {
+    obj->agg_ops[a].Rebind(sources[a]);
+  }
+  for (std::size_t a = 0; a < obj->filter_ops.size(); ++a) {
+    obj->filter_ops[a].Rebind(sources[a]);
+  }
+  if (obj->groupby_op != nullptr) {
+    obj->groupby_op->Rebind(sources[obj->action.group_key_attribute],
+                            sources[obj->action.group_value_attribute]);
+  }
+  for (JoinBinding& binding : joins_) {
+    if (binding.left == obj->id) {
+      binding.join->Rebind(exec::JoinSide::kLeft, sources[0]);
+    }
+    if (binding.right == obj->id) {
+      binding.join->Rebind(exec::JoinSide::kRight, sources[0]);
+    }
+  }
+  obj->sources = std::move(sources);
+  obj->bound_resident = resident;
+  return Status::OK();
 }
 
 Status Kernel::DestroyObject(ObjectId id) {
@@ -291,27 +319,25 @@ Status Kernel::SetAction(ObjectId id, const ActionConfig& action) {
   }
   obj->action = action;
   // A new action is a new logical query: clear operator state.
-  obj->agg_op.reset();
-  obj->filter_op.reset();
+  obj->agg_ops.clear();
+  obj->filter_ops.clear();
   obj->groupby_op.reset();
   switch (action.kind) {
     case ActionKind::kAggregate:
-      obj->agg_op = std::make_unique<exec::TouchedAggregateOp>(
-          obj->BoundSource(), action.agg);
+      for (const auto& source : obj->sources) {
+        obj->agg_ops.emplace_back(source, action.agg);
+      }
       break;
     case ActionKind::kFilteredScan:
       DBTOUCH_CHECK(action.predicate.has_value());
-      obj->filter_op = std::make_unique<exec::FilteredScanOp>(
-          obj->BoundSource(), *action.predicate);
+      for (const auto& source : obj->sources) {
+        obj->filter_ops.emplace_back(source, *action.predicate);
+      }
       break;
     case ActionKind::kGroupBy:
-      // Paged always: zero-copy block slices on a resident table, pinned
-      // pool blocks on a reclaimed one — same values either way, and the
-      // group-by no longer needs the matrix to exist.
       obj->groupby_op = std::make_unique<exec::IncrementalGroupBy>(
-          obj->table->PagedColumnAt(action.group_key_attribute),
-          obj->table->PagedColumnAt(action.group_value_attribute),
-          action.agg);
+          obj->sources[action.group_key_attribute],
+          obj->sources[action.group_value_attribute], action.agg);
       break;
     case ActionKind::kScan:
     case ActionKind::kSummary:
@@ -333,8 +359,8 @@ Status Kernel::EnableJoin(ObjectId left, ObjectId right) {
   }
   // Per-side sources — each side independently, so joining a reclaimed
   // column against a resident one works.
-  const std::shared_ptr<storage::PagedColumnSource> lsrc = l->BoundSource();
-  const std::shared_ptr<storage::PagedColumnSource> rsrc = r->BoundSource();
+  const std::shared_ptr<storage::PagedColumnSource>& lsrc = l->sources[0];
+  const std::shared_ptr<storage::PagedColumnSource>& rsrc = r->sources[0];
   const storage::DataType lt = lsrc->type();
   const storage::DataType rt = rsrc->type();
   if (lt == storage::DataType::kFloat || lt == storage::DataType::kDouble ||
@@ -356,6 +382,10 @@ Status Kernel::EnableJoin(ObjectId left, ObjectId right) {
   if (join != nullptr && pins != join_cache_tables_.end() &&
       pins->second.first == l->table && pins->second.second == r->table) {
     ++stats_.join_cache_hits;
+    // The cached join may still read through the bindings of the objects
+    // it was built for (destroyed since, or bound before a reclaim).
+    join->Rebind(exec::JoinSide::kLeft, lsrc);
+    join->Rebind(exec::JoinSide::kRight, rsrc);
   } else {
     join = std::make_shared<exec::SymmetricHashJoin>(lsrc, rsrc);
     join_cache_.Put(cache_key, join);
@@ -513,7 +543,7 @@ bool Kernel::AnswerPartialFromResident() {
   const std::int64_t wall = NowWallNs() - start_ns;
   stats_.exec_wall_ns += wall;
   stats_.max_touch_wall_ns = std::max(stats_.max_touch_wall_ns, wall);
-  MaybePrefetch(obj, base_row, g);
+  MaybePrefetch(obj, mapping, g);
   sessions_.OnTouch(g.timestamp_us);
 
   refinements_.push_back(PendingRefinement{g, obj->id, /*seq=*/1});
@@ -531,40 +561,21 @@ RefineOutcome Kernel::RefineNext(TouchStall* stall) {
       continue;
     }
     ObjectState* obj = it->second.get();
+    const Result<bool> ready = ProbeObject(obj, ref.event, stall);
+    if (!ready.ok()) {
+      ++stats_.fetch_errors;
+      probe_pins_.clear();
+      refinements_.pop_front();
+      continue;
+    }
+    if (!*ready) {
+      ++ref.seq;  // This attempt failed; the next one carries seq + 1.
+      probe_pins_.clear();
+      return RefineOutcome::kStillCold;
+    }
+
     const sim::PointCm local = obj->view->ScreenToLocal(ref.event.position);
     const TouchMapping mapping = touch::MapTouch(*obj->view, local);
-    const RowId base_row = mapping.row;
-
-    // Base-row range the full-fidelity execution reads — mirrors
-    // ProbeGesture's slide case; [-1, -1] = no base reads (the level
-    // policy routes this summary to an in-memory sample anyway).
-    RowId first = base_row;
-    RowId last = base_row;
-    if (obj->action.kind == ActionKind::kSummary) {
-      if (ChooseLevelFor(*obj, ref.event) > 0) {
-        first = -1;
-      } else {
-        const std::int64_t k = SummaryBandK(*obj);
-        first = std::max<RowId>(base_row - k, 0);
-        last = std::min<RowId>(base_row + k, obj->table->row_count() - 1);
-      }
-    }
-    if (first >= 0 && obj->paged->may_block()) {
-      stall->entries.clear();
-      const Result<bool> ready = ProbeBlocks(obj->paged, first, last, stall);
-      if (!ready.ok()) {
-        ++stats_.fetch_errors;
-        probe_pins_.clear();
-        refinements_.pop_front();
-        continue;
-      }
-      if (!*ready) {
-        ++ref.seq;  // This attempt failed; the next one carries seq + 1.
-        probe_pins_.clear();
-        return RefineOutcome::kStillCold;
-      }
-    }
-
     const std::int64_t before = results_.size();
     const std::int64_t start_ns = NowWallNs();
     const std::int64_t entries = ExecuteAction(obj, mapping, ref.event);
@@ -628,9 +639,6 @@ TouchOutcome Kernel::DrainPending(TouchStall* stall) {
 
 Result<bool> Kernel::ProbeGesture(const GestureEvent& event,
                                   TouchStall* stall) {
-  // Each probe attempt reports its own misses; entries from a previous
-  // attempt of this (or another) gesture are stale.
-  stall->entries.clear();
   // Mirror OnGesture's targeting without mutating it. Events queued
   // behind an unexecuted kBegan are never probed before it runs (FIFO),
   // so gesture_target_ is current whenever it is consulted here.
@@ -641,122 +649,87 @@ Result<bool> Kernel::ProbeGesture(const GestureEvent& event,
   if (obj == nullptr) {
     return true;
   }
-  if (obj->view->kind() == ObjectKind::kTable) {
-    // Fat-table gestures read per-attribute sources; only a reclaimed
-    // table's sources can fault from a slow tier (resident tables read
-    // raw views or zero-copy slices).
-    if (!obj->table->raw_released()) {
-      return true;
-    }
-    return ProbeTableGesture(*obj, event, stall);
-  }
-  if (!obj->paged->may_block()) {
-    return true;  // No slow-tier reads possible.
-  }
-
-  // The base-row range this gesture's execution will read from the paged
-  // column; [-1, -1] = none.
-  RowId first = -1;
-  RowId last = -1;
-  if (event.type == GestureType::kTap) {
-    const sim::PointCm local = obj->view->ScreenToLocal(event.position);
-    first = last = touch::MapTouch(*obj->view, local).row;
-  } else if (event.type == GestureType::kSlide &&
-             event.phase == GesturePhase::kChanged) {
-    const sim::PointCm local = obj->view->ScreenToLocal(event.position);
-    const RowId row = touch::MapTouch(*obj->view, local).row;
-    switch (obj->action.kind) {
-      case ActionKind::kScan:
-      case ActionKind::kAggregate:
-      case ActionKind::kFilteredScan:
-        first = last = row;
-        break;
-      case ActionKind::kSummary: {
-        if (ChooseLevelFor(*obj, event) > 0) {
-          return true;  // Served from the in-memory sample hierarchy.
-        }
-        const std::int64_t k = SummaryBandK(*obj);
-        first = std::max<RowId>(row - k, 0);
-        last = std::min<RowId>(row + k, obj->table->row_count() - 1);
-        break;
-      }
-      case ActionKind::kGroupBy:
-        return true;  // Table-object action; unreachable for columns.
-    }
-  } else {
-    return true;  // Pinch / rotate / begin / end read no base data.
-  }
-  if (first < 0) {
-    return true;
-  }
-  return ProbeBlocks(obj->paged, first, last, stall);
+  return ProbeObject(obj, event, stall);
 }
 
-Result<bool> Kernel::ProbeTableGesture(const ObjectState& obj,
-                                       const GestureEvent& event,
-                                       TouchStall* stall) {
-  // Which attributes this gesture's execution will read, at which rows.
-  RowId row = -1;
-  std::vector<std::size_t> attributes;
-  RowId band_first = -1;
-  RowId band_last = -1;
-  if (event.type == GestureType::kTap) {
-    // "A single tap anywhere on a table data object reveals a full
-    // tuple": every attribute's covering block must be resident.
-    const sim::PointCm local = obj.view->ScreenToLocal(event.position);
-    row = touch::MapTouch(*obj.view, local).row;
-    for (std::size_t c = 0; c < obj.table->schema().num_fields(); ++c) {
-      attributes.push_back(c);
-    }
-  } else if (event.type == GestureType::kSlide &&
-             event.phase == GesturePhase::kChanged) {
-    const sim::PointCm local = obj.view->ScreenToLocal(event.position);
-    const touch::TouchMapping mapping = touch::MapTouch(*obj.view, local);
-    row = mapping.row;
-    switch (obj.action.kind) {
-      case ActionKind::kScan:
-        attributes.push_back(mapping.attribute);
-        break;
-      case ActionKind::kGroupBy:
-        attributes.push_back(obj.action.group_key_attribute);
-        if (obj.action.group_value_attribute !=
-            obj.action.group_key_attribute) {
-          attributes.push_back(obj.action.group_value_attribute);
-        }
-        break;
-      case ActionKind::kAggregate:
-      case ActionKind::kFilteredScan:
-        attributes.push_back(obj.column.value_or(0));
-        break;
-      case ActionKind::kSummary: {
-        const std::int64_t k = SummaryBandK(obj);
-        band_first = std::max<RowId>(row - k, 0);
-        band_last = std::min<RowId>(row + k, obj.table->row_count() - 1);
-        attributes.push_back(obj.column.value_or(0));
-        break;
-      }
-    }
-  } else {
-    return true;  // Pinch / rotate / begin / end read no base data.
+Result<bool> Kernel::ProbeObject(ObjectState* obj, const GestureEvent& event,
+                                 TouchStall* stall) {
+  // Each probe attempt reports its own misses; entries from a previous
+  // attempt of this (or another) gesture are stale.
+  stall->entries.clear();
+  // Follow a reclaim: sources bound while the table was resident fill
+  // from its matrix, which the reclaim freed, and GetColumnSource now
+  // returns the spill binding. Probe pins of a suspended gesture may hold
+  // blocks of the old sources, so they go first.
+  if (obj->bound_resident && obj->table->raw_released()) {
+    probe_pins_.clear();
+    DBTOUCH_RETURN_IF_ERROR(BindSources(obj));
   }
-  if (row < 0) {
-    return true;
+  if (!obj->may_block) {
+    return true;  // No slow-tier reads possible.
   }
+  const GestureReads reads = ReadsOf(*obj, event);
   // Probe every attribute even after one misses: the stall then carries
   // all the cold attributes' blocks, so ONE suspend (and one fetch
   // ticket) covers the whole tuple instead of a round trip per
   // attribute. Resident attributes stay pinned in probe_pins_ across the
   // resume either way.
   bool ready = true;
-  for (const std::size_t attribute : attributes) {
-    const RowId first = band_first >= 0 ? band_first : row;
-    const RowId last = band_last >= 0 ? band_last : row;
+  for (const std::size_t attribute : reads.attributes) {
     DBTOUCH_ASSIGN_OR_RETURN(
-        const bool attr_ready,
-        ProbeBlocks(obj.AttributeSource(attribute), first, last, stall));
-    ready = ready && attr_ready;
+        const bool attribute_ready,
+        ProbeBlocks(obj->sources[attribute], reads.first, reads.last,
+                    stall));
+    ready = ready && attribute_ready;
   }
   return ready;
+}
+
+Kernel::GestureReads Kernel::ReadsOf(const ObjectState& obj,
+                                     const GestureEvent& event) const {
+  GestureReads reads;
+  const bool tap = event.type == GestureType::kTap;
+  if (!tap && (event.type != GestureType::kSlide ||
+               event.phase != GesturePhase::kChanged)) {
+    return reads;  // Pinch / rotate / begin / end read no base data.
+  }
+  const sim::PointCm local = obj.view->ScreenToLocal(event.position);
+  const TouchMapping mapping = touch::MapTouch(*obj.view, local);
+  reads.first = reads.last = mapping.row;
+  if (tap) {
+    // "A single tap anywhere on a table data object reveals a full
+    // tuple": every attribute the object shows, at the touched row.
+    for (std::size_t a = 0; a < obj.sources.size(); ++a) {
+      reads.attributes.push_back(a);
+    }
+    return reads;
+  }
+  switch (obj.action.kind) {
+    case ActionKind::kScan:
+    case ActionKind::kAggregate:
+    case ActionKind::kFilteredScan:
+      reads.attributes.push_back(mapping.attribute);
+      break;
+    case ActionKind::kSummary: {
+      if (ChooseLevelFor(obj, event) > 0) {
+        break;  // Served from the in-memory sample hierarchy.
+      }
+      const std::int64_t k = SummaryBandK(obj);
+      reads.first = std::max<RowId>(mapping.row - k, 0);
+      reads.last =
+          std::min<RowId>(mapping.row + k, obj.table->row_count() - 1);
+      reads.attributes.push_back(mapping.attribute);
+      break;
+    }
+    case ActionKind::kGroupBy:
+      reads.attributes.push_back(obj.action.group_key_attribute);
+      if (obj.action.group_value_attribute !=
+          obj.action.group_key_attribute) {
+        reads.attributes.push_back(obj.action.group_value_attribute);
+      }
+      break;
+  }
+  return reads;
 }
 
 Result<bool> Kernel::ProbeBlocks(
@@ -835,15 +808,15 @@ std::int64_t Kernel::SummaryBandK(const ObjectState& obj) const {
                   config_.max_rows_per_touch / 2);
 }
 
-void Kernel::MaybePrefetch(ObjectState* obj, RowId row,
+void Kernel::MaybePrefetch(ObjectState* obj, const TouchMapping& mapping,
                            const GestureEvent& event) {
-  const std::shared_ptr<storage::PagedColumnSource> source =
-      obj->BoundSource();
-  if (!config_.prefetch_enabled || source == nullptr ||
-      !source->may_block()) {
+  if (!config_.prefetch_enabled || !obj->may_block) {
     return;
   }
-  obj->extrapolator.Observe(event.timestamp_us, row);
+  // Warm the attribute under the finger, the one the probe follows.
+  const std::shared_ptr<storage::PagedColumnSource>& source =
+      obj->sources[mapping.attribute];
+  obj->extrapolator.Observe(event.timestamp_us, mapping.row);
   // Close the warm-up feedback loop: the cache's claimed-before-eviction
   // score scales the horizon, so a stream of warm-ups dying unclaimed
   // shortens the reach instead of churning the staging pad forever.
@@ -942,17 +915,19 @@ void Kernel::OnGesture(const GestureEvent& event) {
     gesture_target_ = nullptr;
     // Finger lifted — the pause signal that re-enables block-cache
     // admission (Section 2.6: interest in the current region). Scoped to
-    // this object's column so other sessions' scans are untouched. The
+    // this object's columns so other sessions' scans are untouched. The
     // working pins drop too: an idle session must not hold buffer-pool
     // blocks pinned (retained blocks stay cached, so the next touch on
     // the region is still a hit).
-    obj->BoundSource()->OnGesturePause();
-    obj->cursor.ReleasePin();
-    if (obj->agg_op != nullptr) {
-      obj->agg_op->ReleasePin();
+    for (std::size_t a = 0; a < obj->sources.size(); ++a) {
+      obj->sources[a]->OnGesturePause();
+      obj->cursors[a].ReleasePin();
     }
-    if (obj->filter_op != nullptr) {
-      obj->filter_op->ReleasePin();
+    for (exec::TouchedAggregateOp& op : obj->agg_ops) {
+      op.ReleasePin();
+    }
+    for (exec::FilteredScanOp& op : obj->filter_ops) {
+      op.ReleasePin();
     }
     if (obj->groupby_op != nullptr) {
       obj->groupby_op->ReleasePins();
@@ -997,41 +972,24 @@ void Kernel::HandleTap(const GestureEvent& event, ObjectState* obj) {
   ++obj->stats.touches;
   sessions_.OnGestureBegin(event.timestamp_us);
 
-  if (obj->view->kind() == ObjectKind::kTable) {
-    // "A single tap anywhere on a table data object reveals a full tuple."
-    const std::size_t fields = obj->table->schema().num_fields();
-    for (std::size_t c = 0; c < fields; ++c) {
-      ResultItem item;
-      item.object = obj->id;
-      item.kind = ResultKind::kTuple;
-      item.timestamp_us = event.timestamp_us;
-      item.screen_position = ResultPosition(*obj, event.position);
-      item.row = mapping.row;
-      item.attribute = c;
-      item.value = obj->table->GetValue(mapping.row, c);
-      results_.Append(std::move(item));
-    }
-    stats_.entries_returned += 1;
-    stats_.rows_scanned += 1;
-    obj->stats.entries_returned += 1;
-    obj->stats.rows_scanned += 1;
-    sessions_.AddEntries(1);
-    sessions_.AddRowsScanned(1);
-    return;
-  }
   // "A single tap anywhere on a column data object reveals a single
-  // column value."
-  ResultItem item;
-  item.object = obj->id;
-  item.kind = ResultKind::kValue;
-  item.timestamp_us = event.timestamp_us;
-  item.screen_position = ResultPosition(*obj, event.position);
-  item.row = mapping.row;
-  item.value = obj->ReadBoundValue(mapping.row);
-  // A tap is a whole gesture: drop the cursor's pin now, as a slide's end
-  // does, so an idle session holds no buffer-pool block pinned.
-  obj->cursor.ReleasePin();
-  results_.Append(std::move(item));
+  // column value"; on a table data object it "reveals a full tuple": one
+  // item per attribute the object shows.
+  const bool tuple = obj->view->kind() == ObjectKind::kTable;
+  for (std::size_t a = 0; a < obj->cursors.size(); ++a) {
+    ResultItem item;
+    item.object = obj->id;
+    item.kind = tuple ? ResultKind::kTuple : ResultKind::kValue;
+    item.timestamp_us = event.timestamp_us;
+    item.screen_position = ResultPosition(*obj, event.position);
+    item.row = mapping.row;
+    item.attribute = a;
+    item.value = obj->cursors[a].GetValue(mapping.row);
+    // A tap is a whole gesture: drop the pin now, as a slide's end does,
+    // so an idle session holds no buffer-pool block pinned.
+    obj->cursors[a].ReleasePin();
+    results_.Append(std::move(item));
+  }
   ++stats_.entries_returned;
   ++stats_.rows_scanned;
   ++obj->stats.entries_returned;
@@ -1066,7 +1024,7 @@ void Kernel::HandleSlideStep(const GestureEvent& event, ObjectState* obj) {
   const sim::PointCm local = obj->view->ScreenToLocal(event.position);
   const TouchMapping mapping = touch::MapTouch(*obj->view, local);
   ++obj->stats.touches;
-  MaybePrefetch(obj, mapping.row, event);
+  MaybePrefetch(obj, mapping, event);
   const std::int64_t entries = ExecuteAction(obj, mapping, event);
   stats_.entries_returned += entries;
   obj->stats.entries_returned += entries;
@@ -1112,9 +1070,7 @@ std::int64_t Kernel::ExecuteAction(ObjectState* obj,
       item.screen_position = result_pos;
       item.row = base_row;
       item.attribute = mapping.attribute;
-      item.value = obj->view->kind() == ObjectKind::kTable
-                       ? obj->table->GetValue(base_row, mapping.attribute)
-                       : obj->ReadBoundValue(base_row);
+      item.value = obj->cursors[mapping.attribute].GetValue(base_row);
       results_.Append(std::move(item));
       ++stats_.rows_scanned;
       ++obj->stats.rows_scanned;
@@ -1123,16 +1079,17 @@ std::int64_t Kernel::ExecuteAction(ObjectState* obj,
     }
 
     case ActionKind::kAggregate: {
-      DBTOUCH_CHECK(obj->agg_op != nullptr);
-      obj->agg_op->Feed(base_row);
+      exec::TouchedAggregateOp& op = obj->agg_ops[mapping.attribute];
+      op.Feed(base_row);
       ResultItem item;
       item.object = obj->id;
       item.kind = ResultKind::kAggregate;
       item.timestamp_us = event.timestamp_us;
       item.screen_position = result_pos;
       item.row = base_row;
-      item.value = storage::Value(obj->agg_op->value());
-      item.rows_aggregated = obj->agg_op->rows_seen();
+      item.attribute = mapping.attribute;
+      item.value = storage::Value(op.value());
+      item.rows_aggregated = op.rows_seen();
       results_.Append(std::move(item));
       ++stats_.rows_scanned;
       ++obj->stats.rows_scanned;
@@ -1167,11 +1124,10 @@ std::int64_t Kernel::ExecuteAction(ObjectState* obj,
         // Base-data band of equivalent width, truncated to the per-touch
         // budget so one touch can never stall unboundedly.
         const std::int64_t k_base = SummaryBandK(*obj);
-        // The band scans block-at-a-time whatever the tier: pool blocks
-        // for paged objects, gated zero-copy slices on resident tables,
-        // rebind-source pins once the matrix was reclaimed.
-        exec::InteractiveSummaryOp op(obj->BoundSource(), k_base,
-                                      obj->action.agg);
+        // The band scans the touched attribute block-at-a-time through
+        // its pool source, whatever the tier behind it.
+        exec::InteractiveSummaryOp op(obj->sources[mapping.attribute],
+                                      k_base, obj->action.agg);
         sr = op.ComputeAt(base_row);
         scanned = op.rows_scanned();
       }
@@ -1181,6 +1137,7 @@ std::int64_t Kernel::ExecuteAction(ObjectState* obj,
       item.timestamp_us = event.timestamp_us;
       item.screen_position = result_pos;
       item.row = base_row;
+      item.attribute = mapping.attribute;
       item.value = storage::Value(sr.value);
       item.band_first = sr.first;
       item.band_last = sr.last;
@@ -1194,7 +1151,6 @@ std::int64_t Kernel::ExecuteAction(ObjectState* obj,
     }
 
     case ActionKind::kFilteredScan: {
-      DBTOUCH_CHECK(obj->filter_op != nullptr);
       // Index-assisted slide (Section 2.6): if this touch's zone cannot
       // contain a matching value, answer without reading the data.
       if (obj->action.use_zone_map && obj->hierarchy != nullptr) {
@@ -1215,7 +1171,7 @@ std::int64_t Kernel::ExecuteAction(ObjectState* obj,
       ++stats_.rows_scanned;
       ++obj->stats.rows_scanned;
       sessions_.AddRowsScanned(1);
-      if (!obj->filter_op->Feed(base_row)) {
+      if (!obj->filter_ops[mapping.attribute].Feed(base_row)) {
         return 0;  // Entry does not satisfy the where-restriction.
       }
       ResultItem item;
@@ -1224,7 +1180,8 @@ std::int64_t Kernel::ExecuteAction(ObjectState* obj,
       item.timestamp_us = event.timestamp_us;
       item.screen_position = result_pos;
       item.row = base_row;
-      item.value = obj->ReadBoundValue(base_row);
+      item.attribute = mapping.attribute;
+      item.value = obj->cursors[mapping.attribute].GetValue(base_row);
       results_.Append(std::move(item));
       return 1;
     }
@@ -1238,8 +1195,7 @@ std::int64_t Kernel::ExecuteAction(ObjectState* obj,
         return 0;  // Revisited tuple.
       }
       // Surface the touched tuple's group with its fresh aggregate. The
-      // key re-read goes through the operator's own backing (pinned
-      // blocks on a reclaimed table), not a raw table view.
+      // key re-read goes through the operator's own cursor.
       const std::int64_t key = obj->groupby_op->KeyAt(base_row);
       double group_value = 0.0;
       std::int64_t group_count = 0;

@@ -83,7 +83,7 @@ struct KernelConfig {
   double rotation_trigger_rad = 0.8;
   /// Idle gap that splits query sessions.
   sim::Micros session_idle_gap_us = 3'000'000;
-  /// Buffer pool that column objects read base data through:
+  /// Buffer pool that data objects read base data through:
   /// block-at-a-time pinned reads under the pool's byte budget, with
   /// gesture-aware admission. Applies to this kernel's private
   /// SharedState; when a SharedState is passed in (the touch server),
@@ -202,12 +202,14 @@ class Kernel {
   Status RegisterTable(std::shared_ptr<storage::Table> table);
 
   /// Creates a column-shaped data object bound to `table.column`, placed
-  /// at `frame` on screen. Builds its sample hierarchy.
+  /// at `frame` on screen. Builds its sample hierarchy and binds one
+  /// buffer-pool source to the column.
   Result<ObjectId> CreateColumnObject(const std::string& table,
                                       const std::string& column,
                                       const touch::RectCm& frame);
 
-  /// Creates a fat-rectangle table object bound to the whole table.
+  /// Creates a fat-rectangle table object bound to the whole table: one
+  /// buffer-pool source per attribute.
   Result<ObjectId> CreateTableObject(const std::string& table,
                                      const touch::RectCm& frame);
 
@@ -338,6 +340,7 @@ class Kernel {
 
  private:
   struct ObjectState;
+  struct GestureReads;
 
   void OnGesture(const gesture::GestureEvent& event);
   /// Executes queued gesture events in order. Before each one, probes that
@@ -349,28 +352,38 @@ class Kernel {
   /// filled with the missing blocks. Error = the pin failed.
   Result<bool> ProbeGesture(const gesture::GestureEvent& event,
                             TouchStall* stall);
-  /// Probe for gestures on fat-table objects whose matrix was reclaimed:
-  /// taps pin every attribute's covering block, scans / group-bys /
-  /// summaries pin the attributes their execution reads. Every attribute
-  /// is probed even after one misses, so a multi-attribute stall carries
-  /// ALL the cold attributes' blocks in one TouchStall — one suspend
-  /// covers them instead of one round trip per attribute; already-probed
-  /// attributes stay pinned across the resume.
-  Result<bool> ProbeTableGesture(const ObjectState& obj,
-                                 const gesture::GestureEvent& event,
-                                 TouchStall* stall);
+  /// ProbeGesture for a resolved target (RefineNext calls it directly).
+  /// First rebinds an object bound while its table was resident if the
+  /// table has been reclaimed since (BindSources), then try-pins every
+  /// block ReadsOf names.
+  /// Every attribute is probed even after one misses, so a
+  /// multi-attribute stall carries all the cold blocks in one TouchStall;
+  /// already-probed attributes stay pinned across the resume.
+  Result<bool> ProbeObject(ObjectState* obj,
+                           const gesture::GestureEvent& event,
+                           TouchStall* stall);
+  /// The base rows and attributes `event`'s execution on `obj` reads: a
+  /// tap reads every attribute of the object at the touched row; a slide
+  /// the attribute(s) its action reads; a summary its level-0 band, or
+  /// nothing when a sample level serves it.
+  GestureReads ReadsOf(const ObjectState& obj,
+                       const gesture::GestureEvent& event) const;
   /// Try-pins `source`'s blocks covering base rows [first, last] into
-  /// probe_pins_, reporting the misses in `stall`; shared tail of both
-  /// probes above.
+  /// probe_pins_, reporting the misses in `stall`.
   Result<bool> ProbeBlocks(
       const std::shared_ptr<storage::PagedColumnSource>& source,
       storage::RowId first, storage::RowId last, TouchStall* stall);
+  /// (Re)resolves one pool source and working cursor per attribute the
+  /// object shows, from SharedState::GetColumnSource, and points the
+  /// object's operators and live joins at them (their state stays).
+  Status BindSources(ObjectState* obj);
   /// Half-width (base rows) of the summary band at level 0 — shared by
   /// execution and the residency probe so they can never diverge.
   std::int64_t SummaryBandK(const ObjectState& obj) const;
   /// Observes the slide for the object's extrapolator and requests
-  /// low-priority warm-up fetches along the predicted path.
-  void MaybePrefetch(ObjectState* obj, storage::RowId row,
+  /// low-priority warm-up fetches of the touched attribute along the
+  /// predicted path.
+  void MaybePrefetch(ObjectState* obj, const touch::TouchMapping& mapping,
                      const gesture::GestureEvent& event);
   void HandleTap(const gesture::GestureEvent& event, ObjectState* obj);
   void HandleSlideStep(const gesture::GestureEvent& event, ObjectState* obj);

@@ -115,17 +115,18 @@ class SharedState {
   /// (storage::Table::ReleaseRaw), so the tracked resident bytes of the
   /// table drop to ~0 and the pool's byte budget becomes the only bound
   /// on base-data residency — the out-of-core promise made literal.
-  /// Remaining readers go through PagedColumnSource pins: taps and
-  /// group-bys via Table::GetValue's paged fallback, hierarchies rebuilt
-  /// later via GetOrBuildHierarchy's paged build, zone maps via the
-  /// paged index builds. Racing readers are safe, not transparent:
-  /// transient raw reads drain behind the table's release gate, a live
-  /// zero-copy pin (an operator mid-gesture) makes the reclaim itself
-  /// fail cleanly — the spill files stay written and bound, so retry
-  /// once gestures pause — and pool sources handed out BEFORE the
-  /// reclaim keep their in-memory binding and fail cleanly (shedding
-  /// one gesture) if they fault after the matrix is gone. Reclaim
-  /// before opening the table to sessions for zero disruption.
+  /// Remaining readers go through PagedColumnSource pins: data objects
+  /// through their pool sources, hierarchies rebuilt later via
+  /// GetOrBuildHierarchy's paged build, zone maps via the paged index
+  /// builds, Table::GetValue via the table's rebind sources. Racing
+  /// readers are safe, not transparent: raw reads drain behind the
+  /// table's release gate, and pool pins hold copies, so nothing frees
+  /// under them. Pool sources handed out BEFORE the reclaim keep their
+  /// in-memory binding, whose fills now fail; a kernel object rebinds
+  /// its sources to the spill binding before its next probed gesture
+  /// event (see src/storage/README.md, "Stale pool bindings", for the
+  /// one window left open). Reclaim before opening the table to sessions
+  /// for zero disruption.
   Status SpillTable(const std::string& table, storage::TableSpiller& spiller,
                     bool reclaim_raw = false);
 

@@ -15,6 +15,7 @@
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "exec/aggregate.h"
@@ -68,6 +69,14 @@ class IncrementalGroupBy {
   void ReleasePins() {
     keys_.ReleasePin();
     values_.ReleasePin();
+  }
+
+  /// Reads on through `keys` and `values` (the same columns under other
+  /// bindings); the groups accrued so far stay.
+  void Rebind(std::shared_ptr<storage::PagedColumnSource> keys,
+              std::shared_ptr<storage::PagedColumnSource> values) {
+    keys_.Rebind(std::move(keys));
+    values_.Rebind(std::move(values));
   }
 
  private:

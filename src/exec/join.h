@@ -15,6 +15,7 @@
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "storage/column.h"
@@ -65,6 +66,13 @@ class SymmetricHashJoin {
   void ReleasePins() {
     cursors_[0].ReleasePin();
     cursors_[1].ReleasePin();
+  }
+
+  /// Reads `side`'s keys on through `source` (the same column under
+  /// another binding); both hash tables and the matches stay.
+  void Rebind(JoinSide side,
+              std::shared_ptr<storage::PagedColumnSource> source) {
+    cursors_[static_cast<int>(side)].Rebind(std::move(source));
   }
 
  private:

@@ -17,10 +17,13 @@ namespace dbtouch::server {
 
 namespace {
 
-/// Clamp helper for shed level updates.
-int ClampShed(int value, int max_shed) {
-  return std::clamp(value, 0, max_shed);
-}
+/// Budget shrink per cm/s of gesture speed (w_v in touch_server.h).
+constexpr double kSpeedBudgetWeight = 0.05;
+/// Ceiling for per-session level shedding.
+constexpr int kMaxShedLevels = 4;
+
+/// Clamps a session's shed level to [0, kMaxShedLevels].
+int ClampShed(int value) { return std::clamp(value, 0, kMaxShedLevels); }
 
 }  // namespace
 
@@ -422,7 +425,7 @@ sim::Micros TouchServer::BaseBudgetUs() const {
 sim::Micros TouchServer::BudgetForSpeed(double speed_cm_s) const {
   const double base = static_cast<double>(BaseBudgetUs());
   double budget =
-      base / (1.0 + config_.speed_budget_weight * std::max(speed_cm_s, 0.0));
+      base / (1.0 + kSpeedBudgetWeight * std::max(speed_cm_s, 0.0));
   // Explicit ordering instead of std::clamp: a configured floor above the
   // base must not invert the bounds (clamp with lo > hi is UB).
   const double floor_us = std::min(
@@ -534,8 +537,7 @@ void TouchServer::WorkerLoop() {
       // fetch failure below).
       s->dropped_quanta.fetch_add(1, std::memory_order_relaxed);
       s->shed_levels.store(
-          ClampShed(s->shed_levels.load(std::memory_order_relaxed) + 1,
-                    config_.max_shed_levels),
+          ClampShed(s->shed_levels.load(std::memory_order_relaxed) + 1),
           std::memory_order_relaxed);
       total_dropped_.fetch_add(1, std::memory_order_relaxed);
       if (trace_ != nullptr) {
@@ -567,8 +569,7 @@ void TouchServer::WorkerLoop() {
                            ? buffer_shed_bias_.load(std::memory_order_relaxed)
                            : 0;
       const int shed =
-          ClampShed(s->shed_levels.load(std::memory_order_relaxed) + bias,
-                    config_.max_shed_levels);
+          ClampShed(s->shed_levels.load(std::memory_order_relaxed) + bias);
       s->kernel().set_shed_levels(shed);
       if (trace_ != nullptr) {
         s->kernel().set_trace_quantum(task->quantum_id);
@@ -615,14 +616,12 @@ void TouchServer::WorkerLoop() {
     if (missed) {
       s->deadline_misses.fetch_add(1, std::memory_order_relaxed);
       s->shed_levels.store(
-          ClampShed(s->shed_levels.load(std::memory_order_relaxed) + 1,
-                    config_.max_shed_levels),
+          ClampShed(s->shed_levels.load(std::memory_order_relaxed) + 1),
           std::memory_order_relaxed);
     } else {
       // On-time completion: relax shedding one level at a time.
       s->shed_levels.store(
-          ClampShed(s->shed_levels.load(std::memory_order_relaxed) - 1,
-                    config_.max_shed_levels),
+          ClampShed(s->shed_levels.load(std::memory_order_relaxed) - 1),
           std::memory_order_relaxed);
     }
     RecordCompletion(*task, latency, missed);

@@ -68,15 +68,11 @@ struct TouchServerConfig {
   sim::Micros base_frame_budget_us = 0;
   /// Floor of the speed-scaled budget.
   sim::Micros min_frame_budget_us = 4'000;
-  /// Budget shrink per cm/s of gesture speed (w_v above).
-  double speed_budget_weight = 0.05;
   /// Estimated per-row execution cost used for the budget floor.
   double est_row_ns = 2.0;
   /// A droppable quantum popped more than this past its deadline is shed
   /// instead of executed.
   sim::Micros drop_slack_us = 50'000;
-  /// Ceiling for per-session level shedding.
-  int max_shed_levels = 4;
   /// Per-session queue bound; droppable quanta beyond it are rejected at
   /// admission (overload protection for a client flooding the server).
   std::size_t max_session_queue = 4'096;

@@ -151,7 +151,8 @@ class Column {
                       dictionary_.get());
   }
 
-  /// Paged access over this column's storage (see Table::PagedColumnAt).
+  /// Paged access over this column's storage: zero-copy block slices (an
+  /// UnpagedColumnSource).
   /// Declared here, defined in paged_column.cc to keep headers acyclic.
   std::shared_ptr<class PagedColumnSource> PagedSource(
       std::int64_t rows_per_block = 0) const;

@@ -297,6 +297,15 @@ class PagedColumnCursor {
     span_last_ = -1;
   }
 
+  /// Points the cursor at `source` (same rows, another binding), dropping
+  /// the working pin first: the pin belongs to the old source, which may
+  /// die with the swap. A plain move-assignment would drop the old source
+  /// before its pin.
+  void Rebind(std::shared_ptr<PagedColumnSource> source) {
+    ReleasePin();
+    source_ = std::move(source);
+  }
+
   const std::shared_ptr<PagedColumnSource>& source() const { return source_; }
 
  private:

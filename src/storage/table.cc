@@ -7,69 +7,6 @@
 
 namespace dbtouch::storage {
 
-/// Zero-copy paged source over a resident table column, gated against
-/// spill reclamation: every pin registers in the table's pin counter
-/// before touching the matrix, and ReleaseRaw refuses to free while any
-/// pin is live — so operators holding block views (group-bys, joins,
-/// summary cursors) can never dangle; a reclaim racing them fails
-/// cleanly and is retried once gestures pause. Pins attempted after the
-/// release fail with FailedPrecondition.
-class GatedTableColumnSource final : public PagedColumnSource {
- public:
-  GatedTableColumnSource(const Table* table, std::size_t column,
-                         std::int64_t rows_per_block)
-      : table_(table),
-        column_(column),
-        type_(table->schema().field(column).type),
-        rows_per_block_(rows_per_block > 0
-                            ? rows_per_block
-                            : std::max<std::int64_t>(table->row_count(), 1)),
-        row_count_(table->row_count()) {}
-
-  DataType type() const override { return type_; }
-  const Dictionary* dictionary() const override {
-    return table_->dictionaries_[column_].get();
-  }
-  std::int64_t row_count() const override { return row_count_; }
-  std::int64_t rows_per_block() const override { return rows_per_block_; }
-
-  Result<BlockPin> PinBlock(std::int64_t block,
-                            RowId /*row_hint*/ = -1) override {
-    if (block < 0 || block >= num_blocks()) {
-      return Status::OutOfRange("block " + std::to_string(block) +
-                                " out of range");
-    }
-    // Register first, check second; ReleaseRaw flips the flag first and
-    // checks the counter second — whichever interleaving, either the pin
-    // sees the flag (and backs out) or the release sees the pin (and
-    // backs out). seq_cst keeps the four accesses in one total order.
-    table_->zero_copy_pins_.fetch_add(1, std::memory_order_seq_cst);
-    if (table_->raw_released_.load(std::memory_order_seq_cst)) {
-      table_->zero_copy_pins_.fetch_sub(1, std::memory_order_seq_cst);
-      return Status::FailedPrecondition(
-          "raw storage of table '" + table_->name() +
-          "' was released after a spill; rebind through PagedColumnAt");
-    }
-    const RowId first = BlockFirstRow(block);
-    const ColumnView view =
-        table_->storage_.ColumnAt(column_, dictionary());
-    return BlockPin(this, block, view.Slice(first, BlockRowCount(block)),
-                    first);
-  }
-
- protected:
-  void UnpinBlock(std::int64_t /*block*/) override {
-    table_->zero_copy_pins_.fetch_sub(1, std::memory_order_seq_cst);
-  }
-
- private:
-  const Table* table_;  // Borrowed; callers hold the owning shared_ptr.
-  std::size_t column_;
-  DataType type_;
-  std::int64_t rows_per_block_;
-  std::int64_t row_count_;
-};
-
 Table::Table(std::string name, Schema schema, MajorOrder order)
     : name_(std::move(name)),
       schema_(schema),
@@ -201,43 +138,61 @@ Status Table::WithRawColumn(
 }
 
 std::shared_ptr<PagedColumnSource> Table::PagedColumnAt(
-    std::size_t col, std::int64_t rows_per_block) const {
+    std::size_t col) const {
   DBTOUCH_CHECK(col < schema_.num_fields());
-  if (raw_released()) {
-    return paged_rebind_[col];
-  }
-  return std::make_shared<GatedTableColumnSource>(this, col,
-                                                  rows_per_block);
+  // Only a reclaimed table has rebind sources; a resident table's readers
+  // bind pool sources (core::SharedState::GetColumnSource) instead.
+  DBTOUCH_CHECK(raw_released());
+  return paged_rebind_[col];
 }
+
+namespace {
+
+/// Appends rows [0, rows) of `reader` (a ColumnView or a PagedColumnCursor:
+/// both offer the typed point reads) to `out`, decoding string codes
+/// through `dictionary`.
+template <typename Reader>
+void AppendRows(Reader& reader, std::int64_t rows,
+                const Dictionary* dictionary, Column* out) {
+  for (RowId r = 0; r < rows; ++r) {
+    switch (out->type()) {
+      case DataType::kInt32:
+        out->AppendInt32(reader.GetInt32(r));
+        break;
+      case DataType::kInt64:
+        out->AppendInt64(reader.GetInt64(r));
+        break;
+      case DataType::kFloat:
+        out->AppendFloat(reader.GetFloat(r));
+        break;
+      case DataType::kDouble:
+        out->AppendDouble(reader.GetDouble(r));
+        break;
+      case DataType::kString:
+        // Codes are interned in row order, matching the original column's
+        // dictionary order for first occurrences.
+        out->AppendString(dictionary->Lookup(reader.GetInt32(r)));
+        break;
+    }
+  }
+}
+
+}  // namespace
 
 Column Table::ExtractColumn(std::size_t col) const {
   DBTOUCH_CHECK(col < schema_.num_fields());
   const Field& f = schema_.field(col);
   Column out(f.name, f.type);
   out.Reserve(row_count());
-  // Block-at-a-time through whatever tier backs the column: raw slices on
-  // a resident table, pinned cache blocks on a released one.
-  PagedColumnCursor cursor(PagedColumnAt(col));
-  for (RowId r = 0; r < row_count(); ++r) {
-    switch (f.type) {
-      case DataType::kInt32:
-        out.AppendInt32(cursor.GetInt32(r));
-        break;
-      case DataType::kInt64:
-        out.AppendInt64(cursor.GetInt64(r));
-        break;
-      case DataType::kFloat:
-        out.AppendFloat(cursor.GetFloat(r));
-        break;
-      case DataType::kDouble:
-        out.AppendDouble(cursor.GetDouble(r));
-        break;
-      case DataType::kString:
-        // Codes are interned in row order, matching the original column's
-        // dictionary order for first occurrences.
-        out.AppendString(dictionaries_[col]->Lookup(cursor.GetInt32(r)));
-        break;
-    }
+  // A resident column copies under the release gate; a released one reads
+  // block-at-a-time through its rebind source.
+  const Status raw = WithRawColumn(col, [&](const ColumnView& view) {
+    AppendRows(view, row_count(), dictionaries_[col].get(), &out);
+    return Status::OK();
+  });
+  if (!raw.ok()) {
+    PagedColumnCursor cursor(PagedColumnAt(col));
+    AppendRows(cursor, row_count(), dictionaries_[col].get(), &out);
   }
   return out;
 }
@@ -279,26 +234,19 @@ Status Table::ReleaseRaw(
           " of table '" + name_ + "'");
     }
   }
-  // Exclusive lock: every transient raw reader in flight drains first,
-  // every later one observes the released state. Zero-copy pins
-  // (GatedTableColumnSource) are longer-lived than a lock hold, so they
-  // are handled by counter instead: flip the flag, then look for
-  // survivors — a pin registers before checking the flag, so whichever
-  // side moves second backs out. Live pins abort the release cleanly
-  // (the matrix stays; the caller retries once gestures pause).
+  // Exclusive lock: every raw reader in flight (GetValue's matrix branch,
+  // WithRawColumn, under which pool fills copy their blocks out) drains
+  // first, and every later one observes the released state. Pool readers
+  // hold copies, never a pointer into the matrix, so nothing dangles.
   const std::unique_lock<std::shared_mutex> lock(raw_mu_);
   if (raw_released_.load(std::memory_order_seq_cst)) {
     return Status::FailedPrecondition("raw storage of table '" + name_ +
                                       "' already released");
   }
-  raw_released_.store(true, std::memory_order_seq_cst);
-  if (zero_copy_pins_.load(std::memory_order_seq_cst) != 0) {
-    raw_released_.store(false, std::memory_order_seq_cst);
-    return Status::FailedPrecondition(
-        "table '" + name_ +
-        "' has live zero-copy pins; pause gestures and retry the reclaim");
-  }
+  // Rebinds first, flag second: a lock-free reader that sees the flag
+  // (raw_released(), PagedColumnAt) also sees the sources.
   paged_rebind_ = std::move(paged);
+  raw_released_.store(true, std::memory_order_seq_cst);
   storage_.ReleaseStorage();
   return Status::OK();
 }

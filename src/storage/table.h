@@ -4,12 +4,16 @@
 //
 // Out-of-core state: after a verified spill (storage::TableSpiller +
 // core::SharedState::SpillTable with reclamation), ReleaseRaw() frees the
-// matrix's cell storage and rebinds every remaining reader to per-column
+// matrix's cell storage and rebinds point reads to per-column
 // PagedColumnSource handles — GetValue pins the covering block, the raw
 // ColumnView accessors become programmer errors, and the table's resident
 // footprint drops to schema + dictionaries. That is what makes "base
 // tables exceed RAM" literal: the BufferManager's byte budget bounds the
-// only copies of base data left in memory.
+// only copies of base data left in memory. Readers of a resident table
+// (kernel data objects, operators) never point into the matrix either:
+// they read pool blocks that cache::TableBlockProvider copies out under
+// the release gate, so neither a reclaim nor a layout rotation's
+// ReplaceStorage can free memory under them.
 
 #ifndef DBTOUCH_STORAGE_TABLE_H_
 #define DBTOUCH_STORAGE_TABLE_H_
@@ -67,30 +71,25 @@ class Table {
   /// lock shared, so ReleaseRaw cannot free the matrix mid-read. Returns
   /// FailedPrecondition once the raw storage is gone — the caller's cue
   /// to fail the read cleanly (cache::TableBlockProvider turns it into a
-  /// permanent fetch error that sheds one gesture, not a session).
+  /// permanent fetch error).
   Status WithRawColumn(
       std::size_t col, const std::function<Status(const ColumnView&)>& fn) const;
 
-  /// Paged (block-at-a-time) access to column `col`: zero-copy slices of
-  /// the in-memory storage, `rows_per_block` rows each (0 = one block).
-  /// cache::BufferManager provides the bounded-memory equivalent backed by
-  /// a block cache; both satisfy the same PagedColumnSource interface.
-  /// On a released table this returns the column's rebind source (its
-  /// fixed block geometry wins over `rows_per_block`). Resident-table
-  /// sources are release-gated: live pins make a concurrent ReleaseRaw
-  /// fail cleanly, and pins attempted after a release fail instead of
-  /// slicing a freed matrix. The source borrows this table — callers
-  /// (kernel object state, operators) hold the owning shared_ptr.
-  std::shared_ptr<PagedColumnSource> PagedColumnAt(
-      std::size_t col, std::int64_t rows_per_block = 0) const;
+  /// The rebind source of column `col` of a released table: pool-backed
+  /// block reads of its spill binding (the same pool owner that
+  /// core::SharedState::GetColumnSource hands out for it). CHECK-fails on
+  /// a resident table, as ColumnViewAt does on a released one — a
+  /// resident table's readers bind pool sources through the SharedState.
+  std::shared_ptr<PagedColumnSource> PagedColumnAt(std::size_t col) const;
 
   const std::shared_ptr<Dictionary>& dictionary(std::size_t col) const {
     return dictionaries_[col];
   }
 
   /// Deep-copies column `col` out of the table (the paper's "drag a column
-  /// out of a fat table" gesture produces one of these). Reads through the
-  /// paged tier on a released table.
+  /// out of a fat table" gesture produces one of these): under
+  /// WithRawColumn on a resident table, through the rebind source on a
+  /// released one.
   Column ExtractColumn(std::size_t col) const;
 
   /// Direct storage access for the layout manager.
@@ -107,13 +106,11 @@ class Table {
 
   /// Frees the matrix's cell storage and rebinds point reads to `paged`
   /// (one source per column, same order as the schema; geometries must
-  /// match the table). Raw readers racing the release either drain first
-  /// (transient reads — GetValue's matrix branch, WithRawColumn — hold
-  /// the gate shared, which this takes exclusively) or make the release
-  /// fail cleanly (a zero-copy PagedColumnAt pin still live: freeing
-  /// under it would dangle the pinned view, so the caller retries once
-  /// gestures pause). After the flip, raw reads and pins fail cleanly
-  /// and GetValue pins pool blocks. A second call is FailedPrecondition.
+  /// match the table). Raw readers racing the release (GetValue's matrix
+  /// branch, WithRawColumn) hold the gate shared, which this takes
+  /// exclusively: they drain first. After the flip, raw reads fail
+  /// cleanly and GetValue pins pool blocks. A second call is
+  /// FailedPrecondition.
   Status ReleaseRaw(std::vector<std::shared_ptr<PagedColumnSource>> paged);
 
   /// True once ReleaseRaw has run.
@@ -128,8 +125,6 @@ class Table {
   }
 
  private:
-  friend class GatedTableColumnSource;
-
   std::string name_;
   Schema schema_;
   Matrix storage_;
@@ -141,10 +136,6 @@ class Table {
   /// instead of freeing under them.
   mutable std::shared_mutex raw_mu_;
   std::atomic<bool> raw_released_{false};
-  /// Live zero-copy pins into the matrix (GatedTableColumnSource).
-  /// ReleaseRaw refuses to free while any exist; pins check the released
-  /// flag after registering, so the two can never miss each other.
-  mutable std::atomic<std::int64_t> zero_copy_pins_{0};
   /// Per-column paged rebinds, set once by ReleaseRaw and immutable after
   /// (readers see them only behind the acquire-load of raw_released_).
   std::vector<std::shared_ptr<PagedColumnSource>> paged_rebind_;

@@ -514,8 +514,7 @@ TEST_F(TableKernelFixture, HorizontalSlideWalksAttributes) {
 }
 
 TEST_F(TableKernelFixture, FilteredScanSlideReturnsMatches) {
-  // A table object has no pool cursor: its filtered scan reads the
-  // table's first attribute (id = 0..9999) through the table itself.
+  // x = 7 cm lies in the first attribute band (id = 0..9999).
   ASSERT_TRUE(kernel_
                   ->SetAction(object_,
                               ActionConfig::Filter(exec::Predicate(
@@ -531,6 +530,49 @@ TEST_F(TableKernelFixture, FilteredScanSlideReturnsMatches) {
     EXPECT_EQ(item.value.AsInt(), item.row);
     EXPECT_GT(item.value.AsInt(), 5'000);
   }
+}
+
+TEST_F(TableKernelFixture, SlideActionsReadTheAttributeUnderTheFinger) {
+  // x = 11 cm lies in the third attribute band (val ~ N(10, 2)): every
+  // slide action reads and reports that attribute, not the first one.
+  const auto slide = [&](sim::Micros start_us) {
+    return builder().Slide("slide", PointCm{11.0, 1.0}, PointCm{11.0, 11.0},
+                           MotionProfile::Constant(2.0), start_us);
+  };
+  ASSERT_TRUE(kernel_
+                  ->SetAction(object_,
+                              ActionConfig::Filter(exec::Predicate(
+                                  exec::CompareOp::kGt, 5'000.0)))
+                  .ok());
+  kernel_->Replay(slide(0));
+  ASSERT_GT(kernel_->stats().slide_steps, 10);
+  EXPECT_EQ(kernel_->results().CountKind(ResultKind::kFilterMatch), 0);
+
+  ASSERT_TRUE(kernel_
+                  ->SetAction(object_, ActionConfig::Filter(exec::Predicate(
+                                           exec::CompareOp::kGt, 9.0)))
+                  .ok());
+  kernel_->Replay(slide(3'000'000));
+  std::int64_t matches = 0;
+  for (const ResultItem& item : kernel_->results().items()) {
+    ASSERT_EQ(item.kind, ResultKind::kFilterMatch);
+    EXPECT_EQ(item.attribute, 2u);
+    EXPECT_GT(item.value.AsDouble(), 9.0);
+    EXPECT_LT(item.value.AsDouble(), 30.0);
+    ++matches;
+  }
+  EXPECT_GT(matches, 0);
+
+  ASSERT_TRUE(kernel_
+                  ->SetAction(object_,
+                              ActionConfig::Aggregate(exec::AggKind::kAvg))
+                  .ok());
+  kernel_->Replay(slide(6'000'000));
+  const ResultItem& last = kernel_->results().back();
+  EXPECT_EQ(last.kind, ResultKind::kAggregate);
+  EXPECT_EQ(last.attribute, 2u);
+  EXPECT_GT(last.rows_aggregated, 10);
+  EXPECT_NEAR(last.value.AsDouble(), 10.0, 1.0);
 }
 
 TEST_F(TableKernelFixture, GroupByAccretesGroups) {

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <set>
 
 #include "cache/buffer_manager.h"
 #include "cache/hash_table_cache.h"
@@ -169,6 +170,58 @@ TEST(IntegrationTest, SlidesKeepWorkingWhileRotationConverts) {
       EXPECT_EQ(item.value.AsInt(), item.row);
     }
   }
+}
+
+TEST(IntegrationTest, AggregateSlideSurvivesRotationFinishingMidSlide) {
+  KernelConfig config;
+  // 200k rows / 6000 per step = 34 steps: the rotate gesture starts the
+  // conversion, and the aggregate slide's own touches finish it.
+  config.rotation_rows_per_step = 6'000;
+  Kernel kernel(config);
+  std::vector<Column> cols;
+  cols.push_back(storage::GenSequenceInt64("id", 200'000, 0, 1));
+  cols.push_back(storage::GenUniformInt32("x", 200'000, 0, 99, 1));
+  ASSERT_TRUE(kernel
+                  .RegisterTable(*Table::FromColumns(
+                      "t", std::move(cols), storage::MajorOrder::kRowMajor))
+                  .ok());
+  const auto obj = kernel.CreateTableObject("t", RectCm{6.0, 1.0, 6.0, 10.0});
+  ASSERT_TRUE(obj.ok());
+  ASSERT_TRUE(
+      kernel.SetAction(*obj, ActionConfig::Aggregate(exec::AggKind::kSum))
+          .ok());
+  TraceBuilder builder(kernel.device());
+  kernel.Replay(builder.TwoFingerRotate("rot", PointCm{9.0, 6.0}, 2.0, 0.0,
+                                        M_PI / 2.0, 1.0));
+  ASSERT_TRUE(*kernel.rotation_in_progress(*obj));
+
+  // The rotated (horizontal) object maps x to tuples; y = 3 cm lies in
+  // the id attribute's band. The rotation's swap frees the row-major
+  // matrix mid-slide, under the aggregate's working pin.
+  kernel.Replay(builder.Slide("during", PointCm{6.5, 3.0},
+                              PointCm{15.5, 3.0},
+                              MotionProfile::Constant(3.0),
+                              kernel.clock().now() + 200'000));
+  EXPECT_FALSE(*kernel.rotation_in_progress(*obj));
+  EXPECT_EQ(kernel.stats().layout_rotations, 1);
+  const auto table = kernel.catalog().Get("t");
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ((*table)->layout(), storage::MajorOrder::kColumnMajor);
+
+  // Every aggregate is the sum of the distinct ids touched so far.
+  std::set<RowId> touched;
+  double sum = 0.0;
+  for (const auto& item : kernel.results().items()) {
+    ASSERT_EQ(item.kind, ResultKind::kAggregate);
+    EXPECT_EQ(item.attribute, 0u);
+    if (touched.insert(item.row).second) {
+      sum += static_cast<double>(item.row);
+    }
+    EXPECT_EQ(item.value.AsDouble(), sum) << "row " << item.row;
+    EXPECT_EQ(item.rows_aggregated,
+              static_cast<std::int64_t>(touched.size()));
+  }
+  EXPECT_GT(touched.size(), 10u);
 }
 
 TEST(IntegrationTest, JoinResumesThroughHashTableCache) {

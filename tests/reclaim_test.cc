@@ -1,12 +1,15 @@
 // Spill reclamation: SpillTable(reclaim_raw) must actually free the
 // table's matrix — MemoryTracker-verified — while every remaining reader
-// (taps and group-bys via Table::GetValue, sample-hierarchy rebuilds,
-// zone maps, CSV export, column extraction) keeps answering bit-identical
-// through PagedColumnSource pins. Plus the race edges: a raw reader in
-// flight makes reclamation wait, a stale provider fails cleanly after it.
+// (data objects' pool sources, Table::GetValue, sample-hierarchy
+// rebuilds, zone maps, CSV export, column extraction) keeps answering
+// bit-identical through PagedColumnSource pins. Plus the race edges: a
+// raw reader in flight makes reclamation wait, a stale provider fails
+// cleanly after it, a live pool pin keeps its copy, and objects bound
+// before the reclaim (single-user and in a TouchServer) follow it.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
@@ -20,6 +23,7 @@
 #include "core/kernel.h"
 #include "core/shared_state.h"
 #include "index/zone_map.h"
+#include "server/touch_server.h"
 #include "sim/motion_profile.h"
 #include "sim/trace_builder.h"
 #include "storage/csv_loader.h"
@@ -273,34 +277,48 @@ TEST(ReclaimTest, ReclaimWaitsForInFlightRawReadsThenStaleReadersFailClean) {
   EXPECT_EQ(cursor.GetInt64(12'345), 12'345);
 }
 
-TEST(ReclaimTest, ReclaimFailsCleanlyWhileZeroCopyPinLiveThenSucceeds) {
+TEST(ReclaimTest, ReclaimSucceedsUnderLivePoolPinAndPinnedCopyStaysValid) {
   ScratchDir dir;
   auto shared = MakeShared(512);
   auto table = MixedTable("pinned", 4'096);
   ASSERT_TRUE(shared->RegisterTable(table).ok());
   TableSpiller spiller(dir.path(), SpillOptions{.rows_per_block = 512});
-  {
-    // An operator mid-gesture: a zero-copy pin into the matrix.
-    storage::PagedColumnCursor cursor(table->PagedColumnAt(0, 512));
-    EXPECT_EQ(cursor.GetInt64(100), 100);
-    // The reclaim must NOT free under it — it fails cleanly instead.
-    const Status status =
-        shared->SpillTable("pinned", spiller, /*reclaim_raw=*/true);
-    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
-    EXPECT_FALSE(table->raw_released());
-    EXPECT_GT(table->resident_raw_bytes(), 0);
-    EXPECT_EQ(cursor.GetInt64(200), 200);  // The pinned view stayed valid.
-  }
-  // Gesture paused (pin dropped): the retry reclaims for real.
+  // An operator mid-gesture: a pool pin over the resident table.
+  const auto source = shared->GetColumnSource("pinned", 0);
+  ASSERT_TRUE(source.ok()) << source.status();
+  storage::PagedColumnCursor cursor(*source);
+  EXPECT_EQ(cursor.GetInt64(100), 100);
+  EXPECT_EQ(shared->buffer_manager().stats().pinned_blocks, 1);
+  // The pin holds a pool copy, not a pointer into the matrix, so the
+  // reclaim frees the matrix under it.
   ASSERT_TRUE(
       shared->SpillTable("pinned", spiller, /*reclaim_raw=*/true).ok());
   EXPECT_TRUE(table->raw_released());
   EXPECT_EQ(table->resident_raw_bytes(), 0);
-  storage::PagedColumnCursor cursor(table->PagedColumnAt(0));
-  EXPECT_EQ(cursor.GetInt64(300), 300);  // Served from the spill file.
+  // Same block: the pinned copy still reads right (ASan/UBSan CI runs
+  // this suite, so a read of freed memory would fail it).
+  EXPECT_EQ(cursor.GetInt64(200), 200);
+  EXPECT_EQ(cursor.GetInt64(511), 511);
+  cursor.ReleasePin();
+  EXPECT_EQ(shared->buffer_manager().stats().pinned_blocks, 0);
+  storage::PagedColumnCursor rebound(table->PagedColumnAt(0));
+  EXPECT_EQ(rebound.GetInt64(300), 300);  // Served from the spill file.
 }
 
 // ---- Fat-table gestures over a reclaimed table -----------------------------
+
+/// Answers as comparable strings: kind, row, attribute, value, rows.
+std::vector<std::string> Answers(Kernel& kernel) {
+  std::vector<std::string> out;
+  for (const auto& item : kernel.results().items()) {
+    out.push_back(std::to_string(static_cast<int>(item.kind)) + "@" +
+                  std::to_string(item.row) + "." +
+                  std::to_string(item.attribute) + "=" +
+                  item.value.ToString() + "#" +
+                  std::to_string(item.rows_aggregated));
+  }
+  return out;
+}
 
 TEST(ReclaimTest, TapScanAndGroupByServeFromReclaimedTable) {
   ScratchDir dir;
@@ -349,19 +367,196 @@ TEST(ReclaimTest, TapScanAndGroupByServeFromReclaimedTable) {
                                 MotionProfile::Constant(1.0),
                                 /*start_time_us=*/3'000'000));
     EXPECT_EQ(kernel.stats().fetch_errors, 0);
-    std::vector<std::string> out;
-    for (const auto& item : kernel.results().items()) {
-      out.push_back(std::to_string(static_cast<int>(item.kind)) + "@" +
-                    std::to_string(item.row) + "=" +
-                    item.value.ToString() + "#" +
-                    std::to_string(item.rows_aggregated));
-    }
-    return out;
+    return Answers(kernel);
   };
 
   const std::vector<std::string> reference = run(/*reclaim=*/false);
   ASSERT_GT(reference.size(), 10u);
   EXPECT_EQ(run(/*reclaim=*/true), reference);
+}
+
+// ---- Objects bound before a reclaim follow it ------------------------------
+
+/// When a run spills and reclaims the table its objects were bound on.
+enum class ReclaimAt { kNever, kBeforeFirstTouch, kMidSlide, kBetweenGestures };
+
+/// One single-user session over table "m", every object bound while "m"
+/// is resident: a column object on m.v with a sum aggregate, joined to a
+/// column object on a sequence table that stays resident, and a table
+/// object on m with a tag -> avg(v) group-by. The pool holds 8 of m.v's
+/// 32 blocks, so reads after the reclaim fault from the spill files.
+std::vector<std::string> RunAcrossReclaim(ReclaimAt at) {
+  ScratchDir dir;
+  constexpr std::int64_t kRows = 1 << 15;
+  KernelConfig config;
+  config.buffer.rows_per_block = 1'024;
+  config.buffer.budget_bytes = 8 * 1'024 * 8;
+  auto shared = std::make_shared<core::SharedState>(
+      config.sampling, /*force_eager=*/false, config.buffer);
+  EXPECT_TRUE(shared->RegisterTable(MixedTable("m", kRows)).ok());
+  std::vector<Column> keys_cols;
+  keys_cols.push_back(storage::GenSequenceInt64("k", kRows, 0, 1));
+  EXPECT_TRUE(
+      shared->RegisterTable(*Table::FromColumns("keys", std::move(keys_cols)))
+          .ok());
+  Kernel kernel(config, shared);
+  const auto column =
+      kernel.CreateColumnObject("m", "v", RectCm{1.0, 1.0, 2.0, 10.0});
+  const auto keys =
+      kernel.CreateColumnObject("keys", "k", RectCm{4.0, 1.0, 2.0, 10.0});
+  const auto fat = kernel.CreateTableObject("m", RectCm{8.0, 1.0, 4.0, 10.0});
+  EXPECT_TRUE(column.ok() && keys.ok() && fat.ok());
+  EXPECT_TRUE(
+      kernel.SetAction(*column, ActionConfig::Aggregate(exec::AggKind::kSum))
+          .ok());
+  EXPECT_TRUE(kernel.EnableJoin(*column, *keys).ok());
+  EXPECT_TRUE(kernel
+                  .SetAction(*fat, ActionConfig::GroupBy(
+                                       1, 0, exec::AggKind::kAvg))
+                  .ok());
+
+  const auto reclaim = [&] {
+    TableSpiller spiller(dir.path(), SpillOptions{.rows_per_block = 1'024});
+    EXPECT_TRUE(shared->SpillTable("m", spiller, /*reclaim_raw=*/true).ok());
+  };
+  if (at == ReclaimAt::kBeforeFirstTouch) {
+    reclaim();
+  }
+  TraceBuilder builder(kernel.device());
+  // The column slide feeds the aggregate and the join's left side.
+  const sim::GestureTrace slide =
+      builder.Slide("column", PointCm{2.0, 1.0}, PointCm{2.0, 11.0},
+                    MotionProfile::Constant(2.0));
+  for (std::size_t i = 0; i < slide.events.size(); ++i) {
+    if (at == ReclaimAt::kMidSlide && i == slide.events.size() / 2) {
+      reclaim();
+    }
+    kernel.OnTouch(slide.events[i]);
+  }
+  if (at == ReclaimAt::kBetweenGestures) {
+    reclaim();
+  }
+  kernel.Replay(builder.Slide("groupby", PointCm{9.0, 11.0},
+                              PointCm{9.0, 1.0},
+                              MotionProfile::Constant(2.0),
+                              /*start_time_us=*/3'000'000));
+  kernel.Replay(builder.Slide("keys", PointCm{5.0, 1.0}, PointCm{5.0, 11.0},
+                              MotionProfile::Constant(2.0),
+                              /*start_time_us=*/6'000'000));
+  kernel.Replay(builder.Tap("fat-tap", PointCm{11.0, 6.0}, 0.05,
+                            /*start_time_us=*/9'000'000));
+  kernel.Replay(builder.Tap("column-tap", PointCm{2.0, 8.5}, 0.05,
+                            /*start_time_us=*/10'000'000));
+  EXPECT_EQ(kernel.stats().fetch_errors, 0);
+  EXPECT_EQ(shared->buffer_manager().stats().pinned_blocks, 0);
+  const auto m = shared->catalog().Get("m");
+  EXPECT_TRUE(m.ok() && (*m)->raw_released() == (at != ReclaimAt::kNever));
+  return Answers(kernel);
+}
+
+TEST(ReclaimTest, ObjectsBoundBeforeAReclaimFollowIt) {
+  const std::vector<std::string> reference =
+      RunAcrossReclaim(ReclaimAt::kNever);
+  ASSERT_GT(reference.size(), 40u);
+  // The join matched across the two slides.
+  EXPECT_NE(std::find_if(reference.begin(), reference.end(),
+                         [](const std::string& answer) {
+                           return answer.rfind(
+                                      std::to_string(static_cast<int>(
+                                          core::ResultKind::kJoinMatch)) +
+                                          "@",
+                                      0) == 0;
+                         }),
+            reference.end());
+  for (const ReclaimAt at : {ReclaimAt::kBeforeFirstTouch,
+                             ReclaimAt::kMidSlide,
+                             ReclaimAt::kBetweenGestures}) {
+    EXPECT_EQ(RunAcrossReclaim(at), reference)
+        << "reclaim point " << static_cast<int>(at);
+  }
+}
+
+/// The server-level run: one worker, a 4-block pool, a column object (sum
+/// aggregate) and a table object (group-by) bound on resident "m". Each
+/// object is slid over its upper half; then, after an optional reclaim,
+/// over its lower half, whose blocks the pool no longer holds.
+std::vector<std::string> ServeAcrossReclaim(bool reclaim) {
+  ScratchDir dir;
+  server::TouchServerConfig config;
+  config.num_workers = 1;
+  config.session_defaults.buffer.rows_per_block = 1'024;
+  config.session_defaults.buffer.budget_bytes = 4 * 1'024 * 8;
+  // Deadlines no run can miss: nothing is shed or dropped.
+  config.base_frame_budget_us = 10'000'000;
+  config.min_frame_budget_us = 10'000'000;
+  config.est_row_ns = 0.0;
+  config.drop_slack_us = 3'600'000'000;
+  server::TouchServer server(config);
+  EXPECT_TRUE(server.RegisterTable(MixedTable("m", 1 << 15)).ok());
+  EXPECT_TRUE(server.Start().ok());
+  const auto session = server.OpenSession();
+  EXPECT_TRUE(session.ok());
+  const auto column = server.CreateColumnObject(
+      *session, "m", "v", RectCm{1.0, 1.0, 2.0, 10.0});
+  const auto fat =
+      server.CreateTableObject(*session, "m", RectCm{8.0, 1.0, 4.0, 10.0});
+  EXPECT_TRUE(column.ok() && fat.ok());
+  EXPECT_TRUE(server
+                  .SetAction(*session, *column,
+                             ActionConfig::Aggregate(exec::AggKind::kSum))
+                  .ok());
+  EXPECT_TRUE(server
+                  .SetAction(*session, *fat,
+                             ActionConfig::GroupBy(1, 0, exec::AggKind::kAvg))
+                  .ok());
+
+  const sim::TouchDevice device(config.session_defaults.device);
+  TraceBuilder builder(device);
+  const auto slide = [&](const char* name, double x, double from_y,
+                         double to_y, sim::Micros start_us) {
+    EXPECT_TRUE(server
+                    .SubmitTrace(*session,
+                                 builder.Slide(name, PointCm{x, from_y},
+                                               PointCm{x, to_y},
+                                               MotionProfile::Constant(1.0),
+                                               start_us),
+                                 {/*paced=*/false})
+                    .ok());
+  };
+  slide("column-upper", 2.0, 1.0, 5.5, 0);
+  slide("fat-upper", 9.0, 1.0, 5.5, 2'000'000);
+  EXPECT_TRUE(server.Drain().ok());
+  if (reclaim) {
+    TableSpiller spiller(dir.path(), SpillOptions{.rows_per_block = 1'024});
+    EXPECT_TRUE(
+        server.shared().SpillTable("m", spiller, /*reclaim_raw=*/true).ok());
+  }
+  slide("column-lower", 2.0, 6.0, 11.0, 4'000'000);
+  slide("fat-lower", 9.0, 6.0, 11.0, 6'000'000);
+  EXPECT_TRUE(server.Drain().ok());
+
+  std::vector<std::string> out;
+  EXPECT_TRUE(server
+                  .WithSession(*session,
+                               [&](Kernel& kernel) {
+                                 EXPECT_EQ(kernel.stats().fetch_errors, 0);
+                                 out = Answers(kernel);
+                               })
+                  .ok());
+  const server::ServerStatsSnapshot stats = server.stats();
+  EXPECT_EQ(stats.fetch.fetch_errors, 0);
+  EXPECT_EQ(stats.fetch.shed_on_fetch_error, 0);
+  EXPECT_EQ(stats.dropped_quanta, 0);
+  EXPECT_EQ(stats.executed, stats.submitted);
+  EXPECT_EQ(server.shared().buffer_manager().stats().pinned_blocks, 0);
+  EXPECT_TRUE(server.Stop().ok());
+  return out;
+}
+
+TEST(ReclaimTest, ServerSessionFollowsAReclaim) {
+  const std::vector<std::string> reference = ServeAcrossReclaim(false);
+  ASSERT_GT(reference.size(), 20u);
+  EXPECT_EQ(ServeAcrossReclaim(true), reference);
 }
 
 }  // namespace

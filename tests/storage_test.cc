@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "cache/buffer_manager.h"
 #include "storage/catalog.h"
 #include "storage/column.h"
 #include "storage/datagen.h"
@@ -544,7 +545,15 @@ TEST(PagedColumnTest, TablePagedColumnWorksInBothLayouts) {
     cols.push_back(GenSequenceInt64("b", 120, 1'000, 2));
     auto table = Table::FromColumns("t", std::move(cols), order);
     ASSERT_TRUE(table.ok());
-    PagedColumnCursor cursor((*table)->PagedColumnAt(1, 32));
+    // A pool source over the resident table: the provider copies each
+    // 32-row block out of either layout (a strided gather when
+    // row-major).
+    cache::BufferManagerConfig config;
+    config.rows_per_block = 32;
+    cache::BufferManager pool(config);
+    const auto source = pool.ColumnSource(*table, 1);
+    ASSERT_TRUE(source.ok()) << source.status();
+    PagedColumnCursor cursor(*source);
     for (RowId r = 0; r < 120; ++r) {
       EXPECT_EQ(cursor.GetAsDouble(r), static_cast<double>(1'000 + 2 * r));
     }
