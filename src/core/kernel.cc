@@ -1,7 +1,6 @@
 #include "core/kernel.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <mutex>
@@ -33,12 +32,6 @@ constexpr double kPrefetchHorizonS = 0.25;
 /// Warm-up fetches issued per slide step at most (bounds queue growth
 /// when the extrapolator predicts a long reach).
 constexpr std::int64_t kMaxPrefetchBlocksPerTouch = 8;
-
-std::int64_t NowWallNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Starts every block of `stall` on its source's fetch queue and blocks
 /// the calling thread until all of them settle. False = at least one
@@ -494,7 +487,6 @@ bool Kernel::AnswerPartialFromResident() {
   const TouchMapping mapping = touch::MapTouch(*obj->view, local);
   const RowId base_row = mapping.row;
 
-  const std::int64_t start_ns = NowWallNs();
   ResultItem item;
   item.object = obj->id;
   item.timestamp_us = g.timestamp_us;
@@ -540,9 +532,6 @@ bool Kernel::AnswerPartialFromResident() {
   obj->stats.rows_scanned += scanned;
   sessions_.AddEntries(1);
   sessions_.AddRowsScanned(scanned);
-  const std::int64_t wall = NowWallNs() - start_ns;
-  stats_.exec_wall_ns += wall;
-  stats_.max_touch_wall_ns = std::max(stats_.max_touch_wall_ns, wall);
   MaybePrefetch(obj, mapping, g);
   sessions_.OnTouch(g.timestamp_us);
 
@@ -577,11 +566,7 @@ RefineOutcome Kernel::RefineNext(TouchStall* stall) {
     const sim::PointCm local = obj->view->ScreenToLocal(ref.event.position);
     const TouchMapping mapping = touch::MapTouch(*obj->view, local);
     const std::int64_t before = results_.size();
-    const std::int64_t start_ns = NowWallNs();
     const std::int64_t entries = ExecuteAction(obj, mapping, ref.event);
-    const std::int64_t wall = NowWallNs() - start_ns;
-    stats_.exec_wall_ns += wall;
-    stats_.max_touch_wall_ns = std::max(stats_.max_touch_wall_ns, wall);
     stats_.entries_returned += entries;
     obj->stats.entries_returned += entries;
     sessions_.AddEntries(entries);
@@ -872,7 +857,6 @@ void Kernel::OnGesture(const GestureEvent& event) {
     return;  // Gesture on empty screen space.
   }
 
-  const std::int64_t start_ns = NowWallNs();
   switch (event.type) {
     case GestureType::kTap:
       ++stats_.taps;
@@ -900,14 +884,9 @@ void Kernel::OnGesture(const GestureEvent& event) {
   if (obj->rotator != nullptr && !obj->rotator->done()) {
     obj->rotator->Step();
     if (obj->rotator->done()) {
-      DBTOUCH_CHECK_OK(obj->rotator->Finish());
-      obj->rotator.reset();
-      ++stats_.layout_rotations;
+      FinishRotation(obj);
     }
   }
-  const std::int64_t wall = NowWallNs() - start_ns;
-  stats_.exec_wall_ns += wall;
-  stats_.max_touch_wall_ns = std::max(stats_.max_touch_wall_ns, wall);
 
   sessions_.OnTouch(event.timestamp_us);
   if (event.phase == GesturePhase::kEnded &&
@@ -1282,11 +1261,20 @@ void Kernel::PumpMaintenance() {
       obj->rotator->Step();
     }
     if (obj->rotator != nullptr && obj->rotator->done()) {
-      DBTOUCH_CHECK_OK(obj->rotator->Finish());
-      obj->rotator.reset();
-      ++stats_.layout_rotations;
+      FinishRotation(obj.get());
     }
   }
+}
+
+void Kernel::FinishRotation(ObjectState* obj) {
+  // The swap frees the old matrix, and a sample hierarchy built over the
+  // table still views it at level 0. Move every such hierarchy onto pool
+  // sources first, while the matrix can still be read: the rebind
+  // materialises any unbuilt level from it.
+  DBTOUCH_CHECK_OK(shared_->RebindHierarchiesToPool(obj->table));
+  DBTOUCH_CHECK_OK(obj->rotator->Finish());
+  obj->rotator.reset();
+  ++stats_.layout_rotations;
 }
 
 }  // namespace dbtouch::core

@@ -112,10 +112,6 @@ struct KernelStats {
   /// session's HashTableCache (Section 2.9: "caching of hash tables ...
   /// can enhance future queries").
   std::int64_t join_cache_hits = 0;
-  /// Wall time spent inside per-touch execution (ns), and its max over
-  /// any single touch — the interactivity headline number.
-  std::int64_t exec_wall_ns = 0;
-  std::int64_t max_touch_wall_ns = 0;
   /// Cold-fault path: suspensions on blocks a slow tier had not delivered
   /// (under OnTouch, one per wait round), gesture executions shed because
   /// a backing-store read failed past its bounded retries, and warm-up
@@ -389,6 +385,9 @@ class Kernel {
   void HandleSlideStep(const gesture::GestureEvent& event, ObjectState* obj);
   void HandlePinchStep(const gesture::GestureEvent& event, ObjectState* obj);
   void HandleRotate(const gesture::GestureEvent& event, ObjectState* obj);
+  /// Swaps `obj`'s completed rotation into its table, after moving every
+  /// sample hierarchy over the table off the matrix the swap frees.
+  void FinishRotation(ObjectState* obj);
 
   /// Executes the object's action for the touch mapped to `mapping`,
   /// appending results. Returns entries returned.

@@ -1,5 +1,7 @@
 #include "core/result_stream.h"
 
+#include <cstddef>
+
 namespace dbtouch::core {
 
 const char* ResultKindName(ResultKind kind) {
@@ -20,6 +22,16 @@ const char* ResultKindName(ResultKind kind) {
       return "group-update";
   }
   return "?";
+}
+
+void ResultStream::KeepNewest(std::size_t keep) {
+  if (items_.size() <= keep) {
+    return;
+  }
+  const std::size_t drop = items_.size() - keep;
+  items_.erase(items_.begin(),
+               items_.begin() + static_cast<std::ptrdiff_t>(drop));
+  dropped_ += static_cast<std::int64_t>(drop);
 }
 
 std::vector<VisibleResult> ResultStream::VisibleAt(sim::Micros now) const {

@@ -6,7 +6,9 @@
 //
 // The stream records every produced result with its on-screen position and
 // timestamp; VisibleAt() reconstructs what the user sees at any instant
-// (bold for fresh results, faded out after the fade window).
+// (bold for fresh results, faded out after the fade window). An owner that
+// lives long (a server session) may drop the oldest items with
+// KeepNewest; total() still counts every result ever appended.
 
 #ifndef DBTOUCH_CORE_RESULT_STREAM_H_
 #define DBTOUCH_CORE_RESULT_STREAM_H_
@@ -78,14 +80,21 @@ class ResultStream {
 
   void Append(ResultItem item) { items_.push_back(std::move(item)); }
 
+  /// The retained items, oldest first.
   const std::vector<ResultItem>& items() const { return items_; }
   /// Mutable access for refinement tagging: the kernel stamps refine_seq
   /// onto items appended by a just-executed refinement quantum.
   std::vector<ResultItem>& mutable_items() { return items_; }
+  /// Items retained.
   std::int64_t size() const {
     return static_cast<std::int64_t>(items_.size());
   }
+  /// Items ever appended: the retained ones plus those KeepNewest dropped.
+  std::int64_t total() const { return dropped_ + size(); }
   const ResultItem& back() const { return items_.back(); }
+
+  /// Drops the oldest items until at most `keep` remain.
+  void KeepNewest(std::size_t keep);
 
   /// Results still on screen at `now`, most recent last, with opacities.
   std::vector<VisibleResult> VisibleAt(sim::Micros now) const;
@@ -93,13 +102,18 @@ class ResultStream {
   /// Count of items of the given kind.
   std::int64_t CountKind(ResultKind kind) const;
 
-  void Clear() { items_.clear(); }
+  /// Forgets every item, the dropped ones included.
+  void Clear() {
+    items_.clear();
+    dropped_ = 0;
+  }
 
   sim::Micros fade_us() const { return fade_us_; }
 
  private:
   sim::Micros fade_us_;
   std::vector<ResultItem> items_;
+  std::int64_t dropped_ = 0;
 };
 
 }  // namespace dbtouch::core

@@ -75,25 +75,47 @@ Result<std::shared_ptr<storage::PagedColumnSource>>
 SharedState::GetColumnSource(const std::string& table, std::size_t column) {
   DBTOUCH_ASSIGN_OR_RETURN(std::shared_ptr<storage::Table> t,
                            catalog_.Get(table));
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    const auto it = providers_.find(ColumnKey{table, column});
-    if (it != providers_.end()) {
-      if (it->second.table == t) {
-        // PAX-spilled tables: every column reads its minipage of the one
-        // shared multi-column binding.
-        if (it->second.provider->pax_layout() != nullptr) {
-          return buffer_.PaxSourceFor(table, column, it->second.provider);
-        }
-        return buffer_.SourceFor(table, column, it->second.provider);
+  const std::lock_guard<std::mutex> lock(mu_);
+  return ColumnSourceLocked(t, column);
+}
+
+Result<std::shared_ptr<storage::PagedColumnSource>>
+SharedState::ColumnSourceLocked(const std::shared_ptr<storage::Table>& table,
+                                std::size_t column) {
+  const std::string& name = table->name();
+  const auto it = providers_.find(ColumnKey{name, column});
+  if (it != providers_.end()) {
+    if (it->second.table == table) {
+      // PAX-spilled tables: every column reads its minipage of the one
+      // shared multi-column binding.
+      if (it->second.provider->pax_layout() != nullptr) {
+        return buffer_.PaxSourceFor(name, column, it->second.provider);
       }
-      // The name was re-registered with different data since the provider
-      // was bound: the override is stale — retire it rather than serve
-      // remote blocks of the old table under the new table's geometry.
-      providers_.erase(it);
+      return buffer_.SourceFor(name, column, it->second.provider);
     }
+    // The name was re-registered with different data since the provider
+    // was bound: the override is stale — retire it rather than serve
+    // remote blocks of the old table under the new table's geometry.
+    providers_.erase(it);
   }
-  return buffer_.ColumnSource(t, column);
+  return buffer_.ColumnSource(table, column);
+}
+
+Status SharedState::RebindHierarchiesToPool(
+    const std::shared_ptr<storage::Table>& table) {
+  // Under mu_, like SpillTable's rebind: a concurrent GetOrBuildHierarchy
+  // either runs before (and is rebound here) or after (and finds the
+  // rebound hierarchy).
+  const std::lock_guard<std::mutex> lock(mu_);
+  for (auto& [key, entry] : hierarchies_) {
+    if (entry.table != table || entry.hierarchy->base_is_paged()) {
+      continue;
+    }
+    DBTOUCH_ASSIGN_OR_RETURN(std::shared_ptr<storage::PagedColumnSource> source,
+                             ColumnSourceLocked(table, key.second));
+    entry.hierarchy->RebindBase(std::move(source));
+  }
+  return Status::OK();
 }
 
 Status SharedState::SetColumnProvider(

@@ -141,6 +141,15 @@ class SharedState {
                        storage::TableSpiller& spiller,
                        bool reclaim_raw = false);
 
+  /// Moves every sample hierarchy built over `table`'s matrix onto the
+  /// column's pool source (the one GetColumnSource resolves), with
+  /// SampleHierarchy::RebindBase — the step a layout rotation takes
+  /// BEFORE Table::ReplaceStorage frees the matrix the hierarchies'
+  /// level-0 views point into. Unbuilt levels are materialised from the
+  /// matrix first, so the caller must run this while it is still valid.
+  /// Hierarchies already on a paged base are left as they are.
+  Status RebindHierarchiesToPool(const std::shared_ptr<storage::Table>& table);
+
   /// Number of distinct (table, column) hierarchies built so far.
   std::size_t hierarchy_count() const;
 
@@ -160,6 +169,10 @@ class SharedState {
   Status BindColumnProvider(std::shared_ptr<storage::Table> table,
                             std::size_t column,
                             std::shared_ptr<cache::BlockProvider> provider);
+
+  /// GetColumnSource against a resolved table identity; requires mu_.
+  Result<std::shared_ptr<storage::PagedColumnSource>> ColumnSourceLocked(
+      const std::shared_ptr<storage::Table>& table, std::size_t column);
 
   storage::Catalog catalog_;
   sampling::SampleHierarchyConfig sampling_;

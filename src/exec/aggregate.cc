@@ -24,6 +24,12 @@ std::string_view AggKindName(AggKind kind) {
   return "?";
 }
 
+double RunningAggregate::LaneSum() const {
+  static_assert(kLanes == 8, "the combine tree below is written for 8 lanes");
+  return ((lanes_[0] + lanes_[1]) + (lanes_[2] + lanes_[3])) +
+         ((lanes_[4] + lanes_[5]) + (lanes_[6] + lanes_[7]));
+}
+
 double RunningAggregate::value() const {
   if (kind_ == AggKind::kCount) {
     return static_cast<double>(count_);
@@ -33,9 +39,9 @@ double RunningAggregate::value() const {
   }
   switch (kind_) {
     case AggKind::kSum:
-      return sum_;
+      return LaneSum();
     case AggKind::kAvg:
-      return sum_ / static_cast<double>(count_);
+      return LaneSum() / static_cast<double>(count_);
     case AggKind::kMin:
       return min_;
     case AggKind::kMax:
@@ -52,7 +58,9 @@ double RunningAggregate::value() const {
 
 void RunningAggregate::Reset() {
   count_ = 0;
-  sum_ = 0.0;
+  for (double& lane : lanes_) {
+    lane = 0.0;
+  }
   mean_ = 0.0;
   m2_ = 0.0;
   min_ = std::numeric_limits<double>::infinity();

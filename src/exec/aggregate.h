@@ -8,6 +8,7 @@
 #ifndef DBTOUCH_EXEC_AGGREGATE_H_
 #define DBTOUCH_EXEC_AGGREGATE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -34,26 +35,39 @@ enum class AggKind : std::uint8_t {
 std::string_view AggKindName(AggKind kind);
 
 /// Streaming accumulator that keeps, per row, only the state its kind's
-/// value() reads: every kind counts rows; sum and avg keep one sequential
-/// sum (avg = sum / count); min and max compare only; variance and stddev
-/// keep the numerically stable Welford mean and M2.
+/// value() reads: every kind counts rows; sum and avg keep kLanes partial
+/// sums (avg = sum / count); min and max compare only; variance and
+/// stddev keep the numerically stable Welford mean and M2.
+///
+/// The sum is lane-split. The row at position p (counted from the
+/// aggregate's first row) is added to lane p mod kLanes, each lane in
+/// ascending row order, and value() combines the lanes in one fixed tree,
+/// ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)). Each lane is an
+/// independent chain of adds, so a span's sum runs kLanes chains side by
+/// side instead of one dependent chain, and nothing is reassociated: the
+/// result depends only on the rows and their order, never on how they
+/// were split into calls. Its error bound is no worse than a sequential
+/// sum's.
 class RunningAggregate {
  public:
+  /// Partial sums kept for kSum and kAvg.
+  static constexpr std::size_t kLanes = 8;
+
   explicit RunningAggregate(AggKind kind) : kind_(kind) {}
 
   // Add and AddSpan are inline and kept side by side: they are the one
   // canonical per-kind op sequence. The span kernels feed whole blocks
   // through AddSpan, the cursor paths feed rows through Add, and results
   // stay bit-identical across them (and across any block split) because
-  // both compile the same double ops in ascending row order.
+  // both compile the same double ops per lane in ascending row order.
   void Add(double v) {
-    ++count_;
+    const std::int64_t position = count_++;
     switch (kind_) {
       case AggKind::kCount:
         break;
       case AggKind::kSum:
       case AggKind::kAvg:
-        sum_ += v;
+        lanes_[Lane(position)] += v;
         break;
       case AggKind::kMin:
         if (v < min_) {
@@ -75,7 +89,10 @@ class RunningAggregate {
   /// Adds p[0], ..., p[n - 1] converted to double: the same ops as n
   /// calls to Add in that order, with the kind switch hoisted out of the
   /// row loop and the state held in locals (a double span may alias the
-  /// members, which would otherwise force a store per row).
+  /// members, which would otherwise force a store per row). The sum runs
+  /// a scalar prologue up to the next multiple of kLanes, a kLanes-wide
+  /// main loop and a scalar epilogue; every lane still receives its rows
+  /// in ascending order.
   template <typename T>
   void AddSpan(const T* p, std::int64_t n) {
     switch (kind_) {
@@ -83,11 +100,29 @@ class RunningAggregate {
         break;
       case AggKind::kSum:
       case AggKind::kAvg: {
-        double sum = sum_;
-        for (std::int64_t i = 0; i < n; ++i) {
-          sum += static_cast<double>(p[i]);
+        double lanes[kLanes];
+        for (std::size_t j = 0; j < kLanes; ++j) {
+          lanes[j] = lanes_[j];
         }
-        sum_ = sum;
+        std::int64_t i = 0;
+        for (std::size_t lane = Lane(count_); lane != 0 && i < n; ++i) {
+          lanes[lane] += static_cast<double>(p[i]);
+          lane = (lane + 1) % kLanes;
+        }
+        constexpr auto kStep = static_cast<std::int64_t>(kLanes);
+        for (; i + kStep <= n; i += kStep) {
+          const T* row = p + i;
+#pragma GCC unroll 8
+          for (std::size_t j = 0; j < kLanes; ++j) {
+            lanes[j] += static_cast<double>(row[j]);
+          }
+        }
+        for (std::size_t j = 0; i < n; ++i, ++j) {
+          lanes[j] += static_cast<double>(p[i]);
+        }
+        for (std::size_t j = 0; j < kLanes; ++j) {
+          lanes_[j] = lanes[j];
+        }
         break;
       }
       case AggKind::kMin: {
@@ -137,6 +172,14 @@ class RunningAggregate {
   void Reset();
 
  private:
+  /// The lane that the row at `position` (0-based) is added to.
+  static std::size_t Lane(std::int64_t position) {
+    return static_cast<std::size_t>(position) % kLanes;
+  }
+
+  /// The lanes combined in the fixed tree documented above.
+  double LaneSum() const;
+
   /// Welford update for the `count`-th value (1-based).
   static void WelfordStep(double v, std::int64_t count, double* mean,
                           double* m2) {
@@ -147,7 +190,7 @@ class RunningAggregate {
 
   AggKind kind_;
   std::int64_t count_ = 0;
-  double sum_ = 0.0;
+  double lanes_[kLanes] = {};
   double mean_ = 0.0;
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();

@@ -12,17 +12,20 @@
 //      use is monotone, conv(min(S)) == min over converted values, bit for
 //      bit. Predicate compares happen in the double domain with the exact
 //      conversions GetAsDouble performs, so the pass set is identical.
-//   2. Order-dependent ops (sum/avg and Welford variance) stay sequential:
-//      AggregateSpan runs RunningAggregate::AddSpan, one tight loop per
-//      kind and type that performs exactly the ops the inlined per-row
-//      RunningAggregate::Add performs for that kind (count only; one
-//      sequential sum for sum and avg; compares only for min and max;
-//      Welford mean and M2 for variance and stddev), in ascending row
-//      order, with no reassociation. Any block split therefore gives the
-//      same bits. The win is hoisting the residency check and the type
-//      and kind switches out of the row loop and keeping only the state
-//      the kind reads (a kAvg band costs one add per row), not
-//      reassociating floating-point math.
+//   2. Order-dependent ops (sum/avg and Welford variance) keep one fixed
+//      op sequence: AggregateSpan runs RunningAggregate::AddSpan, one
+//      tight loop per kind and type that performs exactly the ops the
+//      inlined per-row RunningAggregate::Add performs for that kind
+//      (count only; for sum and avg, the row at position p added to lane
+//      p mod 8, each lane in ascending row order, and the lanes combined
+//      at value() in the fixed tree ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)),
+//      avg dividing that by the count; compares only for min and max;
+//      sequential Welford mean and M2 for variance and stddev), with no
+//      reassociation. Any block split therefore gives the same bits. The
+//      win is hoisting the residency check and the type and kind
+//      switches out of the row loop, keeping only the state the kind
+//      reads, and running the sum's 8 lanes as independent chains (a
+//      kAvg band costs one add per row, 8 in flight).
 //
 // String/dictionary columns and strided (row-major) views are NOT handled:
 // every kernel returns false for them and the caller falls back to the
@@ -84,11 +87,11 @@ bool MinMaxSpan(const storage::ColumnView& view, MinMaxState* acc);
 
 /// Feeds every value of `view` (ascending row order) into `agg` with the
 /// kind switch hoisted out of the row loop (RunningAggregate::AddSpan):
-/// the same per-kind ops as per-row Add, so the result is bit-identical
-/// to feeding the rows one by one, and to feeding the view split into
-/// any pieces, for every AggKind including the order-dependent
-/// sum/avg/variance. Returns false — `agg` untouched — for
-/// non-contiguous/string views.
+/// the same per-kind ops as per-row Add (the lane-split sum included), so
+/// the result is bit-identical to feeding the rows one by one, and to
+/// feeding the view split into any pieces, for every AggKind including
+/// the order-dependent sum/avg/variance. Returns false — `agg` untouched
+/// — for non-contiguous/string views.
 bool AggregateSpan(const storage::ColumnView& view, RunningAggregate* agg);
 
 /// Filters `view` against `predicate` with the exact double-domain

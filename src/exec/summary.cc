@@ -33,11 +33,13 @@ SummaryResult InteractiveSummaryOp::ComputeAt(storage::RowId center) const {
   // Block-at-a-time over the window, span-vectorized where the block is a
   // contiguous numeric span. min/max/count are order-independent, so they
   // run through the SIMD MinMaxSpan kernel; every other kind is
-  // order-dependent (sum/avg/Welford) and runs AggregateSpan's sequential
-  // per-kind loop, which does the same ops per row as RunningAggregate's
-  // Add for that kind (one add per row for avg), in ascending row order.
-  // The paged, unpaged, and vectorized paths, under any block split, all
-  // produce bit-identical results; string/strided blocks fall back to the
+  // order-dependent (sum/avg/Welford) and runs AggregateSpan's per-kind
+  // loop, which does the same ops per row as RunningAggregate's Add for
+  // that kind: for sum and avg, one add per row into lane (position mod
+  // 8), each lane in ascending row order, the lanes combined in one
+  // fixed tree; for variance, sequential Welford. The paged, unpaged,
+  // and vectorized paths, under any block split, all produce
+  // bit-identical results; string/strided blocks fall back to the
   // per-row loop below.
   if (kind_ == AggKind::kCount || kind_ == AggKind::kMin ||
       kind_ == AggKind::kMax) {

@@ -258,7 +258,10 @@ struct StatsResp {
 struct SessionSnapshotReq {
   SessionId session = 0;
   /// Results from the tail of the session's stream to include (0 = only
-  /// the count).
+  /// the count). A session retains a bounded tail of its stream: once it
+  /// holds 8,192 results it drops all but the newest 4,096, so the
+  /// response carries the newest min(max_results, retained) results while
+  /// result_count still counts every result the session produced.
   std::int64_t max_results = 0;
 
   friend bool operator==(const SessionSnapshotReq&,
@@ -316,7 +319,8 @@ struct SessionSnapshotResp {
   std::int64_t fetch_errors = 0;
   // Session scheduling state.
   std::int64_t shed_levels = 0;
-  // Result stream: total size plus an optional tail.
+  // Result stream: every result ever produced, plus an optional tail of
+  // the retained ones (see SessionSnapshotReq::max_results).
   std::int64_t result_count = 0;
   std::vector<ResultInfo> results;
   // Partial-answer kernel counters. Trailing fields on the wire (appended

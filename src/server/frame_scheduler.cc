@@ -141,25 +141,31 @@ void FrameScheduler::PushBatch(std::vector<TouchTask>* frame,
 }
 
 std::optional<TouchTask> FrameScheduler::PopRunnable() {
-  std::unique_lock<std::mutex> lock(mu_);
-  return PopLocked(lock);
+  return PopRunnable(std::nullopt, nullptr);
 }
 
 std::optional<TouchTask> FrameScheduler::PopRunnable(
-    std::int64_t done_session) {
+    std::optional<std::int64_t> done_session, sim::Micros* now) {
+  sim::Micros unseeded = -1;
   std::unique_lock<std::mutex> lock(mu_);
-  MarkDoneLocked(done_session);
-  return PopLocked(lock);
+  if (done_session.has_value()) {
+    MarkDoneLocked(*done_session);
+  }
+  return PopLocked(lock, now != nullptr ? now : &unseeded);
 }
 
 std::optional<TouchTask> FrameScheduler::PopLocked(
-    std::unique_lock<std::mutex>& lock) {
+    std::unique_lock<std::mutex>& lock, sim::Micros* now_io) {
   constexpr sim::Micros kNoRelease = std::numeric_limits<sim::Micros>::max();
   for (;;) {
     if (shutdown_) {
       return std::nullopt;
     }
-    const sim::Micros now = SteadyNowUs();
+    const bool seeded = *now_io >= 0;
+    if (!seeded) {
+      *now_io = SteadyNowUs();
+    }
+    const sim::Micros now = *now_io;
     SessionRecord* best = nullptr;
     std::size_t runnable = 0;
     sim::Micros next_release = kNoRelease;
@@ -211,6 +217,13 @@ std::optional<TouchTask> FrameScheduler::PopLocked(
         cv_.notify_all();
       }
       return task;
+    }
+    // Nothing runnable. A passed-in reading may predate a release that
+    // has happened since: scan once more on a fresh one before sleeping
+    // until that release.
+    *now_io = -1;
+    if (seeded && next_release != kNoRelease) {
+      continue;
     }
     if (next_release != kNoRelease) {
       // Wake at the earliest head's exact release: release_us is on the
@@ -291,6 +304,9 @@ std::size_t FrameScheduler::parked() const {
 std::size_t FrameScheduler::DropSession(std::int64_t session_id) {
   std::size_t dropped = 0;
   bool idle = false;
+  // Destroyed after the lock is released: a dropped task may hold the
+  // last reference to its session, and so to its kernel.
+  std::vector<TouchTask> discarded;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     SessionRecord* record = FindLocked(session_id);
@@ -299,7 +315,7 @@ std::size_t FrameScheduler::DropSession(std::int64_t session_id) {
     }
     dropped = record->size();
     queued_ -= dropped;
-    record->tasks.clear();
+    discarded.swap(record->tasks);
     record->head = 0;
     record->parked = false;
     // A busy record stays until its task is reported done; the scan
@@ -338,9 +354,10 @@ void FrameScheduler::Shutdown() {
 }
 
 void FrameScheduler::Restart() {
+  std::vector<SessionRecord> discarded;  // Destroyed after the unlock.
   const std::lock_guard<std::mutex> lock(mu_);
   shutdown_ = false;
-  records_.clear();
+  discarded.swap(records_);
   queued_ = 0;
   busy_ = 0;
 }

@@ -23,6 +23,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <vector>
@@ -33,11 +34,19 @@
 
 namespace dbtouch::server {
 
+class ServerSession;
+
 /// One bounded work quantum: a single touch event for one session. The
 /// per-touch row budget (`max_rows_per_touch`) bounds its execution cost,
 /// so a quantum is the natural shedding and scheduling unit.
 struct TouchTask {
   std::int64_t session_id = 0;
+  /// The session itself, attached at admission so the worker never looks
+  /// it up. The reference keeps the session (and its kernel) alive while
+  /// the quantum is queued or in flight; the scheduler never destroys a
+  /// task, and so never a session, under its own lock. Null for quanta
+  /// pushed without a server (scheduler tests and benches).
+  std::shared_ptr<ServerSession> session;
   sim::TouchEvent event;
   /// Steady-clock micros of the scheduled arrival; not runnable before.
   sim::Micros release_us = 0;
@@ -109,10 +118,17 @@ class FrameScheduler {
   /// it is reported done (OnTaskDone, or the next PopRunnable(session)).
   std::optional<TouchTask> PopRunnable();
 
-  /// OnTaskDone(done_session) and PopRunnable() under one lock: the
-  /// worker loop's path, which reports each finished quantum through its
-  /// next pop.
-  std::optional<TouchTask> PopRunnable(std::int64_t done_session);
+  /// The worker loop's pop: OnTaskDone(done_session), when set, and
+  /// PopRunnable() under one lock, carrying a steady-clock reading
+  /// (SteadyNowUs) both ways when `now` is not null. On entry `*now` is a
+  /// recent reading that the first scan uses instead of reading the clock
+  /// (negative: read it). A reading older than some head's release only
+  /// costs a re-scan: a scan on a passed-in reading that finds nothing
+  /// runnable while some head waits for its release reads the clock and
+  /// scans again before it sleeps. On return `*now` is the reading the
+  /// dispatching scan used: the popped quantum's dispatch stamp.
+  std::optional<TouchTask> PopRunnable(
+      std::optional<std::int64_t> done_session, sim::Micros* now);
 
   /// Re-arms `session_id` after a popped task was executed or shed.
   void OnTaskDone(std::int64_t session_id);
@@ -133,9 +149,9 @@ class FrameScheduler {
   /// Sessions currently parked on a fetch.
   std::size_t parked() const;
 
-  /// Discards all queued tasks of a closing session. Returns how many.
-  /// A session with a task in flight stays busy until that task is
-  /// reported done.
+  /// Discards all queued tasks of a closing session, destroying them
+  /// after the lock is released. Returns how many. A session with a task
+  /// in flight stays busy until that task is reported done.
   std::size_t DropSession(std::int64_t session_id);
 
   /// Queued tasks for one session (admission control input).
@@ -197,7 +213,9 @@ class FrameScheduler {
   void MarkDoneLocked(std::int64_t session_id);
   /// The EDF pop: scans the records, collects drained ones, and sleeps
   /// on `lock` until a task is runnable or the scheduler shuts down.
-  std::optional<TouchTask> PopLocked(std::unique_lock<std::mutex>& lock);
+  /// `*now` as for PopRunnable(done_session, now).
+  std::optional<TouchTask> PopLocked(std::unique_lock<std::mutex>& lock,
+                                     sim::Micros* now);
   bool IdleLocked() const { return queued_ == 0 && busy_ == 0; }
 
   mutable std::mutex mu_;

@@ -12,9 +12,12 @@ Result<SessionId> SessionManager::Open(const core::KernelConfig& config) {
 
 Status SessionManager::Close(SessionId id) {
   const std::lock_guard<std::mutex> lock(mu_);
-  if (sessions_.erase(id) == 0) {
+  const auto it = sessions_.find(id);
+  if (it == sessions_.end()) {
     return Status::NotFound("no session " + std::to_string(id));
   }
+  it->second->closed.store(true, std::memory_order_release);
+  sessions_.erase(it);
   return Status::OK();
 }
 

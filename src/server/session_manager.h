@@ -63,6 +63,11 @@ class ServerSession {
   /// quantum only re-fetches when this is zero — otherwise a pending
   /// settle will push the next refine quantum anyway.
   std::atomic<std::int64_t> refine_fetches_inflight{0};
+  /// Set by SessionManager::Close, under the manager's lock, as the
+  /// session leaves the table. A quantum admitted before the close still
+  /// holds the session; the worker that pops it sees this flag and purges
+  /// the session's queue instead of executing.
+  std::atomic<bool> closed{false};
 
  private:
   SessionId id_;
@@ -81,8 +86,9 @@ class SessionManager {
   /// Opens a session with its own kernel bound to the shared state.
   Result<SessionId> Open(const core::KernelConfig& config);
 
-  /// Closes a session; its kernel (views, operators, results) is
-  /// destroyed once the last in-flight reference drains.
+  /// Closes a session: marks it closed and drops it from the table. Its
+  /// kernel (views, operators, results) is destroyed once the last
+  /// in-flight reference (a queued quantum, a fetch settle) drains.
   Status Close(SessionId id);
 
   Result<std::shared_ptr<ServerSession>> Get(SessionId id) const;

@@ -25,6 +25,23 @@ constexpr int kMaxShedLevels = 4;
 /// Clamps a session's shed level to [0, kMaxShedLevels].
 int ClampShed(int value) { return std::clamp(value, 0, kMaxShedLevels); }
 
+/// Result retention: once a session's kernel holds kResultTrimAt results,
+/// the oldest are dropped down to the newest kResultsKept. That costs
+/// about one move per result, and a session's stream stays bounded
+/// however long it is connected (ResultStream::total() still counts
+/// every result).
+constexpr std::int64_t kResultTrimAt = 8'192;
+constexpr std::size_t kResultsKept = 4'096;
+
+/// Applies the retention bound. Runs after a kernel call, under the
+/// session's exec_mu, never inside one: RefineNext tags the results it
+/// appends by index.
+void TrimResults(core::Kernel& kernel) {
+  if (kernel.results().size() >= kResultTrimAt) {
+    kernel.results().KeepNewest(kResultsKept);
+  }
+}
+
 }  // namespace
 
 namespace {
@@ -202,8 +219,9 @@ Result<api::SubmitBatchResp> TouchServer::Call(
     return resp;
   }
   // One lookup and one lock per frame: every quantum is built outside the
-  // scheduler's lock, then the frame is admitted whole. A session closed
-  // after this lookup is purged by the worker that pops its first quantum.
+  // scheduler's lock, carrying the session, then the frame is admitted
+  // whole. A session closed after this lookup is purged by the worker
+  // that pops its first quantum.
   DBTOUCH_ASSIGN_OR_RETURN(std::shared_ptr<ServerSession> s,
                            sessions_.Get(req.session));
   if (!running_.load(std::memory_order_acquire)) {
@@ -217,6 +235,7 @@ Result<api::SubmitBatchResp> TouchServer::Call(
     const api::WireTouchEvent& wire = req.events[i];
     TouchTask& task = frame[i];
     task.session_id = req.session;
+    task.session = s;
     task.event = api::FromWire(wire);
     // Gesture speed at this event, from the batch itself (the server sees
     // raw touches; it cannot wait for the recognizer's smoothed velocity).
@@ -319,8 +338,10 @@ Result<api::SessionSnapshotResp> TouchServer::Call(
   resp.fetch_errors = k.fetch_errors;
   resp.partial_answers = k.partial_answers;
   resp.refinements = k.refinements;
+  // The count is every result ever produced; the tail comes from the
+  // retained ones (see kResultsKept).
+  resp.result_count = kernel.results().total();
   const auto& items = kernel.results().items();
-  resp.result_count = static_cast<std::int64_t>(items.size());
   if (req.max_results > 0 && !items.empty()) {
     const std::size_t take = std::min<std::size_t>(
         items.size(), static_cast<std::size_t>(req.max_results));
@@ -490,14 +511,17 @@ void TouchServer::WorkerLoop() {
   // The session of the quantum just served is reported done through the
   // next pop, under the same lock — unless that quantum parked, which
   // already released the session.
-  SessionId served = 0;
-  bool report_served = false;
-  while (auto task = report_served ? scheduler_.PopRunnable(served)
-                                   : scheduler_.PopRunnable()) {
+  std::optional<SessionId> served;
+  // The clock is read at most twice per executed quantum: the pop's scan
+  // starts from the previous quantum's completion stamp and hands back
+  // the reading it dispatched on, and the completion reads it once.
+  sim::Micros now = -1;
+  while (auto task = scheduler_.PopRunnable(served, &now)) {
     served = task->session_id;
-    report_served = true;
-    const auto session = sessions_.Get(task->session_id);
-    if (!session.ok()) {
+    // The popped task holds its session across the purge below, so no
+    // session (and no kernel) is destroyed under the scheduler's lock.
+    const std::shared_ptr<ServerSession>& s = task->session;
+    if (s->closed.load(std::memory_order_acquire)) {
       // Session closed while its tasks were in flight: purge whatever a
       // racing submit re-queued; the next pop releases the busy mark.
       // Every purged quantum, and the popped one unless it is a refinement
@@ -507,9 +531,9 @@ void TouchServer::WorkerLoop() {
       total_dropped_.fetch_add(
           static_cast<std::int64_t>(purged) + (task->refine ? 0 : 1),
           std::memory_order_relaxed);
+      now = -1;
       continue;
     }
-    const std::shared_ptr<ServerSession>& s = *session;
 
     if (task->refine) {
       // Refinement quanta live outside the executed/dropped accounting:
@@ -517,14 +541,19 @@ void TouchServer::WorkerLoop() {
       // partial results) and was counted; this one only upgrades
       // fidelity, so it must not perturb idle()/miss/shed bookkeeping.
       ExecuteRefinement(&*task, s);
+      now = -1;
       continue;
     }
 
-    const sim::Micros popped = SteadyNowUs();
-    // Stage accounting. The invariant this maintains: queue wait (release
-    // -> first dispatch) + exec segments (each dispatch -> park/done) +
-    // stall segments (each park -> re-dispatch) tile [release, done] with
-    // no gaps, so the stage histograms sum to the end-to-end latency.
+    // The scan's reading is the dispatch stamp, so exec starts at the
+    // scan. It may predate the park of a resumed quantum (another worker
+    // parked it after this one's last completion stamp), so the stall
+    // segment never runs backwards. Stage accounting. The invariant this
+    // maintains: queue wait (release -> first dispatch) + exec segments
+    // (each dispatch -> park/done) + stall segments (each park ->
+    // re-dispatch) tile [release, done] with no gaps, so the stage
+    // histograms sum to the end-to-end latency.
+    const sim::Micros popped = std::max(now, task->parked_at_us);
     if (task->parked_at_us >= 0) {
       task->stall_accum_us += popped - task->parked_at_us;
       task->parked_at_us = -1;
@@ -588,6 +617,7 @@ void TouchServer::WorkerLoop() {
       } else {
         outcome = s->kernel().OnTouchAsync(task->event, &stall);
       }
+      TrimResults(s->kernel());
     }
     if (outcome == core::TouchOutcome::kSuspended && config_.partial_answers) {
       // Deadline-sacred path: if the measured fetch latency predicts the
@@ -602,10 +632,12 @@ void TouchServer::WorkerLoop() {
       task->exec_accum_us += parked - popped;
       task->parked_at_us = parked;
       SuspendOnStall(*task, s, std::move(stall));
-      report_served = false;
+      served.reset();
+      now = parked;
       continue;
     }
     const sim::Micros done = SteadyNowUs();
+    now = done;
     task->exec_accum_us += done - popped;
 
     // Latency is measured against the scheduled arrival: the time a live
@@ -735,6 +767,7 @@ core::TouchOutcome TouchServer::TryPartialDispatch(
     {
       const std::lock_guard<std::mutex> lock(s->exec_mu());
       outcome = s->kernel().ResumePending(&next);
+      TrimResults(s->kernel());
     }
     if (outcome == core::TouchOutcome::kCompleted) {
       return outcome;
@@ -773,6 +806,7 @@ void TouchServer::StartRefinementFetches(
     // the tier demonstrably needs, no longer.
     TouchTask refine;
     refine.session_id = id;
+    refine.session = s;
     refine.refine = true;
     refine.droppable = false;
     refine.resume = false;
@@ -824,6 +858,7 @@ void TouchServer::ExecuteRefinement(TouchTask* task,
         s->kernel().set_trace_quantum(task->quantum_id);
       }
       outcome = s->kernel().RefineNext(&stall);
+      TrimResults(s->kernel());
     }
     const sim::Micros done = SteadyNowUs();
     if (outcome == core::RefineOutcome::kRefined) {

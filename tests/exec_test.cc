@@ -7,6 +7,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
@@ -55,6 +57,112 @@ TEST(RunningAggregateTest, AvgRoundsAsSumOverCount) {
               std::bit_cast<std::uint64_t>(sum.value() / count.value()))
         << "after " << i + 1 << " values";
   }
+}
+
+// The documented op sequence of kSum and kAvg, written out on its own:
+// the row at position p goes to lane p mod 8, each lane adds its rows in
+// ascending order, and the lanes combine as
+// ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)).
+double LaneSumReference(const std::vector<double>& values) {
+  double lane[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+  for (std::size_t p = 0; p < values.size(); ++p) {
+    lane[p % 8] += values[p];
+  }
+  return ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
+         ((lane[4] + lane[5]) + (lane[6] + lane[7]));
+}
+
+double SequentialSum(const std::vector<double>& values) {
+  double sum = 0.0;
+  for (const double v : values) {
+    sum += v;
+  }
+  return sum;
+}
+
+std::uint64_t Bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Values whose sequential sum and lane sum differ in the last bits: one
+// large value absorbs small ones one at a time in a sequential sum, while
+// the other lanes add the small ones among themselves first.
+// (int32 cannot hold a value that large; its sums are exact in either
+// order, so it only checks that every path agrees.)
+template <typename T>
+std::vector<T> LaneSensitiveValues(std::size_t n) {
+  T large;
+  if constexpr (std::is_same_v<T, std::int32_t>) {
+    large = std::numeric_limits<std::int32_t>::max();
+  } else {
+    large = static_cast<T>(1e16);
+  }
+  Rng rng(0x1a7e);
+  std::vector<T> values(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    values[i] = i % 37 == 0 ? large
+                            : static_cast<T>(rng.NextBounded(1000) + 1);
+  }
+  return values;
+}
+
+template <typename T>
+void ExpectLaneOrder(const char* type) {
+  SCOPED_TRACE(type);
+  const std::vector<T> values = LaneSensitiveValues<T>(203);
+  std::vector<double> as_double;
+  for (const T v : values) {
+    as_double.push_back(static_cast<double>(v));
+  }
+  const double want_sum = LaneSumReference(as_double);
+  const double want_avg =
+      want_sum / static_cast<double>(as_double.size());
+
+  for (const AggKind kind : {AggKind::kSum, AggKind::kAvg}) {
+    const std::uint64_t want =
+        Bits(kind == AggKind::kSum ? want_sum : want_avg);
+    RunningAggregate per_row(kind);
+    for (const double v : as_double) {
+      per_row.Add(v);
+    }
+    EXPECT_EQ(Bits(per_row.value()), want) << AggKindName(kind) << " Add";
+    // A span may start at any lane: feed `offset` rows through Add, so
+    // the aggregate's count is not a multiple of the lane count, then the
+    // rest as one span (long enough for a main loop) or as pieces of 3.
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+      RunningAggregate whole(kind);
+      RunningAggregate pieces(kind);
+      for (std::size_t i = 0; i < offset; ++i) {
+        whole.Add(as_double[i]);
+        pieces.Add(as_double[i]);
+      }
+      whole.AddSpan(values.data() + offset,
+                    static_cast<std::int64_t>(values.size() - offset));
+      for (std::size_t i = offset; i < values.size(); i += 3) {
+        pieces.AddSpan(values.data() + i,
+                       static_cast<std::int64_t>(
+                           std::min<std::size_t>(3, values.size() - i)));
+      }
+      EXPECT_EQ(whole.count(), static_cast<std::int64_t>(values.size()));
+      EXPECT_EQ(Bits(whole.value()), want)
+          << AggKindName(kind) << " AddSpan from offset " << offset;
+      EXPECT_EQ(Bits(pieces.value()), want)
+          << AggKindName(kind) << " AddSpan in pieces from offset "
+          << offset;
+    }
+  }
+}
+
+TEST(RunningAggregateTest, SumAndAvgFollowTheLaneOrder) {
+  // The data must tell the two orders apart, or this test pins nothing.
+  std::vector<double> doubles;
+  for (const double v : LaneSensitiveValues<double>(203)) {
+    doubles.push_back(v);
+  }
+  ASSERT_NE(Bits(SequentialSum(doubles)), Bits(LaneSumReference(doubles)));
+
+  ExpectLaneOrder<std::int32_t>("int32");
+  ExpectLaneOrder<std::int64_t>("int64");
+  ExpectLaneOrder<float>("float");
+  ExpectLaneOrder<double>("double");
 }
 
 TEST(RunningAggregateTest, MinMax) {

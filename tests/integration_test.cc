@@ -15,6 +15,7 @@
 #include "core/ascii_screen.h"
 #include "core/kernel.h"
 #include "exec/aggregate.h"
+#include "exec/predicate.h"
 #include "sim/motion_profile.h"
 #include "sim/trace_builder.h"
 #include "sim/trace_io.h"
@@ -222,6 +223,90 @@ TEST(IntegrationTest, AggregateSlideSurvivesRotationFinishingMidSlide) {
               static_cast<std::int64_t>(touched.size()));
   }
   EXPECT_GT(touched.size(), 10u);
+}
+
+TEST(IntegrationTest, ZoneMapSlideReadsTheTableARotationRewrote) {
+  // A column object's sample hierarchy views its table's matrix at level
+  // 0. A table object over the same table rotates it, and the swap frees
+  // that matrix; the level-0 zone map, built on the first zone-map touch
+  // after the swap, must read the table as it is now, not the freed
+  // matrix (ASan reports a heap-use-after-free if it does). Both places a
+  // rotation finishes: inside the rotate gesture (one step converts the
+  // whole table) and in PumpMaintenance.
+  constexpr std::int64_t kTableRows = 100'000;
+  const Column raw = storage::GenSequenceInt64("id", kTableRows, 0, 1);
+  const exec::Predicate predicate(exec::CompareOp::kGe, 60'000.0);
+  for (const bool finish_in_gesture : {true, false}) {
+    SCOPED_TRACE(finish_in_gesture ? "finished by the rotate gesture"
+                                   : "finished by PumpMaintenance");
+    const auto make_table = [&] {
+      std::vector<Column> cols;
+      cols.push_back(storage::GenSequenceInt64("id", kTableRows, 0, 1));
+      cols.push_back(storage::GenUniformInt32("x", kTableRows, 0, 99, 1));
+      return *Table::FromColumns("t", std::move(cols),
+                                 storage::MajorOrder::kRowMajor);
+    };
+    KernelConfig config;
+    config.rotation_rows_per_step = finish_in_gesture ? kTableRows : 6'000;
+    Kernel kernel(config);
+    Kernel reference;  // The same slide over a table that never rotates.
+    ASSERT_TRUE(kernel.RegisterTable(make_table()).ok());
+    ASSERT_TRUE(reference.RegisterTable(make_table()).ok());
+    const RectCm column_frame{2.0, 1.0, 2.0, 10.0};
+    const auto column = kernel.CreateColumnObject("t", "id", column_frame);
+    const auto ref_column =
+        reference.CreateColumnObject("t", "id", column_frame);
+    ASSERT_TRUE(column.ok());
+    ASSERT_TRUE(ref_column.ok());
+    const auto table =
+        kernel.CreateTableObject("t", RectCm{6.0, 1.0, 6.0, 10.0});
+    ASSERT_TRUE(table.ok());
+
+    TraceBuilder builder(kernel.device());
+    kernel.Replay(builder.TwoFingerRotate("rot", PointCm{9.0, 6.0}, 2.0, 0.0,
+                                          M_PI / 2.0, 1.0));
+    while (*kernel.rotation_in_progress(*table)) {
+      ASSERT_FALSE(finish_in_gesture);
+      kernel.PumpMaintenance();
+    }
+    ASSERT_EQ(kernel.stats().layout_rotations, 1);
+    ASSERT_EQ((*kernel.catalog().Get("t"))->layout(),
+              storage::MajorOrder::kColumnMajor);
+
+    ASSERT_TRUE(kernel
+                    .SetAction(*column, ActionConfig::Filter(
+                                            predicate, /*use_zone_map=*/true))
+                    .ok());
+    ASSERT_TRUE(reference
+                    .SetAction(*ref_column,
+                               ActionConfig::Filter(predicate,
+                                                    /*use_zone_map=*/true))
+                    .ok());
+    const std::size_t before = kernel.results().items().size();
+    const sim::GestureTrace slide =
+        builder.Slide("scan", PointCm{3.0, 1.0}, PointCm{3.0, 11.0},
+                      MotionProfile::Constant(2.0),
+                      kernel.clock().now() + 200'000);
+    kernel.Replay(slide);
+    reference.Replay(slide);
+
+    // Every match is the raw value at its row and passes the predicate,
+    // and the slide answers exactly as over the never-rotated table.
+    const auto& items = kernel.results().items();
+    const auto& want = reference.results().items();
+    ASSERT_EQ(items.size() - before, want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const core::ResultItem& got = items[before + i];
+      ASSERT_EQ(got.kind, ResultKind::kFilterMatch);
+      const double value = raw.View().GetAsDouble(got.row);
+      EXPECT_EQ(got.value.ToDouble(), value) << "row " << got.row;
+      EXPECT_TRUE(predicate.Matches(value)) << "row " << got.row;
+      EXPECT_EQ(got.row, want[i].row);
+    }
+    EXPECT_GT(want.size(), 0u);
+    EXPECT_GT(kernel.stats().rows_pruned, 0);
+    EXPECT_EQ(kernel.stats().rows_pruned, reference.stats().rows_pruned);
+  }
 }
 
 TEST(IntegrationTest, JoinResumesThroughHashTableCache) {

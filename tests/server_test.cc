@@ -305,7 +305,7 @@ TEST(FrameSchedulerTest, PushBatchBoundsDroppableQuantaInFrameOrder) {
     if (expected == 6) {
       break;
     }
-    popped = scheduler.PopRunnable(1);
+    popped = scheduler.PopRunnable(1, nullptr);
   }
   // A session with nothing queued takes a frame that fits whole.
   std::vector<TouchTask> whole;
@@ -333,6 +333,29 @@ TEST(FrameSchedulerTest, ReleaseTimeGatesRunnability) {
   EXPECT_EQ(second->session_id, 1);
   EXPECT_GE(SteadyNowUs(), second->release_us);
   scheduler.OnTaskDone(1);
+}
+
+TEST(FrameSchedulerTest, SeededPopDispatchesOnItsReading) {
+  FrameScheduler scheduler;
+  const sim::Micros now = SteadyNowUs();
+  scheduler.Push(MakeTask(1, now + 100'000, now));
+  // A seed at or past the head's release: the scan uses it as is, and it
+  // comes back as the dispatch stamp.
+  sim::Micros stamp = now;
+  auto popped = scheduler.PopRunnable(std::nullopt, &stamp);
+  ASSERT_TRUE(popped.has_value());
+  EXPECT_EQ(stamp, now);
+  // A seed older than the next head's release: that head looks
+  // unreleased, so the scan reads the clock and pops it on the fresh
+  // reading instead of sleeping.
+  scheduler.Push(MakeTask(2, now + 100'000, SteadyNowUs()));
+  stamp = now - 1'000;
+  popped = scheduler.PopRunnable(1, &stamp);
+  ASSERT_TRUE(popped.has_value());
+  EXPECT_EQ(popped->session_id, 2);
+  EXPECT_GE(stamp, popped->release_us);
+  scheduler.OnTaskDone(2);
+  EXPECT_EQ(scheduler.pending(), 0u);
 }
 
 TEST(FrameSchedulerTest, DropSessionDiscardsQueue) {
@@ -667,6 +690,69 @@ TEST(TouchServerTest, ImpossibleDeadlinesAreCountedAndShed) {
   EXPECT_GE(stats.executed, 2);
   const SessionStatsSnapshot& per = stats.per_session.at(*session);
   EXPECT_GT(per.deadline_misses + per.dropped_quanta, 0);
+  ASSERT_TRUE(server.Stop().ok());
+}
+
+TEST(TouchServerTest, SessionKeepsABoundedTailOfItsResults) {
+  // A long-lived session must not keep every result it ever produced. It
+  // keeps the newest ones; the snapshot still counts them all, and its
+  // tail is the tail a single-user kernel would show.
+  TouchServer server(RelaxedConfig(1));
+  ASSERT_TRUE(server.RegisterTable(SequenceTable("t", 0)).ok());
+  ASSERT_TRUE(server.Start().ok());
+  const auto session = server.OpenSession();
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE(server
+                  .CreateColumnObject(*session, "t", "v",
+                                      RectCm{2.0, 1.0, 2.0, 10.0})
+                  .ok());
+
+  Kernel golden;
+  ASSERT_TRUE(golden.RegisterTable(SequenceTable("t", 0)).ok());
+  ASSERT_TRUE(
+      golden.CreateColumnObject("t", "v", RectCm{2.0, 1.0, 2.0, 10.0}).ok());
+  const sim::GestureTrace trace = SlideOver(server, golden, 1.0);
+  // The same slide again and again, on both sides, until the session has
+  // produced more than 16,384 scan results. The replay counts its results
+  // and keeps its newest 16.
+  constexpr std::size_t kTail = 16;
+  std::int64_t golden_count = 0;
+  std::vector<core::ResultItem> golden_tail;
+  while (golden_count <= 16'384) {
+    golden.Replay(trace);
+    const auto& items = golden.results().items();
+    golden_count += static_cast<std::int64_t>(items.size());
+    golden_tail.insert(golden_tail.end(), items.begin(), items.end());
+    if (golden_tail.size() > kTail) {
+      golden_tail.erase(golden_tail.begin(), golden_tail.end() - kTail);
+    }
+    golden.results().Clear();
+    // One slide at a time: a queue past max_session_queue would shed.
+    ASSERT_TRUE(server.SubmitTrace(*session, trace, {/*paced=*/false}).ok());
+    ASSERT_TRUE(server.Drain().ok());
+  }
+  ASSERT_EQ(server.stats().dropped_quanta, 0);
+
+  api::SessionSnapshotReq req;
+  req.session = *session;
+  req.max_results = static_cast<std::int64_t>(kTail);
+  const auto snap = server.Call(req);
+  ASSERT_TRUE(snap.ok());
+  EXPECT_EQ(snap->result_count, golden_count);
+  ASSERT_EQ(snap->results.size(), golden_tail.size());
+  for (std::size_t i = 0; i < kTail; ++i) {
+    EXPECT_EQ(snap->results[i].row, golden_tail[i].row) << i;
+    EXPECT_EQ(snap->results[i].kind,
+              static_cast<std::uint8_t>(golden_tail[i].kind))
+        << i;
+    EXPECT_EQ(snap->results[i].value, golden_tail[i].value.ToDouble()) << i;
+  }
+  ASSERT_TRUE(server
+                  .WithSession(*session,
+                               [](Kernel& kernel) {
+                                 EXPECT_LE(kernel.results().size(), 8'192);
+                               })
+                  .ok());
   ASSERT_TRUE(server.Stop().ok());
 }
 

@@ -137,15 +137,16 @@ std::vector<T> FillSpread(Rng& rng, std::int64_t n) {
   return values;
 }
 
-// Cuts [0, n) into consecutive piece lengths: all 1 when `unit`, else
-// seeded lengths in [0, 40] (empty pieces included).
-std::vector<std::int64_t> SplitLengths(Rng& rng, std::int64_t n, bool unit) {
+// Cuts [0, n) into consecutive piece lengths: all `piece` long (the last
+// one shorter) when `piece` > 0, else seeded lengths in [0, 40] (empty
+// pieces included).
+std::vector<std::int64_t> SplitLengths(Rng& rng, std::int64_t n,
+                                       std::int64_t piece) {
   std::vector<std::int64_t> lengths;
   for (std::int64_t left = n; left > 0;) {
-    const std::int64_t len =
-        unit ? 1
-             : std::min<std::int64_t>(
-                   left, static_cast<std::int64_t>(rng.NextBounded(41)));
+    const std::int64_t len = std::min<std::int64_t>(
+        left, piece > 0 ? piece
+                        : static_cast<std::int64_t>(rng.NextBounded(41)));
     lengths.push_back(len);
     left -= len;
   }
@@ -266,7 +267,8 @@ TEST_F(SpanKernelsTest, AggregateSpanBitIdenticalUnderAnySplit) {
   // on the tier and on where the window sits. Every kind, the
   // order-dependent sum/avg/variance included, must give the same bits
   // whether the span arrives whole, cut anywhere (down to single rows),
-  // or row by row through Add.
+  // or row by row through Add. Pieces of 7 and 9 rows start every piece
+  // after the first at a new offset into the sum's 8 lanes.
   Rng rng(0x5b117);
   constexpr std::int64_t kRows = 517;
   const auto i32 = FillInts<std::int32_t>(rng, kRows);
@@ -293,18 +295,18 @@ TEST_F(SpanKernelsTest, AggregateSpanBitIdenticalUnderAnySplit) {
       ASSERT_TRUE(exec::AggregateSpan(view, &whole));
       EXPECT_EQ(whole.count(), want.count());
       EXPECT_EQ(Bits(whole.value()), Bits(want.value()));
-      for (int trial = 0; trial < 4; ++trial) {
-        const bool unit = trial == 0;
+      // Fixed pieces of 1, 7 and 9 rows, then three seeded cuttings.
+      for (const std::int64_t piece : {1, 7, 9, 0, 0, 0}) {
         RunningAggregate split(kind);
         RowId first = 0;
         for (const std::int64_t len :
-             SplitLengths(rng, view.row_count(), unit)) {
+             SplitLengths(rng, view.row_count(), piece)) {
           ASSERT_TRUE(exec::AggregateSpan(view.Slice(first, len), &split));
           first += len;
         }
-        EXPECT_EQ(split.count(), want.count()) << "trial " << trial;
+        EXPECT_EQ(split.count(), want.count()) << "piece " << piece;
         EXPECT_EQ(Bits(split.value()), Bits(want.value()))
-            << "trial " << trial;
+            << "piece " << piece;
       }
     }
   }
