@@ -792,17 +792,20 @@ int main(int argc, char** argv) {
   PaxReport(perf);
   // Policy/residency metrics are deterministic load shapes (tight 20%
   // gates); rows/s metrics vary with the host and stay informational.
-  // disk_reads_per_block and faults_per_tuple count provider reads and
-  // pool faults under a fixed, seeded script (seeded taps, LRU): the same
-  // code gives the same count on any host, so they gate at tolerance 0.
+  // disk_reads_per_block, disk_mb_read and the two faults_per_tuple
+  // counts measure provider reads, bytes read from disk and pool faults
+  // under a fixed, seeded script (seeded taps, LRU): the same code gives
+  // the same count on any host, so they gate at tolerance 0.
   perf.Gate("restudy_hit_aware", "higher", 0.2);
   perf.Gate("warm_scan_hit_rate", "higher", 0.2);
   perf.Gate("disk_reads_per_block", "lower", 0.0);
+  perf.Gate("disk_mb_read", "lower", 0.0);
   perf.Gate("reclaim_peak_over_budget", "lower", 0.2);
   // simd_speedup is a same-host ratio — both sides scale with the
   // machine, so it gates with a looser band; the hard >= 2x floor lives
   // in SimdReport itself.
   perf.Gate("faults_per_tuple", "lower", 0.0);
+  perf.Gate("faults_per_tuple_col", "lower", 0.0);
   perf.Gate("simd_speedup", "higher", 0.5);
   // avg_span_cost_ratio is a same-host ratio too. Over 10 runs on a
   // shared 4-vCPU VM the lane-split sum read 0.58-1.14 (median 0.74) and

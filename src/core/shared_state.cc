@@ -166,42 +166,7 @@ Status SharedState::SpillTable(const std::string& table,
                              spiller.SpillColumn(t, column));
     providers.push_back(std::move(p));
   }
-  for (std::size_t column = 0; column < providers.size(); ++column) {
-    // Bind against the exact table the spill read — not a fresh catalog
-    // lookup: a concurrent re-registration of the name must not get the
-    // old table's spill files pinned under the new table's identity (the
-    // identity mismatch then retires the binding, as for any provider).
-    DBTOUCH_RETURN_IF_ERROR(BindColumnProvider(t, column, providers[column]));
-  }
-  if (!reclaim_raw) {
-    return Status::OK();
-  }
-  // Reclamation: every file is written, validated and bound — the matrix
-  // is now a redundant copy. Build the paged rebind sources (pool-backed,
-  // same binding GetColumnSource hands out, so probe pins and point reads
-  // share cache keys), move the hierarchies onto them, then free the raw
-  // storage. ReleaseRaw waits out raw readers still in flight.
-  std::vector<std::shared_ptr<storage::PagedColumnSource>> sources;
-  sources.reserve(providers.size());
-  for (std::size_t column = 0; column < providers.size(); ++column) {
-    sources.push_back(
-        buffer_.SourceFor(t->name(), column, providers[column]));
-  }
-  // One critical section for rebind + release: a concurrent
-  // GetOrBuildHierarchy (same mutex) either runs before — and is rebound
-  // here — or after, when raw_released() already steers it to the paged
-  // build. Releasing between the two would let it build over a matrix
-  // about to be freed. Lock order is mu_ then the table's release gate;
-  // no raw-gate holder ever takes mu_.
-  const std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [key, entry] : hierarchies_) {
-    if (entry.table == t) {
-      // Materialises any unbuilt levels from the still-valid matrix,
-      // then pins blocks for everything after.
-      entry.hierarchy->RebindBase(sources[key.second]);
-    }
-  }
-  return t->ReleaseRaw(std::move(sources));
+  return BindSpill(t, providers, reclaim_raw);
 }
 
 Status SharedState::SpillTablePax(const std::string& table,
@@ -209,34 +174,58 @@ Status SharedState::SpillTablePax(const std::string& table,
                                   bool reclaim_raw) {
   DBTOUCH_ASSIGN_OR_RETURN(std::shared_ptr<storage::Table> t,
                            catalog_.Get(table));
-  // One file for the whole table; written and validated before any column
-  // rebinds, so a failed spill leaves the in-memory binding intact.
+  // One file for the whole table, shared by every column's binding.
   DBTOUCH_ASSIGN_OR_RETURN(std::shared_ptr<cache::FileBlockProvider> provider,
                            spiller.SpillTablePax(t));
-  for (std::size_t column = 0; column < t->schema().num_fields(); ++column) {
-    DBTOUCH_RETURN_IF_ERROR(BindColumnProvider(t, column, provider));
+  return BindSpill(t,
+                   std::vector<std::shared_ptr<cache::BlockProvider>>(
+                       t->schema().num_fields(), provider),
+                   reclaim_raw);
+}
+
+Status SharedState::BindSpill(
+    const std::shared_ptr<storage::Table>& table,
+    const std::vector<std::shared_ptr<cache::BlockProvider>>& providers,
+    bool reclaim_raw) {
+  for (std::size_t column = 0; column < providers.size(); ++column) {
+    // Bind against the exact table the spill read — not a fresh catalog
+    // lookup: a concurrent re-registration of the name must not get the
+    // old table's spill files pinned under the new table's identity (the
+    // identity mismatch then retires the binding, as for any provider).
+    DBTOUCH_RETURN_IF_ERROR(
+        BindColumnProvider(table, column, providers[column]));
   }
   if (!reclaim_raw) {
     return Status::OK();
   }
-  // Mirrors SpillTable's reclamation, except every rebind source is a PAX
-  // column view of the one shared binding (see SpillTable for the
-  // locking/failure discussion).
+  // Reclamation: every file is written, validated and bound — the matrix
+  // is now a redundant copy. Resolve the paged rebind sources (the same
+  // binding GetColumnSource hands out, so probe pins and point reads
+  // share cache keys), move the hierarchies onto them, then free the raw
+  // storage. ReleaseRaw waits out raw readers still in flight.
+  //
+  // One critical section for rebind + release: a concurrent
+  // GetOrBuildHierarchy (same mutex) either runs before — and is rebound
+  // here — or after, when raw_released() already steers it to the paged
+  // build. Releasing between the two would let it build over a matrix
+  // about to be freed. Lock order is mu_ then the table's release gate;
+  // no raw-gate holder ever takes mu_.
+  const std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::shared_ptr<storage::PagedColumnSource>> sources;
-  sources.reserve(t->schema().num_fields());
-  for (std::size_t column = 0; column < t->schema().num_fields(); ++column) {
-    DBTOUCH_ASSIGN_OR_RETURN(
-        std::shared_ptr<storage::PagedColumnSource> source,
-        buffer_.PaxSourceFor(t->name(), column, provider));
+  sources.reserve(providers.size());
+  for (std::size_t column = 0; column < providers.size(); ++column) {
+    DBTOUCH_ASSIGN_OR_RETURN(std::shared_ptr<storage::PagedColumnSource> source,
+                             ColumnSourceLocked(table, column));
     sources.push_back(std::move(source));
   }
-  const std::lock_guard<std::mutex> lock(mu_);
   for (auto& [key, entry] : hierarchies_) {
-    if (entry.table == t) {
+    if (entry.table == table) {
+      // Materialises any unbuilt levels from the still-valid matrix,
+      // then pins blocks for everything after.
       entry.hierarchy->RebindBase(sources[key.second]);
     }
   }
-  return t->ReleaseRaw(std::move(sources));
+  return table->ReleaseRaw(std::move(sources));
 }
 
 std::size_t SharedState::hierarchy_count() const {

@@ -29,6 +29,7 @@
 #include <mutex>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "cache/buffer_manager.h"
 #include "common/result.h"
@@ -105,8 +106,9 @@ class SharedState {
   /// the disk tier: after this, a table many times the buffer budget
   /// explores through the pool's bounded resident set, faulting blocks
   /// from the spill files. Columns are rebound only after every file is
-  /// written and validated, so a failed spill leaves the in-memory
-  /// binding fully intact.
+  /// written and validated, and a file replaces its predecessor only once
+  /// complete, so a failed spill leaves the current binding fully intact,
+  /// whether it reads the matrix or an earlier spill's files.
   ///
   /// With `reclaim_raw`, the spill then actually frees memory: every
   /// shared sample hierarchy over the table is rebound to the paged tier
@@ -169,6 +171,15 @@ class SharedState {
   Status BindColumnProvider(std::shared_ptr<storage::Table> table,
                             std::size_t column,
                             std::shared_ptr<cache::BlockProvider> provider);
+
+  /// The shared tail of SpillTable and SpillTablePax: binds
+  /// `providers[c]` as column c's provider of `table` and, with
+  /// `reclaim_raw`, rebinds every hierarchy over the table to its column's
+  /// pool source and releases the matrix.
+  Status BindSpill(
+      const std::shared_ptr<storage::Table>& table,
+      const std::vector<std::shared_ptr<cache::BlockProvider>>& providers,
+      bool reclaim_raw);
 
   /// GetColumnSource against a resolved table identity; requires mu_.
   Result<std::shared_ptr<storage::PagedColumnSource>> ColumnSourceLocked(

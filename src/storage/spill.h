@@ -7,9 +7,14 @@
 // write-once eviction path; everything after is re-faultable), and a table
 // many times the budget explores through a bounded pool.
 //
-// The spill streams one block at a time through a TableBlockProvider — a
-// column is never materialised whole — so spilling itself runs in O(block)
-// memory. Spilled columns are treated as frozen, like registered tables
+// Both layouts write the one block-file format (cache/file_block_provider.h)
+// through one writer: SpillColumn a file of one column, SpillTablePax a
+// file of every column. The spill streams one block at a time through
+// TableBlockProviders — a column is never materialised whole — so
+// spilling itself runs in O(block) memory. Each file is written under a
+// temporary name and takes the place of the old one only once it is
+// complete, so a failed or repeated spill never touches the file a bound
+// provider reads. Spilled columns are treated as frozen, like registered tables
 // generally are under sharing: a layout rotation after a spill rewrites
 // only the in-memory matrix, so server sessions (where rotation is
 // disabled) always see consistent data.
@@ -20,6 +25,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "cache/file_block_provider.h"
 #include "common/result.h"
@@ -32,12 +38,6 @@ struct SpillOptions {
   /// Rows per on-disk block. Callers that rebind into a BufferManager
   /// should match its rows_per_block so cache keys and file blocks agree.
   std::int64_t rows_per_block = 16'384;
-  /// Start every block payload on a 4 KiB boundary (see
-  /// cache::BlockFileWriterOptions::aligned_extents).
-  bool aligned_extents = false;
-  /// Spill and fault through O_DIRECT (implies aligned extents; falls
-  /// back to buffered I/O where the filesystem refuses — tmpfs/CI).
-  bool use_direct = false;
 };
 
 class TableSpiller {
@@ -48,7 +48,7 @@ class TableSpiller {
 
   /// Streams `table.column` into its block file and opens a provider over
   /// it (the column's dictionary rides along for string decoding).
-  /// Overwrites any previous spill of the same column.
+  /// Replaces any previous spill of the same column.
   Result<std::shared_ptr<cache::FileBlockProvider>> SpillColumn(
       const std::shared_ptr<const Table>& table, std::size_t column);
 
@@ -56,7 +56,7 @@ class TableSpiller {
   /// every column's minipage for its row range (storage/pax.h) — and
   /// opens a provider over it. One fault then makes a block's rows
   /// resident for *all* attributes, which is what a fat-table gesture
-  /// probe touches. Overwrites any previous PAX spill of the table.
+  /// probe touches. Replaces any previous PAX spill of the table.
   Result<std::shared_ptr<cache::FileBlockProvider>> SpillTablePax(
       const std::shared_ptr<const Table>& table);
 
@@ -68,6 +68,13 @@ class TableSpiller {
   std::int64_t bytes_written() const { return bytes_written_; }
 
  private:
+  /// Streams `columns` of `table` into one block file at `path` (written
+  /// as "<path>.tmp", renamed to `path` once finished, unlinked on any
+  /// failure) and opens a provider over it.
+  Result<std::shared_ptr<cache::FileBlockProvider>> Spill(
+      const std::shared_ptr<const Table>& table,
+      const std::vector<std::size_t>& columns, const std::string& path);
+
   std::string dir_;
   SpillOptions options_;
   std::int64_t columns_spilled_ = 0;

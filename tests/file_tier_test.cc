@@ -1,8 +1,9 @@
 // The disk spill tier: block-file format round trips, TableSpiller +
 // SharedState rebinding, the bounded-residency acceptance criterion
 // (a table 4x the buffer budget served through the pool), ranged-read
-// coalescing against the file, and the fault-injection battery
-// (truncation, short reads, missing files, permission errors).
+// coalescing against the file, a sweep of hostile bytes through every
+// metadata byte, and the fault-injection battery (truncation, short
+// reads, missing files, permission errors).
 //
 // Labeled `slow` in CMake: CI runs this suite in its dedicated
 // stress/fault ctest step.
@@ -13,10 +14,12 @@
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/block_provider.h"
@@ -40,7 +43,6 @@ namespace {
 using cache::BlockFileWriter;
 using cache::FileBlockProvider;
 using cache::FileFaultInjector;
-using cache::FileProviderOptions;
 using cache::TableBlockProvider;
 using core::ActionConfig;
 using core::Kernel;
@@ -80,6 +82,17 @@ std::shared_ptr<Table> SequenceTable(const std::string& name,
                                      std::int64_t rows) {
   std::vector<Column> cols;
   cols.push_back(storage::GenSequenceInt64("v", rows, 0, 1));
+  return *Table::FromColumns(name, std::move(cols));
+}
+
+/// int64, double and string columns: the shape of a PAX spill file.
+std::shared_ptr<Table> ThreeColumnTable(const std::string& name,
+                                        std::int64_t rows) {
+  std::vector<Column> cols;
+  cols.push_back(storage::GenSequenceInt64("v", rows, 0, 1));
+  cols.push_back(storage::GenGaussianDouble("g", rows, 10.0, 2.0, 11));
+  cols.push_back(storage::GenCategorical(
+      "tag", rows, {"alpha", "beta", "gamma"}, 7));
   return *Table::FromColumns(name, std::move(cols));
 }
 
@@ -124,22 +137,40 @@ TEST(FileBlockProviderTest, SpilledBlocksAreByteIdenticalToTableProvider) {
 TEST(FileBlockProviderTest, ReadRangeMatchesConcatenatedFetches) {
   ScratchDir dir;
   SpillOptions options;
-  options.rows_per_block = 64;
+  options.rows_per_block = 64;  // 1000 % 64 != 0: a ragged tail block.
   TableSpiller spiller(dir.path(), options);
-  const auto provider = spiller.SpillColumn(SequenceTable("t", 1'000), 0);
-  ASSERT_TRUE(provider.ok()) << provider.status();
+  // A column file and a three-column PAX file: one format, one read path.
+  const auto column = spiller.SpillColumn(SequenceTable("t", 1'000), 0);
+  ASSERT_TRUE(column.ok()) << column.status();
+  const auto pax = spiller.SpillTablePax(ThreeColumnTable("p", 1'000));
+  ASSERT_TRUE(pax.ok()) << pax.status();
 
-  const auto ranged = (*provider)->ReadRange(3, 5);
-  ASSERT_TRUE(ranged.ok()) << ranged.status();
-  std::vector<std::byte> expected;
-  for (std::int64_t b = 3; b < 8; ++b) {
-    const auto one = (*provider)->Fetch(b);
-    ASSERT_TRUE(one.ok());
-    expected.insert(expected.end(), one->begin(), one->end());
+  for (const auto& provider : {*column, *pax}) {
+    SCOPED_TRACE(provider->path());
+    const std::int64_t num_blocks = provider->geometry().num_blocks();
+    std::vector<std::vector<std::byte>> blocks;
+    for (std::int64_t b = 0; b < num_blocks; ++b) {
+      const auto one = provider->Fetch(b);
+      ASSERT_TRUE(one.ok()) << one.status();
+      blocks.push_back(*one);
+    }
+    const auto concatenated = [&blocks](std::int64_t first,
+                                        std::int64_t count) {
+      std::vector<std::byte> out;
+      for (std::int64_t b = first; b < first + count; ++b) {
+        out.insert(out.end(), blocks[b].begin(), blocks[b].end());
+      }
+      return out;
+    };
+    const auto ranged = provider->ReadRange(3, 5);
+    ASSERT_TRUE(ranged.ok()) << ranged.status();
+    EXPECT_EQ(*ranged, concatenated(3, 5));
+    const auto whole = provider->ReadRange(0, num_blocks);
+    ASSERT_TRUE(whole.ok()) << whole.status();
+    EXPECT_EQ(*whole, concatenated(0, num_blocks));
+    EXPECT_EQ(provider->ranged_reads(), 2);
+    EXPECT_EQ(provider->blocks_read(), 2 * num_blocks + 5);
   }
-  EXPECT_EQ(*ranged, expected);
-  EXPECT_EQ((*provider)->ranged_reads(), 1);
-  EXPECT_GE((*provider)->blocks_read(), 6);
 }
 
 TEST(FileBlockProviderTest, OpenRejectsMissingCorruptAndUnfinishedFiles) {
@@ -167,7 +198,8 @@ TEST(FileBlockProviderTest, OpenRejectsMissingCorruptAndUnfinishedFiles) {
   TableBlockProvider reader(table, 0, 128);
   const std::string unfinished = dir.path() + "/unfinished.dbb";
   {
-    BlockFileWriter writer(unfinished, reader.geometry());
+    BlockFileWriter writer(unfinished, reader.geometry(),
+                           {storage::DataType::kInt64});
     const auto block = reader.Fetch(0);
     ASSERT_TRUE(block.ok());
     ASSERT_TRUE(writer.Append(block->data(), block->size()).ok());
@@ -232,7 +264,8 @@ TEST(FileBlockProviderTest, WriterEnforcesBlockOrderAndSizes) {
   ScratchDir dir;
   auto table = SequenceTable("t", 300);
   TableBlockProvider reader(table, 0, 128);  // Blocks: 128, 128, 44 rows.
-  BlockFileWriter writer(dir.path() + "/t.dbb", reader.geometry());
+  BlockFileWriter writer(dir.path() + "/t.dbb", reader.geometry(),
+                         {storage::DataType::kInt64});
   const auto block = reader.Fetch(0);
   ASSERT_TRUE(block.ok());
   // Wrong size for block 0.
@@ -241,6 +274,118 @@ TEST(FileBlockProviderTest, WriterEnforcesBlockOrderAndSizes) {
   ASSERT_TRUE(writer.Append(block->data(), block->size()).ok());
   // Finish before all blocks are written.
   EXPECT_EQ(writer.Finish().code(), StatusCode::kFailedPrecondition);
+}
+
+// ---- Hostile bytes on disk --------------------------------------------------
+
+std::vector<char> ReadWholeFile(const std::string& path) {
+  std::vector<char> bytes(std::filesystem::file_size(path));
+  FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr);
+  if (f != nullptr) {
+    EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+  }
+  return bytes;
+}
+
+void WriteWholeFile(const std::string& path, const char* data,
+                    std::size_t size) {
+  FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(data, 1, size, f), size);
+  std::fclose(f);
+}
+
+/// Opens the block file at `path`. Open may refuse it, but a provider
+/// that opened must answer every Fetch and ReadRange with a Status or a
+/// payload of exactly the geometry's size. Returns whether it opened.
+bool OpenAndReadAll(const std::string& path, const std::string& what) {
+  const auto provider = FileBlockProvider::Open(path);
+  if (!provider.ok()) {
+    return false;
+  }
+  const cache::BlockGeometry& geometry = (*provider)->geometry();
+  const auto payload_bytes = [&geometry](std::int64_t first,
+                                         std::int64_t count) {
+    return static_cast<std::size_t>(
+        (std::min(geometry.row_count,
+                  (first + count) * geometry.rows_per_block) -
+         first * geometry.rows_per_block) *
+        static_cast<std::int64_t>(geometry.width()));
+  };
+  const std::int64_t num_blocks = geometry.num_blocks();
+  for (std::int64_t b = 0; b < num_blocks; ++b) {
+    const auto payload = (*provider)->Fetch(b);
+    if (payload.ok()) {
+      EXPECT_EQ(payload->size(), payload_bytes(b, 1))
+          << what << ", block " << b;
+    }
+  }
+  for (const auto& [first, count] :
+       {std::pair<std::int64_t, std::int64_t>{0, num_blocks},
+        {1, num_blocks - 2},
+        {num_blocks - 1, 1}}) {
+    const auto payload = (*provider)->ReadRange(first, count);
+    if (payload.ok()) {
+      EXPECT_EQ(payload->size(), payload_bytes(first, count))
+          << what << ", blocks " << first << "+" << count;
+    }
+  }
+  return true;
+}
+
+/// Every byte of the header, extent table and column directory set to
+/// 0x00, to 0xFF and flipped at three bits; the file truncated at every
+/// length through the metadata, then at every 61st byte. Nothing may
+/// crash, and a provider that opens reads whole payloads or a Status.
+TEST(FileBlockProviderTest, HostileBytesNeverCrashTheReader) {
+  ScratchDir dir;
+  TableSpiller spiller(dir.path(), SpillOptions{.rows_per_block = 128});
+  const auto column = spiller.SpillColumn(SequenceTable("t", 500), 0);
+  ASSERT_TRUE(column.ok()) << column.status();
+  const auto pax = spiller.SpillTablePax(ThreeColumnTable("p", 500));
+  ASSERT_TRUE(pax.ok()) << pax.status();
+
+  const std::string mutant = dir.path() + "/mutant.dbb";
+  int files = 0;
+  int opened = 0;
+  const auto check = [&](const std::vector<char>& bytes, std::size_t size,
+                         const std::string& what) {
+    WriteWholeFile(mutant, bytes.data(), size);
+    ++files;
+    opened += OpenAndReadAll(mutant, what) ? 1 : 0;
+  };
+  for (const std::string& path : {(*column)->path(), (*pax)->path()}) {
+    const std::vector<char> original = ReadWholeFile(path);
+    cache::BlockFileHeader header;
+    std::memcpy(&header, original.data(), sizeof(header));
+    const auto metadata = static_cast<std::size_t>(header.payload_offset);
+    ASSERT_LT(metadata, original.size());
+    ASSERT_TRUE(OpenAndReadAll(path, path)) << "the unmutated file opens";
+
+    std::vector<char> bytes = original;
+    for (std::size_t at = 0; at < metadata; ++at) {
+      const std::string where = path + " byte " + std::to_string(at);
+      for (const char value : {'\x00', '\xFF'}) {
+        bytes[at] = value;
+        check(bytes, bytes.size(), where + " = " + std::to_string(value));
+      }
+      for (const int bit : {0, 4, 7}) {
+        bytes[at] = static_cast<char>(original[at] ^ (1 << bit));
+        check(bytes, bytes.size(), where + " bit " + std::to_string(bit));
+      }
+      bytes[at] = original[at];
+    }
+    for (std::size_t size = 0; size < original.size();
+         size += size < metadata ? 1 : 61) {
+      check(original, size, path + " cut at " + std::to_string(size));
+    }
+  }
+  // Both outcomes were reached: the sweep tested the reads, not only
+  // Open's refusals.
+  EXPECT_GT(opened, 2);
+  EXPECT_LT(opened, files);
 }
 
 // ---- Spill + rebind through the SharedState ---------------------------------

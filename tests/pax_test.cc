@@ -1,7 +1,7 @@
 // The PAX multi-column block tier: layout math, whole-table spill round
-// trips, the one-fault-per-tuple residency contract, aligned-extent and
-// O_DIRECT file formats, Open validation, and the server-level
-// multi-attribute stall batching a fat-table tap rides on.
+// trips, the one-fault-per-tuple residency contract, Open validation, and
+// the server-level multi-attribute stall batching a fat-table tap rides
+// on.
 
 #include <gtest/gtest.h>
 
@@ -32,7 +32,6 @@ namespace dbtouch {
 namespace {
 
 using cache::FileBlockProvider;
-using cache::FileProviderOptions;
 using core::Kernel;
 using core::KernelConfig;
 using server::SessionId;
@@ -229,95 +228,7 @@ TEST(PaxSpillTest, ColumnPerBlockSpillFaultsOncePerAttribute) {
   EXPECT_EQ(shared->buffer_manager().stats().faults - faults_before, 4);
 }
 
-// ---- Aligned extents and O_DIRECT -------------------------------------------
-
-TEST(PaxFileFormatTest, AlignedExtentsRoundTripWithDenseRangedReads) {
-  ScratchDir dir;
-  const std::int64_t rows = 1'000;
-  const std::int64_t rows_per_block = 96;
-  auto table = FatTable("fat", rows);
-
-  std::filesystem::create_directories(dir.path() + "/plain");
-  std::filesystem::create_directories(dir.path() + "/aligned");
-  TableSpiller plain(dir.path() + "/plain",
-                     SpillOptions{.rows_per_block = rows_per_block});
-  TableSpiller aligned(dir.path() + "/aligned",
-                       SpillOptions{.rows_per_block = rows_per_block,
-                                    .aligned_extents = true});
-  const auto plain_provider = plain.SpillTablePax(table);
-  const auto aligned_provider = aligned.SpillTablePax(table);
-  ASSERT_TRUE(plain_provider.ok());
-  ASSERT_TRUE(aligned_provider.ok());
-  EXPECT_FALSE((*plain_provider)->aligned_extents());
-  EXPECT_TRUE((*aligned_provider)->aligned_extents());
-
-  // Per-block payloads are byte-identical despite the padded placement.
-  const std::int64_t num_blocks = (*plain_provider)->geometry().num_blocks();
-  std::vector<std::byte> concatenated;
-  for (std::int64_t b = 0; b < num_blocks; ++b) {
-    const auto want = (*plain_provider)->Fetch(b);
-    const auto got = (*aligned_provider)->Fetch(b);
-    ASSERT_TRUE(want.ok());
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(*got, *want) << "block " << b;
-    concatenated.insert(concatenated.end(), want->begin(), want->end());
-  }
-  // A ranged read over the aligned file compacts the inter-extent padding
-  // away: callers always get dense back-to-back payloads.
-  const auto range = (*aligned_provider)->ReadRange(0, num_blocks);
-  ASSERT_TRUE(range.ok());
-  EXPECT_EQ(*range, concatenated);
-}
-
-TEST(PaxFileFormatTest, DirectIoSpillRoundTripsWithGracefulFallback) {
-  ScratchDir dir;
-  const std::int64_t rows = 1'000;
-  const std::int64_t rows_per_block = 96;
-  auto shared = MakeShared(rows_per_block);
-  auto table = FatTable("fat", rows);
-  ASSERT_TRUE(shared->RegisterTable(table).ok());
-  const auto reference = FatTable("fat", rows);
-
-  // use_direct on both the write and read side. On filesystems that
-  // refuse O_DIRECT (tmpfs — common for CI scratch dirs) both sides fall
-  // back to buffered I/O; the data contract is identical either way, and
-  // the file always carries aligned extents.
-  TableSpiller spiller(dir.path(),
-                       SpillOptions{.rows_per_block = rows_per_block,
-                                    .use_direct = true});
-  ASSERT_TRUE(
-      shared->SpillTablePax("fat", spiller, /*reclaim_raw=*/true).ok());
-
-  const auto direct = FileBlockProvider::Open(
-      spiller.PaxPathFor("fat"), FileProviderOptions{.use_direct = true});
-  ASSERT_TRUE(direct.ok());
-  EXPECT_TRUE((*direct)->aligned_extents());
-  // direct_active() reports whichever engaged; no assert — it is
-  // filesystem-dependent. Reads must agree with buffered reads exactly.
-  const auto buffered =
-      FileBlockProvider::Open(spiller.PaxPathFor("fat"));
-  ASSERT_TRUE(buffered.ok());
-  for (std::int64_t b = 0; b < (*direct)->geometry().num_blocks(); ++b) {
-    const auto got = (*direct)->Fetch(b);
-    const auto want = (*buffered)->Fetch(b);
-    ASSERT_TRUE(got.ok());
-    ASSERT_TRUE(want.ok());
-    EXPECT_EQ(*got, *want) << "block " << b;
-  }
-
-  // And end to end: the rebound (possibly-direct) tier answers row reads
-  // identically to the in-memory reference.
-  for (std::size_t col = 0; col < 4; ++col) {
-    const auto source = shared->GetColumnSource("fat", col);
-    ASSERT_TRUE(source.ok());
-    storage::PagedColumnCursor cursor(*source);
-    for (RowId r = 0; r < rows; r += 17) {
-      ASSERT_EQ(cursor.GetValue(r).ToString(),
-                reference->GetValue(r, col).ToString())
-          << "col " << col << " row " << r;
-    }
-  }
-}
+// ---- File format ------------------------------------------------------------
 
 TEST(PaxFileFormatTest, OpenRejectsUnknownFlagsAndCorruptColumnTypes) {
   ScratchDir dir;
@@ -336,19 +247,22 @@ TEST(PaxFileFormatTest, OpenRejectsUnknownFlagsAndCorruptColumnTypes) {
     ::close(fd);
   };
 
-  // Unknown header flag bit (offset 48 = flags field): a future-format
-  // file must be refused, not misread.
-  std::uint32_t flags = 0;
-  {
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    ASSERT_GE(fd, 0);
-    ASSERT_EQ(::pread(fd, &flags, sizeof(flags), 48),
-              static_cast<ssize_t>(sizeof(flags)));
-    ::close(fd);
+  // The reserved flags word (offset 48) must be 0 and the version (offset
+  // 4) must be 2: a file of any other format is refused, not misread.
+  for (int bit = 0; bit < 32; ++bit) {
+    corrupt_u32(48, 1u << bit);
+    EXPECT_EQ(FileBlockProvider::Open(path).status().code(),
+              StatusCode::kInvalidArgument)
+        << "flag bit " << bit;
   }
-  corrupt_u32(48, flags | (1u << 31));
-  EXPECT_FALSE(FileBlockProvider::Open(path).ok());
-  corrupt_u32(48, flags);  // Restore.
+  corrupt_u32(48, 0);  // Restore.
+  for (const std::uint32_t version : {0u, 1u, 3u}) {
+    corrupt_u32(4, version);
+    EXPECT_EQ(FileBlockProvider::Open(path).status().code(),
+              StatusCode::kInvalidArgument)
+        << "version " << version;
+  }
+  corrupt_u32(4, cache::BlockFileHeader::kVersion);  // Restore.
   ASSERT_TRUE(FileBlockProvider::Open(path).ok());
 
   // Corrupt the first column-directory entry (at 64 + num_blocks * 16)

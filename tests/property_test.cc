@@ -293,13 +293,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AggregateOrderProperty,
 // pool over the in-memory table (both with the span kernels' default
 // dispatch and with the scalar tier forced), the pool over file-spilled
 // columns, the spilled table with its matrix actually reclaimed
-// (SpillTable reclaim_raw: every read must come off disk), the table
-// PAX-spilled into one multi-column file, and the spill written and
-// faulted through O_DIRECT with aligned extents — at 10/50/100% buffer
-// budgets. The reference is the pool over the in-memory table at a 200%
-// budget, which holds the whole table. The storage tier, the SIMD tier
-// and the budget are performance knobs; every answer must be
-// bit-identical across all. Every run must also keep two pool promises:
+// (SpillTable reclaim_raw: every read must come off disk), and the table
+// PAX-spilled into one multi-column file — at 10/50/100% buffer budgets.
+// The reference is the pool over the in-memory table at a 200% budget,
+// which holds the whole table. The storage tier, the SIMD tier and the
+// budget are performance knobs; every answer must be bit-identical
+// across all. Every run must also keep two pool promises:
 // it ends with no block pinned, and residency never exceeded the budget.
 
 enum class Backend {
@@ -307,7 +306,6 @@ enum class Backend {
   kFileSpilled,
   kFileReclaimed,
   kPaxReclaimed,
-  kDirectReclaimed,
 };
 
 struct TierParityParam {
@@ -347,8 +345,7 @@ std::vector<AnswerFingerprint> RunTierScript(Backend backend,
 
   const bool spilled = backend == Backend::kFileSpilled ||
                        backend == Backend::kFileReclaimed ||
-                       backend == Backend::kPaxReclaimed ||
-                       backend == Backend::kDirectReclaimed;
+                       backend == Backend::kPaxReclaimed;
   std::shared_ptr<core::SharedState> shared;
   std::string spill_dir;
   if (spilled) {
@@ -362,12 +359,8 @@ std::vector<AnswerFingerprint> RunTierScript(Backend backend,
     shared = std::make_shared<core::SharedState>(
         config.sampling, /*force_eager=*/false, config.buffer);
     DBTOUCH_CHECK_OK(shared->RegisterTable(make_table()));
-    storage::SpillOptions spill_options{.rows_per_block = kRowsPerBlock};
-    // The O_DIRECT backend asks for direct + aligned I/O; on filesystems
-    // that refuse O_DIRECT (tmpfs) it degrades to buffered reads over the
-    // same aligned-extent file — the answers must not care either way.
-    spill_options.use_direct = backend == Backend::kDirectReclaimed;
-    storage::TableSpiller spiller(spill_dir, spill_options);
+    storage::TableSpiller spiller(
+        spill_dir, storage::SpillOptions{.rows_per_block = kRowsPerBlock});
     if (backend == Backend::kPaxReclaimed) {
       DBTOUCH_CHECK_OK(
           shared->SpillTablePax("tier", spiller, /*reclaim_raw=*/true));
@@ -468,14 +461,11 @@ TEST_P(TierParityProperty, PagedAndSpilledTiersMatchInMemoryBitForBit) {
       RunTierScript(Backend::kFileReclaimed, budget_pct);
   const std::vector<AnswerFingerprint> pax =
       RunTierScript(Backend::kPaxReclaimed, budget_pct);
-  const std::vector<AnswerFingerprint> direct =
-      RunTierScript(Backend::kDirectReclaimed, budget_pct);
   EXPECT_EQ(paged, reference);
   EXPECT_EQ(scalar, reference);
   EXPECT_EQ(spilled, reference);
   EXPECT_EQ(reclaimed, reference);
   EXPECT_EQ(pax, reference);
-  EXPECT_EQ(direct, reference);
 }
 
 INSTANTIATE_TEST_SUITE_P(BufferBudgets, TierParityProperty,

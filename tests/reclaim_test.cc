@@ -160,6 +160,57 @@ TEST(ReclaimTest, SecondReclaimAndRotationAreRejected) {
             StatusCode::kFailedPrecondition);
 }
 
+/// A reclaimed table's spill files are its only copy. A second spill has
+/// no matrix to read and fails; it must fail without touching the files
+/// the first spill's providers read, for both layouts.
+TEST(ReclaimTest, FailedRespillKeepsTheFilesTheBindingReads) {
+  constexpr std::int64_t kRows = 20'000;
+  constexpr std::int64_t kRowsPerBlock = 256;
+  const auto reference = MixedTable("twice", kRows);
+  for (const bool pax : {false, true}) {
+    SCOPED_TRACE(pax ? "SpillTablePax" : "SpillTable");
+    ScratchDir dir;
+    cache::BufferManagerConfig buffer;
+    buffer.rows_per_block = kRowsPerBlock;
+    buffer.budget_bytes = 8 * kRowsPerBlock * 8;  // Eight int64 blocks.
+    auto shared = std::make_shared<core::SharedState>(
+        sampling::SampleHierarchyConfig{}, /*force_eager=*/true, buffer);
+    ASSERT_TRUE(shared->RegisterTable(MixedTable("twice", kRows)).ok());
+    TableSpiller spiller(dir.path(),
+                         SpillOptions{.rows_per_block = kRowsPerBlock});
+    const auto spill = [&] {
+      return pax ? shared->SpillTablePax("twice", spiller, true)
+                 : shared->SpillTable("twice", spiller, true);
+    };
+    ASSERT_TRUE(spill().ok());
+    EXPECT_EQ(spill().code(), StatusCode::kFailedPrecondition);
+
+    // Every block of every column still pins with its values. Pins, not
+    // Table::GetValue: a failed read returns a Status here instead of
+    // aborting the process.
+    for (std::size_t col = 0; col < 2; ++col) {
+      const auto source = shared->GetColumnSource("twice", col);
+      ASSERT_TRUE(source.ok()) << source.status();
+      for (std::int64_t block = 0; block * kRowsPerBlock < kRows; ++block) {
+        const auto pin = (*source)->PinBlock(block);
+        ASSERT_TRUE(pin.ok()) << "column " << col << " block " << block
+                              << ": " << pin.status();
+        const storage::ColumnView view = pin->view();
+        for (RowId i = 0; i < view.row_count(); ++i) {
+          const RowId row = block * kRowsPerBlock + i;
+          ASSERT_EQ(view.GetValue(i).ToString(),
+                    reference->GetValue(row, col).ToString())
+              << "column " << col << " row " << row;
+        }
+      }
+    }
+    // The failed spill left no temporary file behind.
+    for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
+      EXPECT_EQ(entry.path().extension(), ".dbb") << entry.path();
+    }
+  }
+}
+
 // ---- Hierarchy rebuild over a reclaimed base -------------------------------
 
 TEST(ReclaimTest, HierarchyRebuildsFromPagedBaseAfterReclaim) {

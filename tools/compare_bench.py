@@ -9,7 +9,8 @@ the CI job tolerates before failing (default 0.2 = 20%, per-metric
 overrides live in the baseline so it documents its own tolerances).
 Metrics without a gate are printed as informational. Near-zero baselines
 get a small absolute slack instead of a relative one, so a 0.0 -> 0.003
-wobble on a rate metric does not fail the build.
+wobble on a rate metric does not fail the build. A gate at `tol` 0 gets
+no slack at all: it gates an exact count, and any rise fails.
 
 Exit status: 0 when every gated metric is within tolerance, 1 otherwise
 (failures are listed), 2 on malformed input.
@@ -20,7 +21,7 @@ import sys
 
 DEFAULT_TOL = 0.2
 # Absolute slack for near-zero baselines (rates/ratios that are exactly
-# 0 or ~0 in the baseline run).
+# 0 or ~0 in the baseline run) of gates with a tolerance above 0.
 ABS_SLACK = 0.01
 
 
@@ -72,7 +73,7 @@ def main(argv):
         if direction not in ("higher", "lower"):
             failures.append(f"{key}: bad direction {direction!r} in baseline")
             continue
-        slack = max(abs(base) * tol, ABS_SLACK)
+        slack = max(abs(base) * tol, ABS_SLACK) if tol > 0 else 0.0
         if direction == "higher":
             ok = cur >= base - slack
         else:

@@ -100,6 +100,18 @@ class CompareBenchTest(unittest.TestCase):
         proc = run_compare(base, report({"miss_rate": 0.005}))
         self.assertEqual(proc.returncode, 0, proc.stderr)
 
+    def test_zero_tolerance_gate_has_no_slack(self):
+        # faults_per_tuple is 1,474 faults over 2,000 taps: a tolerance-0
+        # gate must fail a rise of a few faults, which the near-zero
+        # absolute slack would otherwise let through.
+        base = report({"faults_per_tuple": 0.737},
+                      {"faults_per_tuple": {"direction": "lower", "tol": 0}})
+        proc = run_compare(base, report({"faults_per_tuple": 0.745}))
+        self.assertEqual(proc.returncode, 1, proc.stderr)
+        self.assertIn("faults_per_tuple", proc.stderr)
+        proc = run_compare(base, report({"faults_per_tuple": 0.737}))
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+
     def test_malformed_json_exits_2(self):
         with tempfile.TemporaryDirectory() as tmp:
             good = os.path.join(tmp, "good.json")
