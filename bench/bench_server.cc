@@ -32,6 +32,8 @@
 
 #include "bench/bench_util.h"
 #include "cache/block_provider.h"
+#include "common/macros.h"
+#include "server/api.h"
 #include "server/frame_scheduler.h"
 #include "server/touch_server.h"
 #include "sim/motion_profile.h"
@@ -49,13 +51,12 @@ using dbtouch::server::SteadyNowUs;
 using dbtouch::server::TouchServer;
 using dbtouch::server::TouchServerConfig;
 using dbtouch::server::TouchTask;
-using dbtouch::server::TraceSubmitOptions;
+namespace api = dbtouch::server::api;
 using dbtouch::sim::MotionProfile;
 using dbtouch::sim::PointCm;
 using dbtouch::sim::TraceBuilder;
 using dbtouch::storage::Column;
 using dbtouch::storage::Table;
-using dbtouch::touch::RectCm;
 
 std::int64_t g_rows = 1'000'000;
 double g_slide_seconds = 2.0;
@@ -65,6 +66,42 @@ struct RunResult {
   double touches_per_s = 0.0;
   ServerStatsSnapshot stats;
 };
+
+/// Opens a session with one column object over `table`.v running `action`.
+dbtouch::Result<SessionId> OpenColumnSession(TouchServer& server,
+                                             const std::string& table,
+                                             const ActionConfig& action) {
+  DBTOUCH_ASSIGN_OR_RETURN(const api::OpenSessionResp open,
+                           server.Call(api::OpenSessionReq{}));
+  DBTOUCH_ASSIGN_OR_RETURN(
+      const api::CreateObjectResp object,
+      server.Call(api::CreateObjectReq{.session = open.session,
+                                       .kind = 0,
+                                       .table = table,
+                                       .column = "v",
+                                       .frame = {2.0, 1.0, 2.0, 10.0}}));
+  DBTOUCH_RETURN_IF_ERROR(
+      server
+          .Call(api::SetActionReq{.session = open.session,
+                                  .object = object.object,
+                                  .action = api::ToWire(action)})
+          .status());
+  return open.session;
+}
+
+/// Queues `events` on every session in `ids` as one batch each.
+bool SubmitToAll(TouchServer& server, const std::vector<SessionId>& ids,
+                 const std::vector<api::WireTouchEvent>& events, bool paced) {
+  for (const SessionId id : ids) {
+    if (!server
+             .Call(api::SubmitBatchReq{
+                 .session = id, .paced = paced, .events = events})
+             .ok()) {
+      return false;
+    }
+  }
+  return true;
+}
 
 RunResult RunSessions(int sessions, bool paced, bool tracing = false) {
   TouchServerConfig config;
@@ -85,39 +122,26 @@ RunResult RunSessions(int sessions, bool paced, bool tracing = false) {
 
   Kernel reference;  // Device geometry for trace synthesis.
   TraceBuilder builder(reference.device());
-  const auto trace =
+  const auto events = api::ToWire(
       builder.Slide("slide", PointCm{3.0, 1.0}, PointCm{3.0, 11.0},
-                    MotionProfile::Constant(g_slide_seconds));
+                    MotionProfile::Constant(g_slide_seconds)));
 
   std::vector<SessionId> ids;
   for (int i = 0; i < sessions; ++i) {
-    const auto session = server.OpenSession();
-    if (!session.ok()) {
-      return {};
-    }
-    const auto object = server.CreateColumnObject(
-        *session, "t", "v", RectCm{2.0, 1.0, 2.0, 10.0});
     // Mixed fleet: even sessions slide-scan base data (every touch pins a
     // block of the shared BufferManager), odd sessions run the classic
     // sampled summary (reads shared sample copies instead).
-    const ActionConfig action =
-        i % 2 == 0 ? ActionConfig::Scan() : ActionConfig::Summary(10);
-    if (!object.ok() ||
-        !server.SetAction(*session, *object, action).ok()) {
+    const auto session = OpenColumnSession(
+        server, "t",
+        i % 2 == 0 ? ActionConfig::Scan() : ActionConfig::Summary(10));
+    if (!session.ok()) {
       return {};
     }
     ids.push_back(*session);
   }
 
   const auto start_us = SteadyNowUs();
-  TraceSubmitOptions options;
-  options.paced = paced;
-  for (const SessionId id : ids) {
-    if (!server.SubmitTrace(id, trace, options).ok()) {
-      return {};
-    }
-  }
-  if (!server.Drain().ok()) {
+  if (!SubmitToAll(server, ids, events, paced) || !server.Drain().ok()) {
     return {};
   }
   RunResult result;
@@ -224,15 +248,9 @@ RunResult RunColdTier(int sessions, double latency_ms, bool tracing = false) {
     return {};
   }
   for (int i = 0; i < sessions; ++i) {
-    const auto session = server.OpenSession();
+    const auto session = OpenColumnSession(
+        server, "cold" + std::to_string(i), ActionConfig::Scan());
     if (!session.ok()) {
-      return {};
-    }
-    const auto object = server.CreateColumnObject(
-        *session, "cold" + std::to_string(i), "v",
-        RectCm{2.0, 1.0, 2.0, 10.0});
-    if (!object.ok() ||
-        !server.SetAction(*session, *object, ActionConfig::Scan()).ok()) {
       return {};
     }
     ids.push_back(*session);
@@ -240,15 +258,11 @@ RunResult RunColdTier(int sessions, double latency_ms, bool tracing = false) {
   // Paced replay: latency measures what a live user would wait for each
   // touch, so a cold fault shows up as tail latency.
   const auto start_us = SteadyNowUs();
-  const auto trace =
+  const auto events = api::ToWire(
       builder.Slide("slide", PointCm{3.0, 1.0}, PointCm{3.0, 11.0},
-                    MotionProfile::Constant(g_slide_seconds));
-  for (const SessionId id : ids) {
-    if (!server.SubmitTrace(id, trace, {/*paced=*/true}).ok()) {
-      return {};
-    }
-  }
-  if (!server.Drain().ok()) {
+                    MotionProfile::Constant(g_slide_seconds)));
+  if (!SubmitToAll(server, ids, events, /*paced=*/true) ||
+      !server.Drain().ok()) {
     return {};
   }
   RunResult result;
@@ -341,15 +355,9 @@ AblResult RunAblDeadline(int sessions, bool partial_answers,
   }
   std::vector<SessionId> ids;
   for (int i = 0; i < sessions; ++i) {
-    const auto session = server.OpenSession();
+    const auto session = OpenColumnSession(
+        server, "abl" + std::to_string(i), ActionConfig::Scan());
     if (!session.ok()) {
-      return {};
-    }
-    const auto object = server.CreateColumnObject(
-        *session, "abl" + std::to_string(i), "v",
-        RectCm{2.0, 1.0, 2.0, 10.0});
-    if (!object.ok() ||
-        !server.SetAction(*session, *object, ActionConfig::Scan()).ok()) {
       return {};
     }
     ids.push_back(*session);
@@ -358,27 +366,20 @@ AblResult RunAblDeadline(int sessions, bool partial_answers,
   // first block in and seeds the fetch-latency EWMA. The contract extends
   // deadlines only by MEASURED latency, so an unmeasured tier parks
   // classically — the measured run must begin with a truthful model.
-  const auto tap = builder.Tap("warm", PointCm{3.0, 1.0});
-  for (const SessionId id : ids) {
-    if (!server.SubmitTrace(id, tap, {/*paced=*/false}).ok()) {
-      return {};
-    }
-  }
-  if (!server.Drain().ok()) {
+  if (!SubmitToAll(server, ids,
+                   api::ToWire(builder.Tap("warm", PointCm{3.0, 1.0})),
+                   /*paced=*/false) ||
+      !server.Drain().ok()) {
     return {};
   }
   // Measure the slide regime as a delta past the warm-up's stats: the
   // warm-up taps park on an unmeasured tier and miss by design.
   const ServerStatsSnapshot before = server.stats();
-  const auto trace =
-      builder.Slide("slide", PointCm{3.0, 1.0}, PointCm{3.0, 11.0},
-                    MotionProfile::Constant(2.0));
-  for (const SessionId id : ids) {
-    if (!server.SubmitTrace(id, trace, {/*paced=*/true}).ok()) {
-      return {};
-    }
-  }
-  if (!server.Drain().ok()) {
+  const auto slide =
+      api::ToWire(builder.Slide("slide", PointCm{3.0, 1.0}, PointCm{3.0, 11.0},
+                                MotionProfile::Constant(2.0)));
+  if (!SubmitToAll(server, ids, slide, /*paced=*/true) ||
+      !server.Drain().ok()) {
     return {};
   }
   const ServerStatsSnapshot after = server.stats();

@@ -35,7 +35,7 @@ using dbtouch::sim::PointCm;
 using dbtouch::sim::TraceBuilder;
 using dbtouch::storage::Column;
 using dbtouch::storage::Table;
-using dbtouch::touch::RectCm;
+namespace api = dbtouch::server::api;
 
 int main() {
   TouchServerConfig config;
@@ -70,22 +70,25 @@ int main() {
 
   Kernel reference;  // Device geometry for trace building.
   TraceBuilder builder(reference.device());
-  const auto trace =
+  const auto events = api::ToWire(
       builder.Slide("explore", PointCm{3.0, 1.0}, PointCm{3.0, 11.0},
-                    MotionProfile::Constant(2.0));
+                    MotionProfile::Constant(2.0)));
 
   constexpr int kUsers = 8;
   std::vector<SessionId> sessions;
   for (int i = 0; i < kUsers; ++i) {
-    const auto session = server.OpenSession();
+    const auto session = server.Call(api::OpenSessionReq{});
     if (!session.ok()) {
       return 1;
     }
-    sessions.push_back(*session);
+    sessions.push_back(session->session);
     const bool summary_user = i % 2 == 0;
-    const auto object = server.CreateColumnObject(
-        *session, summary_user ? "metrics" : "events",
-        summary_user ? "load" : "severity", RectCm{2.0, 1.0, 2.0, 10.0});
+    const auto object = server.Call(
+        api::CreateObjectReq{.session = session->session,
+                             .kind = 0,
+                             .table = summary_user ? "metrics" : "events",
+                             .column = summary_user ? "load" : "severity",
+                             .frame = {2.0, 1.0, 2.0, 10.0}});
     if (!object.ok()) {
       return 1;
     }
@@ -94,14 +97,21 @@ int main() {
             ? ActionConfig::Summary(10)
             : ActionConfig::Filter(dbtouch::exec::Predicate(
                   dbtouch::exec::CompareOp::kGt, 450'000.0));
-    if (!server.SetAction(*session, *object, action).ok()) {
+    if (!server
+             .Call(api::SetActionReq{.session = session->session,
+                                     .object = object->object,
+                                     .action = api::ToWire(action)})
+             .ok()) {
       return 1;
     }
   }
   std::printf("%d sessions exploring concurrently (paced 2 s slides)...\n",
               kUsers);
   for (const SessionId id : sessions) {
-    if (!server.SubmitTrace(id, trace).ok()) {
+    if (!server
+             .Call(api::SubmitBatchReq{
+                 .session = id, .paced = true, .events = events})
+             .ok()) {
       return 1;
     }
   }
@@ -113,9 +123,7 @@ int main() {
   std::printf("\nper-session results:\n");
   for (const SessionId id : sessions) {
     const auto& per = stats.per_session.at(id);
-    dbtouch::server::api::SessionSnapshotReq snap_req;
-    snap_req.session = id;
-    const auto snapshot = server.Call(snap_req);
+    const auto snapshot = server.Call(api::SessionSnapshotReq{.session = id});
     const std::int64_t results = snapshot.ok() ? snapshot->result_count : 0;
     std::printf(
         "  session %lld: %lld touches executed, %lld results, "

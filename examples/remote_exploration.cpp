@@ -31,6 +31,7 @@
 #include "core/kernel.h"
 #include "obs/histogram.h"
 #include "remote/remote_store.h"
+#include "server/api.h"
 #include "server/touch_server.h"
 #include "sim/motion_profile.h"
 #include "sim/trace_builder.h"
@@ -52,7 +53,7 @@ using dbtouch::sim::PointCm;
 using dbtouch::sim::TraceBuilder;
 using dbtouch::storage::Column;
 using dbtouch::storage::Table;
-using dbtouch::touch::RectCm;
+namespace api = dbtouch::server::api;
 
 namespace {
 
@@ -148,15 +149,23 @@ bool Run(bool partial_answers, RunStats* out) {
       !server.Start().ok()) {
     return false;
   }
-  const auto session = server.OpenSession();
-  if (!session.ok()) {
+  const auto open = server.Call(api::OpenSessionReq{});
+  if (!open.ok()) {
     return false;
   }
-  const auto object = server.CreateColumnObject(
-      *session, "remote", (*table)->schema().field(0).name,
-      RectCm{2.0, 1.0, 2.0, 10.0});
+  const api::SessionId session = open->session;
+  const auto object = server.Call(
+      api::CreateObjectReq{.session = session,
+                           .kind = 0,
+                           .table = "remote",
+                           .column = (*table)->schema().field(0).name,
+                           .frame = {2.0, 1.0, 2.0, 10.0}});
   if (!object.ok() ||
-      !server.SetAction(*session, *object, ActionConfig::Scan()).ok()) {
+      !server
+           .Call(api::SetActionReq{.session = session,
+                                   .object = object->object,
+                                   .action = api::ToWire(ActionConfig::Scan())})
+           .ok()) {
     return false;
   }
 
@@ -164,18 +173,23 @@ bool Run(bool partial_answers, RunStats* out) {
   TraceBuilder builder(reference.device());
   // A first tap measures the round trip: the server extends a deadline
   // only by a fetch latency it has seen.
-  if (!server.SubmitTrace(*session, builder.Tap("warm", PointCm{3.0, 1.0}),
-                          {/*paced=*/false})
+  if (!server
+           .Call(api::SubmitBatchReq{
+               .session = session,
+               .paced = false,
+               .events = api::ToWire(builder.Tap("warm", PointCm{3.0, 1.0}))})
            .ok() ||
       !server.Drain().ok()) {
     return false;
   }
   const ServerStatsSnapshot before = server.stats();
   if (!server
-           .SubmitTrace(*session,
-                        builder.Slide("slide", PointCm{3.0, 1.0},
-                                      PointCm{3.0, 11.0},
-                                      MotionProfile::Constant(2.0)))
+           .Call(api::SubmitBatchReq{
+               .session = session,
+               .paced = true,
+               .events = api::ToWire(builder.Slide(
+                   "slide", PointCm{3.0, 1.0}, PointCm{3.0, 11.0},
+                   MotionProfile::Constant(2.0)))})
            .ok() ||
       !server.Drain().ok()) {
     return false;

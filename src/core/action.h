@@ -49,6 +49,8 @@ struct ActionConfig {
   std::size_t group_key_attribute = 0;
   std::size_t group_value_attribute = 0;
 
+  friend bool operator==(const ActionConfig&, const ActionConfig&) = default;
+
   static ActionConfig Scan() { return ActionConfig{}; }
   static ActionConfig Aggregate(exec::AggKind agg) {
     ActionConfig c;

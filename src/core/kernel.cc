@@ -293,6 +293,13 @@ Status Kernel::SetAction(ObjectId id, const ActionConfig& action) {
     return Status::NotFound("no object " + std::to_string(id));
   }
   ObjectState* obj = it->second.get();
+  if (action.summary_k < 0) {
+    return Status::InvalidArgument("summary half-width k must be >= 0");
+  }
+  if (action.kind == ActionKind::kFilteredScan &&
+      !action.predicate.has_value()) {
+    return Status::InvalidArgument("filtered scan needs a predicate");
+  }
   if (action.kind == ActionKind::kGroupBy) {
     if (obj->view->kind() != ObjectKind::kTable) {
       return Status::InvalidArgument("group-by requires a table object");
@@ -789,8 +796,10 @@ std::int64_t Kernel::SummaryBandK(const ObjectState& obj) const {
                             obj.view->tuple_axis_extent()),
                         1),
                 1);
-  return std::min(obj.action.summary_k * stride,
-                  config_.max_rows_per_touch / 2);
+  // k * stride, capped before the product can overflow.
+  const std::int64_t cap = config_.max_rows_per_touch / 2;
+  return obj.action.summary_k > cap / stride ? cap
+                                             : obj.action.summary_k * stride;
 }
 
 void Kernel::MaybePrefetch(ObjectState* obj, const TouchMapping& mapping,

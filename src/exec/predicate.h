@@ -64,6 +64,8 @@ class Predicate {
   /// Selectivity-free pretty form for logs, e.g. "< 10".
   std::string ToString() const;
 
+  friend bool operator==(const Predicate&, const Predicate&) = default;
+
  private:
   CompareOp op_;
   double lo_;

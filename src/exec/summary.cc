@@ -28,8 +28,9 @@ SummaryResult InteractiveSummaryOp::ComputeAt(storage::RowId center) const {
     return out;
   }
   out.center = std::clamp<storage::RowId>(center, 0, n - 1);
-  out.first = std::max<storage::RowId>(out.center - k_, 0);
-  out.last = std::min<storage::RowId>(out.center + k_, n - 1);
+  // Clamped to the column before the add, so any k >= 0 is safe.
+  out.first = out.center - std::min(k_, out.center);
+  out.last = out.center + std::min(k_, n - 1 - out.center);
   // Block-at-a-time over the window, span-vectorized where the block is a
   // contiguous numeric span. min/max/count are order-independent, so they
   // run through the SIMD MinMaxSpan kernel; every other kind is

@@ -120,7 +120,7 @@ Status Gateway::Stop() {
     // close them here, sessions included.
     for (auto& [fd, conn] : loop->conns) {
       for (api::SessionId session : conn->sessions) {
-        if (server_.CloseSession(session).ok()) {
+        if (server_.Call(api::CloseSessionReq{.session = session}).ok()) {
           sessions_closed_on_disconnect_.fetch_add(1,
                                                    std::memory_order_relaxed);
         }
@@ -478,7 +478,7 @@ void Gateway::CloseConnection(Loop& loop, Connection& conn) {
   // aborts its in-flight block fetches (the PR-5 abort path) and drops
   // its queued quanta.
   for (api::SessionId session : conn.sessions) {
-    if (server_.CloseSession(session).ok()) {
+    if (server_.Call(api::CloseSessionReq{.session = session}).ok()) {
       sessions_closed_on_disconnect_.fetch_add(1, std::memory_order_relaxed);
     }
   }

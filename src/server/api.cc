@@ -97,4 +97,63 @@ sim::TouchEvent FromWire(const WireTouchEvent& event) {
   return out;
 }
 
+std::vector<WireTouchEvent> ToWire(const sim::GestureTrace& trace) {
+  std::vector<WireTouchEvent> events;
+  events.reserve(trace.events.size());
+  for (const sim::TouchEvent& event : trace.events) {
+    events.push_back(ToWire(event));
+  }
+  return events;
+}
+
+WireAction ToWire(const core::ActionConfig& action) {
+  WireAction wire;
+  wire.kind = static_cast<std::uint8_t>(action.kind);
+  wire.agg = static_cast<std::uint8_t>(action.agg);
+  wire.summary_k = action.summary_k;
+  if (action.predicate.has_value()) {
+    wire.has_predicate = true;
+    wire.predicate_op = static_cast<std::uint8_t>(action.predicate->op());
+    wire.predicate_lo = action.predicate->lo();
+    wire.predicate_hi = action.predicate->hi();
+  }
+  wire.use_zone_map = action.use_zone_map;
+  wire.group_key_attribute =
+      static_cast<std::uint32_t>(action.group_key_attribute);
+  wire.group_value_attribute =
+      static_cast<std::uint32_t>(action.group_value_attribute);
+  return wire;
+}
+
+Result<core::ActionConfig> FromWire(const WireAction& wire) {
+  if (wire.kind > static_cast<std::uint8_t>(core::ActionKind::kGroupBy)) {
+    return Status::InvalidArgument("unknown action kind " +
+                                   std::to_string(wire.kind));
+  }
+  if (wire.agg > static_cast<std::uint8_t>(exec::AggKind::kStdDev)) {
+    return Status::InvalidArgument("unknown aggregate kind " +
+                                   std::to_string(wire.agg));
+  }
+  core::ActionConfig action;
+  action.kind = static_cast<core::ActionKind>(wire.kind);
+  action.agg = static_cast<exec::AggKind>(wire.agg);
+  action.summary_k = wire.summary_k;
+  if (wire.has_predicate) {
+    if (wire.predicate_op >
+        static_cast<std::uint8_t>(exec::CompareOp::kBetween)) {
+      return Status::InvalidArgument("unknown predicate op " +
+                                     std::to_string(wire.predicate_op));
+    }
+    const auto op = static_cast<exec::CompareOp>(wire.predicate_op);
+    action.predicate =
+        op == exec::CompareOp::kBetween
+            ? exec::Predicate(wire.predicate_lo, wire.predicate_hi)
+            : exec::Predicate(op, wire.predicate_lo);
+  }
+  action.use_zone_map = wire.use_zone_map;
+  action.group_key_attribute = wire.group_key_attribute;
+  action.group_value_attribute = wire.group_value_attribute;
+  return action;
+}
+
 }  // namespace dbtouch::server::api

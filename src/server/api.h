@@ -1,17 +1,16 @@
 // server::api — the versioned request/response surface of the touch
 // server.
 //
-// Every way into the server — the in-process methods examples and
-// benches call, and the gateway's binary wire protocol — goes through
-// the structs in this header. That makes the API a *contract*: each
-// request/response is a plain serialisable struct with fixed-width
-// fields, a stable wire error-code enum replaces raw common::Status on
-// the boundary, and TouchServer's legacy convenience methods
-// (OpenSession, SubmitTrace, ...) are thin wrappers that build the
-// matching request struct and forward to TouchServer::Call. The gateway
-// is then a pure codec: it decodes a frame into one of these structs,
-// calls the same entry point an in-process caller would, and encodes
-// the response (src/gateway/wire.h owns the byte layout).
+// Every way into the server, in-process or over the gateway's binary
+// wire protocol, goes through the structs in this header and the one
+// TouchServer::Call overload per request type. That makes the API a
+// *contract*: each request/response is a plain serialisable struct with
+// fixed-width fields, and a stable wire error-code enum replaces raw
+// common::Status on the boundary. The gateway is a pure codec: it decodes
+// a frame into one of these structs, calls the same entry point an
+// in-process caller would, and encodes the response (src/gateway/wire.h
+// owns the byte layout). In-process callers build the request fields
+// from kernel and simulator types with the ToWire overloads below.
 //
 // Versioning policy (see src/gateway/README.md for the wire half):
 //   - kApiVersion names the request/response *shape* set. Additive
@@ -19,10 +18,6 @@
 //     does not bump it; removing or reinterpreting a field does.
 //   - WireCode values are append-only: codes are never renumbered or
 //     reused, because clients persist and compare them.
-//   - Direct struct-taking TouchServer overloads that predate this
-//     layer (Submit/SubmitTrace taking sim types, WithSession) are
-//     deprecated for non-test use in this release and will be removed
-//     one release later; tests keep WithSession as the inspection door.
 
 #ifndef DBTOUCH_SERVER_API_H_
 #define DBTOUCH_SERVER_API_H_
@@ -32,7 +27,9 @@
 #include <string_view>
 #include <vector>
 
+#include "common/result.h"
 #include "common/status.h"
+#include "core/action.h"
 #include "sim/touch_event.h"
 
 namespace dbtouch::server::api {
@@ -121,6 +118,12 @@ struct WireAction {
   friend bool operator==(const WireAction&, const WireAction&) = default;
 };
 
+WireAction ToWire(const core::ActionConfig& action);
+/// The validating decode: an unknown action kind, aggregate kind or
+/// predicate op is InvalidArgument. The kernel checks the rest when the
+/// action is set on an object.
+Result<core::ActionConfig> FromWire(const WireAction& action);
+
 /// One touch sample as it crosses the wire. Timestamps are
 /// gesture-relative micros (the batch carries the pacing epoch).
 struct WireTouchEvent {
@@ -137,6 +140,8 @@ struct WireTouchEvent {
 
 WireTouchEvent ToWire(const sim::TouchEvent& event);
 sim::TouchEvent FromWire(const WireTouchEvent& event);
+/// The trace's events, in order, as one SubmitBatchReq carries them.
+std::vector<WireTouchEvent> ToWire(const sim::GestureTrace& trace);
 
 // ---- Requests / responses --------------------------------------------------
 //
@@ -202,11 +207,14 @@ struct SetActionResp {
 
 /// A batch of touch events for one session — the feed. Timestamps are
 /// relative to the batch's first event; `paced` releases each event on
-/// that timeline (replay at gesture speed), otherwise everything is
-/// released immediately (flood). Batching is the unit of wire
-/// amortisation: a client sends one frame per display frame, not one
-/// per touch sample (the paper's warning about per-touch RPC costs,
-/// Section 4).
+/// that timeline (replay at gesture speed, so a miss means the server
+/// fell behind a live user), otherwise everything is released
+/// immediately (flood; deadlines keep their timeline-relative values, so
+/// EDF still orders the backlog). A batch with a timestamp more than an
+/// hour from the first event's, or a non-finite coordinate, is refused
+/// whole (InvalidArgument). Batching is the unit of wire amortisation: a
+/// client sends one frame per display frame, not one per touch sample
+/// (the paper's warning about per-touch RPC costs, Section 4).
 struct SubmitBatchReq {
   SessionId session = 0;
   bool paced = true;
@@ -304,8 +312,7 @@ struct ResultInfo {
 };
 
 /// Typed read-only view of one session: its objects (view state), kernel
-/// counters and result stream — the api-layer replacement for the
-/// WithSession inspection door (which stays, for tests only).
+/// counters and result stream.
 struct SessionSnapshotResp {
   SessionId session = 0;
   std::vector<ObjectInfo> objects;

@@ -21,6 +21,9 @@ namespace {
 constexpr double kSpeedBudgetWeight = 0.05;
 /// Ceiling for per-session level shedding.
 constexpr int kMaxShedLevels = 4;
+/// Widest timeline one SubmitBatchReq may carry, first event to any other:
+/// far above any real batch (one display frame) or trace (seconds).
+constexpr std::uint64_t kMaxBatchSpanUs = 3'600'000'000;
 
 /// Clamps a session's shed level to [0, kMaxShedLevels].
 int ClampShed(int value) { return std::clamp(value, 0, kMaxShedLevels); }
@@ -68,7 +71,7 @@ TouchServer::TouchServer(const TouchServerConfig& config)
     trace_ = std::make_unique<obs::TraceRecorder>(config_.trace);
     // Wire every stage of the request path before any worker or fetcher
     // can run: EDF dispatch/park/unpark, fetcher reads, and (per session
-    // in OpenSession) the kernels' suspend transitions.
+    // in Call(OpenSessionReq)) the kernels' suspend transitions.
     scheduler_.set_trace_recorder(trace_.get());
     shared_->buffer_manager().SetTraceRecorder(trace_.get());
   }
@@ -177,34 +180,8 @@ Result<api::CreateObjectResp> TouchServer::Call(
 }
 
 Result<api::SetActionResp> TouchServer::Call(const api::SetActionReq& req) {
-  core::ActionConfig action;
-  if (req.action.kind > static_cast<std::uint8_t>(core::ActionKind::kGroupBy)) {
-    return Status::InvalidArgument("unknown action kind " +
-                                   std::to_string(req.action.kind));
-  }
-  if (req.action.agg > static_cast<std::uint8_t>(exec::AggKind::kStdDev)) {
-    return Status::InvalidArgument("unknown aggregate kind " +
-                                   std::to_string(req.action.agg));
-  }
-  action.kind = static_cast<core::ActionKind>(req.action.kind);
-  action.agg = static_cast<exec::AggKind>(req.action.agg);
-  action.summary_k = req.action.summary_k;
-  if (req.action.has_predicate) {
-    if (req.action.predicate_op >
-        static_cast<std::uint8_t>(exec::CompareOp::kBetween)) {
-      return Status::InvalidArgument("unknown predicate op " +
-                                     std::to_string(req.action.predicate_op));
-    }
-    const auto op = static_cast<exec::CompareOp>(req.action.predicate_op);
-    action.predicate =
-        op == exec::CompareOp::kBetween
-            ? exec::Predicate(req.action.predicate_lo,
-                              req.action.predicate_hi)
-            : exec::Predicate(op, req.action.predicate_lo);
-  }
-  action.use_zone_map = req.action.use_zone_map;
-  action.group_key_attribute = req.action.group_key_attribute;
-  action.group_value_attribute = req.action.group_value_attribute;
+  DBTOUCH_ASSIGN_OR_RETURN(const core::ActionConfig action,
+                           api::FromWire(req.action));
   DBTOUCH_ASSIGN_OR_RETURN(std::shared_ptr<ServerSession> s,
                            sessions_.Get(req.session));
   const std::lock_guard<std::mutex> lock(s->exec_mu());
@@ -218,6 +195,23 @@ Result<api::SubmitBatchResp> TouchServer::Call(
   if (req.events.empty()) {
     return resp;
   }
+  // Checked whole before anything is traced or admitted, so the timeline
+  // arithmetic below cannot overflow (or a paced touch be released years
+  // out) and a speed or budget is never computed from a non-finite point.
+  const sim::Micros first = req.events.front().timestamp_us;
+  for (const api::WireTouchEvent& wire : req.events) {
+    // Unsigned, so the distance of two far-apart timestamps cannot wrap.
+    const auto lo =
+        static_cast<std::uint64_t>(std::min(wire.timestamp_us, first));
+    const auto hi =
+        static_cast<std::uint64_t>(std::max(wire.timestamp_us, first));
+    if (hi - lo > kMaxBatchSpanUs) {
+      return Status::InvalidArgument("batch spans more than an hour");
+    }
+    if (!std::isfinite(wire.x_cm) || !std::isfinite(wire.y_cm)) {
+      return Status::InvalidArgument("non-finite touch coordinate");
+    }
+  }
   // One lookup and one lock per frame: every quantum is built outside the
   // scheduler's lock, carrying the session, then the frame is admitted
   // whole. A session closed after this lookup is purged by the worker
@@ -228,7 +222,6 @@ Result<api::SubmitBatchResp> TouchServer::Call(
     return Status::FailedPrecondition("server not running");
   }
   const sim::Micros epoch = SteadyNowUs();
-  const sim::Micros t0 = req.events.front().timestamp_us;
   std::vector<TouchTask> frame(req.events.size());
   const api::WireTouchEvent* prev = nullptr;
   for (std::size_t i = 0; i < req.events.size(); ++i) {
@@ -248,7 +241,7 @@ Result<api::SubmitBatchResp> TouchServer::Call(
           sim::MicrosToSeconds(wire.timestamp_us - prev->timestamp_us);
     }
     prev = &wire;
-    const sim::Micros arrival = epoch + (wire.timestamp_us - t0);
+    const sim::Micros arrival = epoch + (wire.timestamp_us - first);
     task.budget_us = BudgetForSpeed(speed_cm_s);
     task.release_us = req.paced ? arrival : epoch;
     task.deadline_us = arrival + task.budget_us;
@@ -364,68 +357,6 @@ Result<api::SessionSnapshotResp> TouchServer::Call(
   return resp;
 }
 
-// ---- Legacy convenience wrappers -------------------------------------------
-
-Result<SessionId> TouchServer::OpenSession() {
-  DBTOUCH_ASSIGN_OR_RETURN(const api::OpenSessionResp resp,
-                           Call(api::OpenSessionReq{}));
-  return resp.session;
-}
-
-Status TouchServer::CloseSession(SessionId id) {
-  api::CloseSessionReq req;
-  req.session = id;
-  return Call(req).status();
-}
-
-Result<core::ObjectId> TouchServer::CreateColumnObject(
-    SessionId session, const std::string& table, const std::string& column,
-    const touch::RectCm& frame) {
-  api::CreateObjectReq req;
-  req.session = session;
-  req.kind = 0;
-  req.table = table;
-  req.column = column;
-  req.frame = api::WireRect{frame.x, frame.y, frame.width, frame.height};
-  DBTOUCH_ASSIGN_OR_RETURN(const api::CreateObjectResp resp, Call(req));
-  return resp.object;
-}
-
-Result<core::ObjectId> TouchServer::CreateTableObject(
-    SessionId session, const std::string& table,
-    const touch::RectCm& frame) {
-  api::CreateObjectReq req;
-  req.session = session;
-  req.kind = 1;
-  req.table = table;
-  req.frame = api::WireRect{frame.x, frame.y, frame.width, frame.height};
-  DBTOUCH_ASSIGN_OR_RETURN(const api::CreateObjectResp resp, Call(req));
-  return resp.object;
-}
-
-Status TouchServer::SetAction(SessionId session, core::ObjectId object,
-                              const core::ActionConfig& action) {
-  api::SetActionReq req;
-  req.session = session;
-  req.object = object;
-  req.action.kind = static_cast<std::uint8_t>(action.kind);
-  req.action.agg = static_cast<std::uint8_t>(action.agg);
-  req.action.summary_k = action.summary_k;
-  if (action.predicate.has_value()) {
-    req.action.has_predicate = true;
-    req.action.predicate_op =
-        static_cast<std::uint8_t>(action.predicate->op());
-    req.action.predicate_lo = action.predicate->lo();
-    req.action.predicate_hi = action.predicate->hi();
-  }
-  req.action.use_zone_map = action.use_zone_map;
-  req.action.group_key_attribute =
-      static_cast<std::uint32_t>(action.group_key_attribute);
-  req.action.group_value_attribute =
-      static_cast<std::uint32_t>(action.group_value_attribute);
-  return Call(req).status();
-}
-
 Status TouchServer::WithSession(
     SessionId session, const std::function<void(core::Kernel&)>& fn) {
   DBTOUCH_ASSIGN_OR_RETURN(std::shared_ptr<ServerSession> s,
@@ -458,27 +389,6 @@ sim::Micros TouchServer::BudgetForSpeed(double speed_cm_s) const {
       static_cast<double>(config_.session_defaults.max_rows_per_touch) *
       config_.est_row_ns / 1'000.0;
   return static_cast<sim::Micros>(std::max(budget, cost_floor_us));
-}
-
-Status TouchServer::Submit(SessionId session, const sim::TouchEvent& event) {
-  api::SubmitBatchReq req;
-  req.session = session;
-  req.paced = false;  // One event: released immediately, due one budget out.
-  req.events.push_back(api::ToWire(event));
-  return Call(req).status();
-}
-
-Status TouchServer::SubmitTrace(SessionId session,
-                                const sim::GestureTrace& trace,
-                                const TraceSubmitOptions& options) {
-  api::SubmitBatchReq req;
-  req.session = session;
-  req.paced = options.paced;
-  req.events.reserve(trace.events.size());
-  for (const sim::TouchEvent& event : trace.events) {
-    req.events.push_back(api::ToWire(event));
-  }
-  return Call(req).status();
 }
 
 Status TouchServer::Drain() {
@@ -713,7 +623,7 @@ void TouchServer::SuspendOnStall(const TouchTask& task,
   };
   for (const core::TouchStall::Entry& entry : stall.entries) {
     for (const std::int64_t block : entry.blocks) {
-      // Tagged with the session id so CloseSession can retract tickets
+      // Tagged with the session id so a close can retract tickets
       // the fetchers have not picked up yet. An entry's blocks are
       // adjacent (one summary band), so the queue coalesces them into a
       // ranged read at pop time.

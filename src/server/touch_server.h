@@ -4,13 +4,13 @@
 // per-touch contract — every touch answered within an interactive bound —
 // while multiplexing many sessions over a worker pool:
 //
-//   client traces --SubmitTrace--> per-session FIFO of work quanta
-//                                   |  (one touch event = one quantum,
-//                                   |   cost bounded by max_rows_per_touch)
-//                              FrameScheduler (EDF across sessions)
-//                                   |
-//                              worker pool --> session kernel (serial per
-//                                              session, shared SharedState)
+//   client batches: Call(api::SubmitBatchReq)
+//        |
+//   per-session FIFO of work quanta  (one touch event = one quantum,
+//        |                            cost bounded by max_rows_per_touch)
+//   FrameScheduler (EDF across sessions)
+//        |
+//   worker pool --> session kernel (serial per session, shared SharedState)
 //
 // Deadline model. Each quantum gets a frame budget
 //
@@ -54,7 +54,6 @@
 #include "server/session_manager.h"
 #include "sim/touch_event.h"
 #include "storage/table.h"
-#include "touch/view.h"
 
 namespace dbtouch::server {
 
@@ -94,26 +93,15 @@ struct TouchServerConfig {
   bool partial_answers = false;
 };
 
-struct TraceSubmitOptions {
-  /// true: release each touch at its position on the gesture's own
-  /// timeline (replay at gesture speed — deadline misses then mean the
-  /// server fell behind a live user). false: release everything
-  /// immediately (flood/saturation mode; deadlines keep their
-  /// timeline-relative values, so EDF still orders work sensibly and
-  /// shedding engages under the backlog).
-  bool paced = true;
-};
-
 // Thread-safety contract. TouchServer is shared by submitters, its own
 // worker pool, fetch-completion callbacks and stats readers, so every
 // public member documents its synchronisation; the audit below is part
 // of the api-layer sweep and is what each accessor actually does:
 //
-//   - Call(...) overloads, OpenSession, CloseSession, CreateColumnObject,
-//     CreateTableObject, SetAction, WithSession, Submit, SubmitTrace,
-//     Drain, stats(): safe from any thread, any time. Session lookups go
-//     through the SessionManager's mutex; kernel access takes that
-//     session's exec_mu; queue operations take the scheduler's lock.
+//   - Call(...) overloads, WithSession, Drain, stats(): safe from any
+//     thread, any time. Session lookups go through the SessionManager's
+//     mutex; kernel access takes that session's exec_mu; queue
+//     operations take the scheduler's lock.
 //   - session_count(): safe from any thread — it is
 //     SessionManager::size(), which locks the manager's mutex (the
 //     "reads sessions_ without synchronization" concern was a stale
@@ -158,11 +146,12 @@ class TouchServer {
 
   // ---- The versioned api surface (server/api.h) --------------------------
   //
-  // One Call overload per request type. These are THE entry points: the
-  // gateway decodes wire frames into these structs and calls them, and
-  // every legacy convenience method below is a thin wrapper that builds
-  // the matching request. Errors come back as Status; the gateway maps
-  // them onto api::WireCode at the boundary.
+  // One Call overload per request type. These are the server's only
+  // entry points: the gateway decodes wire frames into these structs and
+  // calls them, and in-process callers (examples, benches, tests) build
+  // the same structs. Each checks its request before it changes anything.
+  // Errors come back as Status; the gateway maps them onto api::WireCode
+  // at the boundary.
 
   Result<api::OpenSessionResp> Call(const api::OpenSessionReq& req);
   Result<api::CloseSessionResp> Call(const api::CloseSessionReq& req);
@@ -172,46 +161,17 @@ class TouchServer {
   Result<api::StatsResp> Call(const api::StatsReq& req);
   Result<api::SessionSnapshotResp> Call(const api::SessionSnapshotReq& req);
 
-  // ---- Session lifecycle (wrappers over Call) ----------------------------
-
-  Result<SessionId> OpenSession();
-  Status CloseSession(SessionId id);
   /// Live session count; locks the session manager (see the class
   /// thread-safety contract above).
   std::size_t session_count() const { return sessions_.size(); }
 
-  // ---- Session-scoped setup (serialised against that session's worker) --
-  //
-  // Deprecated for non-test use: new callers should go through
-  // Call(api::CreateObjectReq/SetActionReq) — these remain as thin
-  // wrappers for one release.
-
-  Result<core::ObjectId> CreateColumnObject(SessionId session,
-                                            const std::string& table,
-                                            const std::string& column,
-                                            const touch::RectCm& frame);
-  Result<core::ObjectId> CreateTableObject(SessionId session,
-                                           const std::string& table,
-                                           const touch::RectCm& frame);
-  Status SetAction(SessionId session, core::ObjectId object,
-                   const core::ActionConfig& action);
-
-  /// Runs `fn` with the session's kernel under the session lock — the
-  /// inspection door. TESTS ONLY: production readers (benches, examples,
-  /// the gateway) use Call(api::SessionSnapshotReq) for a typed,
-  /// serialisable view instead of raw kernel access.
+  /// Runs `fn` with the session's kernel under the session lock: the
+  /// tests' inspection door into state that SessionSnapshotResp does not
+  /// carry (pending gestures, summary bands, typed values). Everything
+  /// else (benches, examples, the gateway) reads a session through
+  /// Call(api::SessionSnapshotReq).
   Status WithSession(SessionId session,
                      const std::function<void(core::Kernel&)>& fn);
-
-  // ---- The feed (wrappers over Call(api::SubmitBatchReq)) ----------------
-
-  /// Queues one touch, due one frame budget from now.
-  Status Submit(SessionId session, const sim::TouchEvent& event);
-
-  /// Splits a gesture trace into per-touch work quanta with
-  /// speed-derived frame deadlines and queues them.
-  Status SubmitTrace(SessionId session, const sim::GestureTrace& trace,
-                     const TraceSubmitOptions& options = {});
 
   /// Blocks until every queued quantum has executed or been shed.
   Status Drain();

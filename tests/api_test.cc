@@ -1,16 +1,24 @@
 // server::api layer tests: the wire codec round-trips every request and
-// response type bit-identically, the WireCode<->Status mapping is total
-// and stable, and the legacy TouchServer convenience methods are
-// observably thin wrappers over the Call overloads.
+// response type bit-identically, the action mapping round-trips every
+// kind, the WireCode<->Status mapping is total and stable, hostile bytes
+// never crash a decoder or the server behind it, and TouchServer::Call
+// refuses requests it cannot serve before changing anything.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "gateway/wire.h"
 #include "server/api.h"
 #include "server/touch_server.h"
+#include "server_harness.h"
 #include "sim/motion_profile.h"
 #include "sim/trace_builder.h"
 #include "storage/datagen.h"
@@ -21,13 +29,17 @@ namespace {
 
 namespace gw = dbtouch::gateway;
 
+using core::ActionConfig;
+using core::ActionKind;
 using core::Kernel;
+using exec::AggKind;
+using exec::CompareOp;
+using exec::Predicate;
 using sim::MotionProfile;
 using sim::PointCm;
 using sim::TraceBuilder;
 using storage::Column;
 using storage::Table;
-using touch::RectCm;
 
 // ---- Codec round-trips -----------------------------------------------------
 
@@ -226,6 +238,38 @@ TEST(ApiCodecTest, TruncationFailsCleanly) {
   }
 }
 
+TEST(ApiCodecTest, ActionMappingRoundTrips) {
+  std::vector<ActionConfig> actions;
+  for (int kind = 0; kind <= static_cast<int>(ActionKind::kGroupBy); ++kind) {
+    for (int agg = 0; agg <= static_cast<int>(AggKind::kStdDev); ++agg) {
+      ActionConfig action;
+      action.kind = static_cast<ActionKind>(kind);
+      action.agg = static_cast<AggKind>(agg);
+      action.summary_k = 3 * kind + agg;
+      actions.push_back(action);
+    }
+  }
+  for (int op = 0; op < static_cast<int>(CompareOp::kBetween); ++op) {
+    actions.push_back(ActionConfig::Filter(
+        Predicate(static_cast<CompareOp>(op), -1.5 * op)));
+  }
+  actions.push_back(ActionConfig::Filter(Predicate(-3.25, 700.5),
+                                         /*use_zone_map=*/true));
+  actions.push_back(ActionConfig::GroupBy(3, 9, AggKind::kMax));
+  for (const ActionConfig& action : actions) {
+    const auto back = api::FromWire(api::ToWire(action));
+    ASSERT_TRUE(back.ok()) << back.status();
+    EXPECT_TRUE(*back == action) << core::ActionKindName(action.kind);
+  }
+
+  api::WireAction bad = api::ToWire(ActionConfig::Summary(10));
+  bad.agg = static_cast<std::uint8_t>(AggKind::kStdDev) + 1;
+  EXPECT_TRUE(api::FromWire(bad).status().IsInvalidArgument());
+  bad = api::ToWire(ActionConfig::Filter(Predicate(CompareOp::kLt, 1.0)));
+  bad.predicate_op = static_cast<std::uint8_t>(CompareOp::kBetween) + 1;
+  EXPECT_TRUE(api::FromWire(bad).status().IsInvalidArgument());
+}
+
 TEST(ApiCodecTest, HostileVectorCountRejected) {
   // A SubmitBatch claiming 2^31 events in a 32-byte payload must fail
   // before any allocation, not OOM.
@@ -281,7 +325,7 @@ TEST(ApiWireCodeTest, EveryCodeHasAName) {
   EXPECT_EQ(api::WireCodeName(static_cast<api::WireCode>(999)), "Unknown");
 }
 
-// ---- Call overloads vs legacy wrappers -------------------------------------
+// ---- Hostile requests ------------------------------------------------------
 
 std::shared_ptr<Table> SmallTable() {
   std::vector<Column> cols;
@@ -291,80 +335,267 @@ std::shared_ptr<Table> SmallTable() {
   return *table;
 }
 
-TouchServerConfig RelaxedConfig() {
-  TouchServerConfig config;
-  config.num_workers = 2;
-  config.base_frame_budget_us = 10'000'000;
-  config.min_frame_budget_us = 10'000'000;
-  config.est_row_ns = 0.0;
-  config.drop_slack_us = 3'600'000'000;
-  return config;
-}
-
-TEST(ApiCallTest, LegacyWrappersAndCallAgree) {
-  // Two sessions, one driven through the legacy convenience methods, one
-  // through Call(api::...). Identical traces must produce identical
-  // result streams — the wrappers are wrappers, not a second code path.
-  TouchServer server(RelaxedConfig());
-  ASSERT_TRUE(server.RegisterTable(SmallTable()).ok());
-  ASSERT_TRUE(server.Start().ok());
-
-  const auto legacy = server.OpenSession();
-  ASSERT_TRUE(legacy.ok());
-  const auto via_api = server.Call(api::OpenSessionReq{});
-  ASSERT_TRUE(via_api.ok());
-
-  const RectCm frame{2.0, 1.0, 2.0, 10.0};
-  ASSERT_TRUE(server.CreateColumnObject(*legacy, "t", "v", frame).ok());
-  api::CreateObjectReq create;
-  create.session = via_api->session;
-  create.kind = 0;
-  create.table = "t";
-  create.column = "v";
-  create.frame = api::WireRect{frame.x, frame.y, frame.width, frame.height};
-  ASSERT_TRUE(server.Call(create).ok());
-
+/// A short unpaced slide down the harness's column frame.
+std::vector<api::WireTouchEvent> ShortSlide(double seconds) {
   Kernel reference;
   TraceBuilder builder(reference.device());
-  const auto trace = builder.Slide("s", PointCm{3.0, 1.0}, PointCm{3.0, 11.0},
-                                   MotionProfile::Constant(0.5));
-  ASSERT_TRUE(server.SubmitTrace(*legacy, trace, {/*paced=*/false}).ok());
-  api::SubmitBatchReq batch;
-  batch.session = via_api->session;
-  batch.paced = false;
-  for (const auto& event : trace.events) {
-    batch.events.push_back(api::ToWire(event));
+  return api::ToWire(builder.Slide("s", PointCm{3.0, 1.0},
+                                   PointCm{3.0, 11.0},
+                                   MotionProfile::Constant(seconds)));
+}
+
+/// The payload a peer sends for `value`.
+template <typename T>
+std::string Payload(const T& value) {
+  gw::WireWriter w;
+  Encode(value, w);
+  return w.buffer();
+}
+
+/// Mutation `k` of `payload`, k < 6 * size: byte k / 5 set to 0x00 or
+/// 0xFF or flipped at bit 0, 4 or 7 while k < 5 * size, then the payload
+/// cut to each length below its own.
+std::string Mutate(std::string payload, std::size_t k) {
+  constexpr unsigned char kKeep[] = {0x00, 0x00, 0xFF, 0xFF, 0xFF};
+  constexpr unsigned char kFlip[] = {0x00, 0xFF, 0x01, 0x10, 0x80};
+  const std::size_t n = payload.size();
+  if (k >= 5 * n) {
+    return payload.substr(0, k - 5 * n);
   }
-  const auto submitted = server.Call(batch);
-  ASSERT_TRUE(submitted.ok());
-  EXPECT_EQ(submitted->accepted,
-            static_cast<std::int64_t>(trace.events.size()));
-  EXPECT_EQ(submitted->rejected, 0);
+  char& byte = payload[k / 5];
+  byte = static_cast<char>(
+      (static_cast<unsigned char>(byte) & kKeep[k % 5]) ^ kFlip[k % 5]);
+  return payload;
+}
+
+/// Decodes every mutation of `value`'s payload; each must end in a Status.
+template <typename T>
+void SweepDecode(const T& value) {
+  const std::string payload = Payload(value);
+  for (std::size_t k = 0; k < 6 * payload.size(); ++k) {
+    T out;
+    const std::string bytes = Mutate(payload, k);
+    gw::WireReader reader(bytes);
+    (void)Decode(reader, &out);
+  }
+}
+
+/// The sweep's server: one worker, table "t", and one live session with
+/// one summary column object. The session is opened again whenever a
+/// mutated close closed it or a mutated create added a second object
+/// (the newest object is the one a slide touches).
+class HostileTarget {
+ public:
+  HostileTarget() : server_(RelaxedConfig(1)) {
+    EXPECT_TRUE(server_.RegisterTable(SmallTable()).ok());
+    EXPECT_TRUE(server_.Start().ok());
+  }
+  ~HostileTarget() { EXPECT_TRUE(server_.Stop().ok()); }
+
+  /// Decodes each mutation of `base()`'s payload, built for the live
+  /// session, and passes every request that decodes to Call. An accepted
+  /// object or action is slid over at once, and every step drains.
+  template <typename Req>
+  void Sweep(const std::function<Req()>& base) {
+    const std::size_t mutations = 6 * Payload(base()).size();
+    for (std::size_t k = 0; k < mutations; ++k) {
+      EnsureSession();
+      Req req;
+      const std::string bytes = Mutate(Payload(base()), k);
+      gw::WireReader reader(bytes);
+      if (!Decode(reader, &req).ok()) {
+        continue;
+      }
+      ++decoded_;
+      const bool accepted = server_.Call(req).ok();
+      if (accepted && (std::is_same_v<Req, api::CreateObjectReq> ||
+                       std::is_same_v<Req, api::SetActionReq>)) {
+        (void)server_.Call(api::SubmitBatchReq{
+            .session = session_, .paced = false, .events = slide_});
+      }
+      ASSERT_TRUE(server_.Drain().ok()) << "mutation " << k;
+    }
+  }
+
+  api::SessionId session() const { return session_; }
+  api::ObjectId object() const { return object_; }
+  const std::vector<api::WireTouchEvent>& slide() const { return slide_; }
+  std::int64_t decoded() const { return decoded_; }
+  TouchServer& server() { return server_; }
+
+ private:
+  void EnsureSession() {
+    const auto snapshot =
+        server_.Call(api::SessionSnapshotReq{.session = session_});
+    if (snapshot.ok() && snapshot->objects.size() == 1) {
+      return;
+    }
+    if (snapshot.ok()) {
+      ASSERT_TRUE(
+          server_.Call(api::CloseSessionReq{.session = session_}).ok());
+    }
+    const auto open = server_.Call(api::OpenSessionReq{});
+    ASSERT_TRUE(open.ok());
+    session_ = open->session;
+    api::CreateObjectReq create = ColumnObject("t", "v");
+    create.session = session_;
+    const auto made = server_.Call(create);
+    ASSERT_TRUE(made.ok());
+    object_ = made->object;
+    ASSERT_TRUE(server_
+                    .Call(api::SetActionReq{
+                        .session = session_,
+                        .object = object_,
+                        .action = api::ToWire(ActionConfig::Summary(10))})
+                    .ok());
+  }
+
+  TouchServer server_;
+  api::SessionId session_ = -1;
+  api::ObjectId object_ = 0;
+  /// Unpaced, so that no flipped timestamp can schedule a release far in
+  /// the future; short, so that a flip of `paced` costs a fifth of a
+  /// second.
+  const std::vector<api::WireTouchEvent> slide_ = ShortSlide(0.2);
+  std::int64_t decoded_ = 0;
+};
+
+TEST(ApiCodecTest, HostileBytesNeverCrashDecodeOrCall) {
+  // OpenSessionReq, StatsReq, CloseSessionResp and SetActionResp carry no
+  // payload bytes to corrupt.
+  HostileTarget target;
+  target.Sweep<api::CloseSessionReq>(
+      [&] { return api::CloseSessionReq{.session = target.session()}; });
+  target.Sweep<api::CreateObjectReq>([&] {
+    api::CreateObjectReq req = ColumnObject("t", "v");
+    req.session = target.session();
+    return req;
+  });
+  target.Sweep<api::SetActionReq>([&] {
+    return api::SetActionReq{
+        .session = target.session(),
+        .object = target.object(),
+        .action = api::ToWire(ActionConfig::Summary(10))};
+  });
+  target.Sweep<api::SubmitBatchReq>([&] {
+    return api::SubmitBatchReq{
+        .session = target.session(), .paced = false, .events = target.slide()};
+  });
+  target.Sweep<api::SessionSnapshotReq>([&] {
+    return api::SessionSnapshotReq{.session = target.session(),
+                                   .max_results = 16};
+  });
+  EXPECT_GT(target.decoded(), 0);
+
+  // Responses only reach a client's decoder.
+  SweepDecode(api::OpenSessionResp{.session = 42});
+  SweepDecode(api::CreateObjectResp{.object = 11});
+  SweepDecode(api::SubmitBatchResp{.accepted = 4, .rejected = 1});
+  SweepDecode(api::StatsResp{.sessions_active = 12, .submitted = 100});
+  const auto snapshot = target.server().Call(
+      api::SessionSnapshotReq{.session = target.session(), .max_results = 4});
+  ASSERT_TRUE(snapshot.ok());
+  ASSERT_FALSE(snapshot->results.empty());
+  SweepDecode(*snapshot);
+}
+
+TEST(ApiCallTest, HostileBatchesAreRefusedBeforeAdmission) {
+  TouchServer server(RelaxedConfig(1));
+  ASSERT_TRUE(server.RegisterTable(SmallTable()).ok());
+  ASSERT_TRUE(server.Start().ok());
+  const auto session = OpenWithObject(server, ColumnObject("t", "v"));
+  ASSERT_TRUE(session.ok());
+  const auto touch = [](std::int64_t t_us, std::uint8_t phase, double y) {
+    return api::WireTouchEvent{
+        .timestamp_us = t_us, .phase = phase, .x_cm = 3.0, .y_cm = y};
+  };
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::pair<bool, std::vector<api::WireTouchEvent>> hostile[] = {
+      // The span between two touches overflows int64.
+      {false, {touch(kMin / 2 - 5, 0, 5.0), touch(kMax / 2 + 5, 2, 5.0)}},
+      // A paced touch due 2^60 us out would hold Drain() for ever.
+      {true, {touch(0, 0, 5.0), touch(std::int64_t{1} << 60, 2, 5.0)}},
+      // One microsecond over the hour, on either side of the first touch.
+      {false, {touch(0, 0, 5.0), touch(3'600'000'001, 2, 5.0)}},
+      {false, {touch(0, 0, 5.0), touch(-3'600'000'001, 2, 5.0)}},
+      {false, {touch(0, 0, 5.0), touch(66'667, 2, nan)}},
+      {false, {touch(0, 0, inf), touch(66'667, 2, 5.0)}},
+  };
+  for (const auto& [paced, events] : hostile) {
+    const auto resp = server.Call(api::SubmitBatchReq{
+        .session = *session, .paced = paced, .events = events});
+    ASSERT_TRUE(resp.status().IsInvalidArgument()) << resp.status();
+  }
+  EXPECT_EQ(server.stats().submitted, 0);
   ASSERT_TRUE(server.Drain().ok());
 
-  api::SessionSnapshotReq snap;
-  snap.max_results = 1'000'000;
-  snap.session = *legacy;
-  const auto legacy_snap = server.Call(snap);
-  snap.session = via_api->session;
-  const auto api_snap = server.Call(snap);
-  ASSERT_TRUE(legacy_snap.ok() && api_snap.ok());
-  EXPECT_GT(legacy_snap->result_count, 0);
-  EXPECT_EQ(legacy_snap->result_count, api_snap->result_count);
-  ASSERT_EQ(legacy_snap->results.size(), api_snap->results.size());
-  for (std::size_t i = 0; i < legacy_snap->results.size(); ++i) {
-    EXPECT_EQ(legacy_snap->results[i].row, api_snap->results[i].row);
-    EXPECT_EQ(legacy_snap->results[i].value, api_snap->results[i].value);
-  }
-  EXPECT_EQ(legacy_snap->objects.size(), 1u);
-  EXPECT_EQ(legacy_snap->objects[0].table, "t");
-  EXPECT_EQ(legacy_snap->objects[0].tuple_count, 20'000);
+  // A batch exactly an hour wide is admitted.
+  ASSERT_TRUE(server
+                  .Call(api::SubmitBatchReq{
+                      .session = *session,
+                      .paced = false,
+                      .events = {touch(0, 0, 5.0),
+                                 touch(3'600'000'000, 2, 5.0)}})
+                  .ok());
+  ASSERT_TRUE(server.Drain().ok());
+  EXPECT_EQ(server.stats().submitted, 2);
+  ASSERT_TRUE(server.Stop().ok());
+}
 
-  ASSERT_TRUE(server.CloseSession(*legacy).ok());
-  api::CloseSessionReq close;
-  close.session = via_api->session;
-  ASSERT_TRUE(server.Call(close).ok());
-  EXPECT_EQ(server.session_count(), 0u);
+TEST(ApiCallTest, HostileSummaryKNeitherAbortsNorOverflows) {
+  TouchServer server(RelaxedConfig(1));
+  ASSERT_TRUE(server.RegisterTable(SmallTable()).ok());
+  ASSERT_TRUE(server.Start().ok());
+  const auto open = server.Call(api::OpenSessionReq{});
+  ASSERT_TRUE(open.ok());
+  api::CreateObjectReq create = ColumnObject("t", "v");
+  create.session = open->session;
+  const auto object = server.Call(create);
+  ASSERT_TRUE(object.ok());
+  const auto set_k = [&](std::int64_t k) {
+    api::WireAction action = api::ToWire(ActionConfig::Summary(10));
+    action.summary_k = k;
+    return server
+        .Call(api::SetActionReq{.session = open->session,
+                                .object = object->object,
+                                .action = action})
+        .status();
+  };
+  const auto slide = [&] {
+    ASSERT_TRUE(server
+                    .Call(api::SubmitBatchReq{.session = open->session,
+                                              .paced = false,
+                                              .events = ShortSlide(0.5)})
+                    .ok());
+    ASSERT_TRUE(server.Drain().ok());
+  };
+
+  // A negative half-width is refused, and the object keeps its scan.
+  EXPECT_TRUE(set_k(-5).IsInvalidArgument());
+  slide();
+  // The widest one covers the whole column.
+  ASSERT_TRUE(set_k(std::numeric_limits<std::int64_t>::max()).ok());
+  slide();
+  ASSERT_TRUE(server
+                  .WithSession(open->session,
+                               [](Kernel& kernel) {
+                                 std::int64_t summaries = 0;
+                                 for (const auto& item :
+                                      kernel.results().items()) {
+                                   if (item.kind !=
+                                       core::ResultKind::kSummary) {
+                                     continue;
+                                   }
+                                   ++summaries;
+                                   EXPECT_EQ(item.band_first, 0);
+                                   EXPECT_EQ(item.band_last, 19'999);
+                                 }
+                                 EXPECT_GT(summaries, 0);
+                               })
+                  .ok());
   ASSERT_TRUE(server.Stop().ok());
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include "core/kernel.h"
@@ -296,6 +297,44 @@ TEST_F(KernelFixture, SetActionValidates) {
                   ->SetAction(object_, ActionConfig::GroupBy(
                                            0, 0, exec::AggKind::kSum))
                   .IsInvalidArgument());
+}
+
+TEST_F(KernelFixture, SetActionRefusesActionsThatCannotRun) {
+  // A negative summary half-width, or a filtered scan with nothing to
+  // filter by, is refused; the object keeps its scan and still answers.
+  EXPECT_TRUE(kernel_->SetAction(object_, ActionConfig::Summary(-5))
+                  .IsInvalidArgument());
+  ActionConfig filter;
+  filter.kind = core::ActionKind::kFilteredScan;
+  EXPECT_TRUE(kernel_->SetAction(object_, filter).IsInvalidArgument());
+  kernel_->Replay(Slide(0.5));
+  ASSERT_GT(kernel_->results().size(), 0);
+  EXPECT_EQ(kernel_->results().back().kind, ResultKind::kValue);
+}
+
+TEST_F(KernelFixture, SummaryKBeyondTheColumnCoversTheColumn) {
+  // Any k >= 0 is valid; one past every row count clamps the band to the
+  // column instead of overflowing, read from a sample level or from the
+  // base data (where the per-touch budget caps it first).
+  for (const bool use_sampling : {true, false}) {
+    SCOPED_TRACE(use_sampling ? "sample level" : "base data");
+    KernelConfig config;
+    config.use_sampling = use_sampling;
+    config.max_rows_per_touch = 2 * kRows;
+    Rebuild(config);
+    ASSERT_TRUE(kernel_
+                    ->SetAction(object_,
+                                ActionConfig::Summary(
+                                    std::numeric_limits<std::int64_t>::max()))
+                    .ok());
+    kernel_->Replay(Slide(0.5));
+    ASSERT_GT(kernel_->results().size(), 0);
+    for (const ResultItem& item : kernel_->results().items()) {
+      EXPECT_EQ(item.kind, ResultKind::kSummary);
+      EXPECT_EQ(item.band_first, 0);
+      EXPECT_EQ(item.band_last, kRows - 1);
+    }
+  }
 }
 
 // ---- ResultStream & SessionTracker units -----------------------------------

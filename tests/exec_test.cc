@@ -278,6 +278,16 @@ TEST(SummaryTest, WindowClampsAtEdges) {
   EXPECT_EQ(bottom.last, 5);
 }
 
+TEST(SummaryTest, HugeKClampsToTheColumn) {
+  const Column c = Column::FromInt32("c", {1, 2, 3, 4});
+  InteractiveSummaryOp op(c.View(), std::numeric_limits<std::int64_t>::max());
+  const SummaryResult r = op.ComputeAt(1);
+  EXPECT_EQ(r.first, 0);
+  EXPECT_EQ(r.last, 3);
+  EXPECT_EQ(r.rows, 4);
+  EXPECT_DOUBLE_EQ(r.value, 2.5);
+}
+
 TEST(SummaryTest, CenterClampsOutOfRange) {
   const Column c = Column::FromInt32("c", {1, 2, 3});
   InteractiveSummaryOp op(c.View(), 0);

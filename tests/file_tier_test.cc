@@ -28,7 +28,9 @@
 #include "cache/file_block_provider.h"
 #include "core/kernel.h"
 #include "core/shared_state.h"
+#include "server/api.h"
 #include "server/touch_server.h"
+#include "server_harness.h"
 #include "sim/motion_profile.h"
 #include "sim/trace_builder.h"
 #include "storage/datagen.h"
@@ -47,6 +49,8 @@ using cache::TableBlockProvider;
 using core::ActionConfig;
 using core::Kernel;
 using core::KernelConfig;
+using server::ColumnObject;
+using server::OpenWithObject;
 using server::TouchServer;
 using server::TouchServerConfig;
 using sim::MotionProfile;
@@ -58,6 +62,7 @@ using storage::SpillOptions;
 using storage::Table;
 using storage::TableSpiller;
 using touch::RectCm;
+namespace api = server::api;
 
 /// Scratch directory, removed with everything in it at scope exit.
 class ScratchDir {
@@ -722,21 +727,19 @@ TEST(FileTierFaultTest, ServerShedsOnlyStalledGestureOnFileFaults) {
   ASSERT_TRUE(server.shared().SetColumnProvider("t", 0, *provider).ok());
   ASSERT_TRUE(server.Start().ok());
 
-  const auto session = server.OpenSession();
+  const auto session = OpenWithObject(server, ColumnObject("t", "v"));
   ASSERT_TRUE(session.ok());
-  ASSERT_TRUE(server
-                  .CreateColumnObject(*session, "t", "v",
-                                      RectCm{2.0, 1.0, 2.0, 10.0})
-                  .ok());
   Kernel reference;
   TraceBuilder builder(reference.device());
 
   // 1. Transient faults: the tap's fetch retries short reads and answers.
   injector.FailNextReads(1, FileFaultInjector::Fault::kShortRead);
   ASSERT_TRUE(server
-                  .SubmitTrace(*session,
-                               builder.Tap("tap", PointCm{3.0, 6.0}),
-                               {/*paced=*/false})
+                  .Call(api::SubmitBatchReq{
+                      .session = *session,
+                      .paced = false,
+                      .events = api::ToWire(
+                          builder.Tap("tap", PointCm{3.0, 6.0}))})
                   .ok());
   ASSERT_TRUE(server.Drain().ok());
   {
@@ -750,10 +753,12 @@ TEST(FileTierFaultTest, ServerShedsOnlyStalledGestureOnFileFaults) {
   injector.FailNextReads(1'000,
                          FileFaultInjector::Fault::kPermissionDenied);
   ASSERT_TRUE(server
-                  .SubmitTrace(*session,
-                               builder.Tap("tap2", PointCm{3.0, 9.0}, 0.05,
-                                           /*start_time_us=*/1'000'000),
-                               {/*paced=*/false})
+                  .Call(api::SubmitBatchReq{
+                      .session = *session,
+                      .paced = false,
+                      .events = api::ToWire(
+                          builder.Tap("tap2", PointCm{3.0, 9.0}, 0.05,
+                                      /*start_time_us=*/1'000'000))})
                   .ok());
   ASSERT_TRUE(server.Drain().ok());
   {
@@ -765,10 +770,12 @@ TEST(FileTierFaultTest, ServerShedsOnlyStalledGestureOnFileFaults) {
   // 3. The tier heals; the same session answers normally again.
   injector.FailNextReads(0);
   ASSERT_TRUE(server
-                  .SubmitTrace(*session,
-                               builder.Tap("tap3", PointCm{3.0, 3.0}, 0.05,
-                                           /*start_time_us=*/2'000'000),
-                               {/*paced=*/false})
+                  .Call(api::SubmitBatchReq{
+                      .session = *session,
+                      .paced = false,
+                      .events = api::ToWire(
+                          builder.Tap("tap3", PointCm{3.0, 3.0}, 0.05,
+                                      /*start_time_us=*/2'000'000))})
                   .ok());
   ASSERT_TRUE(server.Drain().ok());
   ASSERT_TRUE(

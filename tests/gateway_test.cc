@@ -20,12 +20,14 @@
 #include "gateway/replay.h"
 #include "gateway/wire.h"
 #include "server/touch_server.h"
+#include "server_harness.h"
 #include "storage/datagen.h"
 #include "storage/table.h"
 
 namespace dbtouch::gateway {
 namespace {
 
+using server::RelaxedConfig;
 using server::TouchServer;
 using server::TouchServerConfig;
 using storage::Column;
@@ -39,16 +41,6 @@ std::shared_ptr<Table> SequenceTable(const std::string& name) {
   auto table = Table::FromColumns(name, std::move(cols));
   EXPECT_TRUE(table.ok());
   return *table;
-}
-
-TouchServerConfig RelaxedConfig(int workers = 2) {
-  TouchServerConfig config;
-  config.num_workers = workers;
-  config.base_frame_budget_us = 10'000'000;
-  config.min_frame_budget_us = 10'000'000;
-  config.est_row_ns = 0.0;
-  config.drop_slack_us = 3'600'000'000;
-  return config;
 }
 
 /// Async cold-tier provider whose fetches block on a test-controlled

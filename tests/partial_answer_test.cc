@@ -25,6 +25,7 @@
 #include "server/frame_scheduler.h"
 #include "server/server_stats.h"
 #include "server/touch_server.h"
+#include "server_harness.h"
 #include "sim/motion_profile.h"
 #include "sim/trace_builder.h"
 #include "storage/datagen.h"
@@ -328,29 +329,29 @@ ArmResult RunColdSlide(
   EXPECT_TRUE(server.shared().SetColumnProvider("cold", 0, provider).ok());
   EXPECT_TRUE(server.Start().ok());
 
-  const auto session = server.OpenSession();
+  const auto session = OpenWithObject(server, ColumnObject("cold", "v"),
+                                      ActionConfig::Scan());
   EXPECT_TRUE(session.ok());
-  const auto object = server.CreateColumnObject(*session, "cold", "v",
-                                                RectCm{2.0, 1.0, 2.0, 10.0});
-  EXPECT_TRUE(object.ok());
-  EXPECT_TRUE(server.SetAction(*session, *object, ActionConfig::Scan()).ok());
 
   Kernel reference;
   TraceBuilder builder(reference.device());
   EXPECT_TRUE(server
-                  .SubmitTrace(*session,
-                               builder.Tap("warm", PointCm{3.0, 1.0}),
-                               {/*paced=*/false})
+                  .Call(api::SubmitBatchReq{
+                      .session = *session,
+                      .paced = false,
+                      .events = api::ToWire(
+                          builder.Tap("warm", PointCm{3.0, 1.0}))})
                   .ok());
   EXPECT_TRUE(server.Drain().ok());
   const ServerStatsSnapshot before = server.stats();
 
   EXPECT_TRUE(server
-                  .SubmitTrace(*session,
-                               builder.Slide("slide", PointCm{3.0, 1.0},
-                                             PointCm{3.0, 11.0},
-                                             MotionProfile::Constant(1.0)),
-                               {/*paced=*/true})
+                  .Call(api::SubmitBatchReq{
+                      .session = *session,
+                      .paced = true,
+                      .events = api::ToWire(builder.Slide(
+                          "slide", PointCm{3.0, 1.0}, PointCm{3.0, 11.0},
+                          MotionProfile::Constant(1.0)))})
                   .ok());
   EXPECT_TRUE(server.Drain().ok());
   const ServerStatsSnapshot after = server.stats();

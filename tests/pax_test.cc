@@ -19,7 +19,9 @@
 #include "cache/file_block_provider.h"
 #include "core/kernel.h"
 #include "core/shared_state.h"
+#include "server/api.h"
 #include "server/touch_server.h"
+#include "server_harness.h"
 #include "sim/motion_profile.h"
 #include "sim/trace_builder.h"
 #include "storage/datagen.h"
@@ -34,6 +36,7 @@ namespace {
 using cache::FileBlockProvider;
 using core::Kernel;
 using core::KernelConfig;
+using server::OpenWithObject;
 using server::SessionId;
 using server::TouchServer;
 using server::TouchServerConfig;
@@ -47,7 +50,7 @@ using storage::RowId;
 using storage::SpillOptions;
 using storage::Table;
 using storage::TableSpiller;
-using touch::RectCm;
+namespace api = server::api;
 
 /// Scratch directory, removed with everything in it at scope exit.
 class ScratchDir {
@@ -296,18 +299,18 @@ server::ServerStatsSnapshot RunFatTap(const std::string& dir, bool pax) {
                     .ok());
   }
   EXPECT_TRUE(server.Start().ok());
-  const auto session = server.OpenSession();
+  const auto session = OpenWithObject(
+      server, {.kind = 1, .table = "fat", .frame = {2.0, 1.0, 4.0, 10.0}});
   EXPECT_TRUE(session.ok());
-  const auto object = server.CreateTableObject(
-      *session, "fat", RectCm{2.0, 1.0, 4.0, 10.0});
-  EXPECT_TRUE(object.ok());
 
   Kernel reference;
   TraceBuilder builder(reference.device());
   EXPECT_TRUE(server
-                  .SubmitTrace(*session,
-                               builder.Tap("tap", PointCm{3.0, 6.0}),
-                               {/*paced=*/false})
+                  .Call(api::SubmitBatchReq{
+                      .session = *session,
+                      .paced = false,
+                      .events = api::ToWire(
+                          builder.Tap("tap", PointCm{3.0, 6.0}))})
                   .ok());
   EXPECT_TRUE(server.Drain().ok());
   EXPECT_TRUE(server

@@ -23,7 +23,9 @@
 #include "core/kernel.h"
 #include "core/shared_state.h"
 #include "index/zone_map.h"
+#include "server/api.h"
 #include "server/touch_server.h"
+#include "server_harness.h"
 #include "sim/motion_profile.h"
 #include "sim/trace_builder.h"
 #include "storage/csv_loader.h"
@@ -49,6 +51,7 @@ using storage::SpillOptions;
 using storage::Table;
 using storage::TableSpiller;
 using touch::RectCm;
+namespace api = server::api;
 
 class ScratchDir {
  public:
@@ -533,32 +536,29 @@ TEST(ReclaimTest, ObjectsBoundBeforeAReclaimFollowIt) {
 /// over its lower half, whose blocks the pool no longer holds.
 std::vector<std::string> ServeAcrossReclaim(bool reclaim) {
   ScratchDir dir;
-  server::TouchServerConfig config;
-  config.num_workers = 1;
+  // Deadlines no run can miss: nothing is shed or dropped.
+  server::TouchServerConfig config = server::RelaxedConfig(1);
   config.session_defaults.buffer.rows_per_block = 1'024;
   config.session_defaults.buffer.budget_bytes = 4 * 1'024 * 8;
-  // Deadlines no run can miss: nothing is shed or dropped.
-  config.base_frame_budget_us = 10'000'000;
-  config.min_frame_budget_us = 10'000'000;
-  config.est_row_ns = 0.0;
-  config.drop_slack_us = 3'600'000'000;
   server::TouchServer server(config);
   EXPECT_TRUE(server.RegisterTable(MixedTable("m", 1 << 15)).ok());
   EXPECT_TRUE(server.Start().ok());
-  const auto session = server.OpenSession();
+  const auto session = server::OpenWithObject(
+      server, server::ColumnObject("m", "v", {1.0, 1.0, 2.0, 10.0}),
+      ActionConfig::Aggregate(exec::AggKind::kSum));
   EXPECT_TRUE(session.ok());
-  const auto column = server.CreateColumnObject(
-      *session, "m", "v", RectCm{1.0, 1.0, 2.0, 10.0});
-  const auto fat =
-      server.CreateTableObject(*session, "m", RectCm{8.0, 1.0, 4.0, 10.0});
-  EXPECT_TRUE(column.ok() && fat.ok());
+  const auto fat = server.Call(api::CreateObjectReq{
+      .session = *session,
+      .kind = 1,
+      .table = "m",
+      .frame = {8.0, 1.0, 4.0, 10.0}});
+  EXPECT_TRUE(fat.ok());
   EXPECT_TRUE(server
-                  .SetAction(*session, *column,
-                             ActionConfig::Aggregate(exec::AggKind::kSum))
-                  .ok());
-  EXPECT_TRUE(server
-                  .SetAction(*session, *fat,
-                             ActionConfig::GroupBy(1, 0, exec::AggKind::kAvg))
+                  .Call(api::SetActionReq{
+                      .session = *session,
+                      .object = fat->object,
+                      .action = api::ToWire(ActionConfig::GroupBy(
+                          1, 0, exec::AggKind::kAvg))})
                   .ok());
 
   const sim::TouchDevice device(config.session_defaults.device);
@@ -566,12 +566,12 @@ std::vector<std::string> ServeAcrossReclaim(bool reclaim) {
   const auto slide = [&](const char* name, double x, double from_y,
                          double to_y, sim::Micros start_us) {
     EXPECT_TRUE(server
-                    .SubmitTrace(*session,
-                                 builder.Slide(name, PointCm{x, from_y},
-                                               PointCm{x, to_y},
-                                               MotionProfile::Constant(1.0),
-                                               start_us),
-                                 {/*paced=*/false})
+                    .Call(api::SubmitBatchReq{
+                        .session = *session,
+                        .paced = false,
+                        .events = api::ToWire(builder.Slide(
+                            name, PointCm{x, from_y}, PointCm{x, to_y},
+                            MotionProfile::Constant(1.0), start_us))})
                     .ok());
   };
   slide("column-upper", 2.0, 1.0, 5.5, 0);

@@ -24,6 +24,7 @@
 #include "server/session_manager.h"
 #include "server/server_stats.h"
 #include "server/touch_server.h"
+#include "server_harness.h"
 #include "sim/motion_profile.h"
 #include "sim/trace_builder.h"
 #include "storage/datagen.h"
@@ -53,18 +54,6 @@ std::shared_ptr<Table> SequenceTable(const std::string& name,
   auto table = Table::FromColumns(name, std::move(cols));
   EXPECT_TRUE(table.ok());
   return *table;
-}
-
-/// A generous config: budgets far above any realistic execution time, so
-/// nothing sheds or drops and behaviour is deterministic.
-TouchServerConfig RelaxedConfig(int workers) {
-  TouchServerConfig config;
-  config.num_workers = workers;
-  config.base_frame_budget_us = 10'000'000;  // 10 s.
-  config.min_frame_budget_us = 10'000'000;
-  config.est_row_ns = 0.0;
-  config.drop_slack_us = 3'600'000'000;  // Effectively never drop.
-  return config;
 }
 
 sim::GestureTrace SlideOver(const TouchServer& /*server*/,
@@ -428,11 +417,8 @@ TEST(TouchServerTest, SessionsShareOneHierarchyPerColumn) {
   ASSERT_TRUE(server.RegisterTable(SequenceTable("t", 0)).ok());
   ASSERT_TRUE(server.Start().ok());
   for (int i = 0; i < 4; ++i) {
-    const auto session = server.OpenSession();
+    const auto session = OpenWithObject(server, ColumnObject("t", "v"));
     ASSERT_TRUE(session.ok());
-    const auto object = server.CreateColumnObject(
-        *session, "t", "v", RectCm{2.0, 1.0, 2.0, 10.0});
-    ASSERT_TRUE(object.ok());
   }
   // Four sessions, one shared sample hierarchy: the memory story of the
   // server — samples are paid for once, not per user.
@@ -454,13 +440,10 @@ TEST(TouchServerTest, NoCrossSessionLeakageAndResultsMatchSingleUser) {
 
   std::vector<SessionId> ids;
   for (int i = 0; i < kSessions; ++i) {
-    const auto session = server.OpenSession();
+    const auto session =
+        OpenWithObject(server, ColumnObject("t" + std::to_string(i), "v"));
     ASSERT_TRUE(session.ok());
     ids.push_back(*session);
-    const auto object = server.CreateColumnObject(
-        *session, "t" + std::to_string(i), "v",
-        RectCm{2.0, 1.0, 2.0, 10.0});
-    ASSERT_TRUE(object.ok());
   }
 
   // Golden: the identical exploration in a single-user kernel.
@@ -474,7 +457,11 @@ TEST(TouchServerTest, NoCrossSessionLeakageAndResultsMatchSingleUser) {
   golden.Replay(trace);
 
   for (const SessionId id : ids) {
-    ASSERT_TRUE(server.SubmitTrace(id, trace, {/*paced=*/false}).ok());
+    ASSERT_TRUE(server
+                    .Call(api::SubmitBatchReq{.session = id,
+                                              .paced = false,
+                                              .events = api::ToWire(trace)})
+                    .ok());
   }
   ASSERT_TRUE(server.Drain().ok());
 
@@ -533,13 +520,14 @@ TEST(TouchServerTest, StatsRollUpAndFairness) {
 
   std::vector<SessionId> ids;
   for (int i = 0; i < kSessions; ++i) {
-    const auto session = server.OpenSession();
+    const auto session = OpenWithObject(server, ColumnObject("t", "v"));
     ASSERT_TRUE(session.ok());
-    const auto object = server.CreateColumnObject(
-        *session, "t", "v", RectCm{2.0, 1.0, 2.0, 10.0});
-    ASSERT_TRUE(object.ok());
     ids.push_back(*session);
-    ASSERT_TRUE(server.SubmitTrace(*session, trace, {/*paced=*/false}).ok());
+    ASSERT_TRUE(server
+                    .Call(api::SubmitBatchReq{.session = *session,
+                                              .paced = false,
+                                              .events = api::ToWire(trace)})
+                    .ok());
   }
   ASSERT_TRUE(server.Drain().ok());
   const ServerStatsSnapshot stats = server.stats();
@@ -572,13 +560,13 @@ TEST(TouchServerTest, StageHistogramsTileEndToEndLatencyExactly) {
   Kernel reference;
   const sim::GestureTrace trace = SlideOver(server, reference, 1.0);
   for (int i = 0; i < 3; ++i) {
-    const auto session = server.OpenSession();
+    const auto session = OpenWithObject(server, ColumnObject("t", "v"));
     ASSERT_TRUE(session.ok());
     ASSERT_TRUE(server
-                    .CreateColumnObject(*session, "t", "v",
-                                        RectCm{2.0, 1.0, 2.0, 10.0})
+                    .Call(api::SubmitBatchReq{.session = *session,
+                                              .paced = false,
+                                              .events = api::ToWire(trace)})
                     .ok());
-    ASSERT_TRUE(server.SubmitTrace(*session, trace, {/*paced=*/false}).ok());
   }
   ASSERT_TRUE(server.Drain().ok());
   const ServerStatsSnapshot stats = server.stats();
@@ -606,15 +594,13 @@ TEST(TouchServerTest, TracedRunRecordsFullQuantumLifecycles) {
   ASSERT_TRUE(server.RegisterTable(SequenceTable("t", 0)).ok());
   ASSERT_TRUE(server.Start().ok());
   Kernel reference;
-  const auto session = server.OpenSession();
+  const auto session = OpenWithObject(server, ColumnObject("t", "v"));
   ASSERT_TRUE(session.ok());
   ASSERT_TRUE(server
-                  .CreateColumnObject(*session, "t", "v",
-                                      RectCm{2.0, 1.0, 2.0, 10.0})
-                  .ok());
-  ASSERT_TRUE(server
-                  .SubmitTrace(*session, SlideOver(server, reference, 1.0),
-                               {/*paced=*/false})
+                  .Call(api::SubmitBatchReq{
+                      .session = *session,
+                      .paced = false,
+                      .events = api::ToWire(SlideOver(server, reference, 1.0))})
                   .ok());
   ASSERT_TRUE(server.Drain().ok());
   const ServerStatsSnapshot stats = server.stats();
@@ -664,13 +650,9 @@ TEST(TouchServerTest, ImpossibleDeadlinesAreCountedAndShed) {
   TouchServer server(config);
   ASSERT_TRUE(server.RegisterTable(SequenceTable("t", 0)).ok());
   ASSERT_TRUE(server.Start().ok());
-  const auto session = server.OpenSession();
+  const auto session = OpenWithObject(server, ColumnObject("t", "v"),
+                                      ActionConfig::Summary(10));
   ASSERT_TRUE(session.ok());
-  const auto object = server.CreateColumnObject(
-      *session, "t", "v", RectCm{2.0, 1.0, 2.0, 10.0});
-  ASSERT_TRUE(object.ok());
-  ASSERT_TRUE(
-      server.SetAction(*session, *object, ActionConfig::Summary(10)).ok());
 
   Kernel reference;
   const sim::GestureTrace trace = SlideOver(server, reference, 2.0);
@@ -678,7 +660,11 @@ TEST(TouchServerTest, ImpossibleDeadlinesAreCountedAndShed) {
   // submission, so every executed touch misses and queued move quanta
   // exceed the drop slack.
   for (const sim::TouchEvent& event : trace.events) {
-    ASSERT_TRUE(server.Submit(*session, event).ok());
+    ASSERT_TRUE(server
+                    .Call(api::SubmitBatchReq{.session = *session,
+                                              .paced = false,
+                                              .events = {api::ToWire(event)}})
+                    .ok());
   }
   ASSERT_TRUE(server.Drain().ok());
   const ServerStatsSnapshot stats = server.stats();
@@ -700,12 +686,8 @@ TEST(TouchServerTest, SessionKeepsABoundedTailOfItsResults) {
   TouchServer server(RelaxedConfig(1));
   ASSERT_TRUE(server.RegisterTable(SequenceTable("t", 0)).ok());
   ASSERT_TRUE(server.Start().ok());
-  const auto session = server.OpenSession();
+  const auto session = OpenWithObject(server, ColumnObject("t", "v"));
   ASSERT_TRUE(session.ok());
-  ASSERT_TRUE(server
-                  .CreateColumnObject(*session, "t", "v",
-                                      RectCm{2.0, 1.0, 2.0, 10.0})
-                  .ok());
 
   Kernel golden;
   ASSERT_TRUE(golden.RegisterTable(SequenceTable("t", 0)).ok());
@@ -728,7 +710,11 @@ TEST(TouchServerTest, SessionKeepsABoundedTailOfItsResults) {
     }
     golden.results().Clear();
     // One slide at a time: a queue past max_session_queue would shed.
-    ASSERT_TRUE(server.SubmitTrace(*session, trace, {/*paced=*/false}).ok());
+    ASSERT_TRUE(server
+                    .Call(api::SubmitBatchReq{.session = *session,
+                                              .paced = false,
+                                              .events = api::ToWire(trace)})
+                    .ok());
     ASSERT_TRUE(server.Drain().ok());
   }
   ASSERT_EQ(server.stats().dropped_quanta, 0);
@@ -760,18 +746,21 @@ TEST(TouchServerTest, CloseSessionDropsPendingWork) {
   TouchServer server(RelaxedConfig(1));
   ASSERT_TRUE(server.RegisterTable(SequenceTable("t", 0)).ok());
   ASSERT_TRUE(server.Start().ok());
-  const auto session = server.OpenSession();
+  const auto session = OpenWithObject(server, ColumnObject("t", "v"));
   ASSERT_TRUE(session.ok());
-  const auto object = server.CreateColumnObject(
-      *session, "t", "v", RectCm{2.0, 1.0, 2.0, 10.0});
-  ASSERT_TRUE(object.ok());
 
   Kernel reference;
   const sim::GestureTrace trace = SlideOver(server, reference, 1.0);
   // Paced far into the future: tasks sit queued, then the session closes.
-  ASSERT_TRUE(server.SubmitTrace(*session, trace, {/*paced=*/true}).ok());
-  ASSERT_TRUE(server.CloseSession(*session).ok());
-  EXPECT_TRUE(server.CloseSession(*session).IsNotFound());
+  ASSERT_TRUE(server
+                  .Call(api::SubmitBatchReq{.session = *session,
+                                            .paced = true,
+                                            .events = api::ToWire(trace)})
+                  .ok());
+  ASSERT_TRUE(server.Call(api::CloseSessionReq{.session = *session}).ok());
+  EXPECT_TRUE(server.Call(api::CloseSessionReq{.session = *session})
+                  .status()
+                  .IsNotFound());
   EXPECT_TRUE(
       server.WithSession(*session, [](Kernel&) {}).IsNotFound());
   ASSERT_TRUE(server.Drain().ok());
@@ -802,14 +791,12 @@ TEST(TouchServerTest, CloseRacingSubmitLeavesServerIdle) {
   }
 
   for (int round = 0; round < kRounds; ++round) {
-    const auto session = server.OpenSession();
+    const auto session = server.Call(api::OpenSessionReq{});
     ASSERT_TRUE(session.ok());
-    submit.session = *session;
+    submit.session = session->session;
     // Either side may win; a submit that loses fails with NotFound.
     std::thread submitter([&server, &submit] { (void)server.Call(submit); });
-    api::CloseSessionReq close;
-    close.session = *session;
-    (void)server.Call(close);
+    (void)server.Call(api::CloseSessionReq{.session = session->session});
     submitter.join();
   }
 
@@ -835,10 +822,13 @@ TEST(TouchServerTest, CloseRacingSubmitLeavesServerIdle) {
 TEST(TouchServerTest, LifecycleGuards) {
   TouchServer server(RelaxedConfig(1));
   ASSERT_TRUE(server.RegisterTable(SequenceTable("t", 0)).ok());
-  const auto session = server.OpenSession();
+  const auto session = server.Call(api::OpenSessionReq{});
   ASSERT_TRUE(session.ok());
-  sim::TouchEvent event;
-  EXPECT_TRUE(server.Submit(*session, event).IsFailedPrecondition());
+  EXPECT_TRUE(server
+                  .Call(api::SubmitBatchReq{.session = session->session,
+                                            .events = {api::WireTouchEvent{}}})
+                  .status()
+                  .IsFailedPrecondition());
   EXPECT_TRUE(server.Drain().IsFailedPrecondition());
   ASSERT_TRUE(server.Start().ok());
   EXPECT_TRUE(server.Start().IsFailedPrecondition());
@@ -854,18 +844,17 @@ TEST(TouchServerTest, RestartAfterStopServesAgain) {
   // Second run: the scheduler's shutdown latch must clear, or workers
   // would exit immediately and the server would silently serve nothing.
   ASSERT_TRUE(server.Start().ok());
-  const auto session = server.OpenSession();
+  const auto session = OpenWithObject(server, ColumnObject("t", "v"));
   ASSERT_TRUE(session.ok());
-  const auto object = server.CreateColumnObject(
-      *session, "t", "v", RectCm{2.0, 1.0, 2.0, 10.0});
-  ASSERT_TRUE(object.ok());
   Kernel reference;
   TraceBuilder builder(reference.device());
-  ASSERT_TRUE(
-      server
-          .SubmitTrace(*session, builder.Tap("tap", PointCm{3.0, 6.0}),
-                       {/*paced=*/false})
-          .ok());
+  ASSERT_TRUE(server
+                  .Call(api::SubmitBatchReq{
+                      .session = *session,
+                      .paced = false,
+                      .events = api::ToWire(
+                          builder.Tap("tap", PointCm{3.0, 6.0}))})
+                  .ok());
   ASSERT_TRUE(server.Drain().ok());
   const ServerStatsSnapshot stats = server.stats();
   EXPECT_GT(stats.executed, 0);
@@ -922,19 +911,20 @@ TEST(TouchServerTest, ConcurrentSubmittersAreSafe) {
 
   std::vector<SessionId> ids(kSessions);
   for (int i = 0; i < kSessions; ++i) {
-    const auto session = server.OpenSession();
+    const auto session = OpenWithObject(server, ColumnObject("t", "v"));
     ASSERT_TRUE(session.ok());
     ids[i] = *session;
-    const auto object = server.CreateColumnObject(
-        *session, "t", "v", RectCm{2.0, 1.0, 2.0, 10.0});
-    ASSERT_TRUE(object.ok());
   }
   std::atomic<int> failures{0};
   std::vector<std::thread> submitters;
   submitters.reserve(kSessions);
   for (int i = 0; i < kSessions; ++i) {
     submitters.emplace_back([&, i] {
-      if (!server.SubmitTrace(ids[i], trace, {/*paced=*/false}).ok()) {
+      if (!server
+               .Call(api::SubmitBatchReq{.session = ids[i],
+                                         .paced = false,
+                                         .events = api::ToWire(trace)})
+               .ok()) {
         failures.fetch_add(1);
       }
     });
@@ -1011,16 +1001,15 @@ TEST(TouchServerTest, BufferManagerStatsSurfaceInSnapshot) {
   TouchServer server(config);
   ASSERT_TRUE(server.RegisterTable(SequenceTable("t", 0)).ok());
   ASSERT_TRUE(server.Start().ok());
-  const auto session = server.OpenSession();
+  const auto session = OpenWithObject(server, ColumnObject("t", "v"));
   ASSERT_TRUE(session.ok());
-  const auto object = server.CreateColumnObject(*session, "t", "v",
-                                                RectCm{2.0, 1.0, 2.0, 10.0});
-  ASSERT_TRUE(object.ok());
 
   Kernel reference{KernelConfig{}};
   ASSERT_TRUE(server
-                  .SubmitTrace(*session, SlideOver(server, reference, 1.0),
-                               {.paced = false})
+                  .Call(api::SubmitBatchReq{
+                      .session = *session,
+                      .paced = false,
+                      .events = api::ToWire(SlideOver(server, reference, 1.0))})
                   .ok());
   ASSERT_TRUE(server.Drain().ok());
 
@@ -1057,30 +1046,30 @@ TEST(TouchServerAsyncTest, SuspendOnMissWorkerServesOtherSessions) {
   ASSERT_TRUE(server.shared().SetColumnProvider("slow", 0, provider).ok());
   ASSERT_TRUE(server.Start().ok());
 
-  const auto slow_session = server.OpenSession();
-  const auto fast_session = server.OpenSession();
+  const auto slow_session =
+      OpenWithObject(server, ColumnObject("slow", "v"));
+  const auto fast_session =
+      OpenWithObject(server, ColumnObject("fast", "v"));
   ASSERT_TRUE(slow_session.ok());
   ASSERT_TRUE(fast_session.ok());
-  ASSERT_TRUE(server
-                  .CreateColumnObject(*slow_session, "slow", "v",
-                                      RectCm{2.0, 1.0, 2.0, 10.0})
-                  .ok());
-  ASSERT_TRUE(server
-                  .CreateColumnObject(*fast_session, "fast", "v",
-                                      RectCm{2.0, 1.0, 2.0, 10.0})
-                  .ok());
 
   Kernel reference;
   TraceBuilder builder(reference.device());
   const auto tap = builder.Tap("tap", PointCm{3.0, 6.0});
   // The slow session's tap suspends on the gated fetch...
-  ASSERT_TRUE(
-      server.SubmitTrace(*slow_session, tap, {/*paced=*/false}).ok());
+  ASSERT_TRUE(server
+                  .Call(api::SubmitBatchReq{.session = *slow_session,
+                                            .paced = false,
+                                            .events = api::ToWire(tap)})
+                  .ok());
   provider->AwaitFetchStarted(1);
   // ...and with the fetch still in flight, the single worker picks up and
   // fully executes the fast session's tap — no worker blocks on a fetch.
-  ASSERT_TRUE(
-      server.SubmitTrace(*fast_session, tap, {/*paced=*/false}).ok());
+  ASSERT_TRUE(server
+                  .Call(api::SubmitBatchReq{.session = *fast_session,
+                                            .paced = false,
+                                            .events = api::ToWire(tap)})
+                  .ok());
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   for (;;) {
@@ -1135,18 +1124,16 @@ TEST(TouchServerAsyncTest, RetriesTransientRemoteFailuresThenAnswers) {
   remote_server.FailNextReads(2);
   ASSERT_TRUE(server.Start().ok());
 
-  const auto session = server.OpenSession();
+  const auto session = OpenWithObject(server, ColumnObject("t", "v"));
   ASSERT_TRUE(session.ok());
-  ASSERT_TRUE(server
-                  .CreateColumnObject(*session, "t", "v",
-                                      RectCm{2.0, 1.0, 2.0, 10.0})
-                  .ok());
   Kernel reference;
   TraceBuilder builder(reference.device());
   ASSERT_TRUE(server
-                  .SubmitTrace(*session,
-                               builder.Tap("tap", PointCm{3.0, 6.0}),
-                               {/*paced=*/false})
+                  .Call(api::SubmitBatchReq{
+                      .session = *session,
+                      .paced = false,
+                      .events = api::ToWire(
+                          builder.Tap("tap", PointCm{3.0, 6.0}))})
                   .ok());
   ASSERT_TRUE(server.Drain().ok());
 
@@ -1178,21 +1165,19 @@ TEST(TouchServerAsyncTest, PermanentFetchFailureShedsQuantumNotSession) {
   ASSERT_TRUE(server.shared().SetColumnProvider("t", 0, provider).ok());
   ASSERT_TRUE(server.Start().ok());
 
-  const auto session = server.OpenSession();
+  const auto session = OpenWithObject(server, ColumnObject("t", "v"));
   ASSERT_TRUE(session.ok());
-  ASSERT_TRUE(server
-                  .CreateColumnObject(*session, "t", "v",
-                                      RectCm{2.0, 1.0, 2.0, 10.0})
-                  .ok());
   Kernel reference;
   TraceBuilder builder(reference.device());
   // Every read fails: the first tap's fetch exhausts its retries, the
   // resume sheds the parked gesture, and the session stays serviceable.
   remote_server.FailNextReads(1'000);
   ASSERT_TRUE(server
-                  .SubmitTrace(*session,
-                               builder.Tap("tap", PointCm{3.0, 6.0}),
-                               {/*paced=*/false})
+                  .Call(api::SubmitBatchReq{
+                      .session = *session,
+                      .paced = false,
+                      .events = api::ToWire(
+                          builder.Tap("tap", PointCm{3.0, 6.0}))})
                   .ok());
   ASSERT_TRUE(server.Drain().ok());
   {
@@ -1203,10 +1188,12 @@ TEST(TouchServerAsyncTest, PermanentFetchFailureShedsQuantumNotSession) {
   // The tier heals; the same session answers the next touch normally.
   remote_server.FailNextReads(0);
   ASSERT_TRUE(server
-                  .SubmitTrace(*session,
-                               builder.Tap("tap2", PointCm{3.0, 8.0}, 0.05,
-                                           /*start_time_us=*/1'000'000),
-                               {/*paced=*/false})
+                  .Call(api::SubmitBatchReq{
+                      .session = *session,
+                      .paced = false,
+                      .events = api::ToWire(
+                          builder.Tap("tap2", PointCm{3.0, 8.0}, 0.05,
+                                      /*start_time_us=*/1'000'000))})
                   .ok());
   ASSERT_TRUE(server.Drain().ok());
   ASSERT_TRUE(server
@@ -1237,26 +1224,26 @@ TEST(TouchServerAsyncTest, CloseSessionCancelsQueuedFetchTickets) {
   ASSERT_TRUE(server.shared().SetColumnProvider("t", 0, provider).ok());
   ASSERT_TRUE(server.Start().ok());
 
-  const auto a = server.OpenSession();
-  const auto b = server.OpenSession();
+  const auto a = OpenWithObject(server, ColumnObject("t", "v"));
+  const auto b = OpenWithObject(server, ColumnObject("t", "v"));
   ASSERT_TRUE(a.ok() && b.ok());
-  for (const auto& session : {a, b}) {
-    ASSERT_TRUE(server
-                    .CreateColumnObject(*session, "t", "v",
-                                        RectCm{2.0, 1.0, 2.0, 10.0})
-                    .ok());
-  }
   Kernel reference;
   TraceBuilder builder(reference.device());
   // Taps at different heights -> different rows -> different blocks.
   ASSERT_TRUE(server
-                  .SubmitTrace(*a, builder.Tap("a", PointCm{3.0, 2.0}),
-                               {/*paced=*/false})
+                  .Call(api::SubmitBatchReq{
+                      .session = *a,
+                      .paced = false,
+                      .events = api::ToWire(
+                          builder.Tap("a", PointCm{3.0, 2.0}))})
                   .ok());
   provider->AwaitFetchStarted(1);  // A's fetch holds the only fetcher.
   ASSERT_TRUE(server
-                  .SubmitTrace(*b, builder.Tap("b", PointCm{3.0, 10.0}),
-                               {/*paced=*/false})
+                  .Call(api::SubmitBatchReq{
+                      .session = *b,
+                      .paced = false,
+                      .events = api::ToWire(
+                          builder.Tap("b", PointCm{3.0, 10.0}))})
                   .ok());
   // Wait until B's demand ticket is actually in the queue (the enqueue
   // counter, not the suspend counter — the suspend is recorded just
@@ -1269,7 +1256,7 @@ TEST(TouchServerAsyncTest, CloseSessionCancelsQueuedFetchTickets) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
-  ASSERT_TRUE(server.CloseSession(*b).ok());
+  ASSERT_TRUE(server.Call(api::CloseSessionReq{.session = *b}).ok());
   {
     const ServerStatsSnapshot stats = server.stats();
     EXPECT_EQ(stats.fetch.cancelled_fetches, 1);
@@ -1312,18 +1299,19 @@ TEST(TouchServerAsyncTest, ManySessionsColdTierStress) {
   const sim::GestureTrace trace = SlideOver(server, reference, 0.5);
   std::vector<SessionId> ids;
   for (int i = 0; i < kSessions; ++i) {
-    const auto session = server.OpenSession();
+    const auto session = OpenWithObject(server, ColumnObject("t", "v"));
     ASSERT_TRUE(session.ok());
     ids.push_back(*session);
-    const auto object = server.CreateColumnObject(
-        *session, "t", "v", RectCm{2.0, 1.0, 2.0, 10.0});
-    ASSERT_TRUE(object.ok());
   }
   std::vector<std::thread> submitters;
   submitters.reserve(kSessions);
   for (const SessionId id : ids) {
     submitters.emplace_back([&server, &trace, id] {
-      EXPECT_TRUE(server.SubmitTrace(id, trace, {/*paced=*/false}).ok());
+      EXPECT_TRUE(server
+                      .Call(api::SubmitBatchReq{.session = id,
+                                                .paced = false,
+                                                .events = api::ToWire(trace)})
+                      .ok());
     });
   }
   for (std::thread& t : submitters) {

@@ -18,7 +18,9 @@
 
 #include "cache/file_block_provider.h"
 #include "core/kernel.h"
+#include "server/api.h"
 #include "server/touch_server.h"
+#include "server_harness.h"
 #include "sim/motion_profile.h"
 #include "sim/trace_builder.h"
 #include "storage/datagen.h"
@@ -30,6 +32,8 @@ namespace {
 
 using cache::FileFaultInjector;
 using core::Kernel;
+using server::ColumnObject;
+using server::OpenWithObject;
 using server::ServerStatsSnapshot;
 using server::SessionId;
 using server::TouchServer;
@@ -41,7 +45,7 @@ using storage::Column;
 using storage::SpillOptions;
 using storage::Table;
 using storage::TableSpiller;
-using touch::RectCm;
+namespace api = server::api;
 
 TEST(SpillStressTest, ManySessionsOverFlakySpilledTableStayConsistent) {
   std::string tmpl = (std::filesystem::temp_directory_path() /
@@ -85,43 +89,40 @@ TEST(SpillStressTest, ManySessionsOverFlakySpilledTableStayConsistent) {
 
   std::vector<SessionId> ids;
   for (int i = 0; i < kSessions; ++i) {
-    const auto session = server.OpenSession();
+    // Half the fleet slides summaries: multi-block band stalls that the
+    // fetch queue serves as coalesced ranged reads. The rest run the
+    // default point-read scan.
+    const auto session = OpenWithObject(
+        server, ColumnObject("t", "v"),
+        i % 2 == 0 ? core::ActionConfig::Summary(24)
+                   : core::ActionConfig::Scan());
     ASSERT_TRUE(session.ok());
     ids.push_back(*session);
-    const auto object = server.CreateColumnObject(
-        *session, "t", "v", RectCm{2.0, 1.0, 2.0, 10.0});
-    ASSERT_TRUE(object.ok());
-    if (i % 2 == 0) {
-      // Half the fleet slides summaries: multi-block band stalls that the
-      // fetch queue serves as coalesced ranged reads. The rest stay on
-      // the default point-read scan.
-      ASSERT_TRUE(server
-                      .SetAction(*session, *object,
-                                 core::ActionConfig::Summary(24))
-                      .ok());
-    }
   }
   // One extra session submits and closes immediately: its queued demand
   // fetches must be retracted (or settle as no-ops), never wedge the
   // server or deliver into a dead session.
-  const auto doomed = server.OpenSession();
+  const auto doomed = OpenWithObject(server, ColumnObject("t", "v"));
   ASSERT_TRUE(doomed.ok());
-  ASSERT_TRUE(server
-                  .CreateColumnObject(*doomed, "t", "v",
-                                      RectCm{2.0, 1.0, 2.0, 10.0})
-                  .ok());
 
   std::vector<std::thread> submitters;
   submitters.reserve(kSessions + 1);
   for (const SessionId id : ids) {
     submitters.emplace_back([&server, &trace, id] {
-      EXPECT_TRUE(server.SubmitTrace(id, trace, {/*paced=*/false}).ok());
+      EXPECT_TRUE(server
+                      .Call(api::SubmitBatchReq{.session = id,
+                                                .paced = false,
+                                                .events = api::ToWire(trace)})
+                      .ok());
     });
   }
   submitters.emplace_back([&server, &trace, doomed = *doomed] {
-    EXPECT_TRUE(
-        server.SubmitTrace(doomed, trace, {/*paced=*/false}).ok());
-    EXPECT_TRUE(server.CloseSession(doomed).ok());
+    EXPECT_TRUE(server
+                    .Call(api::SubmitBatchReq{.session = doomed,
+                                              .paced = false,
+                                              .events = api::ToWire(trace)})
+                    .ok());
+    EXPECT_TRUE(server.Call(api::CloseSessionReq{.session = doomed}).ok());
   });
   for (std::thread& t : submitters) {
     t.join();
