@@ -370,8 +370,7 @@ void ReclaimReport(dbtouch::bench::BenchReport& perf) {
   const std::int64_t matrix_before = tracker.matrix_bytes();
 
   auto shared = std::make_shared<dbtouch::core::SharedState>(
-      dbtouch::sampling::SampleHierarchyConfig{}, /*force_eager=*/false,
-      buffer);
+      dbtouch::sampling::SampleHierarchyConfig{}, buffer);
   auto table = MakeTable(rows);
   const std::int64_t loaded = tracker.matrix_bytes() - matrix_before;
   bool ok = shared->RegisterTable(table).ok();
@@ -663,8 +662,7 @@ void PaxReport(dbtouch::bench::BenchReport& perf) {
     // blocks instead of settling into a fully warm set.
     buffer.budget_bytes = rows * 52 / 4;
     auto shared = std::make_shared<dbtouch::core::SharedState>(
-        dbtouch::sampling::SampleHierarchyConfig{}, /*force_eager=*/false,
-        buffer);
+        dbtouch::sampling::SampleHierarchyConfig{}, buffer);
     auto table = make_fat();
     bool ok = shared->RegisterTable(table).ok();
     dbtouch::storage::TableSpiller spiller(

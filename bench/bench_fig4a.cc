@@ -9,10 +9,17 @@
 //
 // Paper's claim: slower gestures register more touches and return more
 // entries — roughly linearly in gesture duration (~60 entries at 4 s).
+//
+// Writes BENCH_fig4a.json: entries returned and rows scanned at every point
+// of both series, gated exactly (no count depends on the runner), and
+// exits non-zero when the trend breaks: entries per second outside
+// [13, 16] at 15 Hz or outside [56, 61] at 60 Hz.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -64,45 +71,73 @@ ObjectId MakePaperObject(Kernel* kernel) {
   return *id;
 }
 
-std::int64_t RunSlide(double duration_s, std::int64_t rows,
-                      double touch_hz) {
+struct SlideCounts {
+  std::int64_t entries = 0;
+  std::int64_t rows_scanned = 0;
+};
+
+SlideCounts RunSlide(double duration_s, std::int64_t rows, double touch_hz) {
   auto kernel = MakePaperKernel(rows, touch_hz);
   MakePaperObject(kernel.get());
   TraceBuilder builder(kernel->device());
   kernel->Replay(builder.Slide("fig4a", PointCm{3.0, 1.0},
                                PointCm{3.0, 1.0 + kObjectHeightCm},
                                MotionProfile::Constant(duration_s)));
-  return kernel->stats().entries_returned;
+  return {kernel->stats().entries_returned, kernel->stats().rows_scanned};
 }
 
-void PrintReport() {
+/// Runs one series point, adds its gated counts to `report` and checks
+/// entries per second against [lo, hi]. False = the trend broke.
+bool RunPoint(double secs, double hz, double lo, double hi,
+              dbtouch::bench::BenchReport* report,
+              dbtouch::bench::Table* table) {
+  const SlideCounts c = RunSlide(secs, kPaperRows, hz);
+  const double per_sec = static_cast<double>(c.entries) / secs;
+  const std::string point = dbtouch::bench::Fmt(hz, 0) + "hz_" +
+                            dbtouch::bench::Fmt(secs, 1) + "s";
+  report->Metric("entries_" + point, c.entries);
+  report->Gate("entries_" + point, "higher", 0.0);
+  report->Metric("rows_scanned_" + point, c.rows_scanned);
+  report->Gate("rows_scanned_" + point, "lower", 0.0);
+  table->Row({dbtouch::bench::Fmt(secs, 1), dbtouch::bench::Fmt(c.entries),
+              dbtouch::bench::Fmt(c.rows_scanned),
+              dbtouch::bench::Fmt(per_sec, 1)});
+  if (per_sec < lo || per_sec > hi) {
+    std::printf("TREND BROKEN: %.1f entries/sec at %s, outside [%.0f, %.0f]\n",
+                per_sec, point.c_str(), lo, hi);
+    return false;
+  }
+  return true;
+}
+
+/// Prints both series and writes BENCH_fig4a.json. False = a trend check
+/// failed or the report could not be written.
+bool PrintReport() {
   dbtouch::bench::Banner(
       "FIG4A", "paper Figure 4(a), Section 3 'Varying Gesture Speed'",
       "Entries returned vs time to complete a slide (interactive\n"
       "summaries, avg, k=10, 10^7 ints, 10cm object). Slower slides see\n"
       "more data; the relation is ~linear in gesture duration.");
 
+  dbtouch::bench::BenchReport report("fig4a");
+  bool ok = true;
   std::printf("\nSeries at the calibrated device rate (15 registered "
-              "touch-move events/sec):\n\n");
+              "touch-move events/sec; the paper reads ~15 entries/sec):\n\n");
   dbtouch::bench::Table table(
-      {"gesture_secs", "entries", "entries/sec", "paper(~15/sec)"});
+      {"gesture_secs", "entries", "rows_scanned", "entries/sec"});
   for (const double secs : {0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0}) {
-    const std::int64_t entries = RunSlide(secs, kPaperRows, 15.0);
-    table.Row({dbtouch::bench::Fmt(secs, 1), dbtouch::bench::Fmt(entries),
-               dbtouch::bench::Fmt(static_cast<double>(entries) / secs, 1),
-               dbtouch::bench::Fmt(15.0 * secs, 0)});
+    ok = RunPoint(secs, 15.0, 13.0, 16.0, &report, &table) && ok;
   }
 
   std::printf("\nShape is device-rate independent (same sweep at 60 "
               "events/sec):\n\n");
-  dbtouch::bench::Table table60({"gesture_secs", "entries", "entries/sec"});
+  dbtouch::bench::Table table60(
+      {"gesture_secs", "entries", "rows_scanned", "entries/sec"});
   for (const double secs : {0.5, 1.0, 2.0, 4.0}) {
-    const std::int64_t entries = RunSlide(secs, kPaperRows, 60.0);
-    table60.Row({dbtouch::bench::Fmt(secs, 1), dbtouch::bench::Fmt(entries),
-                 dbtouch::bench::Fmt(static_cast<double>(entries) / secs,
-                                     1)});
+    ok = RunPoint(secs, 60.0, 56.0, 61.0, &report, &table60) && ok;
   }
   std::printf("\n");
+  return report.Write("BENCH_fig4a.json") && ok;
 }
 
 // Micro-benchmark: full pipeline cost of one 2-second slide (wall time),
@@ -126,9 +161,9 @@ BENCHMARK(BM_Fig4aSlide)->Arg(5)->Arg(20)->Arg(40);
 }  // namespace
 
 int main(int argc, char** argv) {
-  PrintReport();
+  const bool ok = PrintReport();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return 0;
+  return ok ? 0 : 1;
 }

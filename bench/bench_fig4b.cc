@@ -9,11 +9,17 @@
 //
 // Paper's claim: bigger objects expose more touchable positions, so the
 // same gesture speed inspects more data — entries grow ~linearly in size.
+//
+// Writes BENCH_fig4b.json: entries returned and rows scanned at every
+// object size, gated exactly (no count depends on the runner), and exits
+// non-zero when the trend breaks: entries per cm outside [1.8, 2.6].
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -39,7 +45,12 @@ constexpr std::int64_t kPaperRows = 10'000'000;
 // At the 15Hz registered-touch rate that implies a ~6.5cm/s finger.
 constexpr double kSlideSpeedCmPerS = 6.5;  // Constant across sizes.
 
-std::int64_t RunAtSize(double object_cm, std::int64_t rows) {
+struct SlideCounts {
+  std::int64_t entries = 0;
+  std::int64_t rows_scanned = 0;
+};
+
+SlideCounts RunAtSize(double object_cm, std::int64_t rows) {
   KernelConfig config;
   // Allow objects up to the paper's 24cm. A 24cm object exceeds the
   // iPad's portrait height; the paper slides it along the display's long
@@ -66,10 +77,12 @@ std::int64_t RunAtSize(double object_cm, std::int64_t rows) {
   kernel.Replay(builder.Slide("fig4b", PointCm{3.0, 0.0},
                               PointCm{3.0, object_cm},
                               MotionProfile::Constant(duration_s)));
-  return kernel.stats().entries_returned;
+  return {kernel.stats().entries_returned, kernel.stats().rows_scanned};
 }
 
-void PrintReport() {
+/// Prints the series and writes BENCH_fig4b.json. False = a trend check
+/// failed or the report could not be written.
+bool PrintReport() {
   dbtouch::bench::Banner(
       "FIG4B", "paper Figure 4(b), Section 3 'Varying Object Size'",
       "Entries returned vs object size after successive zoom-in gestures\n"
@@ -77,17 +90,32 @@ void PrintReport() {
       "allow finer-grained access: entries grow ~linearly with size.");
 
   std::printf("\n");
+  dbtouch::bench::BenchReport report("fig4b");
+  bool ok = true;
   dbtouch::bench::Table table({"object_cm", "slide_secs", "entries",
-                               "entries/cm"});
+                               "rows_scanned", "entries/cm"});
   for (const double cm : {1.5, 3.0, 6.0, 12.0, 24.0}) {
-    const std::int64_t entries = RunAtSize(cm, kPaperRows);
+    const SlideCounts c = RunAtSize(cm, kPaperRows);
+    const double per_cm = static_cast<double>(c.entries) / cm;
+    const std::string point = dbtouch::bench::Fmt(cm, 1) + "cm";
+    report.Metric("entries_" + point, c.entries);
+    report.Gate("entries_" + point, "higher", 0.0);
+    report.Metric("rows_scanned_" + point, c.rows_scanned);
+    report.Gate("rows_scanned_" + point, "lower", 0.0);
     table.Row({dbtouch::bench::Fmt(cm, 1),
                dbtouch::bench::Fmt(cm / kSlideSpeedCmPerS, 1),
-               dbtouch::bench::Fmt(entries),
-               dbtouch::bench::Fmt(static_cast<double>(entries) / cm, 1)});
+               dbtouch::bench::Fmt(c.entries),
+               dbtouch::bench::Fmt(c.rows_scanned),
+               dbtouch::bench::Fmt(per_cm, 1)});
+    if (per_cm < 1.8 || per_cm > 2.6) {
+      std::printf("TREND BROKEN: %.2f entries/cm at %s, outside [1.8, 2.6]\n",
+                  per_cm, point.c_str());
+      ok = false;
+    }
   }
   std::printf("\nDoubling the object size ~doubles the entries seen at "
               "constant speed,\nmatching the paper's Figure 4(b) shape.\n\n");
+  return report.Write("BENCH_fig4b.json") && ok;
 }
 
 // Micro-benchmark: zoom pipeline (pinch gesture -> frame growth).
@@ -114,9 +142,9 @@ BENCHMARK(BM_PinchZoom);
 }  // namespace
 
 int main(int argc, char** argv) {
-  PrintReport();
+  const bool ok = PrintReport();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return 0;
+  return ok ? 0 : 1;
 }

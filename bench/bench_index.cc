@@ -1,17 +1,15 @@
 // ABL-INDEX — paper Section 2.6 "Indexing": index support for filtered
 // exploration. Zone maps prune summary bands that cannot match a
 // predicate; the sorted index turns a value-range question into a direct
-// lookup. Both are built per sample level.
+// lookup.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 
 #include "bench/bench_util.h"
-#include "index/level_index_set.h"
 #include "index/sorted_index.h"
 #include "index/zone_map.h"
-#include "sampling/sample_hierarchy.h"
 #include "storage/datagen.h"
 
 namespace {

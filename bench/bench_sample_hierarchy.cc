@@ -104,14 +104,18 @@ void PrintReport() {
        {std::int64_t{1'000'000}, std::int64_t{10'000'000}}) {
     const Column base = dbtouch::storage::MakePaperEvalColumn(rows);
     const auto t0 = std::chrono::steady_clock::now();
-    dbtouch::sampling::SampleHierarchy h(base.View());
+    const auto h =
+        dbtouch::sampling::SampleHierarchy::Build(*base.PagedSource());
     const double ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
+    if (!h.ok()) {
+      std::abort();
+    }
     build.Row({dbtouch::bench::Fmt(rows),
-               dbtouch::bench::Fmt(static_cast<std::int64_t>(h.num_levels())),
+               dbtouch::bench::Fmt(static_cast<std::int64_t>(h->num_levels())),
                dbtouch::bench::Fmt(
-                   static_cast<double>(h.sample_bytes()) / (1024.0 * 1024.0),
+                   static_cast<double>(h->sample_bytes()) / (1024.0 * 1024.0),
                    2),
                dbtouch::bench::Fmt(ms, 1)});
   }

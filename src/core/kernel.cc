@@ -8,7 +8,6 @@
 #include "common/logging.h"
 #include "common/macros.h"
 #include "exec/summary.h"
-#include "index/level_index_set.h"
 #include "obs/trace_recorder.h"
 #include "prefetch/extrapolator.h"
 #include "touch/touch_mapper.h"
@@ -32,6 +31,43 @@ constexpr double kPrefetchHorizonS = 0.25;
 /// Warm-up fetches issued per slide step at most (bounds queue growth
 /// when the extrapolator predicts a long reach).
 constexpr std::int64_t kMaxPrefetchBlocksPerTouch = 8;
+/// Largest object frame extent accepted, in cm: far above any screen (the
+/// largest frame in the repo is Figure 4(b)'s 24 cm).
+constexpr double kMaxFrameExtentCm = 1'000.0;
+
+/// InvalidArgument unless `frame` has a finite origin and a finite,
+/// positive extent of at most kMaxFrameExtentCm on both axes.
+Status CheckFrame(const touch::RectCm& frame) {
+  const auto extent_ok = [](double e) {
+    return e > 0.0 && e <= kMaxFrameExtentCm;  // False for NaN.
+  };
+  if (!std::isfinite(frame.x) || !std::isfinite(frame.y) ||
+      !extent_ok(frame.width) || !extent_ok(frame.height)) {
+    return Status::InvalidArgument(
+        "object frame needs a finite origin and a width and height in "
+        "(0, 1000] cm");
+  }
+  return Status::OK();
+}
+
+/// The summary of the band around `base_row` read from sample `level`
+/// (>= 1) of `h`: 2k+1 sample entries, the band converted back to base
+/// rows (the last entry stands for its whole stride). `*scanned` gets the
+/// entries read.
+exec::SummaryResult SampleLevelSummary(const sampling::SampleHierarchy& h,
+                                       int level, RowId base_row,
+                                       const ActionConfig& action,
+                                       std::int64_t* scanned) {
+  exec::InteractiveSummaryOp op(h.LevelView(level), action.summary_k,
+                                action.agg);
+  exec::SummaryResult sr = op.ComputeAt(h.FromBaseRow(level, base_row));
+  *scanned = op.rows_scanned();
+  sr.first = h.ToBaseRow(level, sr.first);
+  sr.last = std::min<RowId>(
+      h.ToBaseRow(level, sr.last) + h.LevelStride(level) - 1,
+      h.LevelRows(0) - 1);
+  return sr;
+}
 
 /// Starts every block of `stall` on its source's fetch queue and blocks
 /// the calling thread until all of them settle. False = at least one
@@ -93,9 +129,9 @@ struct Kernel::ObjectState {
   std::shared_ptr<storage::Table> table;
   /// Column index for column objects.
   std::optional<std::size_t> column;
-  /// Sample hierarchy over the bound column (column objects only). Owned
+  /// Sample hierarchy over the bound column (column objects only). Built
   /// by the SharedState; possibly shared with other sessions' kernels.
-  std::shared_ptr<sampling::SampleHierarchy> hierarchy;
+  std::shared_ptr<const sampling::SampleHierarchy> hierarchy;
   ActionConfig action;
   /// Per-action operator state (reset on SetAction). Aggregates and
   /// filtered scans keep one operator per source: a slide feeds the one
@@ -105,9 +141,8 @@ struct Kernel::ObjectState {
   std::unique_ptr<exec::IncrementalGroupBy> groupby_op;
   /// In-flight incremental layout rotation.
   std::unique_ptr<layout::IncrementalRotator> rotator;
-  /// Base-level zone map, fetched once from the SharedState when a
+  /// Base-level zone map, bound by SetAction from the SharedState when a
   /// filtered scan asks for index support; immutable and lock-free after.
-  /// The aliasing shared_ptr pins the owning index set.
   std::shared_ptr<const index::ZoneMap> base_zone_map;
   /// One buffer-pool source per attribute the object shows, from
   /// SharedState::GetColumnSource: a column object's bound column at
@@ -147,7 +182,6 @@ Kernel::Kernel(const KernelConfig& config, std::shared_ptr<SharedState> shared)
       shared_(shared != nullptr
                   ? std::move(shared)
                   : std::make_shared<SharedState>(config.sampling,
-                                                  /*force_eager=*/false,
                                                   config.buffer)),
       root_view_("screen",
                  touch::RectCm{0.0, 0.0, config.device.screen_width_cm,
@@ -164,6 +198,7 @@ Status Kernel::RegisterTable(std::shared_ptr<storage::Table> table) {
 Result<ObjectId> Kernel::CreateColumnObject(const std::string& table,
                                             const std::string& column,
                                             const touch::RectCm& frame) {
+  DBTOUCH_RETURN_IF_ERROR(CheckFrame(frame));
   DBTOUCH_ASSIGN_OR_RETURN(std::shared_ptr<storage::Table> t,
                            shared_->catalog().Get(table));
   DBTOUCH_ASSIGN_OR_RETURN(const std::size_t col,
@@ -190,6 +225,7 @@ Result<ObjectId> Kernel::CreateColumnObject(const std::string& table,
 
 Result<ObjectId> Kernel::CreateTableObject(const std::string& table,
                                            const touch::RectCm& frame) {
+  DBTOUCH_RETURN_IF_ERROR(CheckFrame(frame));
   DBTOUCH_ASSIGN_OR_RETURN(std::shared_ptr<storage::Table> t,
                            shared_->catalog().Get(table));
   auto state = std::make_unique<ObjectState>();
@@ -316,6 +352,14 @@ Status Kernel::SetAction(ObjectId id, const ActionConfig& action) {
       return Status::InvalidArgument(
           "group-by key must be integer or string");
     }
+  }
+  if (action.kind == ActionKind::kFilteredScan && action.use_zone_map &&
+      obj->hierarchy != nullptr && obj->base_zone_map == nullptr) {
+    // Keyed by the object's own hierarchy, so the map always matches the
+    // data this object scans. Bound here, so a map that cannot be built
+    // (a damaged spill file) is this call's error, not a touch's.
+    DBTOUCH_ASSIGN_OR_RETURN(obj->base_zone_map,
+                             shared_->GetOrBuildBaseZoneMap(obj->hierarchy));
   }
   obj->action = action;
   // A new action is a new logical query: clear operator state.
@@ -473,20 +517,11 @@ bool Kernel::AnswerPartialFromResident() {
       return false;
     }
   }
-  if (!config_.use_sampling || obj->hierarchy == nullptr) {
-    return false;
-  }
-  // Lowest already-materialised sample level. Never EnsureLevel here: a
-  // lazy build reads the (cold) base and would fault — the whole point is
-  // to answer from what is resident right now.
-  int level = 0;
-  for (int l = 1; l < obj->hierarchy->num_levels(); ++l) {
-    if (obj->hierarchy->IsMaterialized(l)) {
-      level = l;
-      break;
-    }
-  }
-  if (level == 0) {
+  // Level 1, the finest sample copy: a hierarchy holds every level from
+  // its build on, and reading one never faults.
+  constexpr int level = 1;
+  if (!config_.use_sampling || obj->hierarchy == nullptr ||
+      obj->hierarchy->num_levels() <= level) {
     return false;
   }
 
@@ -510,15 +545,8 @@ bool Kernel::AnswerPartialFromResident() {
         obj->hierarchy->FromBaseRow(level, base_row));
     scanned = 1;
   } else {
-    exec::InteractiveSummaryOp op(obj->hierarchy->LevelView(level),
-                                  obj->action.summary_k, obj->action.agg);
-    exec::SummaryResult sr =
-        op.ComputeAt(obj->hierarchy->FromBaseRow(level, base_row));
-    scanned = op.rows_scanned();
-    sr.first = obj->hierarchy->ToBaseRow(level, sr.first);
-    sr.last = std::min<RowId>(obj->hierarchy->ToBaseRow(level, sr.last) +
-                                  obj->hierarchy->LevelStride(level) - 1,
-                              obj->table->row_count() - 1);
+    const exec::SummaryResult sr = SampleLevelSummary(
+        *obj->hierarchy, level, base_row, obj->action, &scanned);
     item.kind = ResultKind::kSummary;
     item.value = storage::Value(sr.value);
     item.band_first = sr.first;
@@ -1095,18 +1123,8 @@ std::int64_t Kernel::ExecuteAction(ObjectState* obj,
       exec::SummaryResult sr;
       bool approximate = false;
       if (level > 0 && obj->hierarchy != nullptr) {
-        exec::InteractiveSummaryOp op(obj->hierarchy->LevelView(level),
-                                      obj->action.summary_k,
-                                      obj->action.agg);
-        sr = op.ComputeAt(obj->hierarchy->FromBaseRow(level, base_row));
-        scanned = op.rows_scanned();
-        // Convert the band back to base rows; the last sample entry
-        // represents its whole stride of base rows.
-        sr.first = obj->hierarchy->ToBaseRow(level, sr.first);
-        sr.last = std::min<RowId>(
-            obj->hierarchy->ToBaseRow(level, sr.last) +
-                obj->hierarchy->LevelStride(level) - 1,
-            obj->table->row_count() - 1);
+        sr = SampleLevelSummary(*obj->hierarchy, level, base_row,
+                                obj->action, &scanned);
         approximate = true;
       } else {
         // Base-data band of equivalent width, truncated to the per-touch
@@ -1141,14 +1159,7 @@ std::int64_t Kernel::ExecuteAction(ObjectState* obj,
     case ActionKind::kFilteredScan: {
       // Index-assisted slide (Section 2.6): if this touch's zone cannot
       // contain a matching value, answer without reading the data.
-      if (obj->action.use_zone_map && obj->hierarchy != nullptr) {
-        if (obj->base_zone_map == nullptr) {
-          // Keyed by the object's own hierarchy, so the map always
-          // matches the data this object scans — even if the table name
-          // was re-registered with new contents since binding.
-          obj->base_zone_map =
-              shared_->GetOrBuildBaseZoneMap(obj->hierarchy);
-        }
+      if (obj->action.use_zone_map && obj->base_zone_map != nullptr) {
         const exec::Predicate::Interval window =
             obj->action.predicate->ValueInterval();
         if (!obj->base_zone_map->MayMatch(base_row, window.lo, window.hi)) {
@@ -1276,11 +1287,6 @@ void Kernel::PumpMaintenance() {
 }
 
 void Kernel::FinishRotation(ObjectState* obj) {
-  // The swap frees the old matrix, and a sample hierarchy built over the
-  // table still views it at level 0. Move every such hierarchy onto pool
-  // sources first, while the matrix can still be read: the rebind
-  // materialises any unbuilt level from it.
-  DBTOUCH_CHECK_OK(shared_->RebindHierarchiesToPool(obj->table));
   DBTOUCH_CHECK_OK(obj->rotator->Finish());
   obj->rotator.reset();
   ++stats_.layout_rotations;

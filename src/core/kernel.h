@@ -18,7 +18,11 @@
 // Thread-safety: one kernel serves one session and is not internally
 // synchronised — the touch server serialises each session's touches.
 // Kernels sharing a SharedState may run on different threads because all
-// shared artefacts are immutable after construction.
+// shared artefacts are immutable after construction: a column object's
+// sample hierarchy holds its own level copies, built whole when the object
+// is created, and its base zone map is built when SetAction asks for one,
+// so neither ever reads the table again, whatever a reclaim or a layout
+// rotation does to it later.
 
 #ifndef DBTOUCH_CORE_KERNEL_H_
 #define DBTOUCH_CORE_KERNEL_H_
@@ -198,14 +202,18 @@ class Kernel {
   Status RegisterTable(std::shared_ptr<storage::Table> table);
 
   /// Creates a column-shaped data object bound to `table.column`, placed
-  /// at `frame` on screen. Builds its sample hierarchy and binds one
-  /// buffer-pool source to the column.
+  /// at `frame` on screen. Builds its sample hierarchy (or shares the one
+  /// built) and binds one buffer-pool source to the column. The frame
+  /// needs a finite origin and a finite, positive width and height of at
+  /// most 1,000 cm (InvalidArgument otherwise); a hierarchy build that
+  /// cannot read the column is this call's error.
   Result<ObjectId> CreateColumnObject(const std::string& table,
                                       const std::string& column,
                                       const touch::RectCm& frame);
 
   /// Creates a fat-rectangle table object bound to the whole table: one
-  /// buffer-pool source per attribute.
+  /// buffer-pool source per attribute. Same frame check as a column
+  /// object.
   Result<ObjectId> CreateTableObject(const std::string& table,
                                      const touch::RectCm& frame);
 
@@ -219,7 +227,10 @@ class Kernel {
   std::vector<ObjectId> ListObjects() const;
 
   /// Sets what gestures on the object compute. Resets per-object operator
-  /// state (a new choice of action starts a new logical query).
+  /// state (a new choice of action starts a new logical query). A
+  /// filtered scan with `use_zone_map` on a column object binds the base
+  /// zone map here; a map that cannot be built is the returned error, and
+  /// the object keeps its previous action.
   Status SetAction(ObjectId id, const ActionConfig& action);
 
   /// Declares a slide-driven join between the bound columns of two column
@@ -270,14 +281,14 @@ class Kernel {
   // ---- Partial answers & progressive refinement (Section 4) --------------
 
   /// Deadline escape hatch: answers the gesture stalled at the head of the
-  /// pending queue immediately from the lowest *resident* sample level
-  /// (never faulting), emits the result with partial = true / refine_seq =
-  /// 0, and queues a refinement that will re-execute the same touch at
-  /// full fidelity once its blocks land. Returns false — leaving the
-  /// pending queue untouched, so the caller parks classically — when the
-  /// stalled gesture is not eligible: only stateless actions (plain scans
-  /// and summaries) on non-joined column objects with a materialised
-  /// sample level can be re-executed bit-identically later.
+  /// pending queue immediately from sample level 1, the finest copy, which
+  /// is in memory and never faults; emits the result with partial = true /
+  /// refine_seq = 0, and queues a refinement that will re-execute the same
+  /// touch at full fidelity once its blocks land. Returns false — leaving
+  /// the pending queue untouched, so the caller parks classically — when
+  /// the stalled gesture is not eligible: only stateless actions (plain
+  /// scans and summaries) on non-joined column objects whose hierarchy
+  /// has a level 1 can be re-executed bit-identically later.
   bool AnswerPartialFromResident();
 
   /// Executes the oldest queued refinement whose object is still alive.
@@ -385,8 +396,7 @@ class Kernel {
   void HandleSlideStep(const gesture::GestureEvent& event, ObjectState* obj);
   void HandlePinchStep(const gesture::GestureEvent& event, ObjectState* obj);
   void HandleRotate(const gesture::GestureEvent& event, ObjectState* obj);
-  /// Swaps `obj`'s completed rotation into its table, after moving every
-  /// sample hierarchy over the table off the matrix the swap frees.
+  /// Swaps `obj`'s completed rotation into its table.
   void FinishRotation(ObjectState* obj);
 
   /// Executes the object's action for the touch mapped to `mapping`,

@@ -7,18 +7,18 @@
 
 namespace dbtouch::core {
 
-SharedState::SharedState(sampling::SampleHierarchyConfig sampling,
-                         bool force_eager,
-                         const cache::BufferManagerConfig& buffer)
-    : sampling_(sampling), buffer_(buffer) {
-  if (force_eager) {
-    // Lazy materialisation mutates level storage on first read; under
-    // sharing every level must exist before the hierarchy is handed out.
-    sampling_.eager = true;
-  }
-}
+namespace {
 
-Result<std::shared_ptr<sampling::SampleHierarchy>>
+/// Rows each zone of a base zone map summarises.
+constexpr std::int64_t kRowsPerZone = 4096;
+
+}  // namespace
+
+SharedState::SharedState(sampling::SampleHierarchyConfig sampling,
+                         const cache::BufferManagerConfig& buffer)
+    : sampling_(sampling), buffer_(buffer) {}
+
+Result<std::shared_ptr<const sampling::SampleHierarchy>>
 SharedState::GetOrBuildHierarchy(const std::string& table,
                                  std::size_t column) {
   DBTOUCH_ASSIGN_OR_RETURN(std::shared_ptr<storage::Table> t,
@@ -34,41 +34,47 @@ SharedState::GetOrBuildHierarchy(const std::string& table,
     return it->second.hierarchy;
   }
   // First build, or the name was re-registered with a different table:
-  // (re)build and retire any index set over the stale hierarchy. A
-  // reclaimed table has no matrix to stride over — the rebuild pins
-  // blocks of its paged rebind source instead (streamed through the
-  // shared pool, so even this build honours the byte budget).
-  auto hierarchy =
-      t->raw_released()
-          ? std::make_shared<sampling::SampleHierarchy>(
-                t->PagedColumnAt(column), sampling_)
-          : std::make_shared<sampling::SampleHierarchy>(
-                t->ColumnViewAt(column), sampling_);
-  if (it != hierarchies_.end()) {
-    indexes_.erase(it->second.hierarchy.get());
-  }
-  hierarchies_[key] = HierarchyEntry{t, hierarchy};
+  // (re)build, which also retires the stale entry's zone map.
+  std::shared_ptr<const sampling::SampleHierarchy> hierarchy;
+  DBTOUCH_RETURN_IF_ERROR(
+      t->ReadColumn(column, [&](storage::PagedColumnSource& base) {
+        DBTOUCH_ASSIGN_OR_RETURN(
+            sampling::SampleHierarchy built,
+            sampling::SampleHierarchy::Build(base, sampling_));
+        hierarchy = std::make_shared<const sampling::SampleHierarchy>(
+            std::move(built));
+        return Status::OK();
+      }));
+  hierarchies_[key] = HierarchyEntry{t, hierarchy, nullptr};
   return hierarchy;
 }
 
-std::shared_ptr<const index::ZoneMap> SharedState::GetOrBuildBaseZoneMap(
-    const std::shared_ptr<sampling::SampleHierarchy>& hierarchy) {
+Result<std::shared_ptr<const index::ZoneMap>>
+SharedState::GetOrBuildBaseZoneMap(
+    const std::shared_ptr<const sampling::SampleHierarchy>& hierarchy) {
   DBTOUCH_CHECK(hierarchy != nullptr);
   const std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = indexes_[hierarchy.get()];
-  if (slot == nullptr) {
-    // The index set captures the hierarchy shared_ptr in its deleter so
-    // the raw pointer it holds — and this map's key — stay valid for the
-    // set's whole life.
-    slot = std::shared_ptr<index::LevelIndexSet>(
-        new index::LevelIndexSet(hierarchy.get()),
-        [hierarchy](index::LevelIndexSet* set) { delete set; });
-    // Build now, under the lock; afterwards the zone map is read-only.
-    slot->ZoneMapAt(0);
+  for (auto& slot : hierarchies_) {
+    HierarchyEntry& entry = slot.second;
+    if (entry.hierarchy != hierarchy) {
+      continue;
+    }
+    if (entry.base_zone_map == nullptr) {
+      // Build now, under the lock; afterwards the zone map is read-only.
+      DBTOUCH_RETURN_IF_ERROR(entry.table->ReadColumn(
+          slot.first.second, [&](storage::PagedColumnSource& base) {
+            DBTOUCH_ASSIGN_OR_RETURN(
+                index::ZoneMap built,
+                index::ZoneMap::Build(base, kRowsPerZone));
+            entry.base_zone_map =
+                std::make_shared<const index::ZoneMap>(std::move(built));
+            return Status::OK();
+          }));
+    }
+    return entry.base_zone_map;
   }
-  // Aliasing: the ZoneMap pointer keeps the whole index set (and through
-  // it the hierarchy) alive for as long as any caller holds it.
-  return std::shared_ptr<const index::ZoneMap>(slot, &slot->ZoneMapAt(0));
+  return Status::FailedPrecondition(
+      "sample hierarchy was retired: its table's name was re-registered");
 }
 
 Result<std::shared_ptr<storage::PagedColumnSource>>
@@ -99,23 +105,6 @@ SharedState::ColumnSourceLocked(const std::shared_ptr<storage::Table>& table,
     providers_.erase(it);
   }
   return buffer_.ColumnSource(table, column);
-}
-
-Status SharedState::RebindHierarchiesToPool(
-    const std::shared_ptr<storage::Table>& table) {
-  // Under mu_, like SpillTable's rebind: a concurrent GetOrBuildHierarchy
-  // either runs before (and is rebound here) or after (and finds the
-  // rebound hierarchy).
-  const std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [key, entry] : hierarchies_) {
-    if (entry.table != table || entry.hierarchy->base_is_paged()) {
-      continue;
-    }
-    DBTOUCH_ASSIGN_OR_RETURN(std::shared_ptr<storage::PagedColumnSource> source,
-                             ColumnSourceLocked(table, key.second));
-    entry.hierarchy->RebindBase(std::move(source));
-  }
-  return Status::OK();
 }
 
 Status SharedState::SetColumnProvider(
@@ -201,28 +190,18 @@ Status SharedState::BindSpill(
   // Reclamation: every file is written, validated and bound — the matrix
   // is now a redundant copy. Resolve the paged rebind sources (the same
   // binding GetColumnSource hands out, so probe pins and point reads
-  // share cache keys), move the hierarchies onto them, then free the raw
-  // storage. ReleaseRaw waits out raw readers still in flight.
-  //
-  // One critical section for rebind + release: a concurrent
-  // GetOrBuildHierarchy (same mutex) either runs before — and is rebound
-  // here — or after, when raw_released() already steers it to the paged
-  // build. Releasing between the two would let it build over a matrix
-  // about to be freed. Lock order is mu_ then the table's release gate;
-  // no raw-gate holder ever takes mu_.
-  const std::lock_guard<std::mutex> lock(mu_);
+  // share cache keys), then free the raw storage. ReleaseRaw waits out
+  // raw readers still in flight, a hierarchy or zone-map build among
+  // them; sample hierarchies hold their own copies and need nothing.
   std::vector<std::shared_ptr<storage::PagedColumnSource>> sources;
   sources.reserve(providers.size());
-  for (std::size_t column = 0; column < providers.size(); ++column) {
-    DBTOUCH_ASSIGN_OR_RETURN(std::shared_ptr<storage::PagedColumnSource> source,
-                             ColumnSourceLocked(table, column));
-    sources.push_back(std::move(source));
-  }
-  for (auto& [key, entry] : hierarchies_) {
-    if (entry.table == table) {
-      // Materialises any unbuilt levels from the still-valid matrix,
-      // then pins blocks for everything after.
-      entry.hierarchy->RebindBase(sources[key.second]);
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    for (std::size_t column = 0; column < providers.size(); ++column) {
+      DBTOUCH_ASSIGN_OR_RETURN(
+          std::shared_ptr<storage::PagedColumnSource> source,
+          ColumnSourceLocked(table, column));
+      sources.push_back(std::move(source));
     }
   }
   return table->ReleaseRaw(std::move(sources));

@@ -10,9 +10,10 @@
 //
 // Thread-safety contract: construction of shared artefacts (hierarchies,
 // zone maps) happens under an internal mutex; everything handed out is
-// immutable afterwards, so per-touch reads take no locks. Sample
-// hierarchies are always built eagerly here — lazy materialisation is a
-// single-user optimisation that would race under sharing.
+// immutable afterwards, so per-touch reads take no locks. Each artefact
+// reads its base once, when it is built, through Table::ReadColumn, and
+// keeps no pointer into it: a reclaim or a layout rotation later frees
+// the matrix without touching them.
 //
 // The SharedState also owns the server-wide cache::BufferManager: base
 // column data read by any session flows through one bounded block cache
@@ -34,7 +35,7 @@
 #include "cache/buffer_manager.h"
 #include "common/result.h"
 #include "common/status.h"
-#include "index/level_index_set.h"
+#include "index/zone_map.h"
 #include "sampling/sample_hierarchy.h"
 #include "storage/catalog.h"
 #include "storage/paged_column.h"
@@ -47,13 +48,13 @@ namespace dbtouch::core {
 
 class SharedState {
  public:
-  /// `force_eager`: build every hierarchy level up front. Required when
-  /// the state is shared across sessions (lazy materialisation would
-  /// race); a Kernel's private SharedState passes false to honour the
-  /// user's sampling config exactly as the single-user system did.
   explicit SharedState(sampling::SampleHierarchyConfig sampling = {},
-                       bool force_eager = true,
                        const cache::BufferManagerConfig& buffer = {});
+  /// Kept for perfbench/touchbench.cc, which still calls it (ROADMAP
+  /// direction 5). The bool is ignored: every hierarchy is built whole.
+  SharedState(sampling::SampleHierarchyConfig sampling, bool,
+              const cache::BufferManagerConfig& buffer)
+      : SharedState(sampling, buffer) {}
 
   SharedState(const SharedState&) = delete;
   SharedState& operator=(const SharedState&) = delete;
@@ -65,22 +66,23 @@ class SharedState {
     return catalog_.Register(std::move(table));
   }
 
-  /// The sample hierarchy over `table.column`, built eagerly on first
-  /// request and shared by every session thereafter. The hierarchy is
-  /// immutable once returned; concurrent LevelView reads are safe.
-  Result<std::shared_ptr<sampling::SampleHierarchy>> GetOrBuildHierarchy(
-      const std::string& table, std::size_t column);
+  /// The sample hierarchy over `table.column`, built whole on first
+  /// request (one read of the column through Table::ReadColumn, whatever
+  /// tier it lives in) and shared by every session thereafter. A block
+  /// that cannot be read fails the build with its Status.
+  Result<std::shared_ptr<const sampling::SampleHierarchy>>
+  GetOrBuildHierarchy(const std::string& table, std::size_t column);
 
-  /// The base-level (level 0) zone map over `hierarchy`, built on first
-  /// request and shared by every object bound to that hierarchy. Keyed by
-  /// hierarchy identity — not table name — so an object always prunes
-  /// with a map over exactly the data it scans, even after its table's
-  /// name is re-registered with new contents. The returned (aliasing)
-  /// shared_ptr pins the owning index set (and through it the hierarchy);
-  /// the map itself is immutable, so per-touch MayMatch probes take no
-  /// locks.
-  std::shared_ptr<const index::ZoneMap> GetOrBuildBaseZoneMap(
-      const std::shared_ptr<sampling::SampleHierarchy>& hierarchy);
+  /// The base-level (level 0) zone map of the column `hierarchy` samples,
+  /// built on first request (through Table::ReadColumn, like the
+  /// hierarchy) and shared by every object bound to that hierarchy. Keyed
+  /// by hierarchy identity — not table name — so an object always prunes
+  /// with a map over exactly the data it scans. A hierarchy retired by a
+  /// re-registration of its table's name has no map to build
+  /// (FailedPrecondition); handles given out before stay valid. The map
+  /// is immutable, so per-touch MayMatch probes take no locks.
+  Result<std::shared_ptr<const index::ZoneMap>> GetOrBuildBaseZoneMap(
+      const std::shared_ptr<const sampling::SampleHierarchy>& hierarchy);
 
   /// The server-wide buffer pool every session's base-data reads share.
   cache::BufferManager& buffer_manager() { return buffer_; }
@@ -110,20 +112,18 @@ class SharedState {
   /// complete, so a failed spill leaves the current binding fully intact,
   /// whether it reads the matrix or an earlier spill's files.
   ///
-  /// With `reclaim_raw`, the spill then actually frees memory: every
-  /// shared sample hierarchy over the table is rebound to the paged tier
-  /// (its level copies are materialised first — they are all that
-  /// survives in RAM), and the table's matrix storage is released
-  /// (storage::Table::ReleaseRaw), so the tracked resident bytes of the
-  /// table drop to ~0 and the pool's byte budget becomes the only bound
-  /// on base-data residency — the out-of-core promise made literal.
-  /// Remaining readers go through PagedColumnSource pins: data objects
-  /// through their pool sources, hierarchies rebuilt later via
-  /// GetOrBuildHierarchy's paged build, zone maps via the paged index
-  /// builds, Table::GetValue via the table's rebind sources. Racing
-  /// readers are safe, not transparent: raw reads drain behind the
-  /// table's release gate, and pool pins hold copies, so nothing frees
-  /// under them. Pool sources handed out BEFORE the reclaim keep their
+  /// With `reclaim_raw`, the spill then actually frees memory: the
+  /// table's matrix storage is released (storage::Table::ReleaseRaw), so
+  /// the tracked resident bytes of the table drop to ~0 and the pool's
+  /// byte budget becomes the only bound on base-data residency — the
+  /// out-of-core promise made literal. Sample hierarchies already built
+  /// hold their own copies and never read the base again. Remaining
+  /// readers go through PagedColumnSource pins: data objects through
+  /// their pool sources, later hierarchy and zone-map builds and
+  /// Table::GetValue through the table's rebind sources. Racing readers
+  /// are safe, not transparent: raw reads drain behind the table's
+  /// release gate, and pool pins hold copies, so nothing frees under
+  /// them. Pool sources handed out BEFORE the reclaim keep their
   /// in-memory binding, whose fills now fail; a kernel object rebinds
   /// its sources to the spill binding before its next probed gesture
   /// event (see src/storage/README.md, "Stale pool bindings", for the
@@ -143,24 +143,11 @@ class SharedState {
                        storage::TableSpiller& spiller,
                        bool reclaim_raw = false);
 
-  /// Moves every sample hierarchy built over `table`'s matrix onto the
-  /// column's pool source (the one GetColumnSource resolves), with
-  /// SampleHierarchy::RebindBase — the step a layout rotation takes
-  /// BEFORE Table::ReplaceStorage frees the matrix the hierarchies'
-  /// level-0 views point into. Unbuilt levels are materialised from the
-  /// matrix first, so the caller must run this while it is still valid.
-  /// Hierarchies already on a paged base are left as they are.
-  Status RebindHierarchiesToPool(const std::shared_ptr<storage::Table>& table);
-
   /// Number of distinct (table, column) hierarchies built so far.
   std::size_t hierarchy_count() const;
 
   /// Bytes held by all shared sample copies.
   std::size_t sample_bytes() const;
-
-  const sampling::SampleHierarchyConfig& sampling_config() const {
-    return sampling_;
-  }
 
  private:
   using ColumnKey = std::pair<std::string, std::size_t>;
@@ -174,8 +161,8 @@ class SharedState {
 
   /// The shared tail of SpillTable and SpillTablePax: binds
   /// `providers[c]` as column c's provider of `table` and, with
-  /// `reclaim_raw`, rebinds every hierarchy over the table to its column's
-  /// pool source and releases the matrix.
+  /// `reclaim_raw`, releases the matrix, rebinding point reads to each
+  /// column's pool source.
   Status BindSpill(
       const std::shared_ptr<storage::Table>& table,
       const std::vector<std::shared_ptr<cache::BlockProvider>>& providers,
@@ -190,12 +177,15 @@ class SharedState {
   cache::BufferManager buffer_;
 
   /// Cached artefacts pin the Table they were built over: the pin keeps
-  /// the hierarchy's base ColumnView alive even if the catalog drops the
-  /// table, and identity-checking it detects a name being re-registered
-  /// with new data (the stale entry is then rebuilt).
+  /// the column's dictionary alive for the hierarchy and lets a later
+  /// zone-map build read the same table, and identity-checking it detects
+  /// a name being re-registered with new data (the stale entry is then
+  /// rebuilt).
   struct HierarchyEntry {
     std::shared_ptr<storage::Table> table;
-    std::shared_ptr<sampling::SampleHierarchy> hierarchy;
+    std::shared_ptr<const sampling::SampleHierarchy> hierarchy;
+    /// Built on the first GetOrBuildBaseZoneMap.
+    std::shared_ptr<const index::ZoneMap> base_zone_map;
   };
 
   /// Explicit cold-tier provider (SetColumnProvider), pinned to the
@@ -213,13 +203,6 @@ class SharedState {
   std::map<ColumnKey, HierarchyEntry> hierarchies_;
   /// Consulted by GetColumnSource before defaulting to table blocks.
   std::map<ColumnKey, ProviderEntry> providers_;
-  /// Index sets piggy-back on the hierarchies, keyed by hierarchy
-  /// identity; only their level-0 zone maps are exposed (built under mu_,
-  /// then read-only). Each set's deleter pins its hierarchy, so the raw
-  /// key pointer stays valid for the entry's whole life.
-  std::map<const sampling::SampleHierarchy*,
-           std::shared_ptr<index::LevelIndexSet>>
-      indexes_;
 };
 
 }  // namespace dbtouch::core

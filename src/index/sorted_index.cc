@@ -4,48 +4,19 @@
 
 namespace dbtouch::index {
 
-namespace {
-
-void SortEntries(std::vector<SortedIndex::Entry>& entries);
-
-}  // namespace
-
 SortedIndex::SortedIndex(storage::ColumnView column) {
   entries_.reserve(static_cast<std::size_t>(column.row_count()));
   for (storage::RowId r = 0; r < column.row_count(); ++r) {
     entries_.push_back(Entry{column.GetAsDouble(r), r});
   }
-  SortEntries(entries_);
-}
-
-SortedIndex::SortedIndex(
-    const std::shared_ptr<storage::PagedColumnSource>& source) {
-  entries_.reserve(static_cast<std::size_t>(source->row_count()));
-  storage::PagedColumnCursor cursor(source);
-  cursor.Scan(0, source->row_count() - 1,
-              [&](const storage::ColumnView& rows,
-                  storage::RowId first_row) {
-                for (storage::RowId r = 0; r < rows.row_count(); ++r) {
-                  entries_.push_back(
-                      Entry{rows.GetAsDouble(r), first_row + r});
-                }
-              });
-  SortEntries(entries_);
-}
-
-namespace {
-
-void SortEntries(std::vector<SortedIndex::Entry>& entries) {
-  std::sort(entries.begin(), entries.end(),
-            [](const SortedIndex::Entry& a, const SortedIndex::Entry& b) {
+  std::sort(entries_.begin(), entries_.end(),
+            [](const Entry& a, const Entry& b) {
               if (a.value != b.value) {
                 return a.value < b.value;
               }
               return a.row < b.row;
             });
 }
-
-}  // namespace
 
 std::int64_t SortedIndex::LowerBound(double v) const {
   const auto it = std::lower_bound(

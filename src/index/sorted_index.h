@@ -7,11 +7,9 @@
 #define DBTOUCH_INDEX_SORTED_INDEX_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "storage/column.h"
-#include "storage/paged_column.h"
 #include "storage/types.h"
 
 namespace dbtouch::index {
@@ -24,11 +22,6 @@ class SortedIndex {
   };
 
   explicit SortedIndex(storage::ColumnView column);
-
-  /// Builds by scanning `source` block-at-a-time (spilled/cold columns:
-  /// the index materialises from pinned blocks, never a raw matrix).
-  explicit SortedIndex(
-      const std::shared_ptr<storage::PagedColumnSource>& source);
 
   std::int64_t size() const {
     return static_cast<std::int64_t>(entries_.size());

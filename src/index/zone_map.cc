@@ -34,50 +34,54 @@ void AccumulateZone(const storage::ColumnView& rows, double* min_out,
 
 }  // namespace
 
-ZoneMap::ZoneMap(storage::ColumnView column, std::int64_t rows_per_zone)
+ZoneMap::ZoneMap(std::int64_t rows, std::int64_t rows_per_zone)
     : rows_per_zone_(rows_per_zone) {
   DBTOUCH_CHECK(rows_per_zone > 0);
-  const std::int64_t n = column.row_count();
-  global_min_ = std::numeric_limits<double>::infinity();
-  global_max_ = -std::numeric_limits<double>::infinity();
-  for (storage::RowId first = 0; first < n; first += rows_per_zone) {
+  for (storage::RowId first = 0; first < rows; first += rows_per_zone) {
     Zone z;
     z.first = first;
-    z.last = std::min<storage::RowId>(first + rows_per_zone - 1, n - 1);
+    z.last = std::min<storage::RowId>(first + rows_per_zone - 1, rows - 1);
     z.min = std::numeric_limits<double>::infinity();
     z.max = -std::numeric_limits<double>::infinity();
-    AccumulateZone(column.Slice(z.first, z.last - z.first + 1), &z.min,
-                   &z.max);
-    global_min_ = std::min(global_min_, z.min);
-    global_max_ = std::max(global_max_, z.max);
     zones_.push_back(z);
   }
 }
 
-ZoneMap::ZoneMap(const std::shared_ptr<storage::PagedColumnSource>& source,
-                 std::int64_t rows_per_zone)
-    : rows_per_zone_(rows_per_zone) {
-  DBTOUCH_CHECK(rows_per_zone > 0);
-  DBTOUCH_CHECK(source != nullptr);
-  const std::int64_t n = source->row_count();
+ZoneMap::ZoneMap(storage::ColumnView column, std::int64_t rows_per_zone)
+    : ZoneMap(column.row_count(), rows_per_zone) {
+  Add(column, 0);
+  Finish();
+}
+
+Result<ZoneMap> ZoneMap::Build(storage::PagedColumnSource& source,
+                               std::int64_t rows_per_zone) {
+  ZoneMap map(source.row_count(), rows_per_zone);
+  DBTOUCH_RETURN_IF_ERROR(storage::ScanBlocks(
+      source, 0, source.row_count() - 1,
+      [&map](const storage::ColumnView& rows, storage::RowId first_row) {
+        map.Add(rows, first_row);
+      }));
+  map.Finish();
+  return map;
+}
+
+void ZoneMap::Add(const storage::ColumnView& rows, storage::RowId first_row) {
+  for (storage::RowId r = 0; r < rows.row_count();) {
+    const storage::RowId row = first_row + r;
+    Zone& z = zones_[static_cast<std::size_t>(row / rows_per_zone_)];
+    const std::int64_t count =
+        std::min<std::int64_t>(z.last - row + 1, rows.row_count() - r);
+    AccumulateZone(rows.Slice(r, count), &z.min, &z.max);
+    r += count;
+  }
+}
+
+void ZoneMap::Finish() {
   global_min_ = std::numeric_limits<double>::infinity();
   global_max_ = -std::numeric_limits<double>::infinity();
-  storage::PagedColumnCursor cursor(source);
-  for (storage::RowId first = 0; first < n; first += rows_per_zone) {
-    Zone z;
-    z.first = first;
-    z.last = std::min<storage::RowId>(first + rows_per_zone - 1, n - 1);
-    z.min = std::numeric_limits<double>::infinity();
-    z.max = -std::numeric_limits<double>::infinity();
-    // One block-slice callback per overlapping block: the scan pins each
-    // block once however many zones it spans.
-    cursor.Scan(z.first, z.last,
-                [&](const storage::ColumnView& rows, storage::RowId) {
-                  AccumulateZone(rows, &z.min, &z.max);
-                });
+  for (const Zone& z : zones_) {
     global_min_ = std::min(global_min_, z.min);
     global_max_ = std::max(global_max_, z.max);
-    zones_.push_back(z);
   }
 }
 

@@ -7,9 +7,9 @@
 #define DBTOUCH_INDEX_ZONE_MAP_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
+#include "common/result.h"
 #include "storage/column.h"
 #include "storage/paged_column.h"
 #include "storage/types.h"
@@ -29,12 +29,12 @@ class ZoneMap {
   /// be short).
   ZoneMap(storage::ColumnView column, std::int64_t rows_per_zone);
 
-  /// Builds by scanning `source` block-at-a-time — the out-of-core path:
-  /// a spilled column's base zone map streams through pinned cache blocks
-  /// instead of dereferencing a (possibly reclaimed) matrix. Same zones,
-  /// bounded residency.
-  ZoneMap(const std::shared_ptr<storage::PagedColumnSource>& source,
-          std::int64_t rows_per_zone);
+  /// Builds by scanning `source` block-at-a-time (storage::ScanBlocks),
+  /// pinning each block once however many zones it spans: the same zones
+  /// as the ColumnView constructor, whatever tier the column lives in. A
+  /// block that cannot be read is the returned Status.
+  static Result<ZoneMap> Build(storage::PagedColumnSource& source,
+                               std::int64_t rows_per_zone);
 
   std::int64_t num_zones() const {
     return static_cast<std::int64_t>(zones_.size());
@@ -59,6 +59,13 @@ class ZoneMap {
   double global_max() const { return global_max_; }
 
  private:
+  /// Empty zones over `rows` rows; Add fills them, Finish sums them up.
+  ZoneMap(std::int64_t rows, std::int64_t rows_per_zone);
+  /// Folds base rows [first_row, first_row + rows.row_count()) into the
+  /// zones they fall in.
+  void Add(const storage::ColumnView& rows, storage::RowId first_row);
+  void Finish();
+
   std::int64_t rows_per_zone_;
   std::vector<Zone> zones_;
   double global_min_ = 0.0;

@@ -21,8 +21,9 @@ Result<std::shared_ptr<Table>> ExtractColumnToTable(
                               " out of range for table '" + source.name() +
                               "'");
   }
+  DBTOUCH_ASSIGN_OR_RETURN(Column column, source.ExtractColumn(column_index));
   std::vector<Column> columns;
-  columns.push_back(source.ExtractColumn(column_index));
+  columns.push_back(std::move(column));
   DBTOUCH_ASSIGN_OR_RETURN(
       std::shared_ptr<Table> table,
       Table::FromColumns(new_table_name, std::move(columns)));
@@ -57,7 +58,8 @@ Result<std::shared_ptr<Table>> GroupTables(
         return Status::InvalidArgument("duplicate column name '" + col_name +
                                        "' while grouping");
       }
-      columns.push_back(t->ExtractColumn(c));
+      DBTOUCH_ASSIGN_OR_RETURN(Column column, t->ExtractColumn(c));
+      columns.push_back(std::move(column));
     }
   }
   DBTOUCH_ASSIGN_OR_RETURN(

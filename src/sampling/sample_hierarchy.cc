@@ -1,8 +1,6 @@
 #include "sampling/sample_hierarchy.h"
 
 #include <algorithm>
-#include <cstring>
-#include <utility>
 
 #include "common/macros.h"
 
@@ -12,130 +10,80 @@ using storage::Column;
 using storage::ColumnView;
 using storage::RowId;
 
-SampleHierarchy::SampleHierarchy(ColumnView base,
-                                 const SampleHierarchyConfig& config)
-    : base_(base), config_(config) {
-  Init();
+namespace {
+
+/// Appends rows start, start + 2, start + 4, ... of `rows` to `out`, field
+/// bytes copied exactly.
+void AppendEverySecond(const ColumnView& rows, RowId start, Column* out) {
+  for (RowId r = start; r < rows.row_count(); r += 2) {
+    switch (out->type()) {
+      case storage::DataType::kInt32:
+      case storage::DataType::kString:
+        out->AppendInt32(rows.GetInt32(r));
+        break;
+      case storage::DataType::kInt64:
+        out->AppendInt64(rows.GetInt64(r));
+        break;
+      case storage::DataType::kFloat:
+        out->AppendFloat(rows.GetFloat(r));
+        break;
+      case storage::DataType::kDouble:
+        out->AppendDouble(rows.GetDouble(r));
+        break;
+    }
+  }
 }
 
-SampleHierarchy::SampleHierarchy(
-    std::shared_ptr<storage::PagedColumnSource> base,
-    const SampleHierarchyConfig& config)
-    : paged_base_(std::move(base)), config_(config) {
-  DBTOUCH_CHECK(paged_base_ != nullptr);
-  // Metadata-only view: null data, real type/row-count/dictionary. Level
-  // geometry questions read it; cell reads go through paged_base_.
-  base_ = ColumnView(paged_base_->type(), nullptr,
-                     storage::TypeWidth(paged_base_->type()),
-                     paged_base_->row_count(), paged_base_->dictionary());
-  Init();
+}  // namespace
+
+SampleHierarchy::SampleHierarchy(storage::DataType type,
+                                 std::int64_t base_rows,
+                                 const storage::Dictionary* dictionary,
+                                 int num_levels)
+    : base_rows_(base_rows), dictionary_(dictionary), num_levels_(num_levels) {
+  for (int l = 1; l < num_levels_; ++l) {
+    levels_.emplace_back("sample", type);
+    levels_.back().Reserve(LevelRows(l));
+  }
 }
 
-void SampleHierarchy::Init() {
+Result<SampleHierarchy> SampleHierarchy::Build(
+    storage::PagedColumnSource& base, const SampleHierarchyConfig& config) {
   // Count how many levels clear the minimum-row threshold.
+  const std::int64_t rows = base.row_count();
   int levels = 1;
-  while (levels <= config_.max_level &&
-         (base_.row_count() >> levels) >= config_.min_level_rows) {
+  while (levels <= config.max_level &&
+         (rows >> levels) >= config.min_level_rows) {
     ++levels;
   }
-  num_levels_ = levels;
-  for (int l = 1; l < num_levels_; ++l) {
-    levels_.emplace_back("sample", base_.type());
+  SampleHierarchy h(base.type(), rows, base.dictionary(), levels);
+  if (levels == 1) {
+    return h;
   }
-  materialized_.assign(levels_.size(), false);
-  if (config_.eager) {
-    EnsureLevel(num_levels_ - 1);
-    for (int l = 1; l < num_levels_; ++l) {
-      EnsureLevel(l);
-    }
+  // Level 1 keeps the even base rows, read block by block; each level
+  // above keeps every second row of the one below.
+  DBTOUCH_RETURN_IF_ERROR(storage::ScanBlocks(
+      base, 0, rows - 1, [&h](const ColumnView& block, RowId first_row) {
+        AppendEverySecond(block, first_row % 2, &h.levels_[0]);
+      }));
+  for (std::size_t l = 1; l < h.levels_.size(); ++l) {
+    AppendEverySecond(h.levels_[l - 1].View(), 0, &h.levels_[l]);
   }
+  return h;
 }
 
-bool SampleHierarchy::IsMaterialized(int level) const {
-  DBTOUCH_CHECK(level >= 0 && level < num_levels_);
-  if (level == 0) {
-    return true;
-  }
-  return materialized_[static_cast<std::size_t>(level - 1)];
-}
-
-void SampleHierarchy::EnsureLevel(int level) {
-  DBTOUCH_CHECK(level >= 0 && level < num_levels_);
-  if (level == 0 || IsMaterialized(level)) {
-    return;
-  }
-  // Build from the nearest materialised ancestor below (halving is cheap);
-  // fall back to striding over the base.
-  int from = level - 1;
-  while (from > 0 && !IsMaterialized(from)) {
-    --from;
-  }
-  // Materialise intermediate levels on the way up so the chain stays
-  // usable for future queries at neighbouring granularities.
-  for (int l = from + 1; l <= level; ++l) {
-    if (IsMaterialized(l)) {
-      continue;
-    }
-    Column& dst = levels_[static_cast<std::size_t>(l - 1)];
-    const std::int64_t rows = LevelRows(l);
-    dst.Reserve(rows);
-    // One read path for every source tier: a paged base strides over
-    // pinned blocks (the cursor keeps the block under the read pinned,
-    // so a stride smaller than a block re-pins nothing and the build
-    // streams through the cache); in-memory parents and raw bases wrap
-    // in zero-copy cursors.
-    storage::PagedColumnCursor src =
-        (l - 1 == 0)
-            ? (base_is_paged() ? storage::PagedColumnCursor(paged_base_)
-                               : storage::PagedColumnCursor(base_))
-            : storage::PagedColumnCursor(
-                  levels_[static_cast<std::size_t>(l - 2)].View());
-    const std::int64_t src_stride = (l - 1 == 0) ? LevelStride(l) : 2;
-    for (std::int64_t s = 0; s < rows; ++s) {
-      const RowId src_row = s * src_stride;
-      switch (base_.type()) {
-        case storage::DataType::kInt32:
-        case storage::DataType::kString:
-          dst.AppendInt32(src.GetInt32(src_row));
-          break;
-        case storage::DataType::kInt64:
-          dst.AppendInt64(src.GetInt64(src_row));
-          break;
-        case storage::DataType::kFloat:
-          dst.AppendFloat(src.GetFloat(src_row));
-          break;
-        case storage::DataType::kDouble:
-          dst.AppendDouble(src.GetDouble(src_row));
-          break;
-      }
-    }
-    materialized_[static_cast<std::size_t>(l - 1)] = true;
-  }
-}
-
-ColumnView SampleHierarchy::LevelView(int level) {
-  DBTOUCH_CHECK(level >= 0 && level < num_levels_);
-  if (level == 0) {
-    // A paged base has no raw whole-column view; base-fidelity readers
-    // hold the paged source instead (kernel objects, zone-map builds).
-    DBTOUCH_CHECK(!base_is_paged());
-    return base_;
-  }
-  EnsureLevel(level);
-  // Re-attach the base dictionary so string samples still decode.
+ColumnView SampleHierarchy::LevelView(int level) const {
+  DBTOUCH_CHECK(level >= 1 && level < num_levels_);
   const Column& c = levels_[static_cast<std::size_t>(level - 1)];
   return ColumnView(c.type(), c.raw_data(), c.width(), c.row_count(),
-                    base_.dictionary());
+                    dictionary_);
 }
 
 std::int64_t SampleHierarchy::LevelRows(int level) const {
   DBTOUCH_CHECK(level >= 0 && level < num_levels_);
-  if (level == 0) {
-    return base_.row_count();
-  }
   // ceil(base / 2^level): row 0 is always sampled.
   const std::int64_t stride = LevelStride(level);
-  return (base_.row_count() + stride - 1) / stride;
+  return (base_rows_ + stride - 1) / stride;
 }
 
 RowId SampleHierarchy::ToBaseRow(int level, RowId sample_row) const {
@@ -146,37 +94,16 @@ RowId SampleHierarchy::ToBaseRow(int level, RowId sample_row) const {
 RowId SampleHierarchy::FromBaseRow(int level, RowId base_row) const {
   DBTOUCH_CHECK(level >= 0 && level < num_levels_);
   const RowId clamped =
-      std::clamp<RowId>(base_row, 0, std::max<RowId>(base_.row_count() - 1, 0));
+      std::clamp<RowId>(base_row, 0, std::max<RowId>(base_rows_ - 1, 0));
   return clamped >> level;
 }
 
 std::size_t SampleHierarchy::sample_bytes() const {
   std::size_t total = 0;
-  for (std::size_t i = 0; i < levels_.size(); ++i) {
-    if (materialized_[i]) {
-      total += levels_[i].raw_size();
-    }
+  for (const Column& level : levels_) {
+    total += level.raw_size();
   }
   return total;
-}
-
-void SampleHierarchy::RebindBase(
-    std::shared_ptr<storage::PagedColumnSource> base) {
-  DBTOUCH_CHECK(base != nullptr);
-  DBTOUCH_CHECK(base->type() == base_.type());
-  DBTOUCH_CHECK(base->row_count() == base_.row_count());
-  // Copy every level out of the raw base while it is still addressable —
-  // "hierarchies already copy their sample levels"; the rebind just
-  // finishes the job for levels a lazy hierarchy had not built yet.
-  for (int l = 1; l < num_levels_; ++l) {
-    EnsureLevel(l);
-  }
-  // base_ keeps its (now stale) data pointer but is never dereferenced
-  // again: LevelView(0) CHECKs base_is_paged, and with every level
-  // materialised EnsureLevel never reads the base. Leaving the view
-  // untouched means concurrent readers of its metadata (row counts,
-  // type, dictionary) race with nothing.
-  paged_base_ = std::move(base);
 }
 
 }  // namespace dbtouch::sampling

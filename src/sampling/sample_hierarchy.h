@@ -3,27 +3,26 @@
 // proper copy, minimizing the auxiliary data reads" (paper Section 2.6,
 // citing Sciborg's hierarchies of samples).
 //
-// Level 0 is the base data (never copied). Level l >= 1 materialises every
-// 2^l-th tuple densely, so sample row s at level l is base row s << l. The
-// power-of-two strides make levels nested: every tuple present at level l
-// is also present at all levels below it.
+// Level 0 is the base data, which the hierarchy does not hold. Level
+// l >= 1 is a dense copy of every 2^l-th tuple, so sample row s at level l
+// is base row s << l. The power-of-two strides make levels nested: every
+// tuple present at level l is also present at all levels below it.
 //
-// The base can live in two places:
-//   - a raw ColumnView into the owning table's matrix (the classic
-//     in-memory setup; LevelView(0) returns it directly), or
-//   - a PagedColumnSource (a spilled/cold column): level builds pin
-//     blocks instead of dereferencing the matrix, and LevelView(0) is a
-//     programmer error — base-fidelity reads go through the paged source
-//     the kernel already holds. RebindBase flips an in-memory hierarchy
-//     to this mode before its matrix is reclaimed.
+// A hierarchy is immutable. Build reads the base once, block-at-a-time,
+// and copies every level then; afterwards the hierarchy holds only its
+// copies and the base's type, row count and dictionary. So nothing that
+// later happens to the base (a spill reclaiming its matrix, a layout
+// rotation swapping it) concerns it, and any number of sessions read it
+// without locks. Base-fidelity reads go through the pool source the
+// kernel binds to the column.
 
 #ifndef DBTOUCH_SAMPLING_SAMPLE_HIERARCHY_H_
 #define DBTOUCH_SAMPLING_SAMPLE_HIERARCHY_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
+#include "common/result.h"
 #include "storage/column.h"
 #include "storage/paged_column.h"
 #include "storage/types.h"
@@ -31,47 +30,31 @@
 namespace dbtouch::sampling {
 
 struct SampleHierarchyConfig {
-  /// Highest materialisable level (stride 2^max_level).
+  /// Highest level built (stride 2^max_level).
   int max_level = 16;
   /// Levels whose sample would fall below this row count are not built;
   /// tiny samples cost more in bookkeeping than they save in reads.
   std::int64_t min_level_rows = 256;
-  /// If true, Build() materialises every level eagerly; otherwise levels
-  /// are built on first use (EnsureLevel), modelling the paper's
-  /// "incrementally create a new copy ... to answer future queries".
-  bool eager = true;
 };
 
 class SampleHierarchy {
  public:
-  /// Builds over `base`. The view must outlive the hierarchy (in dbTouch
-  /// the kernel pins the owning Table for the life of the data object).
-  SampleHierarchy(storage::ColumnView base,
-                  const SampleHierarchyConfig& config = {});
+  /// Reads `base` once, block-at-a-time (storage::ScanBlocks), and builds
+  /// every level. A block that cannot be read is the returned Status. The
+  /// base's dictionary must outlive the hierarchy (its owner pins the
+  /// table).
+  static Result<SampleHierarchy> Build(
+      storage::PagedColumnSource& base,
+      const SampleHierarchyConfig& config = {});
 
-  /// Builds over a paged base — the out-of-core rebuild path: level copies
-  /// are filled by pinning blocks of `base` (streamed through whatever
-  /// cache backs it), never by dereferencing a raw matrix pointer.
-  SampleHierarchy(std::shared_ptr<storage::PagedColumnSource> base,
-                  const SampleHierarchyConfig& config = {});
-
-  /// Number of addressable levels (level 0 always exists).
+  /// Number of addressable levels, level 0 (the base) included.
   int num_levels() const { return num_levels_; }
 
-  /// True once level `level`'s sample copy is materialised (level 0 always
-  /// is, being the base itself).
-  bool IsMaterialized(int level) const;
+  /// The sample copy at `level`, 1 <= level < num_levels(), with the base
+  /// dictionary attached so string samples decode.
+  storage::ColumnView LevelView(int level) const;
 
-  /// Materialises `level` (and, as a side effect, the cheapest ancestor
-  /// chain) if needed.
-  void EnsureLevel(int level);
-
-  /// View of the rows at `level`. Materialises lazily if needed.
-  /// CHECK-fails for level 0 of a paged-base hierarchy (there is no raw
-  /// whole-column view to return); use paged_base() there.
-  storage::ColumnView LevelView(int level);
-
-  /// Rows at `level` without materialising it.
+  /// Rows at `level` (level 0: the base's row count).
   std::int64_t LevelRows(int level) const;
 
   /// Stride in base rows between consecutive sample rows at `level`.
@@ -83,36 +66,18 @@ class SampleHierarchy {
   /// Sample row at `level` nearest to (at or before) `base_row`.
   storage::RowId FromBaseRow(int level, storage::RowId base_row) const;
 
-  /// Bytes held by materialised sample copies (excludes the base).
+  /// Bytes held by the sample copies.
   std::size_t sample_bytes() const;
 
-  /// True when level 0 lives behind a PagedColumnSource (spilled base).
-  bool base_is_paged() const { return paged_base_ != nullptr; }
-  const std::shared_ptr<storage::PagedColumnSource>& paged_base() const {
-    return paged_base_;
-  }
-
-  /// Switches level 0 from the raw base view to `base` — the spill
-  /// reclamation step. Every level is materialised first (while the raw
-  /// view is still valid: the caller runs this BEFORE releasing the
-  /// matrix), so after the switch nothing ever dereferences the old view.
-  /// `base` must have the same type and row count as the raw base.
-  void RebindBase(std::shared_ptr<storage::PagedColumnSource> base);
-
  private:
-  /// Shared tail of both constructors (base_ metadata already set).
-  void Init();
+  SampleHierarchy(storage::DataType type, std::int64_t base_rows,
+                  const storage::Dictionary* dictionary, int num_levels);
 
-  storage::ColumnView base_;
-  /// Non-null iff the base is paged. base_ then carries metadata only
-  /// (type, row count, dictionary) with a null data pointer.
-  std::shared_ptr<storage::PagedColumnSource> paged_base_;
-  SampleHierarchyConfig config_;
+  std::int64_t base_rows_;
+  const storage::Dictionary* dictionary_;
   int num_levels_;
-  /// levels_[l-1] holds level l (level 0 is base_). Unmaterialised levels
-  /// have row_count() == 0 and materialized_[l-1] == false.
+  /// levels_[l-1] holds level l.
   std::vector<storage::Column> levels_;
-  std::vector<bool> materialized_;
 };
 
 }  // namespace dbtouch::sampling

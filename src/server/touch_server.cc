@@ -64,8 +64,7 @@ cache::BufferManagerConfig ServerBufferConfig(
 TouchServer::TouchServer(const TouchServerConfig& config)
     : config_(config),
       shared_(std::make_shared<core::SharedState>(
-          config.session_defaults.sampling, /*force_eager=*/true,
-          ServerBufferConfig(config))),
+          config.session_defaults.sampling, ServerBufferConfig(config))),
       sessions_(shared_) {
   if (config_.enable_tracing) {
     trace_ = std::make_unique<obs::TraceRecorder>(config_.trace);

@@ -31,11 +31,14 @@ PointCm TouchDevice::Quantize(const PointCm& p) const {
 }
 
 std::int64_t TouchDevice::DistinctPositions(double length_cm) const {
-  if (length_cm <= 0.0) {
-    return 0;
+  if (!(length_cm > 0.0)) {
+    return 0;  // Also NaN.
   }
-  return static_cast<std::int64_t>(
-             std::floor(length_cm * config_.points_per_cm)) +
+  // Clamp in double before the cast: no length may reach an out-of-range
+  // conversion (2^62 positions is far past any screen).
+  constexpr double kMaxPositions = static_cast<double>(std::int64_t{1} << 62);
+  return static_cast<std::int64_t>(std::min(
+             std::floor(length_cm * config_.points_per_cm), kMaxPositions)) +
          1;
 }
 

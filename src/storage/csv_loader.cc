@@ -217,7 +217,7 @@ Result<std::shared_ptr<Table>> LoadCsvFile(const std::string& path,
   return LoadCsv(buf.str(), table_name, options);
 }
 
-std::string TableToCsv(const Table& table, char delimiter) {
+Result<std::string> TableToCsv(const Table& table, char delimiter) {
   std::ostringstream out;
   const Schema& schema = table.schema();
   for (std::size_t c = 0; c < schema.num_fields(); ++c) {
@@ -232,7 +232,7 @@ std::string TableToCsv(const Table& table, char delimiter) {
       if (c > 0) {
         out << delimiter;
       }
-      const Value v = table.GetValue(r, c);
+      DBTOUCH_ASSIGN_OR_RETURN(const Value v, table.GetValue(r, c));
       const std::string s = v.ToString();
       // Quote fields containing the delimiter or quotes.
       if (s.find(delimiter) != std::string::npos ||

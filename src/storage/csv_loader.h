@@ -38,8 +38,9 @@ Result<std::shared_ptr<Table>> LoadCsvFile(const std::string& path,
                                            const std::string& table_name,
                                            const CsvOptions& options = {});
 
-/// Serialises a table back to CSV (header + rows) — the export side.
-std::string TableToCsv(const Table& table, char delimiter = ',');
+/// Serialises a table back to CSV (header + rows) — the export side. A
+/// cell that cannot be read (a damaged spill file) is the returned Status.
+Result<std::string> TableToCsv(const Table& table, char delimiter = ',');
 
 }  // namespace dbtouch::storage
 

@@ -43,6 +43,23 @@ Result<BlockPin> UnpagedColumnSource::PinBlock(std::int64_t block,
 
 void UnpagedColumnSource::UnpinBlock(std::int64_t /*block*/) {}
 
+Status ScanBlocks(
+    PagedColumnSource& source, RowId first, RowId last,
+    const std::function<void(const ColumnView& rows, RowId first_row)>& fn) {
+  first = std::max<RowId>(first, 0);
+  last = std::min<RowId>(last, source.row_count() - 1);
+  for (RowId row = first; row <= last;) {
+    DBTOUCH_ASSIGN_OR_RETURN(const BlockPin pin,
+                             source.PinBlock(source.BlockFor(row), row));
+    const RowId begin = row - pin.first_row();
+    const std::int64_t count = std::min<std::int64_t>(
+        pin.view().row_count() - begin, last - row + 1);
+    fn(pin.view().Slice(begin, count), row);
+    row += count;
+  }
+  return Status::OK();
+}
+
 const ColumnView& PagedColumnCursor::EnsureSlow(RowId row) {
   auto pin = source_->PinBlock(source_->BlockFor(row), row);
   DBTOUCH_CHECK(pin.ok());

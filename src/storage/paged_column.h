@@ -238,6 +238,17 @@ class UnpagedColumnSource final : public PagedColumnSource {
   std::int64_t rows_per_block_;
 };
 
+/// Block-at-a-time read of base rows [first, last] of `source`, both
+/// clamped to the column: `fn` sees each overlapping block's slice (rows
+/// local to the slice) with the base row its first entry maps to, in
+/// ascending order. Each block is pinned once, at the first row read from
+/// it, and released before the next. A pin that fails stops the scan with
+/// its Status, so a whole-column build over a damaged spill file is an
+/// error, not an abort.
+Status ScanBlocks(
+    PagedColumnSource& source, RowId first, RowId last,
+    const std::function<void(const ColumnView& rows, RowId first_row)>& fn);
+
 /// Row-at-a-time reads over a paged source, holding the current block
 /// pinned as a working buffer. Move-only (owns a pin).
 class PagedColumnCursor {
@@ -265,9 +276,7 @@ class PagedColumnCursor {
   Value GetValue(RowId row);
 
   /// Typed point reads (the caller guarantees the type, as with
-  /// ColumnView): what lets paged readers copy fields bit-exactly — the
-  /// sample-hierarchy build path over a spilled base must produce the same
-  /// bytes it produced from the raw matrix.
+  /// ColumnView): what lets paged readers copy fields bit-exactly.
   std::int32_t GetInt32(RowId row) {
     return Ensure(row).GetInt32(row - span_first_);
   }

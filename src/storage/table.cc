@@ -89,7 +89,7 @@ Status Table::AppendRow(const std::vector<Value>& row) {
   return Status::OK();
 }
 
-Value Table::GetValue(RowId row, std::size_t col) const {
+Result<Value> Table::GetValue(RowId row, std::size_t col) const {
   {
     const std::shared_lock<std::shared_mutex> lock(raw_mu_);
     if (!raw_released_.load(std::memory_order_acquire)) {
@@ -104,10 +104,10 @@ Value Table::GetValue(RowId row, std::size_t col) const {
   }
   // Released: pin the covering block through the paged tier. The view
   // carries the provider's dictionary, so strings decode as before.
-  const std::shared_ptr<PagedColumnSource>& source = paged_rebind_[col];
-  Result<BlockPin> pin = source->PinBlock(source->BlockFor(row), row);
-  DBTOUCH_CHECK(pin.ok());
-  return pin->view().GetValue(row - pin->first_row());
+  PagedColumnSource& source = *paged_rebind_[col];
+  DBTOUCH_ASSIGN_OR_RETURN(const BlockPin pin,
+                           source.PinBlock(source.BlockFor(row), row));
+  return pin.view().GetValue(row - pin.first_row());
 }
 
 ColumnView Table::ColumnViewAt(std::size_t col) const {
@@ -137,41 +137,45 @@ Status Table::WithRawColumn(
   return fn(storage_.ColumnAt(col, dictionaries_[col].get()));
 }
 
-std::shared_ptr<PagedColumnSource> Table::PagedColumnAt(
-    std::size_t col) const {
+Status Table::ReadColumn(
+    std::size_t col,
+    const std::function<Status(PagedColumnSource&)>& read) const {
   DBTOUCH_CHECK(col < schema_.num_fields());
-  // Only a reclaimed table has rebind sources; a resident table's readers
-  // bind pool sources (core::SharedState::GetColumnSource) instead.
-  DBTOUCH_CHECK(raw_released());
-  return paged_rebind_[col];
+  {
+    const std::shared_lock<std::shared_mutex> lock(raw_mu_);
+    if (!raw_released_.load(std::memory_order_acquire)) {
+      UnpagedColumnSource source(
+          storage_.ColumnAt(col, dictionaries_[col].get()));
+      return read(source);
+    }
+  }
+  return read(*paged_rebind_[col]);
 }
 
 namespace {
 
-/// Appends rows [0, rows) of `reader` (a ColumnView or a PagedColumnCursor:
-/// both offer the typed point reads) to `out`, decoding string codes
-/// through `dictionary`.
-template <typename Reader>
-void AppendRows(Reader& reader, std::int64_t rows,
-                const Dictionary* dictionary, Column* out) {
-  for (RowId r = 0; r < rows; ++r) {
+/// Appends every row of `rows` to `out`, decoding string codes through
+/// `dictionary`.
+void AppendRows(const ColumnView& rows, const Dictionary* dictionary,
+                Column* out) {
+  for (RowId r = 0; r < rows.row_count(); ++r) {
     switch (out->type()) {
       case DataType::kInt32:
-        out->AppendInt32(reader.GetInt32(r));
+        out->AppendInt32(rows.GetInt32(r));
         break;
       case DataType::kInt64:
-        out->AppendInt64(reader.GetInt64(r));
+        out->AppendInt64(rows.GetInt64(r));
         break;
       case DataType::kFloat:
-        out->AppendFloat(reader.GetFloat(r));
+        out->AppendFloat(rows.GetFloat(r));
         break;
       case DataType::kDouble:
-        out->AppendDouble(reader.GetDouble(r));
+        out->AppendDouble(rows.GetDouble(r));
         break;
       case DataType::kString:
         // Codes are interned in row order, matching the original column's
         // dictionary order for first occurrences.
-        out->AppendString(dictionary->Lookup(reader.GetInt32(r)));
+        out->AppendString(dictionary->Lookup(rows.GetInt32(r)));
         break;
     }
   }
@@ -179,21 +183,18 @@ void AppendRows(Reader& reader, std::int64_t rows,
 
 }  // namespace
 
-Column Table::ExtractColumn(std::size_t col) const {
+Result<Column> Table::ExtractColumn(std::size_t col) const {
   DBTOUCH_CHECK(col < schema_.num_fields());
   const Field& f = schema_.field(col);
   Column out(f.name, f.type);
   out.Reserve(row_count());
-  // A resident column copies under the release gate; a released one reads
-  // block-at-a-time through its rebind source.
-  const Status raw = WithRawColumn(col, [&](const ColumnView& view) {
-    AppendRows(view, row_count(), dictionaries_[col].get(), &out);
-    return Status::OK();
-  });
-  if (!raw.ok()) {
-    PagedColumnCursor cursor(PagedColumnAt(col));
-    AppendRows(cursor, row_count(), dictionaries_[col].get(), &out);
-  }
+  const Dictionary* dictionary = dictionaries_[col].get();
+  DBTOUCH_RETURN_IF_ERROR(ReadColumn(col, [&](PagedColumnSource& source) {
+    return ScanBlocks(source, 0, row_count() - 1,
+                      [&](const ColumnView& rows, RowId) {
+                        AppendRows(rows, dictionary, &out);
+                      });
+  }));
   return out;
 }
 

@@ -10,10 +10,12 @@
 // footprint drops to schema + dictionaries. That is what makes "base
 // tables exceed RAM" literal: the BufferManager's byte budget bounds the
 // only copies of base data left in memory. Readers of a resident table
-// (kernel data objects, operators) never point into the matrix either:
-// they read pool blocks that cache::TableBlockProvider copies out under
-// the release gate, so neither a reclaim nor a layout rotation's
-// ReplaceStorage can free memory under them.
+// never keep a pointer into the matrix: kernel data objects and operators
+// read pool blocks that cache::TableBlockProvider copies out under the
+// release gate, and whole-column builds (sample hierarchies, zone maps,
+// ExtractColumn) read inside ReadColumn, under the same gate, so neither
+// a reclaim nor a layout rotation's ReplaceStorage can free memory under
+// them.
 
 #ifndef DBTOUCH_STORAGE_TABLE_H_
 #define DBTOUCH_STORAGE_TABLE_H_
@@ -56,14 +58,13 @@ class Table {
   Status AppendRow(const std::vector<Value>& row);
 
   /// Cell with string decoding. Released tables serve this through the
-  /// paged tier (one block pin per read); a paged read that fails past its
-  /// bounded retries CHECK-fails — gesture paths that can shed pre-pin
-  /// their blocks via the kernel's residency probe instead.
-  Value GetValue(RowId row, std::size_t col) const;
+  /// paged tier (one block pin per read); a pin that fails past its
+  /// bounded retries (a damaged spill file) is the returned Status.
+  Result<Value> GetValue(RowId row, std::size_t col) const;
 
   /// Strided view over column `col` with its dictionary attached.
   /// CHECK-fails on a released table — raw views cannot outlive the
-  /// matrix; converted readers go through PagedColumnAt.
+  /// matrix; whole-column readers go through ReadColumn.
   ColumnView ColumnViewAt(std::size_t col) const;
   Result<ColumnView> ColumnViewByName(const std::string& name) const;
 
@@ -75,22 +76,27 @@ class Table {
   Status WithRawColumn(
       std::size_t col, const std::function<Status(const ColumnView&)>& fn) const;
 
-  /// The rebind source of column `col` of a released table: pool-backed
-  /// block reads of its spill binding (the same pool owner that
-  /// core::SharedState::GetColumnSource hands out for it). CHECK-fails on
-  /// a resident table, as ColumnViewAt does on a released one — a
-  /// resident table's readers bind pool sources through the SharedState.
-  std::shared_ptr<PagedColumnSource> PagedColumnAt(std::size_t col) const;
+  /// The one whole-column read: hands `read` a block-at-a-time source of
+  /// column `col` and returns its Status. While the table is resident that
+  /// is a zero-copy source over the raw column, and the release gate is
+  /// held shared for the whole call, so neither a reclaim nor a rotation's
+  /// swap frees the matrix under it; it makes no buffer-pool lookup. Once
+  /// the table is reclaimed it is the column's rebind source (pool-backed
+  /// block reads of the spill binding). Sample hierarchy and base zone map
+  /// builds and ExtractColumn read through here with storage::ScanBlocks,
+  /// so a block that cannot be read fails the build with its Status.
+  Status ReadColumn(
+      std::size_t col,
+      const std::function<Status(PagedColumnSource&)>& read) const;
 
   const std::shared_ptr<Dictionary>& dictionary(std::size_t col) const {
     return dictionaries_[col];
   }
 
   /// Deep-copies column `col` out of the table (the paper's "drag a column
-  /// out of a fat table" gesture produces one of these): under
-  /// WithRawColumn on a resident table, through the rebind source on a
-  /// released one.
-  Column ExtractColumn(std::size_t col) const;
+  /// out of a fat table" gesture produces one of these), through
+  /// ReadColumn.
+  Result<Column> ExtractColumn(std::size_t col) const;
 
   /// Direct storage access for the layout manager.
   Matrix& mutable_storage() { return storage_; }
@@ -107,9 +113,9 @@ class Table {
   /// Frees the matrix's cell storage and rebinds point reads to `paged`
   /// (one source per column, same order as the schema; geometries must
   /// match the table). Raw readers racing the release (GetValue's matrix
-  /// branch, WithRawColumn) hold the gate shared, which this takes
-  /// exclusively: they drain first. After the flip, raw reads fail
-  /// cleanly and GetValue pins pool blocks. A second call is
+  /// branch, WithRawColumn, ReadColumn) hold the gate shared, which this
+  /// takes exclusively: they drain first. After the flip, raw reads fail
+  /// cleanly, and GetValue and ReadColumn read `paged`. A second call is
   /// FailedPrecondition.
   Status ReleaseRaw(std::vector<std::shared_ptr<PagedColumnSource>> paged);
 
@@ -130,10 +136,10 @@ class Table {
   Matrix storage_;
   std::vector<std::shared_ptr<Dictionary>> dictionaries_;
 
-  /// Release gate: raw readers (GetValue's matrix branch, WithRawColumn)
-  /// hold it shared for the duration of each access; ReleaseRaw holds it
-  /// exclusive while freeing, so reclamation waits for active readers
-  /// instead of freeing under them.
+  /// Release gate: raw readers (GetValue's matrix branch, WithRawColumn,
+  /// ReadColumn) hold it shared for the duration of each access;
+  /// ReleaseRaw and ReplaceStorage hold it exclusive while freeing, so
+  /// they wait for active readers instead of freeing under them.
   mutable std::shared_mutex raw_mu_;
   std::atomic<bool> raw_released_{false};
   /// Per-column paged rebinds, set once by ReleaseRaw and immutable after

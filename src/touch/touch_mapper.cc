@@ -9,15 +9,19 @@ namespace dbtouch::touch {
 
 storage::RowId MapPositionToRow(double t_cm, double extent_cm,
                                 std::int64_t n) {
-  if (n <= 0) {
+  if (n <= 0 || !(extent_cm > 0.0)) {
     return 0;
   }
-  if (extent_cm <= 0.0) {
-    return 0;
+  // Clamp in double before the cast: a slide that began on the object may
+  // move to any coordinate.
+  const double id = std::floor(static_cast<double>(n) * t_cm / extent_cm);
+  if (!(id > 0.0)) {
+    return 0;  // Also NaN.
   }
-  const double id = static_cast<double>(n) * t_cm / extent_cm;
-  const auto row = static_cast<storage::RowId>(std::floor(id));
-  return std::clamp<storage::RowId>(row, 0, n - 1);
+  if (id >= static_cast<double>(n - 1)) {
+    return n - 1;
+  }
+  return static_cast<storage::RowId>(id);
 }
 
 double RowToPosition(storage::RowId row, double extent_cm, std::int64_t n) {
@@ -40,10 +44,11 @@ TouchMapping MapTouch(const DataObjectView& object, const PointCm& local) {
     const double cross_extent = object.attribute_axis_extent();
     if (cross_extent > 0.0) {
       const auto attrs = static_cast<double>(object.num_attributes());
-      const auto idx = static_cast<std::int64_t>(
-          std::floor(cross / cross_extent * attrs));
-      out.attribute = static_cast<std::size_t>(std::clamp<std::int64_t>(
-          idx, 0, static_cast<std::int64_t>(object.num_attributes()) - 1));
+      // Clamped in double before the cast, like the row.
+      const double idx = std::floor(cross / cross_extent * attrs);
+      out.attribute = idx > 0.0 ? static_cast<std::size_t>(
+                                      std::min(idx, attrs - 1.0))
+                                : 0;
     }
   }
   return out;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -542,6 +543,72 @@ TEST(ApiCallTest, HostileBatchesAreRefusedBeforeAdmission) {
                   .ok());
   ASSERT_TRUE(server.Drain().ok());
   EXPECT_EQ(server.stats().submitted, 2);
+  ASSERT_TRUE(server.Stop().ok());
+}
+
+TEST(ApiCallTest, HostileFramesAreRefusedAndFarTouchesClamp) {
+  TouchServer server(RelaxedConfig(1));
+  ASSERT_TRUE(server.RegisterTable(SmallTable()).ok());
+  ASSERT_TRUE(server.Start().ok());
+  const auto open = server.Call(api::OpenSessionReq{});
+  ASSERT_TRUE(open.ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const api::WireRect hostile[] = {
+      {2.0, 1.0, 2.0, 0.0},    {2.0, 1.0, 2.0, -5.0},
+      {2.0, 1.0, 2.0, nan},    {2.0, 1.0, 2.0, 1e300},
+      {2.0, 1.0, inf, 10.0},   {2.0, 1.0, 0.0, 10.0},
+      {nan, 1.0, 2.0, 10.0},   {2.0, -inf, 2.0, 10.0},
+      {2.0, 1.0, 2.0, 1000.5},
+  };
+  for (const std::uint8_t kind : {0, 1}) {
+    for (const api::WireRect& frame : hostile) {
+      api::CreateObjectReq create = ColumnObject("t", "v", frame);
+      create.session = open->session;
+      create.kind = kind;
+      const auto resp = server.Call(create);
+      EXPECT_TRUE(resp.status().IsInvalidArgument())
+          << "kind " << int{kind} << " frame " << frame.x << ","
+          << frame.y << " " << frame.width << "x" << frame.height << ": "
+          << resp.status();
+    }
+  }
+  // A frame of 1,000 cm is still an object.
+  api::CreateObjectReq large = ColumnObject("t", "v", {2.0, 1.0, 2.0, 1000.0});
+  large.session = open->session;
+  ASSERT_TRUE(server.Call(large).ok());
+
+  // A slide that begins on an object may move to any finite coordinate:
+  // past the far edge it reads the last row, past the near edge the first.
+  const auto session = OpenWithObject(server, ColumnObject("t", "v"));
+  ASSERT_TRUE(session.ok());
+  const auto touch = [](std::int64_t t_us, std::uint8_t phase, double y) {
+    return api::WireTouchEvent{
+        .timestamp_us = t_us, .phase = phase, .x_cm = 3.0, .y_cm = y};
+  };
+  ASSERT_TRUE(server
+                  .Call(api::SubmitBatchReq{
+                      .session = *session,
+                      .paced = false,
+                      .events = {touch(0, 0, 5.0), touch(66'667, 1, 6.0),
+                                 touch(133'334, 1, 1e300),
+                                 touch(200'001, 1, -1e300),
+                                 touch(266'668, 2, -1e300)}})
+                  .ok());
+  ASSERT_TRUE(server.Drain().ok());
+  std::vector<std::int64_t> rows;
+  ASSERT_TRUE(server
+                  .WithSession(*session,
+                               [&](Kernel& kernel) {
+                                 for (const auto& item :
+                                      kernel.results().items()) {
+                                   rows.push_back(item.row);
+                                 }
+                               })
+                  .ok());
+  ASSERT_GE(rows.size(), 2u);
+  EXPECT_NE(std::find(rows.begin(), rows.end(), 19'999), rows.end());
+  EXPECT_EQ(rows.back(), 0);
   ASSERT_TRUE(server.Stop().ok());
 }
 

@@ -649,7 +649,7 @@ TEST_F(TableKernelFixture, RotateGestureFlipsLayoutIncrementally) {
   EXPECT_EQ((*table)->layout(), storage::MajorOrder::kRowMajor);
   EXPECT_EQ(kernel_->stats().layout_rotations, 1);
   // Data intact after rotation.
-  EXPECT_EQ((*table)->GetValue(5000, 0).AsInt(), 5000);
+  EXPECT_EQ((*table)->GetValue(5000, 0)->AsInt(), 5000);
 }
 
 // ---- Joins ----------------------------------------------------------------

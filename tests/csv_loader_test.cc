@@ -24,8 +24,8 @@ TEST(CsvLoaderTest, LoadsTypedColumnsWithHeader) {
   EXPECT_EQ(s.field(0).type, DataType::kInt64);
   EXPECT_EQ(s.field(1).type, DataType::kDouble);
   EXPECT_EQ(s.field(2).type, DataType::kString);
-  EXPECT_EQ((*table)->GetValue(1, 2).AsString(), "banana");
-  EXPECT_DOUBLE_EQ((*table)->GetValue(2, 1).AsDouble(), 12.0);
+  EXPECT_EQ((*table)->GetValue(1, 2)->AsString(), "banana");
+  EXPECT_DOUBLE_EQ((*table)->GetValue(2, 1)->AsDouble(), 12.0);
 }
 
 TEST(CsvLoaderTest, HeaderlessGetsGeneratedNames) {
@@ -43,12 +43,12 @@ TEST(CsvLoaderTest, IntWidensToDoubleThenString) {
   const auto doubles = LoadCsv("v\n1\n2.5\n3\n", "t");
   ASSERT_TRUE(doubles.ok());
   EXPECT_EQ((*doubles)->schema().field(0).type, DataType::kDouble);
-  EXPECT_DOUBLE_EQ((*doubles)->GetValue(0, 0).AsDouble(), 1.0);
+  EXPECT_DOUBLE_EQ((*doubles)->GetValue(0, 0)->AsDouble(), 1.0);
   // A stray word widens everything to string.
   const auto strings = LoadCsv("v\n1\n2.5\nN/A\n", "t");
   ASSERT_TRUE(strings.ok());
   EXPECT_EQ((*strings)->schema().field(0).type, DataType::kString);
-  EXPECT_EQ((*strings)->GetValue(2, 0).AsString(), "N/A");
+  EXPECT_EQ((*strings)->GetValue(2, 0)->AsString(), "N/A");
 }
 
 TEST(CsvLoaderTest, QuotedFieldsKeepDelimitersAndQuotes) {
@@ -57,8 +57,8 @@ TEST(CsvLoaderTest, QuotedFieldsKeepDelimitersAndQuotes) {
       "\"Doe, Jane\",\"said \"\"hi\"\"\"\n";
   const auto table = LoadCsv(csv, "t");
   ASSERT_TRUE(table.ok()) << table.status();
-  EXPECT_EQ((*table)->GetValue(0, 0).AsString(), "Doe, Jane");
-  EXPECT_EQ((*table)->GetValue(0, 1).AsString(), "said \"hi\"");
+  EXPECT_EQ((*table)->GetValue(0, 0)->AsString(), "Doe, Jane");
+  EXPECT_EQ((*table)->GetValue(0, 1)->AsString(), "said \"hi\"");
 }
 
 TEST(CsvLoaderTest, CustomDelimiter) {
@@ -66,7 +66,7 @@ TEST(CsvLoaderTest, CustomDelimiter) {
   options.delimiter = '\t';
   const auto table = LoadCsv("a\tb\n1\t2\n", "t", options);
   ASSERT_TRUE(table.ok());
-  EXPECT_EQ((*table)->GetValue(0, 1).AsInt(), 2);
+  EXPECT_EQ((*table)->GetValue(0, 1)->AsInt(), 2);
 }
 
 TEST(CsvLoaderTest, RejectsEmptyAndHeaderOnly) {
@@ -118,14 +118,15 @@ TEST(CsvLoaderTest, ExportImportRoundTrip) {
       "2,1.5,\"beta, gamma\"\n";
   const auto original = LoadCsv(csv, "t");
   ASSERT_TRUE(original.ok());
-  const std::string exported = TableToCsv(**original);
-  const auto reloaded = LoadCsv(exported, "t2");
+  const Result<std::string> exported = TableToCsv(**original);
+  ASSERT_TRUE(exported.ok()) << exported.status();
+  const auto reloaded = LoadCsv(*exported, "t2");
   ASSERT_TRUE(reloaded.ok()) << reloaded.status();
   ASSERT_EQ((*reloaded)->row_count(), (*original)->row_count());
   for (RowId r = 0; r < (*original)->row_count(); ++r) {
     for (std::size_t c = 0; c < 3; ++c) {
-      EXPECT_EQ((*reloaded)->GetValue(r, c).ToString(),
-                (*original)->GetValue(r, c).ToString());
+      EXPECT_EQ((*reloaded)->GetValue(r, c)->ToString(),
+                (*original)->GetValue(r, c)->ToString());
     }
   }
 }

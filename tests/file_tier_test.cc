@@ -407,7 +407,7 @@ TEST(TableSpillerTest, SpilledColumnsServeIdenticalValuesThroughThePool) {
   cache::BufferManagerConfig buffer;
   buffer.rows_per_block = 512;
   auto shared = std::make_shared<core::SharedState>(
-      sampling::SampleHierarchyConfig{}, /*force_eager=*/true, buffer);
+      sampling::SampleHierarchyConfig{}, buffer);
   ASSERT_TRUE(shared->RegisterTable(table).ok());
   TableSpiller spiller(dir.path(), SpillOptions{.rows_per_block = 512});
   ASSERT_TRUE(shared->SpillTable("spilled", spiller).ok());
@@ -421,7 +421,7 @@ TEST(TableSpillerTest, SpilledColumnsServeIdenticalValuesThroughThePool) {
     storage::PagedColumnCursor cursor(*source);
     for (RowId r = 0; r < rows; r += 37) {
       EXPECT_EQ(cursor.GetValue(r).ToString(),
-                table->GetValue(r, col).ToString())
+                table->GetValue(r, col)->ToString())
           << "col " << col << " row " << r;
     }
   }
@@ -443,7 +443,7 @@ TEST(FileTierAcceptanceTest, BeyondBudgetTableServesSlideSummaryWithinBudget) {
   // the resident budget; the residency assertion below is untouched).
   buffer.staged_cap_bytes = buffer.budget_bytes;
   auto shared = std::make_shared<core::SharedState>(
-      sampling::SampleHierarchyConfig{}, /*force_eager=*/true, buffer);
+      sampling::SampleHierarchyConfig{}, buffer);
   auto table = SequenceTable("big", rows);
   ASSERT_TRUE(shared->RegisterTable(table).ok());
 
@@ -547,7 +547,7 @@ TEST(FileTierAcceptanceTest, OneBlockStagingPadStillAnswersEveryTouch) {
 
   ScratchDir dir;
   auto shared = std::make_shared<core::SharedState>(
-      config.sampling, /*force_eager=*/false, config.buffer);
+      config.sampling, config.buffer);
   ASSERT_TRUE(shared->RegisterTable(make_table()).ok());
   TableSpiller spiller(dir.path(),
                        SpillOptions{.rows_per_block = kRowsPerBlock});
@@ -673,7 +673,7 @@ TEST(FileTierFaultTest, KernelShedsOnlyStalledGestureOnPermanentFault) {
   buffer.fetch.retry_backoff_us = 100;
   buffer.fetch.max_retries = 1;
   auto shared = std::make_shared<core::SharedState>(
-      sampling::SampleHierarchyConfig{}, /*force_eager=*/true, buffer);
+      sampling::SampleHierarchyConfig{}, buffer);
   auto table = SequenceTable("t", 1 << 14);
   ASSERT_TRUE(shared->RegisterTable(table).ok());
   TableSpiller spiller(dir.path(), SpillOptions{.rows_per_block = 1'024});

@@ -1,14 +1,14 @@
-// Unit tests for zone maps, sorted indexes and per-level index sets.
+// Unit tests for zone maps and sorted indexes.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "index/level_index_set.h"
 #include "index/sorted_index.h"
 #include "index/zone_map.h"
 #include "storage/column.h"
 #include "storage/datagen.h"
+#include "storage/paged_column.h"
 
 namespace dbtouch::index {
 namespace {
@@ -114,46 +114,25 @@ TEST(SortedIndexTest, EmptyRangeYieldsNothing) {
   EXPECT_EQ(idx.CountInValueRange(10.0, 20.0), 0);
 }
 
-TEST(LevelIndexSetTest, BuildsLazilyAndCounts) {
-  const Column c = storage::GenUniformInt32("c", 1 << 14, 0, 999, 3);
-  sampling::SampleHierarchy hierarchy(c.View());
-  LevelIndexSet set(&hierarchy, 1024);
-  EXPECT_FALSE(set.HasZoneMap(0));
-  const ZoneMap& zm = set.ZoneMapAt(0);
-  EXPECT_GT(zm.num_zones(), 0);
-  EXPECT_TRUE(set.HasZoneMap(0));
-  EXPECT_EQ(set.stats().zone_map_builds, 1);
-  set.ZoneMapAt(0);  // Cached.
-  EXPECT_EQ(set.stats().zone_map_builds, 1);
-  EXPECT_EQ(set.stats().zone_map_uses, 2);
-}
-
-TEST(LevelIndexSetTest, PerLevelIndexesAreIndependent) {
-  const Column c = storage::GenUniformInt32("c", 1 << 14, 0, 999, 3);
-  sampling::SampleHierarchy hierarchy(c.View());
-  ASSERT_GT(hierarchy.num_levels(), 2);
-  LevelIndexSet set(&hierarchy);
-  const SortedIndex& l0 = set.SortedAt(0);
-  const SortedIndex& l2 = set.SortedAt(2);
-  EXPECT_EQ(l0.size(), hierarchy.LevelRows(0));
-  EXPECT_EQ(l2.size(), hierarchy.LevelRows(2));
-  EXPECT_FALSE(set.HasSorted(1));
-  EXPECT_EQ(set.stats().sorted_builds, 2);
-}
-
-TEST(LevelIndexSetTest, SampleLevelIndexIsConsistentWithSample) {
-  const Column c = storage::GenUniformInt32("c", 1 << 12, 0, 99, 5);
-  sampling::SampleHierarchy hierarchy(c.View());
-  LevelIndexSet set(&hierarchy);
-  const int level = std::min(2, hierarchy.num_levels() - 1);
-  const SortedIndex& idx = set.SortedAt(level);
-  const auto view = hierarchy.LevelView(level);
-  for (std::int64_t i = 1; i < idx.size(); ++i) {
-    EXPECT_LE(idx.ValueAt(i - 1), idx.ValueAt(i));
-  }
-  // Every indexed row maps back into the sample view's range.
-  for (std::int64_t i = 0; i < idx.size(); ++i) {
-    EXPECT_LT(idx.RowAt(i), view.row_count());
+// Built block-at-a-time, a zone map has the same zones as one built over
+// the whole column, whatever the block size: a block may span zones and a
+// zone may span blocks.
+TEST(ZoneMapTest, BuildOverBlocksMatchesTheColumnBuild) {
+  const Column c = storage::GenUniformInt32("c", 10'000, 0, 99'999, 3);
+  const ZoneMap want(c.View(), 1024);
+  for (const std::int64_t rows_per_block : {1, 100, 3000, 0}) {
+    const auto got = ZoneMap::Build(*c.PagedSource(rows_per_block), 1024);
+    ASSERT_TRUE(got.ok()) << got.status();
+    ASSERT_EQ(got->num_zones(), want.num_zones());
+    for (std::int64_t z = 0; z < want.num_zones(); ++z) {
+      EXPECT_EQ(got->zone(z).first, want.zone(z).first);
+      EXPECT_EQ(got->zone(z).last, want.zone(z).last);
+      EXPECT_EQ(got->zone(z).min, want.zone(z).min)
+          << rows_per_block << " rows a block, zone " << z;
+      EXPECT_EQ(got->zone(z).max, want.zone(z).max);
+    }
+    EXPECT_EQ(got->global_min(), want.global_min());
+    EXPECT_EQ(got->global_max(), want.global_max());
   }
 }
 

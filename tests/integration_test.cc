@@ -164,7 +164,7 @@ TEST(IntegrationTest, SlidesKeepWorkingWhileRotationConverts) {
   }
   const auto table = kernel.catalog().Get("t");
   EXPECT_EQ((*table)->layout(), storage::MajorOrder::kRowMajor);
-  EXPECT_EQ((*table)->GetValue(123'456, 0).AsInt(), 123'456);
+  EXPECT_EQ((*table)->GetValue(123'456, 0)->AsInt(), 123'456);
   // Results produced during conversion read consistent (old-layout) data.
   for (const auto& item : kernel.results().items()) {
     if (item.kind == ResultKind::kValue && item.attribute == 0) {

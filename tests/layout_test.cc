@@ -45,7 +45,7 @@ TEST(RotatorTest, StepsConvertBoundedChunks) {
   EXPECT_NEAR(rotator.progress(), 0.1, 1e-9);
   // Reads still come from the old layout mid-conversion.
   EXPECT_EQ(t->layout(), MajorOrder::kColumnMajor);
-  EXPECT_EQ(t->GetValue(999, 0).AsInt(), 999);
+  EXPECT_EQ(t->GetValue(999, 0)->AsInt(), 999);
 }
 
 TEST(RotatorTest, FinishBeforeDoneFails) {
@@ -61,8 +61,8 @@ TEST(RotatorTest, CompleteRotationPreservesAllData) {
   std::vector<std::int64_t> ids;
   std::vector<double> bs;
   for (RowId r = 0; r < t->row_count(); ++r) {
-    ids.push_back(t->GetValue(r, 0).AsInt());
-    bs.push_back(t->GetValue(r, 2).AsDouble());
+    ids.push_back(t->GetValue(r, 0)->AsInt());
+    bs.push_back(t->GetValue(r, 2)->AsDouble());
   }
   IncrementalRotator rotator(t.get(), MajorOrder::kRowMajor, 100);
   int steps = 0;
@@ -73,8 +73,8 @@ TEST(RotatorTest, CompleteRotationPreservesAllData) {
   ASSERT_TRUE(rotator.Finish().ok());
   EXPECT_EQ(t->layout(), MajorOrder::kRowMajor);
   for (RowId r = 0; r < t->row_count(); ++r) {
-    EXPECT_EQ(t->GetValue(r, 0).AsInt(), ids[static_cast<std::size_t>(r)]);
-    EXPECT_DOUBLE_EQ(t->GetValue(r, 2).AsDouble(),
+    EXPECT_EQ(t->GetValue(r, 0)->AsInt(), ids[static_cast<std::size_t>(r)]);
+    EXPECT_DOUBLE_EQ(t->GetValue(r, 2)->AsDouble(),
                      bs[static_cast<std::size_t>(r)]);
   }
 }
@@ -89,7 +89,7 @@ TEST(RotatorTest, DoubleFinishFails) {
 
 TEST(RotatorTest, RoundTripRotationIsIdentity) {
   auto t = MakeTable(500, MajorOrder::kColumnMajor);
-  const double before = t->GetValue(250, 2).AsDouble();
+  const double before = t->GetValue(250, 2)->AsDouble();
   for (const MajorOrder target :
        {MajorOrder::kRowMajor, MajorOrder::kColumnMajor}) {
     IncrementalRotator rotator(t.get(), target, 64);
@@ -98,14 +98,14 @@ TEST(RotatorTest, RoundTripRotationIsIdentity) {
     ASSERT_TRUE(rotator.Finish().ok());
   }
   EXPECT_EQ(t->layout(), MajorOrder::kColumnMajor);
-  EXPECT_DOUBLE_EQ(t->GetValue(250, 2).AsDouble(), before);
+  EXPECT_DOUBLE_EQ(t->GetValue(250, 2)->AsDouble(), before);
 }
 
 TEST(RotateMonolithicTest, ConvertsInOneCall) {
   auto t = MakeTable(300, MajorOrder::kRowMajor);
   ASSERT_TRUE(RotateMonolithic(t.get(), MajorOrder::kColumnMajor).ok());
   EXPECT_EQ(t->layout(), MajorOrder::kColumnMajor);
-  EXPECT_EQ(t->GetValue(299, 0).AsInt(), 299);
+  EXPECT_EQ(t->GetValue(299, 0)->AsInt(), 299);
   EXPECT_TRUE(RotateMonolithic(nullptr, MajorOrder::kColumnMajor)
                   .IsInvalidArgument());
 }
@@ -120,8 +120,8 @@ TEST(RestructureTest, ExtractColumnToTable) {
   EXPECT_TRUE(catalog.Contains("t_b"));
   EXPECT_EQ((*extracted)->schema().num_fields(), 1u);
   EXPECT_EQ((*extracted)->row_count(), 100);
-  EXPECT_DOUBLE_EQ((*extracted)->GetValue(42, 0).AsDouble(),
-                   t->GetValue(42, 2).AsDouble());
+  EXPECT_DOUBLE_EQ((*extracted)->GetValue(42, 0)->AsDouble(),
+                   t->GetValue(42, 2)->AsDouble());
 }
 
 TEST(RestructureTest, ExtractRejectsBadColumn) {
@@ -143,8 +143,8 @@ TEST(RestructureTest, GroupTablesCombinesColumns) {
   const auto grouped = GroupTables(&catalog, {"ta", "tb"}, "tc");
   ASSERT_TRUE(grouped.ok()) << grouped.status();
   EXPECT_EQ((*grouped)->schema().num_fields(), 2u);
-  EXPECT_EQ((*grouped)->GetValue(1, 0).AsInt(), 2);
-  EXPECT_DOUBLE_EQ((*grouped)->GetValue(1, 1).AsDouble(), 0.2);
+  EXPECT_EQ((*grouped)->GetValue(1, 0)->AsInt(), 2);
+  EXPECT_DOUBLE_EQ((*grouped)->GetValue(1, 1)->AsDouble(), 0.2);
   EXPECT_TRUE(catalog.Contains("tc"));
 }
 

@@ -7,10 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <memory>
 #include <string>
 #include <thread>
@@ -19,6 +22,7 @@
 #include "cache/block_provider.h"
 #include "core/kernel.h"
 #include "core/result_stream.h"
+#include "exec/summary.h"
 #include "gateway/wire.h"
 #include "remote/remote_store.h"
 #include "server/api.h"
@@ -479,6 +483,198 @@ TEST(PartialAnswerServerTest, PartialDispatchPreservesDeadlinesAndConverges) {
               partial.refinements + partial.refinements_shed);
     EXPECT_EQ(partial.refinements_shed, 0);
   }
+}
+
+// ---- Kernel: a partial answer and its refinement, with no clock -----------
+
+/// Async provider whose fetches wait until Open(): before that a started
+/// fetch cannot complete, so "still cold" is certain, not a race.
+class GatedProvider final : public cache::BlockProvider {
+ public:
+  explicit GatedProvider(std::shared_ptr<cache::BlockProvider> inner)
+      : inner_(std::move(inner)) {}
+
+  const cache::BlockGeometry& geometry() const override {
+    return inner_->geometry();
+  }
+  bool async() const override { return true; }
+
+  Result<std::vector<std::byte>> Fetch(std::int64_t block) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return open_; });
+    return inner_->Fetch(block);
+  }
+
+  void Open() {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::shared_ptr<cache::BlockProvider> inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+/// Counts fetch completions; Wait() returns once `n` have settled.
+class FetchLatch {
+ public:
+  storage::PagedColumnSource::FetchCompletion Done() {
+    return [this](const Status& status) {
+      const std::lock_guard<std::mutex> lock(mu_);
+      ok_ = ok_ && status.ok();
+      ++settled_;
+      cv_.notify_all();
+    };
+  }
+  bool Wait(std::int64_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return settled_ >= n; });
+    return ok_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::int64_t settled_ = 0;
+  bool ok_ = true;
+};
+
+std::uint64_t Bits(const storage::Value& v) {
+  return std::bit_cast<std::uint64_t>(v.ToDouble());
+}
+
+/// One slow slide over a column behind a GatedProvider: the first slide
+/// step suspends, AnswerPartialFromResident answers it from level 1,
+/// RefineNext stays cold until the gate opens and then appends the answer
+/// a kernel over the in-memory column gives for the same touch.
+void PartialThenRefine(const ActionConfig& action) {
+  constexpr std::int64_t kGatedRows = 1'024;  // ~2 rows per position.
+  constexpr std::int64_t kGatedRowsPerBlock = 64;
+  std::vector<Column> cols;
+  cols.push_back(
+      storage::GenGaussianDouble("v", kGatedRows, 100.0, 10.0, 7));
+  const std::shared_ptr<Table> table =
+      *Table::FromColumns("g", std::move(cols));
+  const RectCm frame{2.0, 1.0, 2.0, 10.0};
+
+  core::KernelConfig config;
+  config.buffer.rows_per_block = kGatedRowsPerBlock;
+  config.prefetch_enabled = false;
+  Kernel kernel(config);
+  ASSERT_TRUE(kernel.RegisterTable(table).ok());
+  auto gate = std::make_shared<GatedProvider>(
+      std::make_shared<cache::TableBlockProvider>(table, 0,
+                                                  kGatedRowsPerBlock));
+  ASSERT_TRUE(
+      kernel.shared_state()->SetColumnProvider("g", 0, gate).ok());
+  // Opens the gate on every way out, so no fetcher is left waiting when
+  // the kernel's pool shuts down.
+  const std::unique_ptr<GatedProvider, void (*)(GatedProvider*)> open_on_exit(
+      gate.get(), [](GatedProvider* g) { g->Open(); });
+  const auto object = kernel.CreateColumnObject("g", "v", frame);
+  ASSERT_TRUE(object.ok()) << object.status();
+  ASSERT_TRUE(kernel.SetAction(*object, action).ok());
+
+  Kernel reference(config);
+  ASSERT_TRUE(reference.RegisterTable(table).ok());
+  const auto ref_object = reference.CreateColumnObject("g", "v", frame);
+  ASSERT_TRUE(ref_object.ok());
+  ASSERT_TRUE(reference.SetAction(*ref_object, action).ok());
+
+  // 0.92 cm in 5 s: well under one touch position per event, so a
+  // summary reads its band from the base data (level 0).
+  TraceBuilder builder(kernel.device());
+  const sim::GestureTrace slide =
+      builder.Slide("slow", PointCm{3.0, 2.08}, PointCm{3.0, 3.0},
+                    MotionProfile::Constant(5.0));
+  core::TouchStall stall;
+  std::size_t fed = 0;
+  core::TouchOutcome outcome = core::TouchOutcome::kCompleted;
+  while (outcome == core::TouchOutcome::kCompleted &&
+         fed < slide.events.size()) {
+    outcome = kernel.OnTouchAsync(slide.events[fed++], &stall);
+  }
+  ASSERT_EQ(outcome, core::TouchOutcome::kSuspended);
+  ASSERT_EQ(kernel.results().size(), 0);
+  for (std::size_t i = 0; i < fed; ++i) {
+    reference.OnTouch(slide.events[i]);
+  }
+  ASSERT_EQ(reference.results().size(), 1);
+  const core::ResultItem want = reference.results().items()[0];
+  EXPECT_FALSE(want.approximate);  // Level 0 for a summary too.
+
+  // The partial answer: level 1, straight from the hierarchy.
+  ASSERT_TRUE(kernel.AnswerPartialFromResident());
+  EXPECT_FALSE(kernel.has_pending_gestures());
+  ASSERT_EQ(kernel.results().size(), 1);
+  const core::ResultItem partial = kernel.results().items()[0];
+  EXPECT_TRUE(partial.partial);
+  EXPECT_TRUE(partial.approximate);
+  EXPECT_EQ(partial.refine_seq, 0);
+  EXPECT_EQ(partial.row, want.row);
+  const auto hierarchy = kernel.shared_state()->GetOrBuildHierarchy("g", 0);
+  ASSERT_TRUE(hierarchy.ok());
+  const sampling::SampleHierarchy& h = **hierarchy;
+  const storage::RowId sample_row = h.FromBaseRow(1, partial.row);
+  // The touched row (131) tells levels 0, 1 and 2 apart.
+  ASSERT_NE(h.ToBaseRow(1, sample_row), partial.row);
+  ASSERT_NE(h.ToBaseRow(1, sample_row),
+            h.ToBaseRow(2, h.FromBaseRow(2, partial.row)));
+  if (action.kind == core::ActionKind::kScan) {
+    EXPECT_EQ(Bits(partial.value),
+              Bits(h.LevelView(1).GetValue(sample_row)));
+  } else {
+    exec::InteractiveSummaryOp op(h.LevelView(1), action.summary_k,
+                                  action.agg);
+    const exec::SummaryResult sr = op.ComputeAt(sample_row);
+    EXPECT_EQ(Bits(partial.value), Bits(storage::Value(sr.value)));
+    EXPECT_EQ(partial.band_first, h.ToBaseRow(1, sr.first));
+    EXPECT_EQ(partial.rows_aggregated, sr.rows);
+  }
+
+  // Still cold before the gate opens, even with its fetches started.
+  ASSERT_TRUE(kernel.has_refinements());
+  ASSERT_EQ(kernel.RefineNext(&stall), core::RefineOutcome::kStillCold);
+  ASSERT_GT(stall.total_blocks(), 0);
+  FetchLatch latch;
+  for (const core::TouchStall::Entry& entry : stall.entries) {
+    for (const std::int64_t block : entry.blocks) {
+      ASSERT_TRUE(entry.source->StartFetch(block, latch.Done()).ok());
+    }
+  }
+  ASSERT_EQ(kernel.RefineNext(&stall), core::RefineOutcome::kStillCold);
+  gate->Open();
+  ASSERT_TRUE(latch.Wait(stall.total_blocks()));
+
+  ASSERT_EQ(kernel.RefineNext(&stall), core::RefineOutcome::kRefined);
+  ASSERT_EQ(kernel.results().size(), 2);
+  const core::ResultItem refined = kernel.results().items()[1];
+  EXPECT_FALSE(refined.partial);
+  EXPECT_EQ(refined.refine_seq, 3);  // Two cold attempts before it.
+  EXPECT_EQ(refined.kind, want.kind);
+  EXPECT_EQ(refined.row, want.row);
+  EXPECT_EQ(refined.attribute, want.attribute);
+  EXPECT_EQ(Bits(refined.value), Bits(want.value));
+  EXPECT_EQ(refined.band_first, want.band_first);
+  EXPECT_EQ(refined.band_last, want.band_last);
+  EXPECT_EQ(refined.rows_aggregated, want.rows_aggregated);
+  EXPECT_EQ(refined.approximate, want.approximate);
+  EXPECT_EQ(kernel.RefineNext(&stall), core::RefineOutcome::kIdle);
+  EXPECT_EQ(kernel.stats().partial_answers, 1);
+  EXPECT_EQ(kernel.stats().refinements, 1);
+}
+
+TEST(PartialAnswerKernelTest, ScanAnswersFromLevelOneThenRefinesExactly) {
+  PartialThenRefine(ActionConfig::Scan());
+}
+
+TEST(PartialAnswerKernelTest, SummaryAnswersFromLevelOneThenRefinesExactly) {
+  PartialThenRefine(ActionConfig::Summary(10));
 }
 
 }  // namespace

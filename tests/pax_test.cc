@@ -87,7 +87,7 @@ std::shared_ptr<core::SharedState> MakeShared(std::int64_t rows_per_block) {
   cache::BufferManagerConfig buffer;
   buffer.rows_per_block = rows_per_block;
   return std::make_shared<core::SharedState>(
-      sampling::SampleHierarchyConfig{}, /*force_eager=*/true, buffer);
+      sampling::SampleHierarchyConfig{}, buffer);
 }
 
 // ---- Layout math ------------------------------------------------------------
@@ -153,7 +153,7 @@ TEST(PaxSpillTest, ReclaimedPaxTableServesIdenticalValuesAllColumns) {
     storage::PagedColumnCursor cursor(*source);
     for (RowId r = 0; r < rows; ++r) {
       ASSERT_EQ(cursor.GetValue(r).ToString(),
-                reference->GetValue(r, col).ToString())
+                reference->GetValue(r, col)->ToString())
           << "col " << col << " row " << r;
     }
   }

@@ -204,9 +204,9 @@ TEST_P(RotationIdentityProperty, RoundTripPreservesEveryCell) {
   // Fingerprint before.
   double checksum = 0.0;
   for (RowId r = 0; r < rows; r += 97) {
-    checksum += table->GetValue(r, 0).ToDouble() +
-                table->GetValue(r, 1).ToDouble() +
-                table->GetValue(r, 2).AsDouble();
+    checksum += table->GetValue(r, 0)->ToDouble() +
+                table->GetValue(r, 1)->ToDouble() +
+                table->GetValue(r, 2)->AsDouble();
   }
   for (const storage::MajorOrder target :
        {storage::MajorOrder::kRowMajor, storage::MajorOrder::kColumnMajor}) {
@@ -217,9 +217,9 @@ TEST_P(RotationIdentityProperty, RoundTripPreservesEveryCell) {
   }
   double after = 0.0;
   for (RowId r = 0; r < rows; r += 97) {
-    after += table->GetValue(r, 0).ToDouble() +
-             table->GetValue(r, 1).ToDouble() +
-             table->GetValue(r, 2).AsDouble();
+    after += table->GetValue(r, 0)->ToDouble() +
+             table->GetValue(r, 1)->ToDouble() +
+             table->GetValue(r, 2)->AsDouble();
   }
   EXPECT_DOUBLE_EQ(checksum, after);
 }
@@ -237,10 +237,11 @@ class HierarchyNestingProperty : public testing::TestWithParam<std::int64_t> {
 TEST_P(HierarchyNestingProperty, EachLevelIsEverySecondOfTheLevelBelow) {
   const std::int64_t rows = GetParam();
   const Column base = storage::GenUniformInt32("c", rows, 0, 1'000'000, 3);
-  sampling::SampleHierarchy h(base.View());
-  for (int level = 1; level < h.num_levels(); ++level) {
-    const auto fine = h.LevelView(level - 1);
-    const auto coarse = h.LevelView(level);
+  const auto h = sampling::SampleHierarchy::Build(*base.PagedSource());
+  ASSERT_TRUE(h.ok()) << h.status();
+  for (int level = 1; level < h->num_levels(); ++level) {
+    const auto fine = level == 1 ? base.View() : h->LevelView(level - 1);
+    const auto coarse = h->LevelView(level);
     for (RowId s = 0; s < coarse.row_count(); ++s) {
       ASSERT_EQ(coarse.GetInt32(s), fine.GetInt32(2 * s))
           << "level " << level << " row " << s;
@@ -357,7 +358,7 @@ std::vector<AnswerFingerprint> RunTierScript(Backend backend,
     // with the columns rebound to their spill files — and, for the
     // reclaimed backend, the matrix actually freed.
     shared = std::make_shared<core::SharedState>(
-        config.sampling, /*force_eager=*/false, config.buffer);
+        config.sampling, config.buffer);
     DBTOUCH_CHECK_OK(shared->RegisterTable(make_table()));
     storage::TableSpiller spiller(
         spill_dir, storage::SpillOptions{.rows_per_block = kRowsPerBlock});

@@ -84,7 +84,7 @@ std::shared_ptr<core::SharedState> MakeShared(std::int64_t rows_per_block) {
   cache::BufferManagerConfig buffer;
   buffer.rows_per_block = rows_per_block;
   return std::make_shared<core::SharedState>(
-      sampling::SampleHierarchyConfig{}, /*force_eager=*/true, buffer);
+      sampling::SampleHierarchyConfig{}, buffer);
 }
 
 // ---- The tentpole: reclamation frees tracked memory ------------------------
@@ -103,10 +103,11 @@ TEST(ReclaimTest, SpillWithReclaimDropsTrackedMatrixBytesToZero) {
   // Reference values captured before anything is freed.
   std::vector<std::string> reference;
   for (RowId r = 0; r < rows; r += 97) {
-    reference.push_back(table->GetValue(r, 0).ToString() + "|" +
-                        table->GetValue(r, 1).ToString());
+    reference.push_back(table->GetValue(r, 0)->ToString() + "|" +
+                        table->GetValue(r, 1)->ToString());
   }
-  const std::string csv_before = storage::TableToCsv(*table);
+  const Result<std::string> csv_before = storage::TableToCsv(*table);
+  ASSERT_TRUE(csv_before.ok()) << csv_before.status();
 
   TableSpiller spiller(dir.path(), SpillOptions{.rows_per_block = 512});
   ASSERT_TRUE(
@@ -131,18 +132,21 @@ TEST(ReclaimTest, SpillWithReclaimDropsTrackedMatrixBytesToZero) {
   // decode strings through the dictionary.
   std::size_t i = 0;
   for (RowId r = 0; r < rows; r += 97, ++i) {
-    EXPECT_EQ(table->GetValue(r, 0).ToString() + "|" +
-                  table->GetValue(r, 1).ToString(),
+    EXPECT_EQ(table->GetValue(r, 0)->ToString() + "|" +
+                  table->GetValue(r, 1)->ToString(),
               reference[i])
         << "row " << r;
   }
   // The CSV export accessor reads through the same fallback.
-  EXPECT_EQ(storage::TableToCsv(*table), csv_before);
+  const Result<std::string> csv_after = storage::TableToCsv(*table);
+  ASSERT_TRUE(csv_after.ok()) << csv_after.status();
+  EXPECT_EQ(*csv_after, *csv_before);
   // Column extraction too.
-  const Column extracted = table->ExtractColumn(1);
-  EXPECT_EQ(extracted.row_count(), rows);
-  EXPECT_EQ(extracted.GetValue(11).ToString(),
-            table->GetValue(11, 1).ToString());
+  const Result<Column> extracted = table->ExtractColumn(1);
+  ASSERT_TRUE(extracted.ok()) << extracted.status();
+  EXPECT_EQ(extracted->row_count(), rows);
+  EXPECT_EQ(extracted->GetValue(11).ToString(),
+            table->GetValue(11, 1)->ToString());
 }
 
 TEST(ReclaimTest, SecondReclaimAndRotationAreRejected) {
@@ -177,7 +181,7 @@ TEST(ReclaimTest, FailedRespillKeepsTheFilesTheBindingReads) {
     buffer.rows_per_block = kRowsPerBlock;
     buffer.budget_bytes = 8 * kRowsPerBlock * 8;  // Eight int64 blocks.
     auto shared = std::make_shared<core::SharedState>(
-        sampling::SampleHierarchyConfig{}, /*force_eager=*/true, buffer);
+        sampling::SampleHierarchyConfig{}, buffer);
     ASSERT_TRUE(shared->RegisterTable(MixedTable("twice", kRows)).ok());
     TableSpiller spiller(dir.path(),
                          SpillOptions{.rows_per_block = kRowsPerBlock});
@@ -202,7 +206,7 @@ TEST(ReclaimTest, FailedRespillKeepsTheFilesTheBindingReads) {
         for (RowId i = 0; i < view.row_count(); ++i) {
           const RowId row = block * kRowsPerBlock + i;
           ASSERT_EQ(view.GetValue(i).ToString(),
-                    reference->GetValue(row, col).ToString())
+                    reference->GetValue(row, col)->ToString())
               << "column " << col << " row " << row;
         }
       }
@@ -229,7 +233,6 @@ TEST(ReclaimTest, HierarchyRebuildsFromPagedBaseAfterReclaim) {
 
   const auto hierarchy = shared->GetOrBuildHierarchy("h", 0);
   ASSERT_TRUE(hierarchy.ok()) << hierarchy.status();
-  EXPECT_TRUE((*hierarchy)->base_is_paged());
   ASSERT_GT((*hierarchy)->num_levels(), 2);
   // Level l samples every 2^l-th value of the sequence — bit-exact.
   for (int level = 1; level < (*hierarchy)->num_levels(); ++level) {
@@ -243,14 +246,14 @@ TEST(ReclaimTest, HierarchyRebuildsFromPagedBaseAfterReclaim) {
   // The base zone map builds by scanning pinned blocks; over a sequence
   // every zone's [min, max] is exactly its row range.
   const auto zone_map = shared->GetOrBuildBaseZoneMap(*hierarchy);
-  ASSERT_NE(zone_map, nullptr);
-  ASSERT_GT(zone_map->num_zones(), 1);
-  const index::Zone& z = zone_map->zone(1);
+  ASSERT_TRUE(zone_map.ok()) << zone_map.status();
+  ASSERT_GT((*zone_map)->num_zones(), 1);
+  const index::Zone& z = (*zone_map)->zone(1);
   EXPECT_EQ(z.min, static_cast<double>(z.first));
   EXPECT_EQ(z.max, static_cast<double>(z.last));
 }
 
-TEST(ReclaimTest, PreBuiltHierarchyIsRebondAndServesSampledSummaries) {
+TEST(ReclaimTest, PreBuiltHierarchyKeepsItsLevelsThroughAReclaim) {
   ScratchDir dir;
   const std::int64_t rows = 1 << 14;
   auto shared = MakeShared(1'024);
@@ -259,13 +262,11 @@ TEST(ReclaimTest, PreBuiltHierarchyIsRebondAndServesSampledSummaries) {
   // Hierarchy built over the live matrix first...
   const auto hierarchy = shared->GetOrBuildHierarchy("pre", 0);
   ASSERT_TRUE(hierarchy.ok());
-  EXPECT_FALSE((*hierarchy)->base_is_paged());
 
   TableSpiller spiller(dir.path(), SpillOptions{.rows_per_block = 1'024});
   ASSERT_TRUE(
       shared->SpillTable("pre", spiller, /*reclaim_raw=*/true).ok());
-  // ...then rebound in place: the same shared object sessions hold.
-  EXPECT_TRUE((*hierarchy)->base_is_paged());
+  // ...and still the one shared object sessions hold.
   const auto again = shared->GetOrBuildHierarchy("pre", 0);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->get(), hierarchy->get());
@@ -274,6 +275,158 @@ TEST(ReclaimTest, PreBuiltHierarchyIsRebondAndServesSampledSummaries) {
   for (RowId s = 0; s < level1.row_count(); s += 53) {
     EXPECT_EQ(level1.GetInt64(s), s * 2);
   }
+}
+
+// A hierarchy and a base zone map over a resident table read the raw
+// column zero-copy: the set-up build makes no buffer-pool lookup. Over a
+// reclaimed table the same builds read the spill binding, one pin per
+// block.
+TEST(ReclaimTest, BuildsOverAResidentTableMakeNoPoolLookup) {
+  ScratchDir dir;
+  constexpr std::int64_t kRows = 1 << 14;
+  auto shared = MakeShared(1'024);
+  ASSERT_TRUE(shared->RegisterTable(MixedTable("resident", kRows)).ok());
+  const auto hierarchy = shared->GetOrBuildHierarchy("resident", 0);
+  ASSERT_TRUE(hierarchy.ok()) << hierarchy.status();
+  ASSERT_TRUE(shared->GetOrBuildBaseZoneMap(*hierarchy).ok());
+  EXPECT_EQ(shared->buffer_manager().stats().lookups, 0);
+
+  ASSERT_TRUE(shared->RegisterTable(MixedTable("spilled", kRows)).ok());
+  TableSpiller spiller(dir.path(), SpillOptions{.rows_per_block = 1'024});
+  ASSERT_TRUE(shared->SpillTable("spilled", spiller, true).ok());
+  const auto paged = shared->GetOrBuildHierarchy("spilled", 0);
+  ASSERT_TRUE(paged.ok()) << paged.status();
+  EXPECT_EQ(shared->buffer_manager().stats().lookups, kRows / 1'024);
+  // The same copies either way.
+  for (int level = 1; level < (*hierarchy)->num_levels(); ++level) {
+    const storage::ColumnView want = (*hierarchy)->LevelView(level);
+    const storage::ColumnView got = (*paged)->LevelView(level);
+    ASSERT_EQ(got.row_count(), want.row_count());
+    for (RowId s = 0; s < want.row_count(); ++s) {
+      ASSERT_EQ(got.GetInt64(s), want.GetInt64(s)) << "level " << level;
+    }
+  }
+}
+
+// ---- A damaged spill file: errors, never an abort --------------------------
+
+constexpr std::int64_t kCutRows = 20'000;
+constexpr std::int64_t kCutRowsPerBlock = 256;
+
+/// Cuts every spill file in `dir` to half its size: the blocks of the
+/// second half can no longer be read.
+void CutSpillFilesInHalf(const std::string& dir) {
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::filesystem::resize_file(entry.path(),
+                                 std::filesystem::file_size(entry.path()) / 2);
+  }
+}
+
+/// Two int64 sequence columns, "v" and "w".
+std::shared_ptr<Table> TwoColumnTable(const std::string& name) {
+  std::vector<Column> cols;
+  cols.push_back(storage::GenSequenceInt64("v", kCutRows, 0, 1));
+  cols.push_back(storage::GenSequenceInt64("w", kCutRows, 0, 1));
+  return *Table::FromColumns(name, std::move(cols));
+}
+
+TEST(ReclaimTest, DamagedSpillFileFailsReadsInsteadOfAborting) {
+  ScratchDir dir;
+  cache::BufferManagerConfig buffer;
+  buffer.rows_per_block = kCutRowsPerBlock;
+  buffer.fetch.max_retries = 1;
+  auto shared =
+      std::make_shared<core::SharedState>(sampling::SampleHierarchyConfig{},
+                                          buffer);
+  const auto table = TwoColumnTable("cut");
+  ASSERT_TRUE(shared->RegisterTable(table).ok());
+  // Column "v" gets its hierarchy while the table is resident.
+  const auto hierarchy = shared->GetOrBuildHierarchy("cut", 0);
+  ASSERT_TRUE(hierarchy.ok()) << hierarchy.status();
+  TableSpiller spiller(dir.path(),
+                       SpillOptions{.rows_per_block = kCutRowsPerBlock});
+  ASSERT_TRUE(shared->SpillTable("cut", spiller, /*reclaim_raw=*/true).ok());
+  CutSpillFilesInHalf(dir.path());
+
+  // Point reads: the first half still answers, the second is an error.
+  const Result<storage::Value> head = table->GetValue(10, 0);
+  ASSERT_TRUE(head.ok()) << head.status();
+  EXPECT_EQ(head->AsInt(), 10);
+  EXPECT_FALSE(table->GetValue(kCutRows - 1, 0).ok());
+  EXPECT_FALSE(storage::TableToCsv(*table).ok());
+  // Whole-column reads stop at the first unreadable block.
+  EXPECT_FALSE(table->ExtractColumn(0).ok());
+  EXPECT_FALSE(shared->GetOrBuildHierarchy("cut", 1).ok());
+  EXPECT_FALSE(shared->GetOrBuildBaseZoneMap(*hierarchy).ok());
+  // The hierarchy built before the cut holds its own copies.
+  const storage::ColumnView level1 = (*hierarchy)->LevelView(1);
+  EXPECT_EQ(level1.GetInt64(level1.row_count() - 1),
+            (level1.row_count() - 1) * 2);
+}
+
+TEST(ReclaimTest, DamagedSpillFileFailsServerCallsAndOthersKeepServing) {
+  ScratchDir dir;
+  server::TouchServerConfig config = server::RelaxedConfig(1);
+  config.session_defaults.buffer.rows_per_block = kCutRowsPerBlock;
+  config.session_defaults.buffer.fetch.max_retries = 1;
+  server::TouchServer server(config);
+  ASSERT_TRUE(server.RegisterTable(TwoColumnTable("cut")).ok());
+  ASSERT_TRUE(server.RegisterTable(MixedTable("ok", 1 << 14)).ok());
+  ASSERT_TRUE(server.Start().ok());
+  // Made while "cut" is resident: its hierarchy predates the damage.
+  const auto early = server.Call(api::OpenSessionReq{});
+  ASSERT_TRUE(early.ok());
+  auto create = server::ColumnObject("cut", "v");
+  create.session = early->session;
+  const auto early_object = server.Call(create);
+  ASSERT_TRUE(early_object.ok()) << early_object.status();
+  const auto healthy = server::OpenWithObject(
+      server, server::ColumnObject("ok", "v"),
+      ActionConfig::Aggregate(exec::AggKind::kSum));
+  ASSERT_TRUE(healthy.ok()) << healthy.status();
+
+  TableSpiller spiller(dir.path(),
+                       SpillOptions{.rows_per_block = kCutRowsPerBlock});
+  ASSERT_TRUE(
+      server.shared().SpillTable("cut", spiller, /*reclaim_raw=*/true).ok());
+  CutSpillFilesInHalf(dir.path());
+
+  // A new column object on "w" needs a hierarchy, which reads the file.
+  auto cold = server::ColumnObject("cut", "w");
+  cold.session = early->session;
+  EXPECT_FALSE(server.Call(cold).ok());
+  // A zone-map filter needs the base zone map of "v", which reads it too.
+  EXPECT_FALSE(server
+                   .Call(api::SetActionReq{
+                       .session = early->session,
+                       .object = early_object->object,
+                       .action = api::ToWire(ActionConfig::Filter(
+                           exec::Predicate(exec::CompareOp::kGe, 100.0),
+                           /*use_zone_map=*/true))})
+                   .ok());
+
+  // The server keeps serving the healthy session.
+  const sim::TouchDevice device(config.session_defaults.device);
+  TraceBuilder builder(device);
+  ASSERT_TRUE(server
+                  .Call(api::SubmitBatchReq{
+                      .session = *healthy,
+                      .paced = false,
+                      .events = api::ToWire(builder.Slide(
+                          "healthy", PointCm{3.0, 1.0}, PointCm{3.0, 11.0},
+                          MotionProfile::Constant(1.0)))})
+                  .ok());
+  ASSERT_TRUE(server.Drain().ok());
+  std::int64_t entries = 0;
+  ASSERT_TRUE(server
+                  .WithSession(*healthy,
+                               [&](Kernel& kernel) {
+                                 entries = kernel.stats().entries_returned;
+                               })
+                  .ok());
+  EXPECT_GT(entries, 10);
+  EXPECT_EQ(server.stats().executed, server.stats().submitted);
+  EXPECT_TRUE(server.Stop().ok());
 }
 
 // ---- Spill racing an active raw reader -------------------------------------
@@ -327,7 +480,7 @@ TEST(ReclaimTest, ReclaimWaitsForInFlightRawReadsThenStaleReadersFailClean) {
   // After the reclaim the stale binding failed cleanly at least once...
   EXPECT_GT(clean_failures.load(), 0);
   // ...while the rebound path serves the same data from disk.
-  storage::PagedColumnCursor cursor(table->PagedColumnAt(0));
+  storage::PagedColumnCursor cursor(*shared->GetColumnSource("race", 0));
   EXPECT_EQ(cursor.GetInt64(12'345), 12'345);
 }
 
@@ -355,7 +508,7 @@ TEST(ReclaimTest, ReclaimSucceedsUnderLivePoolPinAndPinnedCopyStaysValid) {
   EXPECT_EQ(cursor.GetInt64(511), 511);
   cursor.ReleasePin();
   EXPECT_EQ(shared->buffer_manager().stats().pinned_blocks, 0);
-  storage::PagedColumnCursor rebound(table->PagedColumnAt(0));
+  storage::PagedColumnCursor rebound(*shared->GetColumnSource("pinned", 0));
   EXPECT_EQ(rebound.GetInt64(300), 300);  // Served from the spill file.
 }
 
@@ -385,7 +538,7 @@ TEST(ReclaimTest, TapScanAndGroupByServeFromReclaimedTable) {
     config.buffer.rows_per_block = 1'024;
     if (reclaim) {
       shared = std::make_shared<core::SharedState>(
-          config.sampling, /*force_eager=*/false, config.buffer);
+          config.sampling, config.buffer);
       auto table = MixedTable("fat", rows);
       EXPECT_TRUE(shared->RegisterTable(table).ok());
       TableSpiller spiller(dir.path(),
@@ -446,7 +599,7 @@ std::vector<std::string> RunAcrossReclaim(ReclaimAt at) {
   config.buffer.rows_per_block = 1'024;
   config.buffer.budget_bytes = 8 * 1'024 * 8;
   auto shared = std::make_shared<core::SharedState>(
-      config.sampling, /*force_eager=*/false, config.buffer);
+      config.sampling, config.buffer);
   EXPECT_TRUE(shared->RegisterTable(MixedTable("m", kRows)).ok());
   std::vector<Column> keys_cols;
   keys_cols.push_back(storage::GenSequenceInt64("k", kRows, 0, 1));

@@ -878,9 +878,10 @@ TEST(SharedStateTest, ReRegisteredTableRebuildsHierarchy) {
   ASSERT_TRUE(first_again.ok());
   EXPECT_EQ(first->get(), first_again->get());  // Cached.
   const auto zone_map = shared.GetOrBuildBaseZoneMap(*first);
-  ASSERT_NE(zone_map, nullptr);
-  EXPECT_EQ(shared.GetOrBuildBaseZoneMap(*first).get(),
-            zone_map.get());  // Cached by hierarchy identity.
+  ASSERT_TRUE(zone_map.ok()) << zone_map.status();
+  ASSERT_NE(*zone_map, nullptr);
+  EXPECT_EQ(shared.GetOrBuildBaseZoneMap(*first)->get(),
+            zone_map->get());  // Cached by hierarchy identity.
   // Drop and re-register the name with different data: the cache must
   // rebuild instead of serving the stale (and, without the table pin,
   // dangling) hierarchy.
@@ -889,16 +890,20 @@ TEST(SharedStateTest, ReRegisteredTableRebuildsHierarchy) {
   const auto rebuilt = shared.GetOrBuildHierarchy("t", 0);
   ASSERT_TRUE(rebuilt.ok());
   EXPECT_NE(first->get(), rebuilt->get());
-  // The old zone map handle stays valid (aliasing pin) and still answers
-  // for the old data: rows of value < 500 existed only there.
-  EXPECT_TRUE(zone_map->MayMatch(0, 0.0, 10.0));
+  // The old zone map handle stays valid and still answers for the old
+  // data: rows of value < 500 existed only there.
+  EXPECT_TRUE((*zone_map)->MayMatch(0, 0.0, 10.0));
   // An object bound to the new hierarchy prunes with a map over the new
   // data, never the old table that happens to share the name.
   const auto new_zone_map = shared.GetOrBuildBaseZoneMap(*rebuilt);
-  ASSERT_NE(new_zone_map, nullptr);
-  EXPECT_NE(new_zone_map.get(), zone_map.get());
-  EXPECT_FALSE(new_zone_map->MayMatch(0, 0.0, 10.0));
-  EXPECT_TRUE(new_zone_map->MayMatch(0, 500.0, 510.0));
+  ASSERT_TRUE(new_zone_map.ok()) << new_zone_map.status();
+  ASSERT_NE(*new_zone_map, nullptr);
+  EXPECT_NE(new_zone_map->get(), zone_map->get());
+  EXPECT_FALSE((*new_zone_map)->MayMatch(0, 0.0, 10.0));
+  EXPECT_TRUE((*new_zone_map)->MayMatch(0, 500.0, 510.0));
+  // The retired hierarchy has no table left to build a map over.
+  EXPECT_EQ(shared.GetOrBuildBaseZoneMap(*first).status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(TouchServerTest, ConcurrentSubmittersAreSafe) {

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <set>
 
 #include "sim/motion_profile.h"
@@ -71,6 +72,17 @@ TEST(TouchDeviceTest, DistinctPositionsScaleWithLength) {
   const std::int64_t at20 = device.DistinctPositions(20.0);
   EXPECT_EQ(at10, 521);  // 10cm * 52 points/cm + 1
   EXPECT_GT(at20, 2 * at10 - 2);
+}
+
+TEST(TouchDeviceTest, DistinctPositionsSaturateInsteadOfOverflowing) {
+  TouchDevice device;
+  const std::int64_t huge = device.DistinctPositions(1e300);
+  EXPECT_GT(huge, device.DistinctPositions(1e9));
+  EXPECT_EQ(device.DistinctPositions(
+                std::numeric_limits<double>::infinity()),
+            huge);
+  EXPECT_EQ(device.DistinctPositions(std::nan("")), 0);
+  EXPECT_EQ(device.DistinctPositions(-1e300), 0);
 }
 
 TEST(MotionProfileTest, ConstantProfileIsLinear) {

@@ -268,8 +268,8 @@ TEST(TableTest, FromColumnsBuildsAndReads) {
   const auto table = Table::FromColumns("t", std::move(cols));
   ASSERT_TRUE(table.ok()) << table.status();
   EXPECT_EQ((*table)->row_count(), 3);
-  EXPECT_EQ((*table)->GetValue(1, 0).AsInt(), 2);
-  EXPECT_DOUBLE_EQ((*table)->GetValue(2, 1).AsDouble(), 0.3);
+  EXPECT_EQ((*table)->GetValue(1, 0)->AsInt(), 2);
+  EXPECT_DOUBLE_EQ((*table)->GetValue(2, 1)->AsDouble(), 0.3);
 }
 
 TEST(TableTest, FromColumnsRejectsRaggedColumns) {
@@ -293,7 +293,7 @@ TEST(TableTest, AppendRowWithStringsInterns) {
   ASSERT_TRUE(t.AppendRow({Value(std::string("web-2")), Value(2.5)}).ok());
   ASSERT_TRUE(t.AppendRow({Value(std::string("web-1")), Value(3.5)}).ok());
   EXPECT_EQ(t.row_count(), 3);
-  EXPECT_EQ(t.GetValue(2, 0).AsString(), "web-1");
+  EXPECT_EQ(t.GetValue(2, 0)->AsString(), "web-1");
   EXPECT_EQ(t.dictionary(0)->size(), 2);
 }
 
@@ -319,10 +319,11 @@ TEST(TableTest, ExtractColumnDeepCopies) {
   cols.push_back(Column::FromInt32("id", {5, 6}));
   cols.push_back(Column::FromStrings("tag", {"p", "q"}));
   auto table = *Table::FromColumns("t", std::move(cols));
-  const Column extracted = table->ExtractColumn(1);
-  EXPECT_EQ(extracted.row_count(), 2);
-  EXPECT_EQ(extracted.GetValue(0).AsString(), "p");
-  EXPECT_EQ(extracted.GetValue(1).AsString(), "q");
+  const Result<Column> extracted = table->ExtractColumn(1);
+  ASSERT_TRUE(extracted.ok()) << extracted.status();
+  EXPECT_EQ(extracted->row_count(), 2);
+  EXPECT_EQ(extracted->GetValue(0).AsString(), "p");
+  EXPECT_EQ(extracted->GetValue(1).AsString(), "q");
 }
 
 TEST(TableTest, ReplaceStorageSwapsLayout) {
@@ -333,7 +334,7 @@ TEST(TableTest, ReplaceStorageSwapsLayout) {
   Matrix rotated = table->storage().ToOrder(MajorOrder::kRowMajor);
   ASSERT_TRUE(table->ReplaceStorage(std::move(rotated)).ok());
   EXPECT_EQ(table->layout(), MajorOrder::kRowMajor);
-  EXPECT_EQ(table->GetValue(2, 0).AsInt(), 3);
+  EXPECT_EQ(table->GetValue(2, 0)->AsInt(), 3);
 }
 
 TEST(TableTest, ReplaceStorageRejectsMismatch) {
@@ -456,7 +457,7 @@ TEST(DatagenTest, MonitoringTableSchema) {
   std::vector<RowId> spikes;
   const auto mon = MakeMonitoringTable(5000, 4, &spikes);
   EXPECT_EQ(mon->schema().num_fields(), 4u);
-  EXPECT_EQ(mon->GetValue(0, 1).is_string(), true);
+  EXPECT_EQ(mon->GetValue(0, 1)->is_string(), true);
   EXPECT_FALSE(spikes.empty());
 }
 

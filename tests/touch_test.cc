@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 
 #include "touch/data_object_view.h"
@@ -138,6 +140,22 @@ TEST(TouchMapperTest, ClampsToValidRows) {
   EXPECT_EQ(MapPositionToRow(-1.0, 10.0, 1000), 0);     // Above the top.
   EXPECT_EQ(MapPositionToRow(5.0, 0.0, 1000), 0);       // Degenerate size.
   EXPECT_EQ(MapPositionToRow(5.0, 10.0, 0), 0);         // Empty column.
+}
+
+// A slide that began on an object may move to any coordinate: the row
+// and the attribute clamp in double, before any cast.
+TEST(TouchMapperTest, FarTouchesClampBeforeTheCast) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(MapPositionToRow(1e300, 10.0, 1000), 999);
+  EXPECT_EQ(MapPositionToRow(inf, 10.0, 1000), 999);
+  EXPECT_EQ(MapPositionToRow(-1e300, 10.0, 1000), 0);
+  EXPECT_EQ(MapPositionToRow(std::nan(""), 10.0, 1000), 0);
+  EXPECT_EQ(MapPositionToRow(5.0, std::nan(""), 1000), 0);
+  DataObjectView table("t", RectCm{0, 0, 8, 10}, ObjectKind::kTable, 1000,
+                       4);
+  EXPECT_EQ(MapTouch(table, PointCm{1e300, 5.0}).attribute, 3u);
+  EXPECT_EQ(MapTouch(table, PointCm{-1e300, 5.0}).attribute, 0u);
+  EXPECT_EQ(MapTouch(table, PointCm{3.0, 1e300}).row, 999);
 }
 
 TEST(TouchMapperTest, RowToPositionInvertsWithinOnePosition) {
