@@ -282,7 +282,7 @@ void FileTierReport(const std::shared_ptr<dbtouch::storage::Table>& table,
     // blocks evict each other before the pins claim them.
     config.staged_cap_bytes = 2 * kBandBlocks * kRowsPerBlock * 8;
     BufferManager manager(config);
-    auto source = manager.SourceFor("disk.v", 0, *provider);
+    auto source = *manager.SourceFor("disk.v", 0, *provider);
 
     const std::int64_t num_blocks = source->num_blocks();
     std::int64_t bands = 0;

@@ -224,11 +224,6 @@ void BlockCache::OnGesturePause(std::uint64_t owner) {
   }
 }
 
-void BlockCache::ForgetOwner(std::uint64_t owner) {
-  const std::lock_guard<std::mutex> lock(gesture_mu_);
-  detectors_.erase(owner);
-}
-
 bool BlockCache::Contains(const BlockKey& key) const {
   Shard& shard = ShardFor(key);
   const std::lock_guard<std::mutex> lock(shard.mu);

@@ -178,10 +178,6 @@ class BlockCache {
   void OnGesturePause();
   void OnGesturePause(std::uint64_t owner);
 
-  /// Drops the owner's gesture detector (the owner id was retired — e.g.
-  /// its table re-registered). Its blocks age out of the LRU naturally.
-  void ForgetOwner(std::uint64_t owner);
-
   /// True while the block's payload is resident (retained, or transient
   /// with live pins).
   bool Contains(const BlockKey& key) const;

@@ -38,14 +38,15 @@ Result<std::vector<std::byte>> BlockProvider::ReadRange(
 }
 
 TableBlockProvider::TableBlockProvider(
-    std::shared_ptr<const storage::Table> table, std::size_t column,
+    const std::shared_ptr<const storage::Table>& table, std::size_t column,
     std::int64_t rows_per_block)
-    : table_(std::move(table)), column_(column) {
-  DBTOUCH_CHECK(table_ != nullptr);
-  DBTOUCH_CHECK(column_ < table_->schema().num_fields());
+    : table_(table), column_(column) {
+  DBTOUCH_CHECK(table != nullptr);
+  DBTOUCH_CHECK(column_ < table->schema().num_fields());
   DBTOUCH_CHECK(rows_per_block > 0);
-  geometry_.type = table_->schema().field(column_).type;
-  geometry_.row_count = table_->row_count();
+  dictionary_ = table->dictionary(column_);
+  geometry_.type = table->schema().field(column_).type;
+  geometry_.row_count = table->row_count();
   geometry_.rows_per_block = rows_per_block;
 }
 
@@ -57,15 +58,20 @@ Result<std::vector<std::byte>> TableBlockProvider::Fetch(std::int64_t block) {
   const std::size_t width = geometry_.width();
   const storage::RowId first = block * geometry_.rows_per_block;
   const std::int64_t count = geometry_.BlockRowCount(block);
+  const std::shared_ptr<const storage::Table> table = table_.lock();
+  if (table == nullptr) {
+    return Status::FailedPrecondition("the table of block " +
+                                      std::to_string(block) + " is gone");
+  }
   std::vector<std::byte> payload(static_cast<std::size_t>(count) * width);
   // The copy runs under the table's release gate: a concurrent spill
   // reclamation or layout swap waits for it, and the pool keeps only the
   // copy, never a pointer into the matrix. Once the matrix is gone this
   // fetch fails permanently (FailedPrecondition is not a transient fetch
-  // error) instead of reading freed memory; kernel objects rebind to the
-  // spill files before their next gesture, so only a read racing the
-  // reclaim still meets this failure.
-  DBTOUCH_RETURN_IF_ERROR(table_->WithRawColumn(
+  // error) instead of reading freed memory. A pool fill that meets this
+  // retries once on its column's current binding: a reclaim publishes
+  // the spill before it releases the matrix, so the retry reads the file.
+  DBTOUCH_RETURN_IF_ERROR(table->WithRawColumn(
       column_, [&](const storage::ColumnView& view) -> Status {
         if (view.stride() == width) {
           // Column-major storage: the block is one contiguous run.

@@ -110,20 +110,24 @@ class BlockProvider {
 
 /// Fast tier: blocks copied out of an in-memory table column. Reads the
 /// column view at fetch time, so a layout rotation between faults changes
-/// the copy path, never the values.
+/// the copy path, never the values. The provider does not keep the table
+/// alive (a pool binding outlives a dropped or re-registered table, and
+/// must not hold its matrix); once the table is gone, fetches fail
+/// cleanly.
 class TableBlockProvider final : public BlockProvider {
  public:
-  TableBlockProvider(std::shared_ptr<const storage::Table> table,
+  TableBlockProvider(const std::shared_ptr<const storage::Table>& table,
                      std::size_t column, std::int64_t rows_per_block);
 
   const BlockGeometry& geometry() const override { return geometry_; }
   const storage::Dictionary* dictionary() const override {
-    return table_->dictionary(column_).get();
+    return dictionary_.get();
   }
   Result<std::vector<std::byte>> Fetch(std::int64_t block) override;
 
  private:
-  std::shared_ptr<const storage::Table> table_;
+  std::weak_ptr<const storage::Table> table_;
+  std::shared_ptr<const storage::Dictionary> dictionary_;
   std::size_t column_;
   BlockGeometry geometry_;
 };

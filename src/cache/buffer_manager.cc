@@ -1,7 +1,7 @@
 #include "cache/buffer_manager.h"
 
 #include <algorithm>
-#include <limits>
+#include <utility>
 
 #include "common/macros.h"
 
@@ -33,60 +33,72 @@ BlockCache::Config CacheConfigFrom(const BufferManagerConfig& config) {
   return out;
 }
 
+/// InvalidArgument unless `provider` serves column `column` at `want`.
+Status CheckGeometry(const BlockGeometry& want, const BlockProvider& provider,
+                     std::size_t column) {
+  const BlockGeometry& got = provider.geometry();
+  const storage::PaxLayout* pax = provider.pax_layout();
+  const bool type_ok = pax == nullptr ? got.type == want.type
+                                      : column < pax->num_columns() &&
+                                            pax->type(column) == want.type;
+  if (!type_ok || got.row_count != want.row_count ||
+      got.rows_per_block != want.rows_per_block) {
+    return Status::InvalidArgument(
+        "provider serves " + std::to_string(got.row_count) + " rows, " +
+        std::to_string(got.rows_per_block) + " a block; the column binding " +
+        std::to_string(want.row_count) + " rows, " +
+        std::to_string(want.rows_per_block) + " a block, of its own type");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
-/// PagedColumnSource pinning blocks in the shared BlockCache and faulting
-/// from one provider. Cheap to create; one per bound data object.
-class BufferManager::Source : public storage::PagedColumnSource {
+/// PagedColumnSource over one column binding: each pin, fetch and
+/// prefetch loads the binding's current record and pins its blocks in the
+/// shared BlockCache. Cheap to create; one per bound data object.
+class BufferManager::Source final : public storage::PagedColumnSource {
  public:
-  Source(BufferManager* manager, std::uint64_t owner,
-         std::shared_ptr<BlockProvider> provider)
-      : manager_(manager), owner_(owner), provider_(std::move(provider)) {}
+  Source(BufferManager* manager, std::shared_ptr<const Binding> binding)
+      : manager_(manager), binding_(std::move(binding)) {}
 
   storage::DataType type() const override {
-    return provider_->geometry().type;
+    return binding_->geometry.type;
   }
   const storage::Dictionary* dictionary() const override {
-    return provider_->dictionary();
+    return DictionaryOf(Current());
   }
   std::int64_t row_count() const override {
-    return provider_->geometry().row_count;
+    return binding_->geometry.row_count;
   }
   std::int64_t rows_per_block() const override {
-    return provider_->geometry().rows_per_block;
+    return binding_->geometry.rows_per_block;
   }
-  /// Sources of one binding share blocks, so they share a token: two PAX
+  /// Sources of one owner share blocks, so they share a token: two PAX
   /// column sources of the same table dedup to one stall entry.
   std::uintptr_t share_token() const override {
-    return static_cast<std::uintptr_t>(owner_);
+    return static_cast<std::uintptr_t>(Current().owner);
   }
 
   void OnGesturePause() override {
-    manager_->cache_.OnGesturePause(owner_);
+    manager_->cache_.OnGesturePause(Current().owner);
   }
 
+  /// A fill that fails after the binding changed (a reclaim freed the
+  /// matrix it was copying from) retries once on the current record: the
+  /// spill is published before the matrix is released, so one retry
+  /// reads it.
   Result<storage::BlockPin> PinBlock(std::int64_t block,
                                      storage::RowId row_hint) override {
-    if (block < 0 || block >= num_blocks()) {
-      return Status::OutOfRange("block " + std::to_string(block) +
-                                " out of range");
+    DBTOUCH_RETURN_IF_ERROR(CheckBlock(block));
+    const Record* record = &Current();
+    Result<BlockCache::Pinned> pinned = Pin(*record, block, row_hint);
+    if (!pinned.ok() && record != &Current()) {
+      record = &Current();
+      pinned = Pin(*record, block, row_hint);
     }
-    const BlockKey key{owner_, block};
-    DBTOUCH_ASSIGN_OR_RETURN(
-        const BlockCache::Pinned pinned,
-        manager_->cache_.Pin(key, row_hint, [&] {
-          // Inline fill under the shard lock (reads no residency probe
-          // fronts); shares the queue's bounded retry policy so transient
-          // backing-store errors stay transient here too.
-          std::int64_t retries = 0;
-          auto payload = FetchBlockWithRetry(*provider_, block,
-                                             manager_->config_.fetch,
-                                             &retries);
-          manager_->sync_retries_.fetch_add(retries,
-                                            std::memory_order_relaxed);
-          return payload;
-        }));
-    return MakePin(block, pinned);
+    DBTOUCH_RETURN_IF_ERROR(pinned.status());
+    return MakePin(*record, block, *pinned);
   }
 
   /// Non-blocking pin: a cache hit pins as usual; a miss on an immediate
@@ -95,36 +107,32 @@ class BufferManager::Source : public storage::PagedColumnSource {
   /// StartFetch and suspend.
   Result<std::optional<storage::BlockPin>> TryPinBlock(
       std::int64_t block, storage::RowId row_hint) override {
-    if (!may_block()) {
+    const Record& record = Current();
+    if (!record.provider->async()) {
       return PagedColumnSource::TryPinBlock(block, row_hint);
     }
-    if (block < 0 || block >= num_blocks()) {
-      return Status::OutOfRange("block " + std::to_string(block) +
-                                " out of range");
-    }
+    DBTOUCH_RETURN_IF_ERROR(CheckBlock(block));
     const std::optional<BlockCache::Pinned> pinned =
-        manager_->cache_.TryPin(BlockKey{owner_, block}, row_hint);
+        manager_->cache_.TryPin(BlockKey{record.owner, block}, row_hint);
     if (!pinned.has_value()) {
       return std::optional<storage::BlockPin>();
     }
-    return std::optional<storage::BlockPin>(MakePin(block, *pinned));
+    return std::optional<storage::BlockPin>(MakePin(record, block, *pinned));
   }
 
-  bool may_block() const override { return provider_->async(); }
+  bool may_block() const override { return Current().provider->async(); }
 
   Status StartFetch(std::int64_t block, FetchCompletion done,
                     std::uint64_t tag = 0) override {
-    if (block < 0 || block >= num_blocks()) {
-      return Status::OutOfRange("block " + std::to_string(block) +
-                                " out of range");
-    }
-    if (!may_block()) {
+    DBTOUCH_RETURN_IF_ERROR(CheckBlock(block));
+    const Record& record = Current();
+    if (!record.provider->async()) {
       return PagedColumnSource::StartFetch(block, std::move(done), tag);
     }
-    // Non-null by construction: binding an async provider created it.
+    // Non-null: publishing an async provider created it.
     FetchQueue* queue = manager_->fetch_queue();
     DBTOUCH_CHECK(queue != nullptr);
-    queue->Enqueue(BlockKey{owner_, block}, provider_, block,
+    queue->Enqueue(BlockKey{record.owner, block}, record.provider, block,
                    FetchPriority::kDemand, std::move(done), tag);
     return Status::OK();
   }
@@ -136,7 +144,8 @@ class BufferManager::Source : public storage::PagedColumnSource {
   std::int64_t RequestPrefetchRange(std::int64_t first_block,
                                     std::int64_t last_block,
                                     std::int64_t max_new_blocks) override {
-    if (!may_block() || max_new_blocks <= 0) {
+    const Record& record = Current();
+    if (!record.provider->async() || max_new_blocks <= 0) {
       return 0;
     }
     FetchQueue* queue = manager_->fetch_queue();
@@ -149,7 +158,7 @@ class BufferManager::Source : public storage::PagedColumnSource {
          block <= last_block + 1 && issued < max_new_blocks; ++block) {
       const bool missing =
           block <= last_block &&
-          !manager_->cache_.Contains(BlockKey{owner_, block});
+          !manager_->cache_.Contains(BlockKey{record.owner, block});
       if (missing) {
         if (run_start < 0) {
           run_start = block;
@@ -160,7 +169,7 @@ class BufferManager::Source : public storage::PagedColumnSource {
         const std::int64_t len =
             std::min<std::int64_t>(block - run_start, max_new_blocks - issued);
         issued += static_cast<std::int64_t>(
-            queue->EnqueueRange(owner_, provider_, run_start, len));
+            queue->EnqueueRange(record.owner, record.provider, run_start, len));
         run_start = -1;
       }
     }
@@ -168,54 +177,65 @@ class BufferManager::Source : public storage::PagedColumnSource {
   }
 
  protected:
-  void UnpinBlock(std::int64_t block) override {
-    manager_->cache_.Unpin(BlockKey{owner_, block});
-  }
-
-  /// View over the pinned payload handed to BlockPin. Virtual so PAX
-  /// sources can carve their column's minipage out of the shared payload.
-  virtual storage::BlockPin MakePin(std::int64_t block,
-                                    const BlockCache::Pinned& pinned) {
-    const storage::ColumnView view(
-        type(), pinned.data, provider_->geometry().width(),
-        provider_->geometry().BlockRowCount(block), dictionary());
-    return storage::BlockPin(this, block, view, BlockFirstRow(block));
-  }
-
-  BufferManager* manager_;  // Not owned; outlives the source.
-  std::uint64_t owner_;
-  std::shared_ptr<BlockProvider> provider_;
-};
-
-/// One schema column of a PAX binding: pins the shared multi-column block
-/// and views only its own minipage. Everything else — fetch, stall,
-/// prefetch, residency — is the base Source against the shared owner.
-class BufferManager::PaxSource final : public BufferManager::Source {
- public:
-  PaxSource(BufferManager* manager, std::uint64_t owner,
-            std::shared_ptr<BlockProvider> provider, std::size_t column)
-      : Source(manager, owner, std::move(provider)), column_(column) {}
-
-  storage::DataType type() const override {
-    return provider_->pax_layout()->type(column_);
-  }
-  const storage::Dictionary* dictionary() const override {
-    return provider_->pax_dictionary(column_);
-  }
-
- protected:
-  storage::BlockPin MakePin(std::int64_t block,
-                            const BlockCache::Pinned& pinned) override {
-    const storage::PaxLayout& layout = *provider_->pax_layout();
-    const std::int64_t rows = provider_->geometry().BlockRowCount(block);
-    const storage::ColumnView view(
-        type(), pinned.data + layout.MinipageOffset(rows, column_),
-        storage::TypeWidth(type()), rows, dictionary());
-    return storage::BlockPin(this, block, view, BlockFirstRow(block));
+  void UnpinBlock(std::int64_t block, std::uintptr_t share_token) override {
+    manager_->cache_.Unpin(BlockKey{share_token, block});
   }
 
  private:
-  std::size_t column_;
+  /// One acquire load: no lock, no reference count.
+  const Record& Current() const {
+    return *binding_->current.load(std::memory_order_acquire);
+  }
+
+  static const storage::Dictionary* DictionaryOf(const Record& record) {
+    return record.provider->pax_layout() != nullptr
+               ? record.provider->pax_dictionary(record.pax_column)
+               : record.provider->dictionary();
+  }
+
+  Status CheckBlock(std::int64_t block) const {
+    if (block < 0 || block >= num_blocks()) {
+      return Status::OutOfRange("block " + std::to_string(block) +
+                                " out of range");
+    }
+    return Status::OK();
+  }
+
+  /// Pins `block` of `record`'s owner, filling inline on a miss (reads no
+  /// residency probe fronts) with the queue's bounded retry policy, so
+  /// transient backing-store errors stay transient here too.
+  Result<BlockCache::Pinned> Pin(const Record& record, std::int64_t block,
+                                 storage::RowId row_hint) {
+    return manager_->cache_.Pin(
+        BlockKey{record.owner, block}, row_hint, [&] {
+          std::int64_t retries = 0;
+          auto payload = FetchBlockWithRetry(*record.provider, block,
+                                             manager_->config_.fetch,
+                                             &retries);
+          manager_->sync_retries_.fetch_add(retries,
+                                            std::memory_order_relaxed);
+          return payload;
+        });
+  }
+
+  /// View over the pinned payload: the whole block, or the column's
+  /// minipage of a PAX block.
+  storage::BlockPin MakePin(const Record& record, std::int64_t block,
+                            const BlockCache::Pinned& pinned) {
+    const std::int64_t rows = BlockRowCount(block);
+    const storage::PaxLayout* pax = record.provider->pax_layout();
+    const std::byte* data =
+        pax == nullptr
+            ? pinned.data
+            : pinned.data + pax->MinipageOffset(rows, record.pax_column);
+    const storage::ColumnView view(type(), data, storage::TypeWidth(type()),
+                                   rows, DictionaryOf(record));
+    return storage::BlockPin(this, block, view, BlockFirstRow(block),
+                             static_cast<std::uintptr_t>(record.owner));
+  }
+
+  BufferManager* manager_;  // Not owned; outlives the source.
+  std::shared_ptr<const Binding> binding_;
 };
 
 BufferManager::BufferManager(const BufferManagerConfig& config)
@@ -270,28 +290,48 @@ void BufferManager::WaitForFetches() {
   }
 }
 
-BufferManager::Binding BufferManager::BindOwner(
-    const std::string& name, std::size_t column, const void* identity,
-    const std::function<std::shared_ptr<BlockProvider>()>& make_provider) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  Binding& binding = bindings_[{name, column}];
-  if (binding.identity != identity) {
-    // First bind, or the name now denotes different data: a fresh owner id
-    // gives it a clean block namespace (stale blocks age out via LRU; the
-    // retired owner's gesture detector is dropped eagerly).
-    if (binding.owner != 0) {
-      cache_.ForgetOwner(binding.owner);
-    }
-    binding.identity = identity;
-    binding.owner = next_owner_++;
-    binding.provider = make_provider();
-  }
-  if (binding.provider->async()) {
-    // First slow tier bound: spin up the fetchers. In-memory-only
-    // managers (every private kernel SharedState) never reach here.
-    EnsureFetchQueue();
+std::shared_ptr<BufferManager::Binding> BufferManager::BindingLocked(
+    const std::shared_ptr<storage::Table>& table, std::size_t column) {
+  std::shared_ptr<Binding>& binding =
+      bindings_[{table.get(), table->name(), column}];
+  if (binding == nullptr || binding->table.lock() != table) {
+    // First use, or the entry is a dead table's whose address this one
+    // took over.
+    binding = std::make_shared<Binding>();
+    binding->table = table;
+    binding->geometry = {table->schema().field(column).type,
+                         table->row_count(), config_.rows_per_block};
+    // Entries of tables that are gone go too; sources keep theirs.
+    std::erase_if(bindings_, [](const auto& entry) {
+      return std::get<0>(entry.first) != nullptr &&
+             entry.second->table.expired();
+    });
   }
   return binding;
+}
+
+void BufferManager::PublishLocked(Binding& binding,
+                                  std::shared_ptr<BlockProvider> provider,
+                                  std::size_t column) {
+  if (provider->async()) {
+    // First slow tier published: spin up the fetchers before any source
+    // can load the record. In-memory-only managers (every private kernel
+    // SharedState) never reach here.
+    EnsureFetchQueue();
+  }
+  // One owner per provider: a PAX file published for every column of a
+  // table is one block namespace.
+  std::uint64_t owner = 0;
+  for (const auto& [key, other] : bindings_) {
+    const Record* record = other->current.load(std::memory_order_relaxed);
+    if (record != nullptr && record->provider == provider) {
+      owner = record->owner;
+      break;
+    }
+  }
+  binding.published.push_back(
+      Record{owner != 0 ? owner : next_owner_++, std::move(provider), column});
+  binding.current.store(&binding.published.back(), std::memory_order_release);
 }
 
 Result<std::shared_ptr<storage::PagedColumnSource>>
@@ -305,45 +345,58 @@ BufferManager::ColumnSource(const std::shared_ptr<storage::Table>& table,
                               " out of range for table '" + table->name() +
                               "'");
   }
-  const Binding binding = BindOwner(table->name(), column, table.get(), [&] {
-    return std::make_shared<TableBlockProvider>(table, column,
-                                                config_.rows_per_block);
-  });
+  const std::lock_guard<std::mutex> lock(mu_);
+  std::shared_ptr<Binding> binding = BindingLocked(table, column);
+  if (binding->current.load(std::memory_order_relaxed) == nullptr) {
+    // First use: the column reads the table's matrix until something else
+    // is published.
+    PublishLocked(*binding,
+                  std::make_shared<TableBlockProvider>(table, column,
+                                                       config_.rows_per_block),
+                  column);
+  }
   // Explicit upcast: Result<T> will not chain the derived-to-base
   // shared_ptr conversion with its own converting constructor.
   return std::shared_ptr<storage::PagedColumnSource>(
-      std::make_shared<Source>(this, binding.owner, binding.provider));
+      std::make_shared<Source>(this, std::move(binding)));
 }
 
-std::shared_ptr<storage::PagedColumnSource> BufferManager::SourceFor(
+Status BufferManager::Publish(
+    const std::shared_ptr<storage::Table>& table,
+    const std::vector<std::shared_ptr<BlockProvider>>& providers) {
+  DBTOUCH_CHECK(providers.size() <= table->schema().num_fields());
+  const std::lock_guard<std::mutex> lock(mu_);
+  // Every provider is checked before any is published.
+  for (std::size_t column = 0; column < providers.size(); ++column) {
+    if (providers[column] != nullptr) {
+      DBTOUCH_RETURN_IF_ERROR(CheckGeometry(
+          BindingLocked(table, column)->geometry, *providers[column], column));
+    }
+  }
+  for (std::size_t column = 0; column < providers.size(); ++column) {
+    if (providers[column] != nullptr) {
+      PublishLocked(*BindingLocked(table, column), providers[column], column);
+    }
+  }
+  return Status::OK();
+}
+
+Result<std::shared_ptr<storage::PagedColumnSource>> BufferManager::SourceFor(
     const std::string& name, std::size_t column,
     std::shared_ptr<BlockProvider> provider) {
-  DBTOUCH_CHECK(provider != nullptr);
-  const Binding binding = BindOwner(name, column, provider.get(),
-                                    [&] { return provider; });
-  return std::make_shared<Source>(this, binding.owner, binding.provider);
-}
-
-Result<std::shared_ptr<storage::PagedColumnSource>>
-BufferManager::PaxSourceFor(const std::string& name, std::size_t column,
-                            std::shared_ptr<BlockProvider> provider) {
-  if (provider == nullptr || provider->pax_layout() == nullptr) {
-    return Status::InvalidArgument("provider for '" + name +
-                                   "' is not a PAX provider");
+  if (provider == nullptr) {
+    return Status::InvalidArgument("null provider");
   }
-  if (column >= provider->pax_layout()->num_columns()) {
-    return Status::OutOfRange("PAX column " + std::to_string(column) +
-                              " out of range for '" + name + "'");
+  const std::lock_guard<std::mutex> lock(mu_);
+  std::shared_ptr<Binding>& binding = bindings_[{nullptr, name, column}];
+  if (binding == nullptr) {
+    binding = std::make_shared<Binding>();
+    binding->geometry = provider->geometry();
   }
-  // All columns bind under one sentinel column key: one owner, one block
-  // namespace — a fault for any column is a hit for the rest.
-  constexpr std::size_t kPaxBindingColumn =
-      std::numeric_limits<std::size_t>::max();
-  const Binding binding = BindOwner(name, kPaxBindingColumn, provider.get(),
-                                    [&] { return provider; });
+  DBTOUCH_RETURN_IF_ERROR(CheckGeometry(binding->geometry, *provider, column));
+  PublishLocked(*binding, std::move(provider), column);
   return std::shared_ptr<storage::PagedColumnSource>(
-      std::make_shared<PaxSource>(this, binding.owner, binding.provider,
-                                  column));
+      std::make_shared<Source>(this, binding));
 }
 
 }  // namespace dbtouch::cache

@@ -1,8 +1,8 @@
 // BufferManager: the server-wide buffer pool the touch read path runs
 // through. Column data lives in fixed-size blocks owned by a payload-
 // holding BlockCache (pin/unpin, byte budget, gesture-aware scan-bypass
-// admission), keyed by (table, column, block) and faulted in from a
-// pluggable BlockProvider — the in-memory base table by default, a
+// admission), keyed by (owner, block) and faulted in from a pluggable
+// BlockProvider — the in-memory base table by default, a spill file or a
 // remote::RemoteStore adapter for cold tiers.
 //
 // One BufferManager serves every session of a SharedState, so concurrent
@@ -11,22 +11,37 @@
 // kernels and exec operators consume without knowing whether the bytes
 // are cached copies or zero-copy views.
 //
-// Thread-safety: the binding registry is mutex-guarded; pins go to the
-// sharded BlockCache. Handed-out sources must not outlive the manager
-// (the SharedState owns both the manager and, transitively, the kernels
-// holding sources).
+// Bindings: the manager keeps exactly one binding per (table, column) for
+// the column's whole life. What the column reads right now is an
+// immutable {owner, provider, PAX column} record the binding publishes;
+// every source of the column loads the current record on each pin, fetch
+// and prefetch, so a spill, a reclaim or a new provider changes what
+// every source reads, those handed out earlier included, and nothing is
+// ever rebound. A binding's geometry (type, row count, rows per block) is
+// fixed when it is created, so block numbering never changes under a
+// cursor: a publish at another geometry is refused.
+//
+// Thread-safety: publishing is mutex-guarded and rare (one per spill or
+// SetColumnProvider); the pin path takes no lock of the manager's, only
+// one acquire load of the record, and pins go to the sharded BlockCache.
+// Every record a binding ever published lives as long as the binding,
+// which each of its sources holds, so a reader that loaded one before a
+// publish can finish with it. Handed-out sources must not outlive the
+// manager (the SharedState owns both the manager and, transitively, the
+// kernels holding sources).
 
 #ifndef DBTOUCH_CACHE_BUFFER_MANAGER_H_
 #define DBTOUCH_CACHE_BUFFER_MANAGER_H_
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <utility>
+#include <tuple>
+#include <vector>
 
 #include "cache/block_cache.h"
 #include "cache/block_provider.h"
@@ -64,33 +79,34 @@ class BufferManager {
   BufferManager(const BufferManager&) = delete;
   BufferManager& operator=(const BufferManager&) = delete;
 
-  /// A paged source reading `table.column` through this pool, faulting
-  /// from an (auto-created) TableBlockProvider. Binding is by table name +
-  /// column and pinned to the table's identity: re-registering the name
-  /// with new contents rebinds under a fresh block namespace, so stale
-  /// cached blocks can never serve the new data. The provider (and its
-  /// row-count snapshot) is shared by every source of the binding —
-  /// registered tables are treated as frozen for exploration, like the
-  /// sample hierarchies do.
+  /// A paged source over the binding of `table.column`. The binding is
+  /// created on first use, pinned to the table's identity, with the
+  /// table's in-memory blocks (a TableBlockProvider) as its first record
+  /// and the pool's rows_per_block as its block size. A name
+  /// re-registered with another table gets a fresh binding under a fresh
+  /// block namespace, so stale cached blocks can never serve the new data;
+  /// sources of the old table keep reading the old binding.
   Result<std::shared_ptr<storage::PagedColumnSource>> ColumnSource(
       const std::shared_ptr<storage::Table>& table, std::size_t column);
 
-  /// A paged source over an explicit provider registered under
-  /// `name.column` — the remote cold-tier path and the test seam. Repeat
-  /// calls with the same (name, column, provider) share cached blocks;
-  /// a different provider rebinds.
-  std::shared_ptr<storage::PagedColumnSource> SourceFor(
-      const std::string& name, std::size_t column,
-      std::shared_ptr<BlockProvider> provider);
+  /// Publishes `providers[c]`, where non-null, as what column c of
+  /// `table` reads from now on: every source of the column, handed out
+  /// before or after, reads through it. A provider's blocks are cached
+  /// under one owner (block namespace): a fresh one, or the one it has
+  /// where a binding already reads it. So one provider published for
+  /// several columns — a PAX spill file — has ONE owner: a block pinned
+  /// for any of those columns is resident for all of them, and their
+  /// sources report one share_token(). Every provider is checked before any
+  /// is published: a geometry other than the binding's (type, row count,
+  /// rows per block) is InvalidArgument and leaves every binding as it
+  /// was.
+  Status Publish(const std::shared_ptr<storage::Table>& table,
+                 const std::vector<std::shared_ptr<BlockProvider>>& providers);
 
-  /// A paged source over schema column `column` of a PAX multi-column
-  /// provider (provider->pax_layout() != nullptr). Every column of `name`
-  /// binds to ONE shared owner and block namespace: a block pinned for
-  /// any column is resident for all of them, so a fat-table tuple probe
-  /// costs one fault instead of one per attribute. Sources of the same
-  /// binding report one share_token(), which is how the kernel's stall
-  /// dedup knows two attribute cursors wait on the same payload.
-  Result<std::shared_ptr<storage::PagedColumnSource>> PaxSourceFor(
+  /// Publishes `provider` into the binding of `name.column`, which has no
+  /// table behind it (its geometry is the first provider's), and returns a
+  /// source over it — the test and bench seam. Same rules as Publish.
+  Result<std::shared_ptr<storage::PagedColumnSource>> SourceFor(
       const std::string& name, std::size_t column,
       std::shared_ptr<BlockProvider> provider);
 
@@ -103,7 +119,7 @@ class BufferManager {
   const BufferManagerConfig& config() const { return config_; }
 
   /// Stats of the fetch pipeline (zeros while no async provider was ever
-  /// bound).
+  /// published).
   FetchQueueStats fetch_stats() const;
   /// Retries spent by inline fills (PinBlock on a slow tier, for reads no
   /// residency probe fronts) — they share the queue's retry policy.
@@ -141,28 +157,49 @@ class BufferManager {
 
   /// Wires span tracing into the async fetch pipeline (see
   /// FetchQueue::set_trace_recorder). The queue is created lazily on the
-  /// first async binding, so the recorder is remembered and handed over
+  /// first async publish, so the recorder is remembered and handed over
   /// whenever creation happens; safe before or after. Null = off.
   void SetTraceRecorder(obs::TraceRecorder* recorder);
 
  private:
   class Source;
-  class PaxSource;
 
-  struct Binding {
-    const void* identity = nullptr;
+  /// What a column reads: immutable once published.
+  struct Record {
     std::uint64_t owner = 0;
     std::shared_ptr<BlockProvider> provider;
+    /// The column's minipage in a PAX provider's blocks (unused for
+    /// single-column providers).
+    std::size_t pax_column = 0;
   };
 
-  /// The binding for (name, column): reused while `identity` (provider or
-  /// table) is unchanged; rebound with a fresh owner id — and a provider
-  /// from `make_provider` — when it changed.
-  Binding BindOwner(
-      const std::string& name, std::size_t column, const void* identity,
-      const std::function<std::shared_ptr<BlockProvider>()>& make_provider);
+  /// One column's binding. Its sources share it for their whole life and
+  /// load `current` on every use; a publish swaps `current`.
+  struct Binding {
+    /// The table whose column this is (empty for SourceFor names). Weak,
+    /// like every provider's hold on a table: a binding never keeps a
+    /// table's matrix alive, and a dead table's binding is never reused.
+    std::weak_ptr<const storage::Table> table;
+    /// Fixed at creation; every published provider must match it.
+    BlockGeometry geometry;
+    /// Every record the binding ever published, oldest first (guarded by
+    /// mu_). A deque never moves its elements, so a record a reader
+    /// loaded before a publish stays valid as long as the binding.
+    std::deque<Record> published;
+    std::atomic<const Record*> current{nullptr};
+  };
 
-  /// The fetch queue, created on the first binding of an async()
+  /// The binding of `table.column`, created on first use at the column's
+  /// type and row count and the pool's rows_per_block; requires mu_.
+  std::shared_ptr<Binding> BindingLocked(
+      const std::shared_ptr<storage::Table>& table, std::size_t column);
+
+  /// Makes `provider` what `binding` reads, under the owner it has where
+  /// some binding reads it now, else a fresh one; requires mu_.
+  void PublishLocked(Binding& binding, std::shared_ptr<BlockProvider> provider,
+                     std::size_t column);
+
+  /// The fetch queue, created on the first publish of an async()
   /// provider — a manager serving only in-memory tables (every private
   /// kernel SharedState) never pays the fetcher threads. Non-null iff
   /// created; readers load the atomic, the owner keeps it alive.
@@ -182,8 +219,13 @@ class BufferManager {
   /// Recorder to hand the queue at (lazy) creation; see SetTraceRecorder.
   std::atomic<obs::TraceRecorder*> trace_recorder_{nullptr};
   std::atomic<std::int64_t> sync_retries_{0};
-  mutable std::mutex mu_;
-  std::map<std::pair<std::string, std::size_t>, Binding> bindings_;
+  std::mutex mu_;
+  /// The current binding of each (table identity or null, name, column).
+  /// An entry whose table is gone is dropped when the next binding is
+  /// created; its sources keep the binding.
+  std::map<std::tuple<const storage::Table*, std::string, std::size_t>,
+           std::shared_ptr<Binding>>
+      bindings_;
   std::uint64_t next_owner_ = 1;
 };
 

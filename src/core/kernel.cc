@@ -104,6 +104,14 @@ bool FetchAndWait(const TouchStall& stall) {
   return !latch->failed;
 }
 
+/// True when some source may fault from a slow tier right now.
+bool AnyMayBlock(
+    const std::vector<std::shared_ptr<storage::PagedColumnSource>>& sources) {
+  return std::any_of(sources.begin(), sources.end(), [](const auto& source) {
+    return source->may_block();
+  });
+}
+
 }  // namespace
 
 const char* ActionKindName(ActionKind kind) {
@@ -154,11 +162,6 @@ struct Kernel::ObjectState {
   /// block under the finger pinned, so a slide inside one block re-pins
   /// nothing.
   std::vector<storage::PagedColumnCursor> cursors;
-  /// Some source may fault from a slow tier (fixed at bind time).
-  bool may_block = false;
-  /// The sources were bound while the table was resident. Once the table
-  /// is reclaimed their fills fail, so the next probe rebinds them.
-  bool bound_resident = false;
   ObjectStats stats;
   /// Rotation gesture latch: fire once per gesture.
   bool rotation_fired_this_gesture = false;
@@ -186,7 +189,6 @@ Kernel::Kernel(const KernelConfig& config, std::shared_ptr<SharedState> shared)
       root_view_("screen",
                  touch::RectCm{0.0, 0.0, config.device.screen_width_cm,
                                config.device.screen_height_cm}),
-      results_(config.result_fade_us),
       sessions_(config.session_idle_gap_us) {}
 
 Kernel::~Kernel() = default;
@@ -246,47 +248,15 @@ Result<ObjectId> Kernel::CreateTableObject(const std::string& table,
 }
 
 Status Kernel::BindSources(ObjectState* obj) {
-  // Read before resolving: a reclaim landing in between leaves the flag
-  // set, and the next probe binds again.
-  const bool resident = !obj->table->raw_released();
   const std::size_t n =
       obj->column.has_value() ? 1 : obj->table->schema().num_fields();
-  std::vector<std::shared_ptr<storage::PagedColumnSource>> sources;
-  sources.reserve(n);
   for (std::size_t a = 0; a < n; ++a) {
     DBTOUCH_ASSIGN_OR_RETURN(
         std::shared_ptr<storage::PagedColumnSource> source,
         shared_->GetColumnSource(obj->table->name(), obj->column.value_or(a)));
-    sources.push_back(std::move(source));
+    obj->cursors.emplace_back(source);
+    obj->sources.push_back(std::move(source));
   }
-  // Every cursor drops its pin before the old sources go (Rebind's
-  // order); the operators keep what they accumulated.
-  obj->cursors.resize(n);
-  obj->may_block = false;
-  for (std::size_t a = 0; a < n; ++a) {
-    obj->cursors[a].Rebind(sources[a]);
-    obj->may_block = obj->may_block || sources[a]->may_block();
-  }
-  for (std::size_t a = 0; a < obj->agg_ops.size(); ++a) {
-    obj->agg_ops[a].Rebind(sources[a]);
-  }
-  for (std::size_t a = 0; a < obj->filter_ops.size(); ++a) {
-    obj->filter_ops[a].Rebind(sources[a]);
-  }
-  if (obj->groupby_op != nullptr) {
-    obj->groupby_op->Rebind(sources[obj->action.group_key_attribute],
-                            sources[obj->action.group_value_attribute]);
-  }
-  for (JoinBinding& binding : joins_) {
-    if (binding.left == obj->id) {
-      binding.join->Rebind(exec::JoinSide::kLeft, sources[0]);
-    }
-    if (binding.right == obj->id) {
-      binding.join->Rebind(exec::JoinSide::kRight, sources[0]);
-    }
-  }
-  obj->sources = std::move(sources);
-  obj->bound_resident = resident;
   return Status::OK();
 }
 
@@ -425,11 +395,9 @@ Status Kernel::EnableJoin(ObjectId left, ObjectId right) {
   const auto pins = join_cache_tables_.find(cache_key);
   if (join != nullptr && pins != join_cache_tables_.end() &&
       pins->second.first == l->table && pins->second.second == r->table) {
+    // The cached join reads through the sources of the objects it was
+    // built for: the same column bindings, whatever happened to them.
     ++stats_.join_cache_hits;
-    // The cached join may still read through the bindings of the objects
-    // it was built for (destroyed since, or bound before a reclaim).
-    join->Rebind(exec::JoinSide::kLeft, lsrc);
-    join->Rebind(exec::JoinSide::kRight, rsrc);
   } else {
     join = std::make_shared<exec::SymmetricHashJoin>(lsrc, rsrc);
     join_cache_.Put(cache_key, join);
@@ -677,15 +645,7 @@ Result<bool> Kernel::ProbeObject(ObjectState* obj, const GestureEvent& event,
   // Each probe attempt reports its own misses; entries from a previous
   // attempt of this (or another) gesture are stale.
   stall->entries.clear();
-  // Follow a reclaim: sources bound while the table was resident fill
-  // from its matrix, which the reclaim freed, and GetColumnSource now
-  // returns the spill binding. Probe pins of a suspended gesture may hold
-  // blocks of the old sources, so they go first.
-  if (obj->bound_resident && obj->table->raw_released()) {
-    probe_pins_.clear();
-    DBTOUCH_RETURN_IF_ERROR(BindSources(obj));
-  }
-  if (!obj->may_block) {
+  if (!AnyMayBlock(obj->sources)) {
     return true;  // No slow-tier reads possible.
   }
   const GestureReads reads = ReadsOf(*obj, event);
@@ -768,8 +728,7 @@ Result<bool> Kernel::ProbeBlocks(
       // Token comparison, not source identity: PAX column sources of one
       // table share a block namespace, so a block pinned for one
       // attribute already keeps the whole multi-column payload resident.
-      if (pin.block() == block &&
-          pin.source()->share_token() == token) {
+      if (pin.block() == block && pin.share_token() == token) {
         held = true;  // Pinned by a previous attempt of this gesture.
         break;
       }
@@ -832,7 +791,7 @@ std::int64_t Kernel::SummaryBandK(const ObjectState& obj) const {
 
 void Kernel::MaybePrefetch(ObjectState* obj, const TouchMapping& mapping,
                            const GestureEvent& event) {
-  if (!config_.prefetch_enabled || !obj->may_block) {
+  if (!config_.prefetch_enabled || !AnyMayBlock(obj->sources)) {
     return;
   }
   // Warm the attribute under the finger, the one the probe follows.

@@ -71,8 +71,6 @@ struct KernelConfig {
   /// speed (paper Section 2.6). Off = always read base data; the
   /// ABL-SAMPLE benchmark flips this.
   bool use_sampling = true;
-  /// How long results stay on screen before fading (Section 2.3).
-  sim::Micros result_fade_us = 1'500'000;
   /// Zoom clamp for pinch gestures (cm per axis).
   double zoom_min_extent_cm = 1.0;
   double zoom_max_extent_cm = 25.0;
@@ -359,10 +357,10 @@ class Kernel {
   /// filled with the missing blocks. Error = the pin failed.
   Result<bool> ProbeGesture(const gesture::GestureEvent& event,
                             TouchStall* stall);
-  /// ProbeGesture for a resolved target (RefineNext calls it directly).
-  /// First rebinds an object bound while its table was resident if the
-  /// table has been reclaimed since (BindSources), then try-pins every
-  /// block ReadsOf names.
+  /// ProbeGesture for a resolved target (RefineNext calls it directly):
+  /// try-pins every block ReadsOf names. An object none of whose sources
+  /// can block right now is ready at once. That is asked per probe, since
+  /// a reclaim can turn a column async under an object.
   /// Every attribute is probed even after one misses, so a
   /// multi-attribute stall carries all the cold blocks in one TouchStall;
   /// already-probed attributes stay pinned across the resume.
@@ -380,9 +378,10 @@ class Kernel {
   Result<bool> ProbeBlocks(
       const std::shared_ptr<storage::PagedColumnSource>& source,
       storage::RowId first, storage::RowId last, TouchStall* stall);
-  /// (Re)resolves one pool source and working cursor per attribute the
-  /// object shows, from SharedState::GetColumnSource, and points the
-  /// object's operators and live joins at them (their state stays).
+  /// Creates one pool source and working cursor per attribute the object
+  /// shows, from SharedState::GetColumnSource, when the object is
+  /// created. They read the column's binding, so they stay valid through
+  /// every spill, reclaim or provider change.
   Status BindSources(ObjectState* obj);
   /// Half-width (base rows) of the summary band at level 0 — shared by
   /// execution and the residency probe so they can never diverge.

@@ -41,13 +41,13 @@ std::vector<VisibleResult> ResultStream::VisibleAt(sim::Micros now) const {
       continue;  // Not yet produced.
     }
     const sim::Micros age = now - item.timestamp_us;
-    if (age >= fade_us_) {
+    if (age >= fade_us()) {
       continue;  // Fully faded.
     }
     VisibleResult v;
     v.item = &item;
     v.opacity = 1.0 - static_cast<double>(age) /
-                          static_cast<double>(fade_us_);
+                          static_cast<double>(fade_us());
     out.push_back(v);
   }
   return out;

@@ -74,10 +74,6 @@ struct VisibleResult {
 
 class ResultStream {
  public:
-  /// `fade_us`: how long a result stays visible after appearing.
-  explicit ResultStream(sim::Micros fade_us = 1'500'000)
-      : fade_us_(fade_us) {}
-
   void Append(ResultItem item) { items_.push_back(std::move(item)); }
 
   /// The retained items, oldest first.
@@ -108,10 +104,11 @@ class ResultStream {
     dropped_ = 0;
   }
 
-  sim::Micros fade_us() const { return fade_us_; }
+  /// How long a result stays visible after appearing: 1.5 s, "soon
+  /// after" in the paper's words (Section 2.3).
+  static constexpr sim::Micros fade_us() { return 1'500'000; }
 
  private:
-  sim::Micros fade_us_;
   std::vector<ResultItem> items_;
   std::int64_t dropped_ = 0;
 };

@@ -81,30 +81,7 @@ Result<std::shared_ptr<storage::PagedColumnSource>>
 SharedState::GetColumnSource(const std::string& table, std::size_t column) {
   DBTOUCH_ASSIGN_OR_RETURN(std::shared_ptr<storage::Table> t,
                            catalog_.Get(table));
-  const std::lock_guard<std::mutex> lock(mu_);
-  return ColumnSourceLocked(t, column);
-}
-
-Result<std::shared_ptr<storage::PagedColumnSource>>
-SharedState::ColumnSourceLocked(const std::shared_ptr<storage::Table>& table,
-                                std::size_t column) {
-  const std::string& name = table->name();
-  const auto it = providers_.find(ColumnKey{name, column});
-  if (it != providers_.end()) {
-    if (it->second.table == table) {
-      // PAX-spilled tables: every column reads its minipage of the one
-      // shared multi-column binding.
-      if (it->second.provider->pax_layout() != nullptr) {
-        return buffer_.PaxSourceFor(name, column, it->second.provider);
-      }
-      return buffer_.SourceFor(name, column, it->second.provider);
-    }
-    // The name was re-registered with different data since the provider
-    // was bound: the override is stale — retire it rather than serve
-    // remote blocks of the old table under the new table's geometry.
-    providers_.erase(it);
-  }
-  return buffer_.ColumnSource(table, column);
+  return buffer_.ColumnSource(t, column);
 }
 
 Status SharedState::SetColumnProvider(
@@ -112,31 +89,26 @@ Status SharedState::SetColumnProvider(
     std::shared_ptr<cache::BlockProvider> provider) {
   DBTOUCH_ASSIGN_OR_RETURN(std::shared_ptr<storage::Table> t,
                            catalog_.Get(table));
-  return BindColumnProvider(std::move(t), column, std::move(provider));
-}
-
-Status SharedState::BindColumnProvider(
-    std::shared_ptr<storage::Table> table, std::size_t column,
-    std::shared_ptr<cache::BlockProvider> provider) {
   if (provider == nullptr) {
     return Status::InvalidArgument("null provider");
   }
-  if (column >= table->schema().num_fields()) {
+  if (column >= t->schema().num_fields()) {
     return Status::OutOfRange("column " + std::to_string(column) +
-                              " out of range for table '" +
-                              table->name() + "'");
+                              " out of range for table '" + table + "'");
   }
-  if (provider->geometry().row_count != table->row_count()) {
+  std::vector<std::shared_ptr<cache::BlockProvider>> providers(column + 1);
+  providers[column] = std::move(provider);
+  return buffer_.Publish(t, providers);
+}
+
+Status SharedState::CheckSpillGeometry(
+    const storage::TableSpiller& spiller) const {
+  if (spiller.options().rows_per_block != buffer_.config().rows_per_block) {
     return Status::InvalidArgument(
-        "provider row count " +
-        std::to_string(provider->geometry().row_count) +
-        " does not match table '" + table->name() + "' (" +
-        std::to_string(table->row_count()) + " rows)");
+        "spill writes " + std::to_string(spiller.options().rows_per_block) +
+        " rows per block, the pool reads " +
+        std::to_string(buffer_.config().rows_per_block));
   }
-  const std::string name = table->name();
-  const std::lock_guard<std::mutex> lock(mu_);
-  providers_[ColumnKey{name, column}] =
-      ProviderEntry{std::move(table), std::move(provider)};
   return Status::OK();
 }
 
@@ -145,7 +117,8 @@ Status SharedState::SpillTable(const std::string& table,
                                bool reclaim_raw) {
   DBTOUCH_ASSIGN_OR_RETURN(std::shared_ptr<storage::Table> t,
                            catalog_.Get(table));
-  // Write (and validate) every column's file before rebinding any: a
+  DBTOUCH_RETURN_IF_ERROR(CheckSpillGeometry(spiller));
+  // Write (and validate) every column's file before publishing any: a
   // spill that fails halfway must not leave the table half on disk.
   std::vector<std::shared_ptr<cache::BlockProvider>> providers;
   providers.reserve(t->schema().num_fields());
@@ -155,7 +128,7 @@ Status SharedState::SpillTable(const std::string& table,
                              spiller.SpillColumn(t, column));
     providers.push_back(std::move(p));
   }
-  return BindSpill(t, providers, reclaim_raw);
+  return PublishSpill(t, providers, reclaim_raw);
 }
 
 Status SharedState::SpillTablePax(const std::string& table,
@@ -163,46 +136,40 @@ Status SharedState::SpillTablePax(const std::string& table,
                                   bool reclaim_raw) {
   DBTOUCH_ASSIGN_OR_RETURN(std::shared_ptr<storage::Table> t,
                            catalog_.Get(table));
-  // One file for the whole table, shared by every column's binding.
+  DBTOUCH_RETURN_IF_ERROR(CheckSpillGeometry(spiller));
+  // One file for the whole table: every column publishes it, under one
+  // shared owner.
   DBTOUCH_ASSIGN_OR_RETURN(std::shared_ptr<cache::FileBlockProvider> provider,
                            spiller.SpillTablePax(t));
-  return BindSpill(t,
-                   std::vector<std::shared_ptr<cache::BlockProvider>>(
-                       t->schema().num_fields(), provider),
-                   reclaim_raw);
+  return PublishSpill(t,
+                      std::vector<std::shared_ptr<cache::BlockProvider>>(
+                          t->schema().num_fields(), provider),
+                      reclaim_raw);
 }
 
-Status SharedState::BindSpill(
+Status SharedState::PublishSpill(
     const std::shared_ptr<storage::Table>& table,
     const std::vector<std::shared_ptr<cache::BlockProvider>>& providers,
     bool reclaim_raw) {
-  for (std::size_t column = 0; column < providers.size(); ++column) {
-    // Bind against the exact table the spill read — not a fresh catalog
-    // lookup: a concurrent re-registration of the name must not get the
-    // old table's spill files pinned under the new table's identity (the
-    // identity mismatch then retires the binding, as for any provider).
-    DBTOUCH_RETURN_IF_ERROR(
-        BindColumnProvider(table, column, providers[column]));
-  }
+  // Publish into the bindings of the exact table the spill read, not a
+  // fresh catalog lookup: a concurrent re-registration of the name must
+  // not get the old table's files read as the new table's.
+  DBTOUCH_RETURN_IF_ERROR(buffer_.Publish(table, providers));
   if (!reclaim_raw) {
     return Status::OK();
   }
-  // Reclamation: every file is written, validated and bound — the matrix
-  // is now a redundant copy. Resolve the paged rebind sources (the same
-  // binding GetColumnSource hands out, so probe pins and point reads
-  // share cache keys), then free the raw storage. ReleaseRaw waits out
-  // raw readers still in flight, a hierarchy or zone-map build among
-  // them; sample hierarchies hold their own copies and need nothing.
+  // Reclamation: every column reads its spill file now, the matrix is a
+  // redundant copy. The table's own paged reads go through pool sources
+  // of the same bindings. ReleaseRaw waits out raw readers still in
+  // flight (a fill copying from the matrix, a hierarchy or zone-map
+  // build); a fill that then finds the matrix gone retries on the spill.
   std::vector<std::shared_ptr<storage::PagedColumnSource>> sources;
   sources.reserve(providers.size());
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (std::size_t column = 0; column < providers.size(); ++column) {
-      DBTOUCH_ASSIGN_OR_RETURN(
-          std::shared_ptr<storage::PagedColumnSource> source,
-          ColumnSourceLocked(table, column));
-      sources.push_back(std::move(source));
-    }
+  for (std::size_t column = 0; column < providers.size(); ++column) {
+    DBTOUCH_ASSIGN_OR_RETURN(
+        std::shared_ptr<storage::PagedColumnSource> source,
+        buffer_.ColumnSource(table, column));
+    sources.push_back(std::move(source));
   }
   return table->ReleaseRaw(std::move(sources));
 }

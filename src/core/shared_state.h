@@ -16,10 +16,13 @@
 // the matrix without touching them.
 //
 // The SharedState also owns the server-wide cache::BufferManager: base
-// column data read by any session flows through one bounded block cache
-// keyed by (table, column, block), so the whole server's resident
-// footprint honours one byte budget. The BufferManager is internally
-// synchronised (sharded); sessions pin blocks concurrently.
+// column data read by any session flows through one bounded block cache,
+// so the whole server's resident footprint honours one byte budget. The
+// manager's per-column binding is the only record of what a column reads
+// (its matrix, a provider set by SetColumnProvider, or its spill files);
+// this class publishes into it and keeps no registry of its own. The
+// BufferManager is internally synchronised (sharded); sessions pin blocks
+// concurrently.
 
 #ifndef DBTOUCH_CORE_SHARED_STATE_H_
 #define DBTOUCH_CORE_SHARED_STATE_H_
@@ -88,57 +91,57 @@ class SharedState {
   cache::BufferManager& buffer_manager() { return buffer_; }
   const cache::BufferManager& buffer_manager() const { return buffer_; }
 
-  /// A paged source reading `table.column` through the shared buffer pool
-  /// (one bounded footprint across sessions). One source per data object.
+  /// A paged source over the binding of `table.column` in the shared
+  /// buffer pool (one bounded footprint across sessions). One source per
+  /// data object. It reads whatever the column's binding holds at each
+  /// pin: a later SetColumnProvider, spill or reclaim changes what it
+  /// reads, so it stays valid for the column's whole life.
   Result<std::shared_ptr<storage::PagedColumnSource>> GetColumnSource(
       const std::string& table, std::size_t column);
 
-  /// Binds `table.column` base reads to an explicit BlockProvider — the
-  /// cold-tier deployment of paper Section 4 ("the server may store the
-  /// base data ... the touch device may store only small samples"): the
-  /// catalog's table supplies schema, row count and sample hierarchies,
-  /// while block faults go to the provider (e.g. a RemoteBlockProvider).
-  /// Sources created by GetColumnSource after this call fault through it.
-  /// The provider's geometry must match the table's row count.
+  /// Publishes an explicit BlockProvider as what `table.column` reads —
+  /// the cold-tier deployment of paper Section 4 ("the server may store
+  /// the base data ... the touch device may store only small samples"):
+  /// the catalog's table supplies schema, row count and sample
+  /// hierarchies, while block faults go to the provider (e.g. a
+  /// RemoteBlockProvider). Every source of the column, handed out before
+  /// this call or after, faults through it. The provider's geometry must
+  /// be the binding's: the column's type and row count and the pool's
+  /// rows_per_block (InvalidArgument otherwise, and nothing changes).
   Status SetColumnProvider(const std::string& table, std::size_t column,
                            std::shared_ptr<cache::BlockProvider> provider);
 
-  /// Spills every column of `table` to disk through `spiller` and rebinds
-  /// the columns' base reads to the resulting cache::FileBlockProvider —
-  /// the disk tier: after this, a table many times the buffer budget
-  /// explores through the pool's bounded resident set, faulting blocks
-  /// from the spill files. Columns are rebound only after every file is
-  /// written and validated, and a file replaces its predecessor only once
-  /// complete, so a failed spill leaves the current binding fully intact,
-  /// whether it reads the matrix or an earlier spill's files.
+  /// Spills every column of `table` to disk through `spiller` and
+  /// publishes the resulting cache::FileBlockProviders as what the
+  /// columns read — the disk tier: after this, a table many times the
+  /// buffer budget explores through the pool's bounded resident set,
+  /// faulting blocks from the spill files. The spiller must write the
+  /// pool's rows_per_block (InvalidArgument before any file is written
+  /// otherwise). Nothing is published until every file is written and
+  /// validated, and a file replaces its predecessor only once complete,
+  /// so a failed spill leaves every binding intact, whether it reads the
+  /// matrix or an earlier spill's files.
   ///
   /// With `reclaim_raw`, the spill then actually frees memory: the
   /// table's matrix storage is released (storage::Table::ReleaseRaw), so
   /// the tracked resident bytes of the table drop to ~0 and the pool's
   /// byte budget becomes the only bound on base-data residency — the
-  /// out-of-core promise made literal. Sample hierarchies already built
-  /// hold their own copies and never read the base again. Remaining
-  /// readers go through PagedColumnSource pins: data objects through
-  /// their pool sources, later hierarchy and zone-map builds and
-  /// Table::GetValue through the table's rebind sources. Racing readers
-  /// are safe, not transparent: raw reads drain behind the table's
-  /// release gate, and pool pins hold copies, so nothing frees under
-  /// them. Pool sources handed out BEFORE the reclaim keep their
-  /// in-memory binding, whose fills now fail; a kernel object rebinds
-  /// its sources to the spill binding before its next probed gesture
-  /// event (see src/storage/README.md, "Stale pool bindings", for the
-  /// one window left open). Reclaim before opening the table to sessions
-  /// for zero disruption.
+  /// out-of-core promise made literal. The spill is published before the
+  /// matrix is released, so every reader finds the data: sample
+  /// hierarchies already built hold their own copies; pool sources, old
+  /// and new, read the spill; a fill that was copying from the matrix
+  /// finishes before the release, and one that finds the matrix gone
+  /// retries once on the spill; the table's own point reads and
+  /// whole-column builds go through pool sources of the same bindings.
   Status SpillTable(const std::string& table, storage::TableSpiller& spiller,
                     bool reclaim_raw = false);
 
   /// SpillTable's PAX variant: the whole table goes to ONE multi-column
-  /// block file (storage::TableSpiller::SpillTablePax) and every column
-  /// rebinds to that shared provider through the pool's shared PAX
-  /// binding — a block faulted for one attribute is resident for all of
-  /// them, so fat-table tuple probes cost one fault instead of one per
-  /// column. Same failure contract and `reclaim_raw` semantics as
-  /// SpillTable.
+  /// block file (storage::TableSpiller::SpillTablePax), published for
+  /// every column under one shared owner — a block faulted for one
+  /// attribute is resident for all of them, so fat-table tuple probes
+  /// cost one fault instead of one per column. Same geometry rule,
+  /// failure contract and `reclaim_raw` semantics as SpillTable.
   Status SpillTablePax(const std::string& table,
                        storage::TableSpiller& spiller,
                        bool reclaim_raw = false);
@@ -152,25 +155,16 @@ class SharedState {
  private:
   using ColumnKey = std::pair<std::string, std::size_t>;
 
-  /// SetColumnProvider against an already-resolved table identity — the
-  /// SpillTable path, where the binding must pin the table the spill
-  /// actually read, not whatever the name resolves to at bind time.
-  Status BindColumnProvider(std::shared_ptr<storage::Table> table,
-                            std::size_t column,
-                            std::shared_ptr<cache::BlockProvider> provider);
+  /// InvalidArgument unless `spiller` writes the pool's rows_per_block.
+  Status CheckSpillGeometry(const storage::TableSpiller& spiller) const;
 
-  /// The shared tail of SpillTable and SpillTablePax: binds
+  /// The shared tail of SpillTable and SpillTablePax: publishes
   /// `providers[c]` as column c's provider of `table` and, with
-  /// `reclaim_raw`, releases the matrix, rebinding point reads to each
-  /// column's pool source.
-  Status BindSpill(
+  /// `reclaim_raw`, releases the matrix.
+  Status PublishSpill(
       const std::shared_ptr<storage::Table>& table,
       const std::vector<std::shared_ptr<cache::BlockProvider>>& providers,
       bool reclaim_raw);
-
-  /// GetColumnSource against a resolved table identity; requires mu_.
-  Result<std::shared_ptr<storage::PagedColumnSource>> ColumnSourceLocked(
-      const std::shared_ptr<storage::Table>& table, std::size_t column);
 
   storage::Catalog catalog_;
   sampling::SampleHierarchyConfig sampling_;
@@ -188,21 +182,8 @@ class SharedState {
     std::shared_ptr<const index::ZoneMap> base_zone_map;
   };
 
-  /// Explicit cold-tier provider (SetColumnProvider), pinned to the
-  /// identity of the table it was validated against: a name re-registered
-  /// with new data silently retires the override (the new table's
-  /// in-memory blocks serve) instead of faulting stale remote data.
-  struct ProviderEntry {
-    /// Identity pin (like HierarchyEntry's): holding the shared_ptr rules
-    /// out a recycled allocation masquerading as the validated table.
-    std::shared_ptr<storage::Table> table;
-    std::shared_ptr<cache::BlockProvider> provider;
-  };
-
   mutable std::mutex mu_;
   std::map<ColumnKey, HierarchyEntry> hierarchies_;
-  /// Consulted by GetColumnSource before defaulting to table blocks.
-  std::map<ColumnKey, ProviderEntry> providers_;
 };
 
 }  // namespace dbtouch::core

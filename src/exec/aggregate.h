@@ -232,12 +232,6 @@ class TouchedAggregateOp {
   /// hold buffer-pool blocks pinned). No-op for unpaged sources.
   void ReleasePin() { cursor_.ReleasePin(); }
 
-  /// Reads on through `source` (the same column under another binding);
-  /// the accumulated aggregate and dedup set stay.
-  void Rebind(std::shared_ptr<storage::PagedColumnSource> source) {
-    cursor_.Rebind(std::move(source));
-  }
-
   void Reset();
 
  private:

@@ -71,14 +71,6 @@ class IncrementalGroupBy {
     values_.ReleasePin();
   }
 
-  /// Reads on through `keys` and `values` (the same columns under other
-  /// bindings); the groups accrued so far stay.
-  void Rebind(std::shared_ptr<storage::PagedColumnSource> keys,
-              std::shared_ptr<storage::PagedColumnSource> values) {
-    keys_.Rebind(std::move(keys));
-    values_.Rebind(std::move(values));
-  }
-
  private:
   storage::PagedColumnCursor keys_;
   storage::PagedColumnCursor values_;

@@ -68,13 +68,6 @@ class SymmetricHashJoin {
     cursors_[1].ReleasePin();
   }
 
-  /// Reads `side`'s keys on through `source` (the same column under
-  /// another binding); both hash tables and the matches stay.
-  void Rebind(JoinSide side,
-              std::shared_ptr<storage::PagedColumnSource> source) {
-    cursors_[static_cast<int>(side)].Rebind(std::move(source));
-  }
-
  private:
   std::int64_t KeyAt(JoinSide side, storage::RowId row);
 

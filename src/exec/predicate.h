@@ -109,12 +109,6 @@ class FilteredScanOp {
   /// Drops the cursor's working pin (see TouchedAggregateOp::ReleasePin).
   void ReleasePin() { cursor_.ReleasePin(); }
 
-  /// Reads on through `source` (see TouchedAggregateOp::Rebind); the
-  /// pass/fed counts stay.
-  void Rebind(std::shared_ptr<storage::PagedColumnSource> source) {
-    cursor_.Rebind(std::move(source));
-  }
-
  private:
   storage::PagedColumnCursor cursor_;
   Predicate predicate_;

@@ -94,7 +94,7 @@ void Column::Reserve(std::int64_t rows) {
 void Column::AppendString(std::string_view s) {
   DBTOUCH_CHECK(type_ == DataType::kString);
   const std::int32_t code = dictionary_->Intern(s);
-  AppendRaw(&code, sizeof(code));
+  AppendStrided(&code, sizeof(code), 0, 1);
 }
 
 void Column::AppendValue(const Value& v) {
@@ -117,11 +117,36 @@ void Column::AppendValue(const Value& v) {
   }
 }
 
-void Column::AppendRaw(const void* src, std::size_t n) {
-  DBTOUCH_CHECK(n == width_);
+namespace {
+
+/// Copies `count` fields of kWidth bytes from `src` (one every `stride`
+/// bytes) to `dst`, densely. A fixed width lets each copy compile to one
+/// load and one store.
+template <std::size_t kWidth>
+void CopyStrided(const std::byte* src, std::size_t stride, std::int64_t count,
+                 std::byte* dst) {
+  for (std::int64_t i = 0; i < count; ++i) {
+    std::memcpy(dst, src, kWidth);
+    src += stride;
+    dst += kWidth;
+  }
+}
+
+}  // namespace
+
+void Column::AppendStrided(const void* src, std::size_t width,
+                           std::size_t stride, std::int64_t count) {
+  DBTOUCH_CHECK(width == width_);
+  DBTOUCH_CHECK(count >= 0);
   const std::size_t old = data_.size();
-  data_.resize(old + n);
-  std::memcpy(data_.data() + old, src, n);
+  data_.resize(old + static_cast<std::size_t>(count) * width);
+  const auto* from = static_cast<const std::byte*>(src);
+  std::byte* to = data_.data() + old;
+  if (width == 8) {
+    CopyStrided<8>(from, stride, count, to);
+  } else {
+    CopyStrided<4>(from, stride, count, to);
+  }
   tracked_.Update(data_.capacity());
 }
 

@@ -137,10 +137,15 @@ class Column {
 
   void Reserve(std::int64_t rows);
 
-  void AppendInt32(std::int32_t v) { AppendRaw(&v, sizeof(v)); }
-  void AppendInt64(std::int64_t v) { AppendRaw(&v, sizeof(v)); }
-  void AppendFloat(float v) { AppendRaw(&v, sizeof(v)); }
-  void AppendDouble(double v) { AppendRaw(&v, sizeof(v)); }
+  void AppendInt32(std::int32_t v) { AppendStrided(&v, sizeof(v), 0, 1); }
+  void AppendInt64(std::int64_t v) { AppendStrided(&v, sizeof(v), 0, 1); }
+  void AppendFloat(float v) { AppendStrided(&v, sizeof(v), 0, 1); }
+  void AppendDouble(double v) { AppendStrided(&v, sizeof(v), 0, 1); }
+  /// Appends `count` fields of `width` bytes (which must be this column's
+  /// width), the i-th copied exactly from `src + i * stride`: one resize
+  /// and one tracker update for the whole run.
+  void AppendStrided(const void* src, std::size_t width, std::size_t stride,
+                     std::int64_t count);
   /// Interns into this column's dictionary (string columns only).
   void AppendString(std::string_view s);
   /// Appends a boxed value; must match the column type.
@@ -166,8 +171,6 @@ class Column {
   std::size_t raw_size() const { return data_.size(); }
 
  private:
-  void AppendRaw(const void* src, std::size_t n);
-
   std::string name_;
   DataType type_;
   std::size_t width_;

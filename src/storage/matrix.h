@@ -78,11 +78,11 @@ class Matrix {
   std::size_t byte_size() const { return data_.size(); }
 
   /// Frees the cell buffer — the spill tier's reclamation step: once every
-  /// reader has been rebound to the paged tier (see Table::ReleaseRaw),
-  /// keeping the matrix resident would defeat the buffer pool's byte
-  /// budget. Shape metadata (schema, row count) survives so geometry
-  /// queries keep answering; any cell access afterwards is a programmer
-  /// error and CHECK-fails.
+  /// column reads its spill file through the paged tier (see
+  /// Table::ReleaseRaw), keeping the matrix resident would defeat the
+  /// buffer pool's byte budget. Shape metadata (schema, row count)
+  /// survives so geometry queries keep answering; any cell access
+  /// afterwards is a programmer error and CHECK-fails.
   void ReleaseStorage();
   bool storage_released() const { return released_; }
 

@@ -13,7 +13,7 @@ std::shared_ptr<PagedColumnSource> Column::PagedSource(
 
 void BlockPin::Release() {
   if (source_ != nullptr) {
-    source_->UnpinBlock(block_);
+    source_->UnpinBlock(block_, share_token_);
     source_ = nullptr;
   }
 }
@@ -38,10 +38,8 @@ Result<BlockPin> UnpagedColumnSource::PinBlock(std::int64_t block,
   }
   const RowId first = BlockFirstRow(block);
   return BlockPin(this, block, column_.Slice(first, BlockRowCount(block)),
-                  first);
+                  first, share_token());
 }
-
-void UnpagedColumnSource::UnpinBlock(std::int64_t /*block*/) {}
 
 Status ScanBlocks(
     PagedColumnSource& source, RowId first, RowId last,

@@ -8,7 +8,11 @@
 //   - UnpagedColumnSource: zero-copy slices of an in-memory column (the
 //     classic single-user setup, no cache involved), or
 //   - cache::BufferManager sources: blocks pinned in a bounded block cache
-//     and faulted in from a BlockProvider (base table or remote store).
+//     and faulted in from a BlockProvider (base table, spill file or
+//     remote store). Such a source reads its column's binding, which a
+//     spill, reclaim or new provider changes for every source at once, so
+//     a source (and a cursor over it) stays valid for the column's whole
+//     life.
 //
 // A BlockPin is the RAII pin token: while it lives, the block's bytes stay
 // valid; its destructor returns the block to the source. PagedColumnCursor
@@ -52,9 +56,16 @@ struct BlockSpan {
 class BlockPin {
  public:
   BlockPin() = default;
+  /// `share_token`: the source's share_token() when the block was pinned
+  /// (a pool source's binding owner); the unpin goes back under it, even
+  /// if the source's binding moved on since.
   BlockPin(PagedColumnSource* source, std::int64_t block, ColumnView view,
-           RowId first_row)
-      : source_(source), block_(block), view_(view), first_row_(first_row) {}
+           RowId first_row, std::uintptr_t share_token)
+      : source_(source),
+        block_(block),
+        view_(view),
+        first_row_(first_row),
+        share_token_(share_token) {}
 
   BlockPin(const BlockPin&) = delete;
   BlockPin& operator=(const BlockPin&) = delete;
@@ -66,6 +77,7 @@ class BlockPin {
       block_ = other.block_;
       view_ = other.view_;
       first_row_ = other.first_row_;
+      share_token_ = other.share_token_;
     }
     return *this;
   }
@@ -74,10 +86,11 @@ class BlockPin {
   bool valid() const { return source_ != nullptr; }
   /// Rows in the view are block-local: base row r maps to r - first_row().
   const ColumnView& view() const { return view_; }
-  /// The source this pin holds a block of (callers juggling pins over
-  /// several sources — the kernel's multi-column table probe — need it to
-  /// tell same-index blocks of different columns apart).
-  PagedColumnSource* source() const { return source_; }
+  /// The block namespace this pin holds a block of: callers juggling pins
+  /// over several sources (the kernel's multi-column table probe) tell
+  /// same-index blocks of different columns apart by it, and PAX columns
+  /// of one table share it.
+  std::uintptr_t share_token() const { return share_token_; }
   std::int64_t block() const { return block_; }
   RowId first_row() const { return first_row_; }
   RowId last_row() const { return first_row_ + view_.row_count() - 1; }
@@ -103,6 +116,7 @@ class BlockPin {
   std::int64_t block_ = 0;
   ColumnView view_;
   RowId first_row_ = 0;
+  std::uintptr_t share_token_ = 0;
 };
 
 /// A column readable block-at-a-time. Implementations decide where block
@@ -120,7 +134,9 @@ class PagedColumnSource {
   /// same underlying blocks (same block index -> same backing bytes), so
   /// a caller holding a pin from one may treat that block as resident
   /// for the other. Per-column readers of one PAX multi-column block
-  /// file share a token; standalone sources are their own token.
+  /// file share a token; standalone sources are their own token. A pool
+  /// source's token is its column binding's current owner, so it changes
+  /// when a spill or a new provider is published.
   virtual std::uintptr_t share_token() const {
     return reinterpret_cast<std::uintptr_t>(this);
   }
@@ -139,12 +155,11 @@ class PagedColumnSource {
   /// caching sources feed it to their gesture-aware admission policy
   /// (pass -1 when no touch drives the read).
   ///
-  /// Error contract: a non-OK result means the caller broke the source's
-  /// invariants (block out of range, backing data changed underneath) or a
-  /// backing-store read failed past its bounded retries. Callers that
-  /// probe residency first (the kernel's pre-touch probe) surface the
-  /// Status; PagedColumnCursor — which reads only pre-validated rows —
-  /// still treats a pin failure as fatal.
+  /// Error contract: a non-OK result means the block is out of range or a
+  /// backing-store read failed past its bounded retries (a damaged spill
+  /// file). Callers that probe residency first (the kernel's pre-touch
+  /// probe) surface the Status; PagedColumnCursor, which reads only
+  /// pre-validated rows, still treats a pin failure as fatal.
   virtual Result<BlockPin> PinBlock(std::int64_t block,
                                     RowId row_hint = -1) = 0;
 
@@ -210,8 +225,9 @@ class PagedColumnSource {
 
  protected:
   friend class BlockPin;
-  /// Called exactly once when a pin handed out by PinBlock releases.
-  virtual void UnpinBlock(std::int64_t block) = 0;
+  /// Called exactly once when a pin handed out by PinBlock releases, with
+  /// the share token the pin was taken under.
+  virtual void UnpinBlock(std::int64_t block, std::uintptr_t share_token) = 0;
 };
 
 /// Zero-copy source over an in-memory ColumnView: blocks are slices of the
@@ -231,7 +247,7 @@ class UnpagedColumnSource final : public PagedColumnSource {
   Result<BlockPin> PinBlock(std::int64_t block, RowId row_hint = -1) override;
 
  protected:
-  void UnpinBlock(std::int64_t block) override;
+  void UnpinBlock(std::int64_t /*block*/, std::uintptr_t /*token*/) override {}
 
  private:
   ColumnView column_;
@@ -304,15 +320,6 @@ class PagedColumnCursor {
     span_view_ = ColumnView();
     span_first_ = 0;
     span_last_ = -1;
-  }
-
-  /// Points the cursor at `source` (same rows, another binding), dropping
-  /// the working pin first: the pin belongs to the old source, which may
-  /// die with the swap. A plain move-assignment would drop the old source
-  /// before its pin.
-  void Rebind(std::shared_ptr<PagedColumnSource> source) {
-    ReleasePin();
-    source_ = std::move(source);
   }
 
   const std::shared_ptr<PagedColumnSource>& source() const { return source_; }

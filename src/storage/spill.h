@@ -1,11 +1,12 @@
 // TableSpiller: writes a loaded Table's columns out as block files, so the
 // base data can be served from disk through cache::FileBlockProvider
-// instead of RAM. With the columns spilled and rebound
-// (core::SharedState::SpillTable), the BufferManager's byte budget is the
-// only resident bound on base-data reads: blocks fault in from the file,
-// evicted blocks cost nothing (the file *is* the copy — spilling is the
-// write-once eviction path; everything after is re-faultable), and a table
-// many times the budget explores through a bounded pool.
+// instead of RAM. With the columns spilled and the files published into
+// their bindings (core::SharedState::SpillTable), the BufferManager's byte
+// budget is the only resident bound on base-data reads: blocks fault in
+// from the file, evicted blocks cost nothing (the file *is* the copy —
+// spilling is the write-once eviction path; everything after is
+// re-faultable), and a table many times the budget explores through a
+// bounded pool.
 //
 // Both layouts write the one block-file format (cache/file_block_provider.h)
 // through one writer: SpillColumn a file of one column, SpillTablePax a
@@ -35,8 +36,9 @@
 namespace dbtouch::storage {
 
 struct SpillOptions {
-  /// Rows per on-disk block. Callers that rebind into a BufferManager
-  /// should match its rows_per_block so cache keys and file blocks agree.
+  /// Rows per on-disk block. core::SharedState's spills require the
+  /// pool's rows_per_block (InvalidArgument before any file is written
+  /// otherwise): a column binding's block numbering never changes.
   std::int64_t rows_per_block = 16'384;
 };
 

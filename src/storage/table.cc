@@ -104,7 +104,7 @@ Result<Value> Table::GetValue(RowId row, std::size_t col) const {
   }
   // Released: pin the covering block through the paged tier. The view
   // carries the provider's dictionary, so strings decode as before.
-  PagedColumnSource& source = *paged_rebind_[col];
+  PagedColumnSource& source = *paged_sources_[col];
   DBTOUCH_ASSIGN_OR_RETURN(const BlockPin pin,
                            source.PinBlock(source.BlockFor(row), row));
   return pin.view().GetValue(row - pin.first_row());
@@ -149,7 +149,7 @@ Status Table::ReadColumn(
       return read(source);
     }
   }
-  return read(*paged_rebind_[col]);
+  return read(*paged_sources_[col]);
 }
 
 namespace {
@@ -244,9 +244,9 @@ Status Table::ReleaseRaw(
     return Status::FailedPrecondition("raw storage of table '" + name_ +
                                       "' already released");
   }
-  // Rebinds first, flag second: a lock-free reader that sees the flag
-  // (raw_released(), PagedColumnAt) also sees the sources.
-  paged_rebind_ = std::move(paged);
+  // Sources first, flag second: a lock-free reader that sees the flag
+  // (raw_released()) also sees the sources.
+  paged_sources_ = std::move(paged);
   raw_released_.store(true, std::memory_order_seq_cst);
   storage_.ReleaseStorage();
   return Status::OK();

@@ -4,10 +4,11 @@
 //
 // Out-of-core state: after a verified spill (storage::TableSpiller +
 // core::SharedState::SpillTable with reclamation), ReleaseRaw() frees the
-// matrix's cell storage and rebinds point reads to per-column
-// PagedColumnSource handles — GetValue pins the covering block, the raw
-// ColumnView accessors become programmer errors, and the table's resident
-// footprint drops to schema + dictionaries. That is what makes "base
+// matrix's cell storage, and point reads and whole-column reads go
+// through per-column PagedColumnSource handles instead — GetValue pins
+// the covering block, the raw ColumnView accessors become programmer
+// errors, and the table's resident footprint drops to schema +
+// dictionaries. That is what makes "base
 // tables exceed RAM" literal: the BufferManager's byte budget bounds the
 // only copies of base data left in memory. Readers of a resident table
 // never keep a pointer into the matrix: kernel data objects and operators
@@ -81,8 +82,8 @@ class Table {
   /// is a zero-copy source over the raw column, and the release gate is
   /// held shared for the whole call, so neither a reclaim nor a rotation's
   /// swap frees the matrix under it; it makes no buffer-pool lookup. Once
-  /// the table is reclaimed it is the column's rebind source (pool-backed
-  /// block reads of the spill binding). Sample hierarchy and base zone map
+  /// the table is reclaimed it is the column's pool source, set by
+  /// ReleaseRaw (block reads of the spill). Sample hierarchy and base zone map
   /// builds and ExtractColumn read through here with storage::ScanBlocks,
   /// so a block that cannot be read fails the build with its Status.
   Status ReadColumn(
@@ -110,12 +111,15 @@ class Table {
 
   // ---- Spill reclamation ---------------------------------------------------
 
-  /// Frees the matrix's cell storage and rebinds point reads to `paged`
-  /// (one source per column, same order as the schema; geometries must
-  /// match the table). Raw readers racing the release (GetValue's matrix
-  /// branch, WithRawColumn, ReadColumn) hold the gate shared, which this
-  /// takes exclusively: they drain first. After the flip, raw reads fail
-  /// cleanly, and GetValue and ReadColumn read `paged`. A second call is
+  /// Frees the matrix's cell storage; from then on GetValue and
+  /// ReadColumn read `paged` (one source per column, same order as the
+  /// schema; geometries must match the table). SharedState::SpillTable
+  /// passes pool sources of the column bindings, and publishes the spill
+  /// into those bindings before it calls this, so every pool source
+  /// already reads the spill when the matrix goes. Raw readers racing the
+  /// release (GetValue's matrix branch, WithRawColumn, ReadColumn) hold
+  /// the gate shared, which this takes exclusively: they drain first.
+  /// After the flip, raw reads fail cleanly. A second call is
   /// FailedPrecondition.
   Status ReleaseRaw(std::vector<std::shared_ptr<PagedColumnSource>> paged);
 
@@ -142,9 +146,9 @@ class Table {
   /// they wait for active readers instead of freeing under them.
   mutable std::shared_mutex raw_mu_;
   std::atomic<bool> raw_released_{false};
-  /// Per-column paged rebinds, set once by ReleaseRaw and immutable after
+  /// Per-column paged sources, set once by ReleaseRaw and immutable after
   /// (readers see them only behind the acquire-load of raw_released_).
-  std::vector<std::shared_ptr<PagedColumnSource>> paged_rebind_;
+  std::vector<std::shared_ptr<PagedColumnSource>> paged_sources_;
 };
 
 }  // namespace dbtouch::storage

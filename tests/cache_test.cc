@@ -591,7 +591,7 @@ TEST(BufferManagerTest, AsyncSourceSuspendsOnColdBlockAndHitsAfterFetch) {
   BufferManager manager(config);
   auto provider = std::make_shared<GatedProvider>();
   provider->OpenGate();  // No latency needed here.
-  auto source = manager.SourceFor("cold.v", 0, provider);
+  auto source = *manager.SourceFor("cold.v", 0, provider);
   ASSERT_TRUE(source->may_block());
 
   // Probe: miss, no blocking fill.
@@ -631,7 +631,7 @@ TEST(BufferManagerTest, RemoteProviderFaultsColdBlocksOnce) {
   BufferManager manager(config);
   auto provider =
       std::make_shared<RemoteBlockProvider>(&server, config.rows_per_block);
-  auto source = manager.SourceFor("cold.v", 0, provider);
+  auto source = *manager.SourceFor("cold.v", 0, provider);
   storage::PagedColumnCursor cursor(source);
 
   for (RowId r = 0; r < 512; ++r) {

@@ -340,17 +340,18 @@ TEST_F(KernelFixture, SummaryKBeyondTheColumnCoversTheColumn) {
 // ---- ResultStream & SessionTracker units -----------------------------------
 
 TEST(ResultStreamTest, VisibleAtHonoursFadeWindow) {
-  ResultStream stream(/*fade_us=*/1'000'000);
+  ResultStream stream;
+  const sim::Micros fade = stream.fade_us();
   ResultItem item;
-  item.timestamp_us = 500'000;
+  item.timestamp_us = fade / 2;
   item.value = storage::Value(std::int64_t{7});
   stream.Append(item);
-  EXPECT_TRUE(stream.VisibleAt(400'000).empty());   // Not yet produced.
-  ASSERT_EQ(stream.VisibleAt(500'000).size(), 1u);  // Fresh: opacity 1.
-  EXPECT_DOUBLE_EQ(stream.VisibleAt(500'000)[0].opacity, 1.0);
-  ASSERT_EQ(stream.VisibleAt(1'000'000).size(), 1u);
-  EXPECT_DOUBLE_EQ(stream.VisibleAt(1'000'000)[0].opacity, 0.5);
-  EXPECT_TRUE(stream.VisibleAt(1'500'000).empty());  // Fully faded.
+  EXPECT_TRUE(stream.VisibleAt(fade / 2 - 1).empty());  // Not yet produced.
+  ASSERT_EQ(stream.VisibleAt(fade / 2).size(), 1u);     // Fresh: opacity 1.
+  EXPECT_DOUBLE_EQ(stream.VisibleAt(fade / 2)[0].opacity, 1.0);
+  ASSERT_EQ(stream.VisibleAt(fade).size(), 1u);
+  EXPECT_DOUBLE_EQ(stream.VisibleAt(fade)[0].opacity, 0.5);
+  EXPECT_TRUE(stream.VisibleAt(fade / 2 + fade).empty());  // Fully faded.
 }
 
 TEST(ResultStreamTest, CountKindFilters) {

@@ -1,5 +1,5 @@
 // The disk spill tier: block-file format round trips, TableSpiller +
-// SharedState rebinding, the bounded-residency acceptance criterion
+// SharedState publishing, the bounded-residency acceptance criterion
 // (a table 4x the buffer budget served through the pool), ranged-read
 // coalescing against the file, a sweep of hostile bytes through every
 // metadata byte, and the fault-injection battery (truncation, short
@@ -393,7 +393,7 @@ TEST(FileBlockProviderTest, HostileBytesNeverCrashTheReader) {
   EXPECT_LT(opened, files);
 }
 
-// ---- Spill + rebind through the SharedState ---------------------------------
+// ---- Spill + publish through the SharedState --------------------------------
 
 TEST(TableSpillerTest, SpilledColumnsServeIdenticalValuesThroughThePool) {
   ScratchDir dir;

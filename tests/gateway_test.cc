@@ -5,16 +5,14 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cache/block_provider.h"
+#include "gated_provider.h"
 #include "gateway/client.h"
 #include "gateway/gateway.h"
 #include "gateway/replay.h"
@@ -42,63 +40,6 @@ std::shared_ptr<Table> SequenceTable(const std::string& name) {
   EXPECT_TRUE(table.ok());
   return *table;
 }
-
-/// Async cold-tier provider whose fetches block on a test-controlled
-/// gate (same shape as the server_test helper): lets a test park a
-/// session mid-fetch, disconnect its connection, and observe the abort.
-class GatedSlowProvider final : public cache::BlockProvider {
- public:
-  GatedSlowProvider(std::shared_ptr<const Table> table, std::size_t column,
-                    std::int64_t rows_per_block)
-      : inner_(std::move(table), column, rows_per_block) {}
-
-  const cache::BlockGeometry& geometry() const override {
-    return inner_.geometry();
-  }
-  const storage::Dictionary* dictionary() const override {
-    return inner_.dictionary();
-  }
-  bool async() const override { return true; }
-
-  Result<std::vector<std::byte>> Fetch(std::int64_t block) override {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      ++fetches_started_;
-      started_cv_.notify_all();
-      gate_cv_.wait_for(lock, std::chrono::seconds(10),
-                        [this] { return open_; });
-    }
-    fetches_.fetch_add(1, std::memory_order_relaxed);
-    return inner_.Fetch(block);
-  }
-
-  void OpenGate() {
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      open_ = true;
-    }
-    gate_cv_.notify_all();
-  }
-
-  void AwaitFetchStarted(int n) {
-    std::unique_lock<std::mutex> lock(mu_);
-    started_cv_.wait_for(lock, std::chrono::seconds(10),
-                         [&] { return fetches_started_ >= n; });
-  }
-
-  std::int64_t fetches() const {
-    return fetches_.load(std::memory_order_relaxed);
-  }
-
- private:
-  cache::TableBlockProvider inner_;
-  std::mutex mu_;
-  std::condition_variable gate_cv_;
-  std::condition_variable started_cv_;
-  bool open_ = false;
-  int fetches_started_ = 0;
-  std::atomic<std::int64_t> fetches_{0};
-};
 
 struct Stack {
   std::unique_ptr<TouchServer> server;
@@ -401,7 +342,8 @@ TEST(GatewayTest, DisconnectCancelsInFlightFetches) {
   config.session_defaults.buffer.fetch.retry_backoff_us = 100;
   config.session_defaults.buffer.fetch.num_fetchers = 1;
   auto table = SequenceTable("t");
-  auto provider = std::make_shared<GatedSlowProvider>(table, 0, 1'024);
+  auto provider = std::make_shared<cache::GatedProvider>(
+      std::make_shared<cache::TableBlockProvider>(table, 0, 1'024));
   auto stack = Stack::Up(config, {}, table);
   ASSERT_TRUE(stack->server->shared().SetColumnProvider("t", 0, provider).ok());
 
@@ -489,7 +431,8 @@ TEST(GatewayTest, AdmissionRejectionsSurfaceInBatchResponse) {
   config.session_defaults.buffer.fetch.retry_backoff_us = 100;
   config.max_session_queue = 8;
   auto table = SequenceTable("t");
-  auto provider = std::make_shared<GatedSlowProvider>(table, 0, 1'024);
+  auto provider = std::make_shared<cache::GatedProvider>(
+      std::make_shared<cache::TableBlockProvider>(table, 0, 1'024));
   auto stack = Stack::Up(config, {}, table);
   ASSERT_TRUE(stack->server->shared().SetColumnProvider("t", 0, provider).ok());
 
@@ -527,7 +470,8 @@ TEST(GatewayTest, AdmissionBoundAppliesInFrameOrder) {
   config.session_defaults.buffer.fetch.retry_backoff_us = 100;
   config.max_session_queue = 8;
   auto table = SequenceTable("t");
-  auto provider = std::make_shared<GatedSlowProvider>(table, 0, 1'024);
+  auto provider = std::make_shared<cache::GatedProvider>(
+      std::make_shared<cache::TableBlockProvider>(table, 0, 1'024));
   auto stack = Stack::Up(config, {}, table);
   ASSERT_TRUE(stack->server->shared().SetColumnProvider("t", 0, provider).ok());
 

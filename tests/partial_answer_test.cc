@@ -23,6 +23,7 @@
 #include "core/kernel.h"
 #include "core/result_stream.h"
 #include "exec/summary.h"
+#include "gated_provider.h"
 #include "gateway/wire.h"
 #include "remote/remote_store.h"
 #include "server/api.h"
@@ -487,39 +488,6 @@ TEST(PartialAnswerServerTest, PartialDispatchPreservesDeadlinesAndConverges) {
 
 // ---- Kernel: a partial answer and its refinement, with no clock -----------
 
-/// Async provider whose fetches wait until Open(): before that a started
-/// fetch cannot complete, so "still cold" is certain, not a race.
-class GatedProvider final : public cache::BlockProvider {
- public:
-  explicit GatedProvider(std::shared_ptr<cache::BlockProvider> inner)
-      : inner_(std::move(inner)) {}
-
-  const cache::BlockGeometry& geometry() const override {
-    return inner_->geometry();
-  }
-  bool async() const override { return true; }
-
-  Result<std::vector<std::byte>> Fetch(std::int64_t block) override {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return open_; });
-    return inner_->Fetch(block);
-  }
-
-  void Open() {
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      open_ = true;
-    }
-    cv_.notify_all();
-  }
-
- private:
-  std::shared_ptr<cache::BlockProvider> inner_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool open_ = false;
-};
-
 /// Counts fetch completions; Wait() returns once `n` have settled.
 class FetchLatch {
  public:
@@ -567,15 +535,15 @@ void PartialThenRefine(const ActionConfig& action) {
   config.prefetch_enabled = false;
   Kernel kernel(config);
   ASSERT_TRUE(kernel.RegisterTable(table).ok());
-  auto gate = std::make_shared<GatedProvider>(
+  auto gate = std::make_shared<cache::GatedProvider>(
       std::make_shared<cache::TableBlockProvider>(table, 0,
                                                   kGatedRowsPerBlock));
   ASSERT_TRUE(
       kernel.shared_state()->SetColumnProvider("g", 0, gate).ok());
   // Opens the gate on every way out, so no fetcher is left waiting when
   // the kernel's pool shuts down.
-  const std::unique_ptr<GatedProvider, void (*)(GatedProvider*)> open_on_exit(
-      gate.get(), [](GatedProvider* g) { g->Open(); });
+  const std::unique_ptr<cache::GatedProvider, void (*)(cache::GatedProvider*)>
+      open_on_exit(gate.get(), [](cache::GatedProvider* g) { g->OpenGate(); });
   const auto object = kernel.CreateColumnObject("g", "v", frame);
   ASSERT_TRUE(object.ok()) << object.status();
   ASSERT_TRUE(kernel.SetAction(*object, action).ok());
@@ -648,7 +616,7 @@ void PartialThenRefine(const ActionConfig& action) {
     }
   }
   ASSERT_EQ(kernel.RefineNext(&stall), core::RefineOutcome::kStillCold);
-  gate->Open();
+  gate->OpenGate();
   ASSERT_TRUE(latch.Wait(stall.total_blocks()));
 
   ASSERT_EQ(kernel.RefineNext(&stall), core::RefineOutcome::kRefined);

@@ -4,8 +4,10 @@
 // rebuilds, zone maps, CSV export, column extraction) keeps answering
 // bit-identical through PagedColumnSource pins. Plus the race edges: a
 // raw reader in flight makes reclamation wait, a stale provider fails
-// cleanly after it, a live pool pin keeps its copy, and objects bound
-// before the reclaim (single-user and in a TouchServer) follow it.
+// cleanly after it, a live pool pin keeps its copy, a fill held across
+// the reclaim retries on the spill, sources and objects bound before the
+// reclaim (single-user and in a TouchServer) read on, and a publish at
+// another block size is refused.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +24,7 @@
 #include "cache/buffer_manager.h"
 #include "core/kernel.h"
 #include "core/shared_state.h"
+#include "gated_provider.h"
 #include "index/zone_map.h"
 #include "server/api.h"
 #include "server/touch_server.h"
@@ -512,6 +515,141 @@ TEST(ReclaimTest, ReclaimSucceedsUnderLivePoolPinAndPinnedCopyStaysValid) {
   EXPECT_EQ(rebound.GetInt64(300), 300);  // Served from the spill file.
 }
 
+// ---- Sources handed out earlier read what is published ---------------------
+
+TEST(ReclaimTest, SourceFromBeforeAReclaimReadsOn) {
+  ScratchDir dir;
+  auto shared = MakeShared(512);
+  auto table = MixedTable("early", 8'192);
+  ASSERT_TRUE(shared->RegisterTable(table).ok());
+  const auto v = shared->GetColumnSource("early", 0);
+  const auto tag = shared->GetColumnSource("early", 1);
+  ASSERT_TRUE(v.ok() && tag.ok());
+  storage::PagedColumnCursor cursor(*v);
+  storage::PagedColumnCursor tags(*tag);
+  EXPECT_EQ(cursor.GetInt64(10), 10);
+  const storage::Value tag_before = tags.GetValue(6'000);
+  tags.ReleasePin();
+  TableSpiller spiller(dir.path(), SpillOptions{.rows_per_block = 512});
+  ASSERT_TRUE(
+      shared->SpillTable("early", spiller, /*reclaim_raw=*/true).ok());
+  ASSERT_TRUE(table->raw_released());
+  // Blocks the cursors never pinned come from the spill files, strings
+  // decoded through the file's dictionary.
+  EXPECT_EQ(cursor.GetInt64(5'000), 5'000);
+  EXPECT_EQ(tags.GetValue(6'000), tag_before);
+  {
+    const auto pin = (*v)->PinBlock(12);
+    ASSERT_TRUE(pin.ok()) << pin.status();
+    EXPECT_EQ(pin->view().GetInt64(0), 12 * 512);
+  }
+  cursor.ReleasePin();
+  tags.ReleasePin();
+  EXPECT_EQ(shared->buffer_manager().stats().pinned_blocks, 0);
+}
+
+TEST(ReclaimTest, FillHeldAcrossAReclaimRetriesOnTheSpill) {
+  ScratchDir dir;
+  auto shared = MakeShared(512);
+  auto table = MixedTable("held", 8'192);
+  ASSERT_TRUE(shared->RegisterTable(table).ok());
+  auto gate = std::make_shared<cache::GatedProvider>(
+      std::make_shared<cache::TableBlockProvider>(table, 0, 512));
+  ASSERT_TRUE(shared->SetColumnProvider("held", 0, gate).ok());
+  const auto source = shared->GetColumnSource("held", 0);
+  ASSERT_TRUE(source.ok());
+  // The read's fill waits in the gate, before it takes the table's
+  // release gate, so the reclaim below completes under it.
+  std::int64_t read = -1;
+  std::thread reader([&] {
+    storage::PagedColumnCursor cursor(*source);
+    read = cursor.GetInt64(3'000);
+  });
+  gate->AwaitFetchStarted(1);
+  TableSpiller spiller(dir.path(), SpillOptions{.rows_per_block = 512});
+  const Status spilled =
+      shared->SpillTable("held", spiller, /*reclaim_raw=*/true);
+  EXPECT_TRUE(table->raw_released());
+  // The fill now finds the matrix gone and retries on the spill file.
+  gate->OpenGate();
+  reader.join();
+  ASSERT_TRUE(spilled.ok()) << spilled;
+  EXPECT_EQ(read, 3'000);
+  EXPECT_EQ(gate->fetches_started(), 1);
+  EXPECT_EQ(shared->buffer_manager().stats().pinned_blocks, 0);
+}
+
+TEST(ReclaimTest, SourcesFromBeforeAPublishReadWhatIsPublished) {
+  ScratchDir dir;
+  auto shared = MakeShared(128);
+  auto table = MixedTable("pub", 1'000);
+  ASSERT_TRUE(shared->RegisterTable(table).ok());
+  const auto v = shared->GetColumnSource("pub", 0);
+  const auto tag = shared->GetColumnSource("pub", 1);
+  ASSERT_TRUE(v.ok() && tag.ok());
+  EXPECT_NE((*v)->share_token(), (*tag)->share_token());
+
+  // A new provider: the source handed out before it fetches through it.
+  auto counting = std::make_shared<cache::GatedProvider>(
+      std::make_shared<cache::TableBlockProvider>(table, 0, 128));
+  counting->OpenGate();
+  ASSERT_TRUE(shared->SetColumnProvider("pub", 0, counting).ok());
+  {
+    const auto pin = (*v)->PinBlock(2);
+    ASSERT_TRUE(pin.ok()) << pin.status();
+    EXPECT_EQ(pin->view().GetInt64(0), 2 * 128);
+  }
+  EXPECT_EQ(counting->fetches_started(), 1);
+
+  // A PAX spill: both sources read minipages under one shared owner, so
+  // a block faulted for one column is a hit for the other.
+  TableSpiller spiller(dir.path(), SpillOptions{.rows_per_block = 128});
+  ASSERT_TRUE(shared->SpillTablePax("pub", spiller).ok());
+  EXPECT_EQ((*v)->share_token(), (*tag)->share_token());
+  const std::int64_t faults = shared->buffer_manager().stats().faults;
+  {
+    const auto v_pin = (*v)->PinBlock(5);
+    const auto tag_pin = (*tag)->PinBlock(5);
+    ASSERT_TRUE(v_pin.ok() && tag_pin.ok());
+    EXPECT_EQ(v_pin->view().GetInt64(3), 5 * 128 + 3);
+    EXPECT_EQ(tag_pin->view().GetValue(3), *table->GetValue(5 * 128 + 3, 1));
+  }
+  EXPECT_EQ(shared->buffer_manager().stats().faults, faults + 1);
+  EXPECT_EQ(counting->fetches_started(), 1);  // The PAX file serves now.
+  EXPECT_EQ(shared->buffer_manager().stats().pinned_blocks, 0);
+}
+
+TEST(ReclaimTest, PublishAtAnotherGeometryIsRefused) {
+  ScratchDir dir;
+  auto shared = MakeShared(512);
+  auto table = MixedTable("geo", 4'096);
+  ASSERT_TRUE(shared->RegisterTable(table).ok());
+  const auto source = shared->GetColumnSource("geo", 0);
+  ASSERT_TRUE(source.ok());
+  const std::uintptr_t token = (*source)->share_token();
+
+  // Block numbering never changes under a source: another block size is
+  // refused, whether from a provider or from a spiller.
+  auto other = std::make_shared<cache::GatedProvider>(
+      std::make_shared<cache::TableBlockProvider>(table, 0, 1'024));
+  other->OpenGate();
+  EXPECT_EQ(shared->SetColumnProvider("geo", 0, other).code(),
+            StatusCode::kInvalidArgument);
+  TableSpiller spiller(dir.path(), SpillOptions{.rows_per_block = 1'024});
+  EXPECT_EQ(shared->SpillTable("geo", spiller, /*reclaim_raw=*/true).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(shared->SpillTablePax("geo", spiller).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(std::filesystem::is_empty(dir.path()));
+  EXPECT_FALSE(table->raw_released());
+
+  // Reads stay as they were.
+  EXPECT_EQ((*source)->share_token(), token);
+  storage::PagedColumnCursor cursor(*source);
+  EXPECT_EQ(cursor.GetInt64(2'000), 2'000);
+  EXPECT_EQ(other->fetches_started(), 0);
+}
+
 // ---- Fat-table gestures over a reclaimed table -----------------------------
 
 /// Answers as comparable strings: kind, row, attribute, value, rows.
@@ -683,11 +821,20 @@ TEST(ReclaimTest, ObjectsBoundBeforeAReclaimFollowIt) {
   }
 }
 
+/// When a server run spills and reclaims "m".
+enum class ServeReclaim {
+  kNever,
+  /// After the upper halves drained, before the lower halves go in.
+  kBetweenHalves,
+  /// Right after the lower halves are submitted, while they execute.
+  kUnderTraffic,
+};
+
 /// The server-level run: one worker, a 4-block pool, a column object (sum
 /// aggregate) and a table object (group-by) bound on resident "m". Each
-/// object is slid over its upper half; then, after an optional reclaim,
-/// over its lower half, whose blocks the pool no longer holds.
-std::vector<std::string> ServeAcrossReclaim(bool reclaim) {
+/// object is slid over its upper half, then over its lower half, whose
+/// blocks the pool no longer holds; `at` says when the reclaim lands.
+std::vector<std::string> ServeAcrossReclaim(ServeReclaim at) {
   ScratchDir dir;
   // Deadlines no run can miss: nothing is shed or dropped.
   server::TouchServerConfig config = server::RelaxedConfig(1);
@@ -727,16 +874,22 @@ std::vector<std::string> ServeAcrossReclaim(bool reclaim) {
                             MotionProfile::Constant(1.0), start_us))})
                     .ok());
   };
-  slide("column-upper", 2.0, 1.0, 5.5, 0);
-  slide("fat-upper", 9.0, 1.0, 5.5, 2'000'000);
-  EXPECT_TRUE(server.Drain().ok());
-  if (reclaim) {
+  const auto reclaim = [&] {
     TableSpiller spiller(dir.path(), SpillOptions{.rows_per_block = 1'024});
     EXPECT_TRUE(
         server.shared().SpillTable("m", spiller, /*reclaim_raw=*/true).ok());
+  };
+  slide("column-upper", 2.0, 1.0, 5.5, 0);
+  slide("fat-upper", 9.0, 1.0, 5.5, 2'000'000);
+  EXPECT_TRUE(server.Drain().ok());
+  if (at == ServeReclaim::kBetweenHalves) {
+    reclaim();
   }
   slide("column-lower", 2.0, 6.0, 11.0, 4'000'000);
   slide("fat-lower", 9.0, 6.0, 11.0, 6'000'000);
+  if (at == ServeReclaim::kUnderTraffic) {
+    reclaim();
+  }
   EXPECT_TRUE(server.Drain().ok());
 
   std::vector<std::string> out;
@@ -758,9 +911,11 @@ std::vector<std::string> ServeAcrossReclaim(bool reclaim) {
 }
 
 TEST(ReclaimTest, ServerSessionFollowsAReclaim) {
-  const std::vector<std::string> reference = ServeAcrossReclaim(false);
+  const std::vector<std::string> reference =
+      ServeAcrossReclaim(ServeReclaim::kNever);
   ASSERT_GT(reference.size(), 20u);
-  EXPECT_EQ(ServeAcrossReclaim(true), reference);
+  EXPECT_EQ(ServeAcrossReclaim(ServeReclaim::kBetweenHalves), reference);
+  EXPECT_EQ(ServeAcrossReclaim(ServeReclaim::kUnderTraffic), reference);
 }
 
 }  // namespace

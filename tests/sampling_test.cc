@@ -128,7 +128,7 @@ class FailingSource final : public storage::PagedColumnSource {
   int pins() const { return pins_; }
 
  protected:
-  void UnpinBlock(std::int64_t) override {}
+  void UnpinBlock(std::int64_t, std::uintptr_t) override {}
 
  private:
   storage::UnpagedColumnSource inner_;

@@ -8,15 +8,14 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "cache/block_provider.h"
 #include "core/kernel.h"
+#include "gated_provider.h"
 #include "remote/remote_store.h"
 #include "sampling/level_policy.h"
 #include "server/api.h"
@@ -62,66 +61,6 @@ sim::GestureTrace SlideOver(const TouchServer& /*server*/,
   return builder.Slide("slide", PointCm{3.0, 1.0}, PointCm{3.0, 11.0},
                        MotionProfile::Constant(duration_s));
 }
-
-/// A slow-tier provider for async tests: delegates to an in-memory
-/// TableBlockProvider but advertises async() (so the kernel suspends on
-/// its cold blocks) and blocks each fetch on a gate the test controls.
-class GatedSlowProvider final : public cache::BlockProvider {
- public:
-  GatedSlowProvider(std::shared_ptr<const Table> table, std::size_t column,
-                    std::int64_t rows_per_block)
-      : inner_(std::move(table), column, rows_per_block) {}
-
-  const cache::BlockGeometry& geometry() const override {
-    return inner_.geometry();
-  }
-  const storage::Dictionary* dictionary() const override {
-    return inner_.dictionary();
-  }
-  bool async() const override { return true; }
-
-  Result<std::vector<std::byte>> Fetch(std::int64_t block) override {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      ++fetches_started_;
-      started_cv_.notify_all();
-      // Safety valve: a wedged test run releases itself instead of
-      // hanging the suite.
-      gate_cv_.wait_for(lock, std::chrono::seconds(10),
-                        [this] { return open_; });
-    }
-    fetches_.fetch_add(1, std::memory_order_relaxed);
-    return inner_.Fetch(block);
-  }
-
-  void OpenGate() {
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      open_ = true;
-    }
-    gate_cv_.notify_all();
-  }
-
-  /// Blocks until at least `n` fetches have entered the gate.
-  void AwaitFetchStarted(int n) {
-    std::unique_lock<std::mutex> lock(mu_);
-    started_cv_.wait_for(lock, std::chrono::seconds(10),
-                         [&] { return fetches_started_ >= n; });
-  }
-
-  std::int64_t fetches() const {
-    return fetches_.load(std::memory_order_relaxed);
-  }
-
- private:
-  cache::TableBlockProvider inner_;
-  std::mutex mu_;
-  std::condition_variable gate_cv_;
-  std::condition_variable started_cv_;
-  bool open_ = false;
-  int fetches_started_ = 0;
-  std::atomic<std::int64_t> fetches_{0};
-};
 
 // ---- FrameScheduler unit tests --------------------------------------------
 
@@ -1047,7 +986,8 @@ TEST(TouchServerAsyncTest, SuspendOnMissWorkerServesOtherSessions) {
   auto slow_table = SequenceTable("slow", 0);
   ASSERT_TRUE(server.RegisterTable(slow_table).ok());
   ASSERT_TRUE(server.RegisterTable(SequenceTable("fast", 0)).ok());
-  auto provider = std::make_shared<GatedSlowProvider>(slow_table, 0, 1'024);
+  auto provider = std::make_shared<cache::GatedProvider>(
+      std::make_shared<cache::TableBlockProvider>(slow_table, 0, 1'024));
   ASSERT_TRUE(server.shared().SetColumnProvider("slow", 0, provider).ok());
   ASSERT_TRUE(server.Start().ok());
 
@@ -1225,7 +1165,8 @@ TEST(TouchServerAsyncTest, CloseSessionCancelsQueuedFetchTickets) {
   TouchServer server(config);
   auto table = SequenceTable("t", 0);
   ASSERT_TRUE(server.RegisterTable(table).ok());
-  auto provider = std::make_shared<GatedSlowProvider>(table, 0, 1'024);
+  auto provider = std::make_shared<cache::GatedProvider>(
+      std::make_shared<cache::TableBlockProvider>(table, 0, 1'024));
   ASSERT_TRUE(server.shared().SetColumnProvider("t", 0, provider).ok());
   ASSERT_TRUE(server.Start().ok());
 
@@ -1270,7 +1211,7 @@ TEST(TouchServerAsyncTest, CloseSessionCancelsQueuedFetchTickets) {
   ASSERT_TRUE(server.Drain().ok());
 
   // Only A's block was ever read from the cold tier.
-  EXPECT_EQ(provider->fetches(), 1);
+  EXPECT_EQ(provider->fetches_started(), 1);
   ASSERT_TRUE(server
                   .WithSession(*a,
                                [](Kernel& kernel) {
