@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "gesture/recognizer.h"
@@ -17,6 +18,7 @@
 
 namespace {
 
+using dbtouch::gesture::GestureEvent;
 using dbtouch::gesture::GestureRecognizer;
 using dbtouch::sim::MotionProfile;
 using dbtouch::sim::PointCm;
@@ -107,9 +109,13 @@ void BM_RecognizerSlideThroughput(benchmark::State& state) {
   const auto trace = builder.Slide("s", PointCm{2, 1}, PointCm{2, 11},
                                    MotionProfile::Constant(4.0));
   GestureRecognizer recognizer;
+  // The queue the kernel keeps: appended to, drained, capacity kept.
+  std::vector<GestureEvent> steps;
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(recognizer.OnTouch(trace.events[i]));
+    recognizer.OnTouch(trace.events[i], &steps);
+    benchmark::DoNotOptimize(steps.data());
+    steps.clear();
     i = (i + 1) % trace.events.size();
     if (i == 0) {
       recognizer.Reset();

@@ -206,16 +206,17 @@ class BufferManager::Source final : public storage::PagedColumnSource {
   /// transient backing-store errors stay transient here too.
   Result<BlockCache::Pinned> Pin(const Record& record, std::int64_t block,
                                  storage::RowId row_hint) {
-    return manager_->cache_.Pin(
-        BlockKey{record.owner, block}, row_hint, [&] {
-          std::int64_t retries = 0;
-          auto payload = FetchBlockWithRetry(*record.provider, block,
-                                             manager_->config_.fetch,
-                                             &retries);
-          manager_->sync_retries_.fetch_add(retries,
-                                            std::memory_order_relaxed);
-          return payload;
-        });
+    const auto fill = [&] {
+      std::int64_t retries = 0;
+      auto payload = FetchBlockWithRetry(*record.provider, block,
+                                         manager_->config_.fetch, &retries);
+      manager_->sync_retries_.fetch_add(retries, std::memory_order_relaxed);
+      return payload;
+    };
+    // The Filler captures one reference, which fits std::function's
+    // inline buffer: a pin, hit or fill, allocates nothing for it.
+    return manager_->cache_.Pin(BlockKey{record.owner, block}, row_hint,
+                                [&fill] { return fill(); });
   }
 
   /// View over the pinned payload: the whole block, or the column's

@@ -434,9 +434,7 @@ TouchOutcome Kernel::OnTouchAsync(const sim::TouchEvent& event,
                                   TouchStall* stall) {
   clock_.AdvanceTo(event.timestamp_us);
   ++stats_.touch_events;
-  for (const GestureEvent& g : recognizer_.OnTouch(event)) {
-    pending_gestures_.push_back(g);
-  }
+  recognizer_.OnTouch(event, &pending_gestures_);
   return DrainPending(stall);
 }
 
@@ -449,18 +447,25 @@ void Kernel::AbandonPending() {
   // the slide's kEnded, whose execution releases working pins and signals
   // the gesture pause) still run on the caller's next ResumePending —
   // each may stall and be shed in turn, converging one gesture per cycle.
-  if (!pending_gestures_.empty()) {
-    pending_gestures_.pop_front();
+  if (has_pending_gestures()) {
+    PopPending();
     ++stats_.fetch_errors;
   }
   probe_pins_.clear();
 }
 
+void Kernel::PopPending() {
+  if (++pending_head_ == pending_gestures_.size()) {
+    pending_gestures_.clear();
+    pending_head_ = 0;
+  }
+}
+
 bool Kernel::AnswerPartialFromResident() {
-  if (pending_gestures_.empty()) {
+  if (!has_pending_gestures()) {
     return false;
   }
-  const GestureEvent g = pending_gestures_.front();
+  const GestureEvent g = pending_gestures_[pending_head_];
   // Eligible: slide steps only. Taps, gesture begins/ends and the
   // stateful actions fall through to the classic park — deferring their
   // execution would reorder operator-state feeds.
@@ -539,7 +544,7 @@ bool Kernel::AnswerPartialFromResident() {
   sessions_.OnTouch(g.timestamp_us);
 
   refinements_.push_back(PendingRefinement{g, obj->id, /*seq=*/1});
-  pending_gestures_.pop_front();
+  PopPending();
   probe_pins_.clear();
   return true;
 }
@@ -595,15 +600,16 @@ void Kernel::AbandonRefinement() {
 }
 
 TouchOutcome Kernel::DrainPending(TouchStall* stall) {
-  while (!pending_gestures_.empty()) {
-    const GestureEvent g = pending_gestures_.front();
+  while (has_pending_gestures()) {
+    // A copy: the pop below may clear the queue.
+    const GestureEvent g = pending_gestures_[pending_head_];
     const Result<bool> ready = ProbeGesture(g, stall);
     if (!ready.ok()) {
       // The backing read failed past its bounded retries: shed this
       // gesture's execution — one lost answer, not a lost session.
       ++stats_.fetch_errors;
       probe_pins_.clear();
-      pending_gestures_.pop_front();
+      PopPending();
       continue;
     }
     if (!*ready) {
@@ -618,7 +624,7 @@ TouchOutcome Kernel::DrainPending(TouchStall* stall) {
       }
       return TouchOutcome::kSuspended;
     }
-    pending_gestures_.pop_front();
+    PopPending();
     OnGesture(g);
     probe_pins_.clear();
   }

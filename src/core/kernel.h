@@ -266,7 +266,9 @@ class Kernel {
 
   /// Gesture work parked behind a cold fetch (a kSuspended not yet
   /// resumed to completion).
-  bool has_pending_gestures() const { return !pending_gestures_.empty(); }
+  bool has_pending_gestures() const {
+    return pending_head_ < pending_gestures_.size();
+  }
 
   /// Sheds the gesture stalled at the head of the pending queue (and its
   /// probe pins) — the escape hatch when its fetch fails permanently.
@@ -348,6 +350,8 @@ class Kernel {
   struct GestureReads;
 
   void OnGesture(const gesture::GestureEvent& event);
+  /// Drops the head of the pending FIFO (which must be non-empty).
+  void PopPending();
   /// Executes queued gesture events in order. Before each one, probes that
   /// the blocks its execution reads are resident (pinning them so they
   /// stay put); a miss suspends the drain. A probe whose pin fails sheds
@@ -453,10 +457,14 @@ class Kernel {
   obs::TraceRecorder* trace_ = nullptr;
   std::int64_t trace_session_ = 0;
   std::int64_t trace_quantum_ = 0;
-  /// Gesture events recognised but not yet executed: non-empty only while
+  /// Gesture events recognised but not yet executed, a FIFO from
+  /// pending_head_ on: the recogniser appends to it, execution pops the
+  /// head, and once drained it clears itself and keeps its capacity, so a
+  /// steady slide step allocates nothing. It outlives a touch only while
   /// suspended on a cold fetch (execution order is gesture order, so
   /// everything behind the stalled event waits with it).
-  std::deque<gesture::GestureEvent> pending_gestures_;
+  std::vector<gesture::GestureEvent> pending_gestures_;
+  std::size_t pending_head_ = 0;
   /// Touches answered partially and awaiting full-fidelity re-execution.
   /// seq counts refinement attempts for the touch (the emitted partial
   /// item carries 0; each retry bumps it).

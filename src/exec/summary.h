@@ -29,11 +29,16 @@ class InteractiveSummaryOp {
  public:
   /// `k`: half-width of the summary window. "A good default choice is to
   /// perform an average aggregation" — so kAvg is the default kind.
+  /// In-memory form: the op keeps the view, and each window is folded as
+  /// one span of it. Constructing it costs nothing (the kernel builds one
+  /// per touch a sample level serves).
   InteractiveSummaryOp(storage::ColumnView column, std::int64_t k,
                        AggKind kind = AggKind::kAvg);
   /// Paged form: the window is scanned block-at-a-time through pinned
   /// blocks of `source` (the BufferManager read path) instead of a raw
-  /// whole-column pointer. Same results, bounded residency.
+  /// whole-column pointer, each block folded by the same step as the
+  /// in-memory form's one span. Same results bit for bit, whatever the
+  /// block size; bounded residency.
   InteractiveSummaryOp(std::shared_ptr<storage::PagedColumnSource> source,
                        std::int64_t k, AggKind kind = AggKind::kAvg);
 
@@ -48,6 +53,8 @@ class InteractiveSummaryOp {
   std::int64_t rows_scanned() const { return rows_scanned_; }
 
  private:
+  /// The in-memory form's column; the paged form reads through cursor_.
+  storage::ColumnView view_;
   mutable storage::PagedColumnCursor cursor_;
   std::int64_t k_;
   AggKind kind_;

@@ -119,8 +119,11 @@ Result<ReplayResult> ReplayHarness::Run() {
   std::atomic<std::int64_t> events_rejected{0};
   std::atomic<std::int64_t> errors{0};
   std::atomic<std::int64_t> snapshot_results{0};
-  obs::Histogram ack_rtt_us;
-  obs::Histogram send_lag_us;
+  // One histogram per sender thread (a histogram has one writer), added
+  // up after the join.
+  const auto senders = static_cast<std::size_t>(num_threads);
+  std::vector<obs::Histogram> ack_rtt_us(senders);
+  std::vector<obs::Histogram> send_lag_us(senders);
 
   std::latch setup_done(num_threads);
   std::latch start_replay(1);
@@ -181,6 +184,9 @@ Result<ReplayResult> ReplayHarness::Run() {
                        return a.at_us < b.at_us;
                      });
 
+    const auto sender = static_cast<std::size_t>(thread_index);
+    obs::Histogram& ack_rtt = ack_rtt_us[sender];
+    obs::Histogram& send_lag = send_lag_us[sender];
     setup_done.count_down();
     start_replay.wait();
     const sim::Micros t0 = epoch.load(std::memory_order_acquire);
@@ -195,7 +201,7 @@ Result<ReplayResult> ReplayHarness::Run() {
           std::this_thread::sleep_for(std::chrono::microseconds(due - now));
           now = SteadyNowUs();
         }
-        send_lag_us.Record(now > due ? now - due : 0);
+        send_lag.Record(now > due ? now - due : 0);
       }
       api::SubmitBatchReq& req = plan.batches[slot.batch_index].second;
       const sim::Micros before = SteadyNowUs();
@@ -206,7 +212,7 @@ Result<ReplayResult> ReplayHarness::Run() {
         plan.client.Close();
         continue;
       }
-      ack_rtt_us.Record(after - before);
+      ack_rtt.Record(after - before);
       batches_sent.fetch_add(1, std::memory_order_relaxed);
       events_sent.fetch_add(static_cast<std::int64_t>(req.events.size()),
                             std::memory_order_relaxed);
@@ -277,8 +283,10 @@ Result<ReplayResult> ReplayHarness::Run() {
   result.events_rejected = events_rejected.load();
   result.errors = errors.load();
   result.snapshot_results = snapshot_results.load();
-  result.ack_rtt_us = ack_rtt_us.Snapshot();
-  result.send_lag_us = send_lag_us.Snapshot();
+  for (std::size_t i = 0; i < senders; ++i) {
+    result.ack_rtt_us.Add(ack_rtt_us[i].Snapshot());
+    result.send_lag_us.Add(send_lag_us[i].Snapshot());
+  }
   result.replay_wall_s = replay_wall_s;
   return result;
 }

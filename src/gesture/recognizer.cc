@@ -40,21 +40,20 @@ void GestureRecognizer::Reset() {
   last_rotation_ = 0.0;
 }
 
-std::vector<GestureEvent> GestureRecognizer::OnTouch(const TouchEvent& e) {
-  std::vector<GestureEvent> out;
+void GestureRecognizer::OnTouch(const TouchEvent& e,
+                                std::vector<GestureEvent>* out) {
   switch (e.phase) {
     case TouchPhase::kBegan:
-      HandleBegan(e, &out);
+      HandleBegan(e, out);
       break;
     case TouchPhase::kMoved:
-      HandleMoved(e, &out);
+      HandleMoved(e, out);
       break;
     case TouchPhase::kEnded:
     case TouchPhase::kCancelled:
-      HandleEnded(e, &out);
+      HandleEnded(e, out);
       break;
   }
-  return out;
 }
 
 GestureEvent GestureRecognizer::MakeEvent(GestureType type,

@@ -1,5 +1,8 @@
 // Streaming gesture recognition: a state machine fed one TouchEvent at a
-// time, emitting GestureEvents as classifications become unambiguous.
+// time, emitting GestureEvents as classifications become unambiguous. It
+// appends them to a queue the caller owns (the kernel's pending FIFO), so
+// recognising a steady slide step allocates nothing once that queue has
+// grown to its working size.
 //
 // Single finger: tap (short, within slop) vs slide (moves beyond slop).
 // Two fingers: pinch (separation change dominates) vs rotate (angle change
@@ -36,8 +39,9 @@ class GestureRecognizer {
  public:
   explicit GestureRecognizer(const RecognizerConfig& config = {});
 
-  /// Feeds one touch event; returns zero or more recognised gesture steps.
-  std::vector<GestureEvent> OnTouch(const sim::TouchEvent& event);
+  /// Feeds one touch event and appends the zero or more gesture steps it
+  /// completes to `out`, in order.
+  void OnTouch(const sim::TouchEvent& event, std::vector<GestureEvent>* out);
 
   /// Abandons any in-flight gesture (no kEnded is emitted).
   void Reset();

@@ -8,19 +8,6 @@
 
 namespace dbtouch::obs {
 
-namespace {
-
-/// Stripe for the calling thread: round-robin assignment at first use, so
-/// a worker pool spreads evenly without hashing pointers.
-int ThreadStripe() {
-  static std::atomic<unsigned> next{0};
-  thread_local const unsigned mine =
-      next.fetch_add(1, std::memory_order_relaxed);
-  return static_cast<int>(mine % Histogram::kStripes);
-}
-
-}  // namespace
-
 std::size_t Histogram::BucketIndex(std::int64_t value) {
   if (value < 0) {
     value = 0;
@@ -49,73 +36,45 @@ std::int64_t Histogram::BucketLowerBound(std::size_t index) {
   return (kSubBuckets + sub) << band;
 }
 
-Histogram::Histogram() : min_(std::numeric_limits<std::int64_t>::max()) {
-  for (auto& stripe : stripes_) {
-    stripe = std::make_unique<Stripe>();
-    for (auto& c : stripe->counts) {
-      c.store(0, std::memory_order_relaxed);
-    }
-  }
+Histogram::Histogram()
+    : buckets_(std::make_unique<Bank>()),
+      min_(std::numeric_limits<std::int64_t>::max()) {}
+
+namespace {
+
+/// The one writer's increment: a plain load and store, no locked
+/// read-modify-write.
+void Bump(std::atomic<std::int64_t>& slot, std::int64_t by) {
+  slot.store(slot.load(std::memory_order_relaxed) + by,
+             std::memory_order_relaxed);
 }
 
-void Histogram::UpdateMax(std::atomic<std::int64_t>& slot,
-                          std::int64_t value) {
-  std::int64_t seen = slot.load(std::memory_order_relaxed);
-  while (value > seen &&
-         !slot.compare_exchange_weak(seen, value,
-                                     std::memory_order_relaxed)) {
-  }
-}
-
-void Histogram::UpdateMin(std::atomic<std::int64_t>& slot,
-                          std::int64_t value) {
-  std::int64_t seen = slot.load(std::memory_order_relaxed);
-  while (value < seen &&
-         !slot.compare_exchange_weak(seen, value,
-                                     std::memory_order_relaxed)) {
-  }
-}
+}  // namespace
 
 void Histogram::Record(std::int64_t value) {
   if (value < 0) {
     value = 0;
   }
-  stripes_[ThreadStripe()]->counts[BucketIndex(value)].fetch_add(
-      1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(value, std::memory_order_relaxed);
-  UpdateMax(max_, value);
-  UpdateMin(min_, value);
-}
-
-void Histogram::Merge(const Histogram& other) {
-  for (int s = 0; s < kStripes; ++s) {
-    for (std::size_t b = 0; b < kNumBuckets; ++b) {
-      const std::int64_t n =
-          other.stripes_[s]->counts[b].load(std::memory_order_relaxed);
-      if (n != 0) {
-        stripes_[0]->counts[b].fetch_add(n, std::memory_order_relaxed);
-      }
-    }
+  Bump((*buckets_)[BucketIndex(value)], 1);
+  Bump(sum_, value);
+  if (value > max_.load(std::memory_order_relaxed)) {
+    max_.store(value, std::memory_order_relaxed);
   }
-  count_.fetch_add(other.count_.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-  sum_.fetch_add(other.sum_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-  UpdateMax(max_, other.max_.load(std::memory_order_relaxed));
-  UpdateMin(min_, other.min_.load(std::memory_order_relaxed));
+  if (value < min_.load(std::memory_order_relaxed)) {
+    min_.store(value, std::memory_order_relaxed);
+  }
+  // Last, so a snapshot that loads this count sees everything above.
+  count_.store(count_.load(std::memory_order_relaxed) + 1,
+               std::memory_order_release);
 }
 
 HistogramSnapshot Histogram::Snapshot() const {
   HistogramSnapshot snapshot;
-  snapshot.buckets.assign(kNumBuckets, 0);
-  for (int s = 0; s < kStripes; ++s) {
-    for (std::size_t b = 0; b < kNumBuckets; ++b) {
-      snapshot.buckets[b] +=
-          stripes_[s]->counts[b].load(std::memory_order_relaxed);
-    }
+  snapshot.count = count_.load(std::memory_order_acquire);
+  snapshot.buckets.resize(kNumBuckets);
+  for (std::size_t b = 0; b < kNumBuckets; ++b) {
+    snapshot.buckets[b] = (*buckets_)[b].load(std::memory_order_relaxed);
   }
-  snapshot.count = count_.load(std::memory_order_relaxed);
   snapshot.sum = sum_.load(std::memory_order_relaxed);
   snapshot.max = max_.load(std::memory_order_relaxed);
   const std::int64_t min = min_.load(std::memory_order_relaxed);
@@ -130,16 +89,29 @@ HistogramSnapshot Histogram::Snapshot() const {
 }
 
 void Histogram::Reset() {
-  for (auto& stripe : stripes_) {
-    for (auto& c : stripe->counts) {
-      c.store(0, std::memory_order_relaxed);
-    }
+  for (auto& c : *buckets_) {
+    c.store(0, std::memory_order_relaxed);
   }
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0, std::memory_order_relaxed);
   max_.store(0, std::memory_order_relaxed);
   min_.store(std::numeric_limits<std::int64_t>::max(),
              std::memory_order_relaxed);
+}
+
+void HistogramSnapshot::Add(const HistogramSnapshot& other) {
+  if (buckets.size() < other.buckets.size()) {
+    buckets.resize(other.buckets.size(), 0);
+  }
+  for (std::size_t b = 0; b < other.buckets.size(); ++b) {
+    buckets[b] += other.buckets[b];
+  }
+  if (other.count > 0) {
+    min = count == 0 ? other.min : std::min(min, other.min);
+    max = count == 0 ? other.max : std::max(max, other.max);
+  }
+  count += other.count;
+  sum += other.sum;
 }
 
 std::int64_t HistogramSnapshot::Percentile(double p) const {

@@ -15,11 +15,14 @@
 //     magnitude up to kMaxTrackableUs (values beyond clamp into the last
 //     bucket).
 //
-// Concurrency: recording is wait-free — a relaxed atomic increment into a
-// lock-striped counter bank (stripe picked by thread id) so concurrent
-// server workers never contend on one cache line for hot buckets. Snapshot
-// and Merge sum across stripes; snapshots are plain structs safe to copy
-// around and serialise.
+// Concurrency: one writer. A histogram has one counter bank, and Record
+// is a relaxed load and store per counter (bucket, sum, extremes, count)
+// with no read-modify-write instruction, so only one thread may record
+// into a given histogram at a time. Snapshot may run on any thread, any
+// time. A distribution with several writers (the server's workers, a
+// replay's sender threads) keeps one histogram per writer and adds their
+// snapshots with HistogramSnapshot::Add. Snapshots are plain structs safe
+// to copy around and serialise.
 
 #ifndef DBTOUCH_OBS_HISTOGRAM_H_
 #define DBTOUCH_OBS_HISTOGRAM_H_
@@ -50,6 +53,11 @@ struct HistogramSnapshot {
   /// tracked max.
   std::int64_t Percentile(double p) const;
 
+  /// Adds `other`'s recordings into this snapshot: counts, sums and
+  /// buckets add, and the extremes are those of the non-empty sides (an
+  /// empty snapshot's zero min and max take no part).
+  void Add(const HistogramSnapshot& other);
+
   double Mean() const {
     return count == 0 ? 0.0
                       : static_cast<double>(sum) / static_cast<double>(count);
@@ -71,24 +79,21 @@ class Histogram {
   static constexpr int kMaxOctave = 40;
   static constexpr std::int64_t kNumBuckets =
       kSubBuckets + (kMaxOctave - kPrecisionBits) * kSubBuckets;
-  /// Counter stripes; recording threads hash onto one.
-  static constexpr int kStripes = 4;
 
   Histogram();
 
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
-  /// Wait-free; negative values clamp to 0.
+  /// Single writer (see the header comment); negative values clamp to 0.
   void Record(std::int64_t value);
 
-  /// Adds another histogram's counts into this one (not atomic as a whole;
-  /// callers merge quiescent histograms).
-  void Merge(const Histogram& other);
-
+  /// Any thread, any time. A snapshot that counts a recording also holds
+  /// that recording's bucket, sum and extremes.
   HistogramSnapshot Snapshot() const;
 
-  /// Discards all counts (tests / between bench regimes).
+  /// Discards all counts. Call it only while no thread records (tests,
+  /// between bench regimes).
   void Reset();
 
   /// Bucket index for `value` (>= 0).
@@ -97,15 +102,12 @@ class Histogram {
   static std::int64_t BucketLowerBound(std::size_t index);
 
  private:
-  struct alignas(64) Stripe {
-    std::array<std::atomic<std::int64_t>, kNumBuckets> counts;
-  };
+  using Bank = std::array<std::atomic<std::int64_t>, kNumBuckets>;
 
-  /// Monotone-max update with relaxed CAS.
-  static void UpdateMax(std::atomic<std::int64_t>& slot, std::int64_t value);
-  static void UpdateMin(std::atomic<std::int64_t>& slot, std::int64_t value);
-
-  std::array<std::unique_ptr<Stripe>, kStripes> stripes_;
+  /// The bucket counts, zeroed at construction.
+  std::unique_ptr<Bank> buckets_;
+  /// Stored last by Record, with release; Snapshot loads it first, with
+  /// acquire.
   std::atomic<std::int64_t> count_{0};
   std::atomic<std::int64_t> sum_{0};
   std::atomic<std::int64_t> min_{0};

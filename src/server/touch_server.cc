@@ -49,6 +49,15 @@ void TrimResults(core::Kernel& kernel) {
 
 namespace {
 
+/// config.num_workers, with 0 resolved to the hardware concurrency (at
+/// least 1).
+int ResolveWorkerCount(const TouchServerConfig& config) {
+  if (config.num_workers > 0) {
+    return config.num_workers;
+  }
+  return std::max(static_cast<int>(std::thread::hardware_concurrency()), 1);
+}
+
 /// The shared pool serves every worker; widen its lock sharding unless the
 /// configuration already asked for more.
 cache::BufferManagerConfig ServerBufferConfig(
@@ -65,7 +74,9 @@ TouchServer::TouchServer(const TouchServerConfig& config)
     : config_(config),
       shared_(std::make_shared<core::SharedState>(
           config.session_defaults.sampling, ServerBufferConfig(config))),
-      sessions_(shared_) {
+      sessions_(shared_),
+      worker_count_(ResolveWorkerCount(config)),
+      ledgers_(static_cast<std::size_t>(worker_count_)) {
   if (config_.enable_tracing) {
     trace_ = std::make_unique<obs::TraceRecorder>(config_.trace);
     // Wire every stage of the request path before any worker or fetcher
@@ -82,22 +93,15 @@ Status TouchServer::Start() {
   if (running_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("server already running");
   }
-  int workers = config_.num_workers;
-  if (workers <= 0) {
-    workers = static_cast<int>(std::thread::hardware_concurrency());
-    if (workers <= 0) {
-      workers = 1;
-    }
-  }
   // A restart after Stop(): clear the scheduler's shutdown latch (and any
   // quanta abandoned by the previous run) before workers spawn.
   scheduler_.Restart();
   running_.store(true, std::memory_order_release);
-  workers_.reserve(static_cast<std::size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+  workers_.reserve(ledgers_.size());
+  for (WorkerLedger& ledger : ledgers_) {
+    workers_.emplace_back([this, &ledger] { WorkerLoop(&ledger); });
   }
-  DBTOUCH_LOG(kInfo) << "touch server started with " << workers
+  DBTOUCH_LOG(kInfo) << "touch server started with " << worker_count_
                      << " workers";
   return Status::OK();
 }
@@ -278,12 +282,11 @@ Result<api::StatsResp> TouchServer::Call(const api::StatsReq&) {
   api::StatsResp resp;
   resp.sessions_active = static_cast<std::int64_t>(sessions_.size());
   resp.submitted = total_submitted_.load(std::memory_order_relaxed);
-  resp.executed = total_executed_.load(std::memory_order_relaxed);
+  const StageLatencySnapshot stages = LedgerTotals(&resp.deadline_misses);
+  resp.executed = stages.e2e.count;
   resp.dropped_quanta = total_dropped_.load(std::memory_order_relaxed);
-  resp.deadline_misses = total_misses_.load(std::memory_order_relaxed);
-  const obs::HistogramSnapshot e2e = e2e_hist_.Snapshot();
-  resp.p50_latency_us = e2e.Percentile(0.50);
-  resp.p99_latency_us = e2e.Percentile(0.99);
+  resp.p50_latency_us = stages.e2e.Percentile(0.50);
+  resp.p99_latency_us = stages.e2e.Percentile(0.99);
   resp.suspended_quanta = total_suspended_.load(std::memory_order_relaxed);
   const cache::BlockCacheStats buffer = shared_->buffer_manager().stats();
   resp.buffer_hits = buffer.hits;
@@ -411,7 +414,7 @@ Status TouchServer::Drain() {
   return Status::OK();
 }
 
-void TouchServer::WorkerLoop() {
+void TouchServer::WorkerLoop(WorkerLedger* ledger) {
 #if defined(__linux__)
   // The scheduler sleeps until a future quantum's exact release; the
   // kernel's default 50 us timer slack would otherwise defer that wake.
@@ -449,7 +452,7 @@ void TouchServer::WorkerLoop() {
       // the quantum that owed the user an answer already completed (with
       // partial results) and was counted; this one only upgrades
       // fidelity, so it must not perturb idle()/miss/shed bookkeeping.
-      ExecuteRefinement(&*task, s);
+      ExecuteRefinement(&*task, s, ledger);
       now = -1;
       continue;
     }
@@ -553,7 +556,10 @@ void TouchServer::WorkerLoop() {
     // user at the screen would have waited for this touch's answer.
     const sim::Micros latency = done - task->release_us;
     const bool missed = done > task->deadline_us;
-    s->executed.fetch_add(1, std::memory_order_relaxed);
+    // One writer at a time: the worker holding the session's busy mark,
+    // which the scheduler's lock hands from worker to worker.
+    s->executed.store(s->executed.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_relaxed);
     if (missed) {
       s->deadline_misses.fetch_add(1, std::memory_order_relaxed);
       s->shed_levels.store(
@@ -565,7 +571,10 @@ void TouchServer::WorkerLoop() {
           ClampShed(s->shed_levels.load(std::memory_order_relaxed) - 1),
           std::memory_order_relaxed);
     }
-    RecordCompletion(*task, latency, missed);
+    RecordCompletion(*task, latency, missed, ledger);
+    if (!config_.partial_answers) {
+      continue;  // Nothing else reads the buffer-pressure shed bias.
+    }
     const std::int64_t n = completions_since_pressure_check_.fetch_add(
         1, std::memory_order_relaxed);
     if ((n & 63) == 0) {
@@ -746,7 +755,8 @@ void TouchServer::StartRefinementFetches(
 }
 
 void TouchServer::ExecuteRefinement(TouchTask* task,
-                                    const std::shared_ptr<ServerSession>& s) {
+                                    const std::shared_ptr<ServerSession>& s,
+                                    WorkerLedger* ledger) {
   // Drain every refinement whose blocks have landed, not just the head:
   // settles can land out of FIFO order, so the quantum pushed for
   // refinement B may find head A still cold while B is ready right
@@ -773,7 +783,7 @@ void TouchServer::ExecuteRefinement(TouchTask* task,
     if (outcome == core::RefineOutcome::kRefined) {
       s->refined_quanta.fetch_add(1, std::memory_order_relaxed);
       total_refined_.fetch_add(1, std::memory_order_relaxed);
-      refine_hist_.Record(done - task->origin_release_us);
+      ledger->refine.Record(done - task->origin_release_us);
       if (trace_ != nullptr) {
         trace_->Record(obs::SpanStage::kRefined, task->quantum_id,
                        task->session_id, done - task->origin_release_us,
@@ -796,20 +806,23 @@ void TouchServer::ExecuteRefinement(TouchTask* task,
 }
 
 void TouchServer::RecordCompletion(const TouchTask& task,
-                                   sim::Micros latency, bool missed) {
-  total_executed_.fetch_add(1, std::memory_order_relaxed);
+                                   sim::Micros latency, bool missed,
+                                   WorkerLedger* ledger) {
   if (missed) {
-    total_misses_.fetch_add(1, std::memory_order_relaxed);
+    ledger->misses.store(ledger->misses.load(std::memory_order_relaxed) + 1,
+                         std::memory_order_relaxed);
   }
   // Every executed touch is recorded — histograms have no sample cap, so
   // long-run percentiles reflect the whole run, not whichever samples a
-  // bounded reservoir happened to keep.
+  // bounded reservoir happened to keep. e2e goes last: its count is the
+  // executed count, so a reader that sees this touch executed sees its
+  // stages too.
   const sim::Micros queue_wait =
       task.first_dispatch_us - task.release_us;
-  queue_wait_hist_.Record(queue_wait);
-  exec_hist_.Record(task.exec_accum_us);
-  fetch_stall_hist_.Record(task.stall_accum_us);
-  e2e_hist_.Record(latency);
+  ledger->queue_wait.Record(queue_wait);
+  ledger->exec.Record(task.exec_accum_us);
+  ledger->fetch_stall.Record(task.stall_accum_us);
+  ledger->e2e.Record(latency);
   if (trace_ != nullptr) {
     trace_->Record(obs::SpanStage::kCompleted, task.quantum_id,
                    task.session_id, latency, missed ? 1 : 0);
@@ -825,23 +838,34 @@ void TouchServer::RecordCompletion(const TouchTask& task,
   }
 }
 
+StageLatencySnapshot TouchServer::LedgerTotals(std::int64_t* misses) const {
+  StageLatencySnapshot total;
+  *misses = 0;
+  for (const WorkerLedger& ledger : ledgers_) {
+    // e2e first: its count is stored last per completion, so the other
+    // stages read after it hold at least the completions it counts.
+    total.e2e.Add(ledger.e2e.Snapshot());
+    total.queue_wait.Add(ledger.queue_wait.Snapshot());
+    total.exec.Add(ledger.exec.Snapshot());
+    total.fetch_stall.Add(ledger.fetch_stall.Snapshot());
+    total.refine.Add(ledger.refine.Snapshot());
+    *misses += ledger.misses.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
 ServerStatsSnapshot TouchServer::stats() const {
   ServerStatsSnapshot snapshot;
   snapshot.sessions_opened = sessions_.opened();
   snapshot.sessions_active = static_cast<std::int64_t>(sessions_.size());
   snapshot.submitted = total_submitted_.load(std::memory_order_relaxed);
-  snapshot.executed = total_executed_.load(std::memory_order_relaxed);
+  snapshot.stages = LedgerTotals(&snapshot.deadline_misses);
+  snapshot.executed = snapshot.stages.e2e.count;
   snapshot.dropped_quanta = total_dropped_.load(std::memory_order_relaxed);
-  snapshot.deadline_misses = total_misses_.load(std::memory_order_relaxed);
   snapshot.partial_answers = total_partial_.load(std::memory_order_relaxed);
   snapshot.refinements = total_refined_.load(std::memory_order_relaxed);
   snapshot.refinements_shed =
       total_refine_shed_.load(std::memory_order_relaxed);
-  snapshot.stages.queue_wait = queue_wait_hist_.Snapshot();
-  snapshot.stages.exec = exec_hist_.Snapshot();
-  snapshot.stages.fetch_stall = fetch_stall_hist_.Snapshot();
-  snapshot.stages.e2e = e2e_hist_.Snapshot();
-  snapshot.stages.refine = refine_hist_.Snapshot();
   snapshot.p50_latency_us = snapshot.stages.e2e.Percentile(0.50);
   snapshot.p99_latency_us = snapshot.stages.e2e.Percentile(0.99);
   snapshot.max_latency_us = snapshot.stages.e2e.max;

@@ -112,7 +112,9 @@ struct TouchServerConfig {
 //     Submitting while stopped returns FailedPrecondition.
 //   - num_workers(): safe only after Start() has returned and before
 //     Stop() is entered (it reads the worker vector unsynchronised; the
-//     vector only mutates inside Start/Stop).
+//     vector only mutates inside Start/Stop). stats() reads only the
+//     worker ledgers, which the constructor makes for the server's whole
+//     life, so it is safe across Start/Stop.
 //   - shared(): the SharedState reference itself is valid for the
 //     server's lifetime; RegisterTable and the other SharedState methods
 //     are internally synchronised, but SpillTable/reclaim calls follow
@@ -184,7 +186,31 @@ class TouchServer {
   obs::TraceRecorder* trace_recorder() const { return trace_.get(); }
 
  private:
-  void WorkerLoop();
+  /// One worker's accounting. Only its worker writes it (obs::Histogram
+  /// has one writer); stats() and Call(StatsReq) add the ledgers up from
+  /// any thread. Its stage-latency histograms cover EVERY quantum the
+  /// worker completed (fixed memory, no sample cap — the reservoir they
+  /// replace stopped reflecting steady state once it filled). Queue wait +
+  /// exec + fetch stall partition each quantum's end-to-end latency (see
+  /// WorkerLoop), so the sums over all ledgers tile e2e exactly. A
+  /// completion records e2e last, and the e2e counts are the server's
+  /// executed count.
+  struct alignas(64) WorkerLedger {
+    obs::Histogram queue_wait;
+    obs::Histogram exec;
+    obs::Histogram fetch_stall;
+    obs::Histogram e2e;
+    /// Refinement latency: partial answer's touch release -> full-fidelity
+    /// result, per refinement quantum (the fidelity half of the deadline/
+    /// fidelity contract; e2e holds the latency half).
+    obs::Histogram refine;
+    std::atomic<std::int64_t> misses{0};
+  };
+
+  /// The ledgers added up; `*misses` gets their deadline misses.
+  StageLatencySnapshot LedgerTotals(std::int64_t* misses) const;
+
+  void WorkerLoop(WorkerLedger* ledger);
   /// Parks `task`'s session and starts demand fetches for every block in
   /// `stall`; the last completion unparks the session (or flags it failed
   /// so the resume sheds the parked work).
@@ -212,22 +238,28 @@ class TouchServer {
   /// cold outcome re-fetches and re-queues, a permanent fetch failure
   /// abandons the refinement (the partial answer stands).
   void ExecuteRefinement(TouchTask* task,
-                         const std::shared_ptr<ServerSession>& session);
+                         const std::shared_ptr<ServerSession>& session,
+                         WorkerLedger* ledger);
   /// Smoothed per-block cold-fetch wall from the shared buffer pool (us);
   /// 0 until a fetch has settled.
   sim::Micros FetchEwmaUs() const;
   sim::Micros BaseBudgetUs() const;
   sim::Micros BudgetForSpeed(double speed_cm_s) const;
-  /// Folds a finished quantum into the stage histograms (queue wait,
-  /// execution, fetch stall, end-to-end) and, when tracing, records the
-  /// kCompleted span and offers a slow-quantum exemplar.
+  /// Folds a finished quantum into the worker's ledger (queue wait,
+  /// execution, fetch stall, then end-to-end; a miss) and, when tracing,
+  /// records the kCompleted span and offers a slow-quantum exemplar.
   void RecordCompletion(const TouchTask& task, sim::Micros latency,
-                        bool missed);
+                        bool missed, WorkerLedger* ledger);
 
   TouchServerConfig config_;
   std::shared_ptr<core::SharedState> shared_;
   SessionManager sessions_;
   FrameScheduler scheduler_;
+  /// config_.num_workers resolved once, in the constructor, with one
+  /// ledger per worker made there for the server's whole life: Start and
+  /// Stop never resize it, and counts survive a restart.
+  const int worker_count_;
+  std::vector<WorkerLedger> ledgers_;
   std::vector<std::thread> workers_;
   std::atomic<bool> running_{false};
 
@@ -236,22 +268,8 @@ class TouchServer {
   /// Server-unique quantum ids; tags trace spans across stages.
   std::atomic<std::int64_t> next_quantum_id_{1};
 
-  /// Stage-latency histograms over EVERY executed touch (wait-free
-  /// recording, fixed memory, no sample cap — the reservoir this replaces
-  /// stopped reflecting steady state once it filled). queue wait + exec +
-  /// fetch stall partition the end-to-end latency; see WorkerLoop.
-  obs::Histogram queue_wait_hist_;
-  obs::Histogram exec_hist_;
-  obs::Histogram fetch_stall_hist_;
-  obs::Histogram e2e_hist_;
-  /// Refinement latency: partial answer's touch release -> full-fidelity
-  /// result, per refinement quantum (the fidelity half of the deadline/
-  /// fidelity contract; e2e_hist_ holds the latency half).
-  obs::Histogram refine_hist_;
   std::atomic<std::int64_t> total_submitted_{0};
-  std::atomic<std::int64_t> total_executed_{0};
   std::atomic<std::int64_t> total_dropped_{0};
-  std::atomic<std::int64_t> total_misses_{0};
   /// Async read path accounting.
   std::atomic<std::int64_t> total_suspended_{0};
   std::atomic<std::int64_t> total_resumed_{0};
@@ -270,7 +288,8 @@ class TouchServer {
   std::atomic<std::int64_t> refine_requeues_{0};
   /// Buffer-pressure shed bias: extra shed levels applied to every
   /// session while the pool runs near its byte budget (recomputed every
-  /// few completions; reads are relaxed-atomic on the hot path).
+  /// 64th completion, and only with config_.partial_answers on, the one
+  /// mode that reads it; reads are relaxed-atomic on the hot path).
   std::atomic<int> buffer_shed_bias_{0};
   std::atomic<std::int64_t> completions_since_pressure_check_{0};
 };

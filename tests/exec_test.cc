@@ -7,7 +7,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "exec/summary.h"
 #include "storage/column.h"
 #include "storage/datagen.h"
+#include "storage/paged_column.h"
 
 namespace dbtouch::exec {
 namespace {
@@ -317,6 +320,62 @@ TEST(SummaryTest, SupportsOtherAggKinds) {
   EXPECT_DOUBLE_EQ(mx.ComputeAt(1).value, 9.0);
   InteractiveSummaryOp mn(c.View(), 3, AggKind::kMin);
   EXPECT_DOUBLE_EQ(mn.ComputeAt(1).value, 1.0);
+}
+
+TEST(SummaryTest, ViewAndPagedFormsAgreeBitForBit) {
+  // The in-memory form folds a window as one span; the paged form folds
+  // it block by block. Every kind and type must agree bit for bit at any
+  // block size, edges and clamps included.
+  constexpr std::int64_t n = 5'001;
+  Rng rng(0x5eed);
+  std::vector<std::int32_t> i32(n);
+  std::vector<std::int64_t> i64(n);
+  std::vector<float> f32(n);
+  std::vector<double> f64(n);
+  for (std::int64_t r = 0; r < n; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    i32[i] = static_cast<std::int32_t>(rng.NextInt64(-1'000'000, 1'000'000));
+    i64[i] = rng.NextInt64(-(1ll << 52), 1ll << 52);
+    f32[i] = static_cast<float>(rng.NextGaussian() * 1e3 + 17.0);
+    f64[i] = rng.NextGaussian() * 1e6 + 0.1;
+  }
+  const std::vector<Column> columns = {
+      Column::FromInt32("i32", i32), Column::FromInt64("i64", i64),
+      Column::FromFloat("f32", f32), Column::FromDouble("f64", f64)};
+  const AggKind kinds[] = {AggKind::kCount, AggKind::kSum,
+                           AggKind::kAvg,   AggKind::kMin,
+                           AggKind::kMax,   AggKind::kVariance,
+                           AggKind::kStdDev};
+  const std::int64_t ks[] = {0, 1, 63, 4'096,
+                             std::numeric_limits<std::int64_t>::max()};
+  const RowId centers[] = {0, n / 2, n - 1, -7, n + 5};
+  for (const Column& column : columns) {
+    for (const AggKind kind : kinds) {
+      for (const std::int64_t k : ks) {
+        const InteractiveSummaryOp view(column.View(), k, kind);
+        for (const std::int64_t rows_per_block : {1, 7, 64, 1'000}) {
+          const InteractiveSummaryOp paged(
+              std::make_shared<storage::UnpagedColumnSource>(column.View(),
+                                                             rows_per_block),
+              k, kind);
+          for (const RowId center : centers) {
+            const SummaryResult a = view.ComputeAt(center);
+            const SummaryResult b = paged.ComputeAt(center);
+            SCOPED_TRACE(testing::Message()
+                         << column.name() << " " << AggKindName(kind)
+                         << " k=" << k << " block=" << rows_per_block
+                         << " center=" << center);
+            EXPECT_EQ(a.center, b.center);
+            EXPECT_EQ(a.first, b.first);
+            EXPECT_EQ(a.last, b.last);
+            EXPECT_EQ(a.rows, b.rows);
+            EXPECT_EQ(std::memcmp(&a.value, &b.value, sizeof(double)), 0)
+                << a.value << " vs " << b.value;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(PredicateTest, AllOperators) {

@@ -25,9 +25,16 @@ std::vector<GestureEvent> Recognize(const GestureTrace& trace,
                                     GestureRecognizer* recognizer) {
   std::vector<GestureEvent> out;
   for (const auto& e : trace.events) {
-    auto batch = recognizer->OnTouch(e);
-    out.insert(out.end(), batch.begin(), batch.end());
+    recognizer->OnTouch(e, &out);
   }
+  return out;
+}
+
+/// The gesture steps one touch completes.
+std::vector<GestureEvent> Step(GestureRecognizer* recognizer,
+                               const sim::TouchEvent& e) {
+  std::vector<GestureEvent> out;
+  recognizer->OnTouch(e, &out);
   return out;
 }
 
@@ -86,6 +93,27 @@ TEST(RecognizerTest, SlideEmitsBeganChangedEnded) {
   EXPECT_EQ(CountType(events, GestureType::kTap, GesturePhase::kEnded), 0);
 }
 
+TEST(RecognizerTest, OnTouchAppendsBehindWhatTheQueueHolds) {
+  // The kernel's pending FIFO may still hold steps parked behind a cold
+  // fetch; a new touch's steps go in behind them.
+  TouchDevice device;
+  TraceBuilder builder(device);
+  GestureRecognizer rec;
+  const auto trace = builder.Slide("s", PointCm{2, 1}, PointCm{2, 11},
+                                   MotionProfile::Constant(2.0));
+  std::vector<GestureEvent> queue(3);
+  for (const auto& e : trace.events) {
+    rec.OnTouch(e, &queue);
+  }
+  GestureRecognizer fresh;
+  const auto alone = Recognize(trace, &fresh);
+  ASSERT_EQ(queue.size(), alone.size() + 3);
+  for (std::size_t i = 0; i < alone.size(); ++i) {
+    EXPECT_EQ(queue[i + 3].phase, alone[i].phase);
+    EXPECT_EQ(queue[i + 3].timestamp_us, alone[i].timestamp_us);
+  }
+}
+
 TEST(RecognizerTest, SlideVelocityApproximatesTrueSpeed) {
   TouchDevice device;
   TraceBuilder builder(device);
@@ -95,7 +123,7 @@ TEST(RecognizerTest, SlideVelocityApproximatesTrueSpeed) {
                                    MotionProfile::Constant(2.0));
   double last_vy = 0.0;
   for (const auto& e : trace.events) {
-    for (const auto& g : rec.OnTouch(e)) {
+    for (const auto& g : Step(&rec, e)) {
       if (g.type == GestureType::kSlide &&
           g.phase == GesturePhase::kChanged) {
         last_vy = g.velocity_y_cm_s;
@@ -199,7 +227,7 @@ TEST(RecognizerTest, SecondFingerEndsSlide) {
   // ...then land a second finger.
   const sim::TouchEvent second{slide.duration_us() + 1000, 1,
                                sim::TouchPhase::kBegan, PointCm{6, 6}};
-  events = rec.OnTouch(second);
+  events = Step(&rec, second);
   EXPECT_EQ(CountType(events, GestureType::kSlide, GesturePhase::kEnded), 1);
 }
 
@@ -214,7 +242,7 @@ TEST(RecognizerTest, ResetAbandonsGesture) {
   Recognize(slide, &rec);
   rec.Reset();
   // The dangling end event is for an untracked finger: no output.
-  EXPECT_TRUE(rec.OnTouch(last_event).empty());
+  EXPECT_TRUE(Step(&rec, last_event).empty());
 }
 
 TEST(RecognizerTest, ConsecutiveGesturesBothRecognized) {
@@ -231,10 +259,10 @@ TEST(RecognizerTest, ConsecutiveGesturesBothRecognized) {
 
 TEST(RecognizerTest, CancelledTouchIsNotATap) {
   GestureRecognizer rec;
-  EXPECT_TRUE(rec.OnTouch({0, 0, sim::TouchPhase::kBegan, PointCm{1, 1}})
-                  .empty());
   EXPECT_TRUE(
-      rec.OnTouch({10'000, 0, sim::TouchPhase::kCancelled, PointCm{1, 1}})
+      Step(&rec, {0, 0, sim::TouchPhase::kBegan, PointCm{1, 1}}).empty());
+  EXPECT_TRUE(
+      Step(&rec, {10'000, 0, sim::TouchPhase::kCancelled, PointCm{1, 1}})
           .empty());
 }
 
@@ -285,14 +313,14 @@ TEST(RecognizerTest, DrainAfterTwoFingerGestureSwallowsStragglers) {
   pinch.events.pop_back();
   auto events = Recognize(pinch, &rec);
   EXPECT_EQ(CountType(events, GestureType::kPinch, GesturePhase::kEnded), 1);
-  events = rec.OnTouch(sim::TouchEvent{last.timestamp_us + 10'000, 1,
-                                       sim::TouchPhase::kMoved,
-                                       PointCm{10.0, 10.0}});
+  events = Step(&rec, sim::TouchEvent{last.timestamp_us + 10'000, 1,
+                                      sim::TouchPhase::kMoved,
+                                      PointCm{10.0, 10.0}});
   EXPECT_TRUE(events.empty());
   // Once the straggler lifts, a fresh tap recognises normally.
-  EXPECT_TRUE(rec.OnTouch(sim::TouchEvent{last.timestamp_us + 20'000, 1,
-                                          sim::TouchPhase::kEnded,
-                                          PointCm{10.0, 10.0}})
+  EXPECT_TRUE(Step(&rec, sim::TouchEvent{last.timestamp_us + 20'000, 1,
+                                         sim::TouchPhase::kEnded,
+                                         PointCm{10.0, 10.0}})
                   .empty());
   const auto tap = Recognize(builder.Tap("t", PointCm{4, 4}, 0.05,
                                          last.timestamp_us + 100'000),
@@ -307,9 +335,7 @@ TEST(RecognizerTest, DiagonalSlideVelocityHasBothComponents) {
   // 6cm right and 8cm down in 2s: vx ~3, vy ~4 cm/s.
   const auto trace = builder.Slide("d", PointCm{2, 1}, PointCm{8, 9},
                                    MotionProfile::Constant(2.0));
-  for (const auto& e : trace.events) {
-    rec.OnTouch(e);
-  }
+  Recognize(trace, &rec);
   EXPECT_NEAR(rec.velocity_x(), 3.0, 0.8);
   EXPECT_NEAR(rec.velocity_y(), 4.0, 0.8);
 }

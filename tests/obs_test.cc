@@ -1,5 +1,6 @@
-// Tests for the observability layer: log-spaced histogram bucket math and
-// merge/percentile behaviour, the JsonWriter emitter (golden outputs,
+// Tests for the observability layer: log-spaced histogram bucket math,
+// snapshot sums and percentile behaviour, one-writer recording read by a
+// concurrent snapshotter, the JsonWriter emitter (golden outputs,
 // escaping), the TraceRecorder ring (wraparound, torn-slot rejection,
 // concurrent writers — the TSan payload for the seqlock-style slots) and
 // slow-quantum exemplar retention, plus the ServerStatsSnapshot::ToJson
@@ -91,19 +92,46 @@ TEST(HistogramTest, NegativeValuesClampToZero) {
   EXPECT_EQ(snap.min, 0);
 }
 
-TEST(HistogramTest, MergeAddsCounts) {
+TEST(HistogramTest, SnapshotAddSumsCountsAndKeepsTheExtremes) {
   Histogram a;
   Histogram b;
   for (int i = 0; i < 100; ++i) {
     a.Record(10);
     b.Record(1'000);
   }
-  a.Merge(b);
-  const HistogramSnapshot snap = a.Snapshot();
-  EXPECT_EQ(snap.count, 200);
-  EXPECT_EQ(snap.sum, 100 * 10 + 100 * 1'000);
-  EXPECT_EQ(snap.min, 10);
-  EXPECT_EQ(snap.max, 1'000);
+  const Histogram empty;
+  // Empty snapshots report min = max = 0; adding one on either side must
+  // not pull the total's extremes to 0.
+  HistogramSnapshot total;
+  total.Add(empty.Snapshot());
+  total.Add(b.Snapshot());
+  total.Add(empty.Snapshot());
+  total.Add(a.Snapshot());
+  EXPECT_EQ(total.count, 200);
+  EXPECT_EQ(total.sum, 100 * 10 + 100 * 1'000);
+  EXPECT_EQ(total.min, 10);
+  EXPECT_EQ(total.max, 1'000);
+  ASSERT_EQ(total.buckets.size(),
+            static_cast<std::size_t>(Histogram::kNumBuckets));
+  EXPECT_EQ(total.buckets[Histogram::BucketIndex(10)], 100);
+  EXPECT_EQ(total.buckets[Histogram::BucketIndex(1'000)], 100);
+  // Percentiles over the sum are those of one histogram fed both.
+  Histogram both;
+  for (int i = 0; i < 100; ++i) {
+    both.Record(10);
+    both.Record(1'000);
+  }
+  const HistogramSnapshot expected = both.Snapshot();
+  for (const double p : {0.0, 0.25, 0.5, 0.75, 0.99, 1.0}) {
+    EXPECT_EQ(total.Percentile(p), expected.Percentile(p)) << p;
+  }
+  // Nothing but empties adds up to an empty snapshot.
+  HistogramSnapshot none;
+  none.Add(empty.Snapshot());
+  EXPECT_EQ(none.count, 0);
+  EXPECT_EQ(none.min, 0);
+  EXPECT_EQ(none.max, 0);
+  EXPECT_EQ(none.Percentile(0.5), 0);
 }
 
 TEST(HistogramTest, ResetDiscardsEverything) {
@@ -118,26 +146,53 @@ TEST(HistogramTest, ResetDiscardsEverything) {
 }
 
 TEST(HistogramTest, ConcurrentRecordersLoseNothing) {
-  Histogram hist;
+  // One histogram per recording thread, the contract the server's workers
+  // follow, while another thread snapshots them all in a loop.
   constexpr int kThreads = 4;
   constexpr int kPerThread = 50'000;
+  std::vector<Histogram> hists(kThreads);
+  std::atomic<int> recording{kThreads};
+  std::int64_t snapshots = 0;
+  bool count_decreased = false;
+  std::thread reader([&] {
+    std::int64_t last = 0;
+    while (recording.load(std::memory_order_acquire) > 0) {
+      HistogramSnapshot total;
+      for (const Histogram& h : hists) {
+        total.Add(h.Snapshot());
+      }
+      count_decreased = count_decreased || total.count < last;
+      last = total.count;
+      ++snapshots;
+    }
+  });
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&hist, t] {
+    threads.emplace_back([&hists, &recording, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        hist.Record((t + 1) * 100);
+        hists[static_cast<std::size_t>(t)].Record((t + 1) * 100);
       }
+      recording.fetch_sub(1, std::memory_order_release);
     });
   }
   for (auto& thread : threads) {
     thread.join();
   }
-  const HistogramSnapshot snap = hist.Snapshot();
+  reader.join();
+  EXPECT_FALSE(count_decreased);
+  EXPECT_GT(snapshots, 0);
+
+  HistogramSnapshot snap;
+  for (const Histogram& h : hists) {
+    snap.Add(h.Snapshot());
+  }
   EXPECT_EQ(snap.count, kThreads * kPerThread);
   std::int64_t expected_sum = 0;
   for (int t = 0; t < kThreads; ++t) {
     expected_sum += static_cast<std::int64_t>(kPerThread) * (t + 1) * 100;
+    EXPECT_EQ(snap.buckets[Histogram::BucketIndex((t + 1) * 100)],
+              kPerThread);
   }
   EXPECT_EQ(snap.sum, expected_sum);
   EXPECT_EQ(snap.min, 100);

@@ -488,14 +488,16 @@ TEST_P(RecognizerClassProperty, SlidesAlwaysClassifyAsSlides) {
   int slide_began = 0;
   int slide_ended = 0;
   int others = 0;
+  std::vector<gesture::GestureEvent> steps;
   for (const auto& event : trace.events) {
-    for (const auto& g : recognizer.OnTouch(event)) {
-      if (g.type == gesture::GestureType::kSlide) {
-        slide_began += g.phase == gesture::GesturePhase::kBegan;
-        slide_ended += g.phase == gesture::GesturePhase::kEnded;
-      } else {
-        ++others;
-      }
+    recognizer.OnTouch(event, &steps);
+  }
+  for (const auto& g : steps) {
+    if (g.type == gesture::GestureType::kSlide) {
+      slide_began += g.phase == gesture::GesturePhase::kBegan;
+      slide_ended += g.phase == gesture::GesturePhase::kEnded;
+    } else {
+      ++others;
     }
   }
   EXPECT_EQ(slide_began, 1);
